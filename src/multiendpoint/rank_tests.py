@@ -202,40 +202,53 @@ def obrien_test(
     return TestResult("rank_sum", statistic, var_stat, z, res.p, mode, metadata)
 
 
-def _quadform_stat(
-    X: np.ndarray, mask: np.ndarray, xtx: np.ndarray | None = None
-) -> tuple[float, int, bool]:
-    """Rank-Hotelling statistic d' Sigma^-1 d for one labeling.
+def _quadform_stats(X: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-Hotelling statistic d' Sigma^-1 d for each row of a (B, n) 0/1
+    label block; the observed labeling is the one-row case.
 
     The within-group scatter is computed from sufficient statistics
     (X'X minus the group-mean outer products), so the value is a
     deterministic function of the per-group column sums; labelings that tie
     mathematically tie bitwise, which keeps exact-permutation tie counting
-    consistent. Returns (statistic, effective rank, singular flag); NaN when
-    a group is empty or n < 3.
+    consistent. The group rank sums ``labels @ X`` are exact (midranks are
+    half-integers), and every row sees the same element-wise operations, so
+    a row's value does not depend on the block it sits in. Returns
+    (statistics, effective ranks): NaN and rank 0 where a group is empty or
+    n < 3, 0.0 where the covariance is zero, and the pseudo-inverse form
+    where it is singular (rank < k).
     """
     n, k = X.shape
-    n1 = int(mask.sum())
-    n0 = n - n1
-    if n1 == 0 or n0 == 0 or n < 3:
-        return math.nan, 0, False
-    if xtx is None:
-        xtx = X.T @ X
+    n1 = labels.sum(axis=1, dtype=np.int64)
+    ok = (n1 > 0) & (n1 < n) & (n >= 3)
+    stats = np.full(n1.shape, math.nan)
+    ranks = np.zeros(n1.shape, dtype=np.int64)
+    if not ok.any():
+        return stats, ranks
+    xtx = X.T @ X
     colsum = X.sum(axis=0)
-    s1 = X[mask].sum(axis=0)
+    n1 = n1[ok].astype(np.float64)[:, None]
+    n0 = n - n1
+    s1 = (labels.astype(np.float64) @ X)[ok]
     m1 = s1 / n1
     m0 = (colsum - s1) / n0
     d = m1 - m0
-    scatter = xtx - n1 * np.outer(m1, m1) - n0 * np.outer(m0, m0)
-    sigma = scatter / (n - 2) * (1.0 / n1 + 1.0 / n0)
-    rank = int(np.linalg.matrix_rank(sigma))
-    if rank == 0:
-        return 0.0, 0, True
-    if rank < k:
-        t = float(d @ np.linalg.pinv(sigma) @ d)
-        return t, rank, True
-    t = float(d @ np.linalg.solve(sigma, d))
-    return t, rank, False
+    scatter = (
+        xtx
+        - n1[:, :, None] * (m1[:, :, None] * m1[:, None, :])
+        - n0[:, :, None] * (m0[:, :, None] * m0[:, None, :])
+    )
+    sigma = scatter / (n - 2) * (1.0 / n1 + 1.0 / n0)[:, :, None]
+    rank = np.linalg.matrix_rank(sigma)
+    t = np.zeros(rank.shape)
+    full = rank == k
+    x = np.linalg.solve(sigma[full], d[full][:, :, None])
+    t[full] = (d[full][:, None, :] @ x)[:, 0, 0]
+    deficient = (rank > 0) & ~full
+    dd = d[deficient][:, None, :]
+    t[deficient] = (dd @ np.linalg.pinv(sigma[deficient]) @ dd.transpose(0, 2, 1))[:, 0, 0]
+    stats[ok] = t
+    ranks[ok] = rank
+    return stats, ranks
 
 
 def multirank_test(
@@ -252,11 +265,12 @@ def multirank_test(
     """
     rm = rank_matrix(ds, endpoints)
     _require_groups(rm)
-    X = rm.ranks
-    statistic, rank, singular = _quadform_stat(X, rm.treatment_mask)
+    stats, ranks = _quadform_stats(rm.ranks, rm.treatment_mask[None, :])
+    statistic, rank = float(stats[0]), int(ranks[0])
+    singular = rank < rm.k
     if math.isnan(statistic):
         raise ValueError("multirank test needs at least 3 complete-case subjects")
-    if singular and rank < rm.k:
+    if singular:
         warnings.warn(
             f"rank covariance is singular (rank {rank} < {rm.k}); using pseudo-inverse",
             RuntimeWarning,
@@ -280,14 +294,11 @@ def multirank_test(
         return TestResult("multirank", statistic, 0.0, math.nan, p,
                           InferenceMode.ASYMPTOTIC, metadata)
 
-    xtx = X.T @ X
-    draws = []
-    for block in iter_label_blocks(plan, ds.group_codes):
-        g = block[:, rm.kept_indices]
-        for row in g:
-            t, _, _ = _quadform_stat(X, row.astype(bool), xtx)
-            draws.append(t)
-    res = pvalue_from_draws(statistic, np.asarray(draws), plan)
+    draws = [
+        _quadform_stats(rm.ranks, block[:, rm.kept_indices])[0]
+        for block in iter_label_blocks(plan, ds.group_codes)
+    ]
+    res = pvalue_from_draws(statistic, np.concatenate(draws), plan)
     metadata.update(
         {
             "replicates_used": res.replicates_used,

@@ -6,6 +6,15 @@ partitioned across workers or chunks. Two-sided extremeness is measured by
 |T| against the observed |T| (never by doubling a tail), which stays well
 defined for asymmetric null distributions. The Monte Carlo p-value uses the
 add-one convention (1 + #extreme) / (B + 1) and is therefore always > 0.
+
+Label-stream contract: Monte Carlo replicate b is the Fisher-Yates shuffle of
+the group codes drawn by numpy's
+``Generator(PCG64(SeedSequence(derive_replicate_seed(master_seed, b))))``,
+i.e. exactly ``np.random.default_rng(seed).permutation(codes)``. The stream
+is seeded per block: the PCG64 states of a whole block of replicates are
+computed at once in numpy (splitmix64, then numpy's documented
+``SeedSequence`` mix with pool size 4), and each is loaded in turn into one
+reused generator.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from .errors import ExactTooLargeError
 from .trial_data import TrialDataset
 
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
 DEFAULT_REPLICATES = 10_000
 DEFAULT_EXACT_CAP = 200_000
@@ -29,8 +39,17 @@ DEFAULT_BLOCK_SIZE = 1_024
 MODE_MONTE_CARLO = "monte_carlo"
 MODE_EXACT = "exact"
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# the PCG64 128-bit LCG multiplier.
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-def _splitmix64(x: int) -> int:
+
+def _splitmix64(x):
+    """splitmix64 finaliser on a Python int or a uint64 array (where the
+    arithmetic already wraps and the mask is a no-op)."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -48,6 +67,65 @@ def derive_replicate_seed(master_seed: int, replicate_index: int) -> int:
         raise ValueError("replicate_index must be >= 0")
     inner = (_splitmix64(master_seed & _MASK64) + replicate_index) & _MASK64
     return _splitmix64(inner)
+
+
+def _replicate_seeds(master_seed: int, start: int, count: int) -> np.ndarray:
+    """``derive_replicate_seed(master_seed, b)`` for b in [start, start + count),
+    as a uint64 array."""
+    mixed = np.uint64(_splitmix64(master_seed & _MASK64))
+    return _splitmix64(mixed + np.arange(start, start + count, dtype=np.uint64))
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> list[tuple[np.uint32, np.uint32]]:
+    """The (xor, multiply) constants of ``calls`` successive SeedSequence
+    hashmix calls; the hash constant advances independently of the data."""
+    out = []
+    for _ in range(calls):
+        nxt = (init * mult) & 0xFFFFFFFF
+        out.append((np.uint32(init), np.uint32(nxt)))
+        init = nxt
+    return out
+
+
+_POOL_CONSTANTS = _hash_constants(_SS_INIT_A, _SS_MULT_A, 4 + 12)  # fill + cross-mix
+_OUTPUT_CONSTANTS = _hash_constants(_SS_INIT_B, _SS_MULT_B, 8)  # 4 uint64 words
+
+
+def _hashmix(value: np.ndarray, constants: tuple[np.uint32, np.uint32]) -> np.ndarray:
+    xor, mul = constants
+    value = (value ^ xor) * mul
+    return value ^ (value >> np.uint32(16))
+
+
+def _pcg64_seed_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``np.random.PCG64(s)`` for each uint64 seed s.
+
+    Vectorised ``SeedSequence(s).generate_state(4, np.uint64)`` followed by
+    PCG64's ``set_seed`` step. A 64-bit seed is one or two uint32 entropy
+    words; the pool of 4 is filled by hashing them and then zero words, so
+    ``[lo, hi, 0, 0]`` gives the same pool in both cases.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    words = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
+    constants = iter(_POOL_CONSTANTS)
+    pool = [_hashmix(w, next(constants)) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * _SS_MIX_L - _hashmix(pool[src], next(constants)) * _SS_MIX_R
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    out = [_hashmix(pool[i % 4], c).astype(np.uint64) for i, c in enumerate(_OUTPUT_CONSTANTS)]
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (out[2 * j] | (out[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)
+    )
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        # pcg_setseq_128_srandom_r: one LCG step from 0, add the seed, step.
+        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
 
 
 @dataclass(frozen=True)
@@ -97,8 +175,9 @@ def iter_label_blocks(
 ) -> Iterator[np.ndarray]:
     """Yield (b, N) int8 blocks of group-size-preserving label assignments.
 
-    Monte Carlo: replicate b's labels are a permutation of ``group_codes``
-    drawn from a generator seeded by ``derive_replicate_seed(master_seed, b)``.
+    Monte Carlo: replicate b's labels are
+    ``np.random.default_rng(derive_replicate_seed(master_seed, b)).permutation``
+    of ``group_codes`` (see the module docstring), seeded per block.
     Exact: every treatment index set, in ``itertools.combinations`` order.
     """
     base = np.asarray(group_codes, dtype=np.int8)
@@ -107,13 +186,27 @@ def iter_label_blocks(
     total = n_assignments(plan, n, n1)
 
     if plan.mode == MODE_MONTE_CARLO:
+        bitgen = np.random.PCG64(0)
+        shuffle = np.random.Generator(bitgen).shuffle
+        # shuffle draws the same intervals for any dtype; intp takes its
+        # fast path.
+        codes = base.astype(np.intp)
+        work = np.empty_like(codes)
         done = 0
         while done < total:
             b = min(block_size, total - done)
             block = np.empty((b, n), dtype=np.int8)
-            for k in range(b):
-                rng = np.random.default_rng(derive_replicate_seed(plan.master_seed, done + k))
-                block[k] = rng.permutation(base)
+            seeds = _replicate_seeds(plan.master_seed, done, b)
+            for k, (state, inc) in enumerate(_pcg64_seed_states(seeds)):
+                bitgen.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                work[:] = codes
+                shuffle(work)
+                block[k] = work
             yield block
             done += b
     else:

@@ -191,10 +191,6 @@ class RejectionReport:
     seed: int
     metadata: dict = field(default_factory=dict)
 
-    def in_band(self, target: float | None = None) -> bool:
-        target = self.alpha if target is None else target
-        return self.ci_low <= target <= self.ci_high
-
 
 def binomial_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
     """Exact (Clopper-Pearson) binomial confidence interval."""

@@ -281,3 +281,32 @@ def exact_pvalue(stat_fn, subjects) -> float:
         if math.isnan(t) or math.isnan(observed) or abs(t) >= abs(observed):
             n_extreme += 1
     return n_extreme / total
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo label stream, one generator per replicate
+# ---------------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(x: int) -> int:
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def replicate_seed(master_seed: int, index: int) -> int:
+    return splitmix64((splitmix64(master_seed & _MASK64) + index) & _MASK64)
+
+
+def label_rows(master_seed: int, group_codes, count: int) -> np.ndarray:
+    """Replicates 0..count-1 of the documented label stream, each from a
+    freshly seeded ``default_rng``: (count, N) int8."""
+    base = np.asarray(group_codes, dtype=np.int8)
+    rows = [
+        np.random.default_rng(replicate_seed(master_seed, b)).permutation(base)
+        for b in range(count)
+    ]
+    return np.stack(rows)

@@ -1,14 +1,20 @@
 """The batch permutation kernels inside each test must be bit-identical to
-routing the full statistic recomputation through the generic engine."""
+routing the full statistic recomputation through the generic engine: same
+p, same extreme count and the same null mean and SD to the last bit."""
 
 from __future__ import annotations
+
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from multiendpoint import (
+    BinaryModel,
     PermutationPlan,
     SimConfig,
+    TrialDataset,
     fs_test,
     global_u_test,
     multirank_test,
@@ -19,7 +25,9 @@ from multiendpoint import (
 )
 from multiendpoint.global_u import _combine, _normalized_weights, default_kernels, endpoint_u
 from multiendpoint.pairwise import pairwise_score_vector, verdict_matrix
-from multiendpoint.rank_tests import _quadform_stat, rank_matrix
+from multiendpoint.rank_tests import _quadform_stats, rank_matrix
+import oracles
+from support import random_integer_cohort
 
 
 @pytest.fixture(scope="module")
@@ -60,32 +68,56 @@ def obrien_stat(d):
 
 def multirank_stat(d):
     rm = rank_matrix(d)
-    t, _, _ = _quadform_stat(rm.ranks, rm.treatment_mask)
-    return t
+    stats, _ = _quadform_stats(rm.ranks, rm.treatment_mask[None, :])
+    return float(stats[0])
+
+
+def assert_same_null(fast, generic):
+    """p, extreme count, null mean and null SD agree bit for bit."""
+    got = [fast.p_two_sided, fast.metadata["n_extreme"], fast.metadata["null_mean"],
+           fast.metadata["null_sd"]]
+    want = [generic.p, generic.n_extreme, generic.null_mean, generic.null_sd]
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
 @pytest.mark.parametrize("plan", PLANS, ids=["monte_carlo", "exact"])
 class TestFastPathsMatchGenericEngine:
     def test_fs(self, ds, plan):
-        assert fs_test(ds, plan=plan).p_two_sided == permutation_pvalue(fs_stat, ds, plan).p
+        assert_same_null(fs_test(ds, plan=plan), permutation_pvalue(fs_stat, ds, plan))
 
     def test_win_ratio(self, ds, plan):
-        assert (
-            win_ratio_test(ds, plan=plan).p_two_sided
-            == permutation_pvalue(wr_stat, ds, plan).p
-        )
+        assert_same_null(win_ratio_test(ds, plan=plan), permutation_pvalue(wr_stat, ds, plan))
 
     def test_obrien(self, ds, plan):
-        assert (
-            obrien_test(ds, plan=plan).p_two_sided
-            == permutation_pvalue(obrien_stat, ds, plan).p
-        )
+        assert_same_null(obrien_test(ds, plan=plan), permutation_pvalue(obrien_stat, ds, plan))
 
     def test_multirank(self, ds, plan):
-        assert (
-            multirank_test(ds, plan=plan).p_two_sided
-            == permutation_pvalue(multirank_stat, ds, plan).p
+        assert_same_null(
+            multirank_test(ds, plan=plan), permutation_pvalue(multirank_stat, ds, plan)
         )
+
+    def test_multirank_singular_covariance(self, plan):
+        # A binary endpoint that is 1 for everyone: every labeling's rank
+        # covariance has rank 2 < 3, so every draw takes the pseudo-inverse.
+        cfg = replace(SimConfig.null(7, seed=3), binary=BinaryModel(1.0, 1.0))
+        singular = simulate_trial(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fast = multirank_test(singular, plan=plan)
+        assert fast.metadata["singular_covariance"]
+        assert fast.statistic == pytest.approx(
+            oracles.multirank_statistic(singular.subjects, singular.endpoint_specs), rel=1e-12
+        )
+        assert_same_null(fast, permutation_pvalue(multirank_stat, singular, plan))
+
+    def test_multirank_empty_kept_group(self, plan):
+        # Complete-case exclusion keeps a handful of the 9 subjects, so some
+        # relabelings put every kept subject in one group: NaN draws.
+        subs, specs = random_integer_cohort(np.random.default_rng(0), 9, missing_prob=0.4)
+        sparse = TrialDataset.from_subjects(subs, specs)
+        fast = multirank_test(sparse, plan=plan)
+        assert fast.metadata["n_nonfinite"] > 0
+        assert_same_null(fast, permutation_pvalue(multirank_stat, sparse, plan))
 
     def test_global_u(self, ds, plan):
         kernels = default_kernels(ds)
@@ -98,7 +130,4 @@ class TestFastPathsMatchGenericEngine:
             )
             return float(_combine(sums, w, n_pairs))
 
-        assert (
-            global_u_test(ds, plan=plan).p_two_sided
-            == permutation_pvalue(gu_stat, ds, plan).p
-        )
+        assert_same_null(global_u_test(ds, plan=plan), permutation_pvalue(gu_stat, ds, plan))

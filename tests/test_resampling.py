@@ -16,7 +16,13 @@ from multiendpoint import (
     SimConfig,
 )
 from multiendpoint.pairwise import pairwise_score_vector
-from multiendpoint.resampling import iter_label_blocks, n_assignments, pvalue_from_draws
+from multiendpoint.resampling import (
+    _pcg64_seed_states,
+    iter_label_blocks,
+    n_assignments,
+    pvalue_from_draws,
+)
+import oracles
 from support import SURV, survival_cohort
 
 
@@ -60,6 +66,43 @@ class TestSeeds:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             derive_replicate_seed(1, -1)
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+class TestLabelStream:
+    """The block-seeded stream is pinned to numpy's own seeding and to the
+    one-generator-per-replicate formula."""
+
+    @staticmethod
+    def numpy_states(seeds):
+        out = []
+        for s in seeds:
+            state = np.random.PCG64(s).state
+            assert state["has_uint32"] == 0 and state["uinteger"] == 0
+            out.append((state["state"]["state"], state["state"]["inc"]))
+        return out
+
+    def test_seeding_matches_pcg64_at_edge_seeds(self):
+        seeds = np.array(EDGE_SEEDS, dtype=np.uint64)
+        assert _pcg64_seed_states(seeds) == self.numpy_states(EDGE_SEEDS)
+
+    def test_seeding_matches_pcg64_on_derived_seeds(self):
+        seeds = [derive_replicate_seed(2024, b) for b in range(2_000)]
+        assert _pcg64_seed_states(np.array(seeds, dtype=np.uint64)) == self.numpy_states(seeds)
+
+    @pytest.mark.parametrize("n", [40, 2467])
+    @pytest.mark.parametrize("block_size", [1, 37, 1024])
+    def test_blocks_match_per_replicate_generators(self, n, block_size):
+        codes = np.zeros(n, dtype=np.int8)
+        codes[np.random.default_rng(n).permutation(n)[: n // 3]] = 1
+        plan = PermutationPlan.monte_carlo(150, seed=2**63 + 5)
+        blocks = list(iter_label_blocks(plan, codes, block_size))
+        assert all(b.dtype == np.int8 for b in blocks)
+        assert [b.shape[0] for b in blocks[:-1]] == [block_size] * (len(blocks) - 1)
+        want = oracles.label_rows(plan.master_seed, codes, 150)
+        assert np.array_equal(np.concatenate(blocks), want)
 
 
 class TestPermutationPvalue:
