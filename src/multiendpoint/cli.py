@@ -42,7 +42,7 @@ from .methods import METHOD_NAMES, run_method
 from .rank_tests import VARIANCE_ADJUSTED, VARIANCE_NAIVE
 from .report import results_text_table, write_results_csv
 from .resampling import MODE_EXACT, MODE_MONTE_CARLO, PermutationPlan
-from .simgen import BinaryModel, ContinuousModel, SimConfig, SurvivalModel, error_rate_study
+from .simgen import BinaryModel, ContinuousModel, SimConfig, SurvivalModel, binomial_band, error_rate_study
 from .trial_data import (
     DEFAULT_CONTRAST,
     ColumnMapping,
@@ -136,6 +136,17 @@ def mapping_from_config(cfg: Mapping[str, Any]) -> ColumnMapping:
     )
 
 
+def _read(section: Mapping[str, Any], name: str, kind: type, default: Any) -> Any:
+    """The value of the dotted key ``name`` (its last part, looked up in
+    ``section``) as ``kind``. Another YAML type is a ConfigError, never a
+    coercion; an integer is accepted as a float."""
+    value = section.get(name.rsplit(".", 1)[-1], default)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{name}: must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def _load_yaml(path: str | None) -> dict[str, Any]:
     if path is None:
         path = os.environ.get(ENV_CONFIG)
@@ -167,11 +178,14 @@ def run_config_from_sources(file_cfg: Mapping[str, Any], args: argparse.Namespac
         contrast=args.contrast or file_cfg.get("contrast", DEFAULT_CONTRAST),
         methods=tuple(methods),
         mode=args.mode or inference.get("mode", MODE_PERMUTATION),
-        replicates=args.replicates if args.replicates is not None else inference.get("replicates", 10_000),
-        seed=args.seed if args.seed is not None else inference.get("seed", 0),
+        replicates=(
+            args.replicates if args.replicates is not None
+            else _read(inference, "inference.replicates", int, 10_000)
+        ),
+        seed=args.seed if args.seed is not None else _read(inference, "inference.seed", int, 0),
         variance=args.variance or rank_sum.get("variance", VARIANCE_NAIVE),
         weights=glob.get("weights"),
-        include_week96=bool(file_cfg.get("include_week96", True)),
+        include_week96=_read(file_cfg, "include_week96", bool, True),
         columns=file_cfg.get("columns", {}) or {},
         out=args.out or file_cfg.get("out"),
     )
@@ -202,10 +216,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     summary = baseline_summary(ds)
     plan = cfg.plan()
-    results = [
-        run_method(m, ds, plan, variance=cfg.variance, kernels=_kernels_for(ds, cfg.weights))
-        for m in cfg.methods
-    ]
+    kernels = _kernels_for(ds, cfg.weights)
+    results = [run_method(m, ds, plan, variance=cfg.variance, kernels=kernels) for m in cfg.methods]
 
     baseline_text = summary.to_text()
     results_text = results_text_table(results)
@@ -241,14 +253,8 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def sim_config_from_mapping(sim: Mapping[str, Any]) -> SimConfig:
-    def num(key: str, default: float) -> float:
-        v = sim.get(key, default)
-        if not isinstance(v, (int, float)):
-            raise ConfigError(f"sim.{key}: must be a number")
-        return float(v)
-
-    n_per_group = sim.get("n_per_group", 20)
-    if not isinstance(n_per_group, int) or n_per_group < 1:
+    n_per_group = _read(sim, "sim.n_per_group", int, 20)
+    if n_per_group < 1:
         raise ConfigError("sim.n_per_group: must be a positive integer")
     corr = sim.get("correlation")
     null = SimConfig.null(n_per_group)
@@ -257,21 +263,22 @@ def sim_config_from_mapping(sim: Mapping[str, Any]) -> SimConfig:
         return SimConfig(
             n_per_group=n_per_group,
             survival=SurvivalModel(
-                num("hazard_treatment", 0.002),
-                num("hazard_control", 0.002),
-                num("censor_horizon", 1000.0),
+                _read(sim, "sim.hazard_treatment", float, 0.002),
+                _read(sim, "sim.hazard_control", float, 0.002),
+                _read(sim, "sim.censor_horizon", float, 1000.0),
             ),
             continuous=ContinuousModel(
-                num("marker_mean_treatment", 0.0),
-                num("marker_mean_control", 0.0),
-                num("marker_sd_treatment", 1.0),
-                num("marker_sd_control", 1.0),
+                _read(sim, "sim.marker_mean_treatment", float, 0.0),
+                _read(sim, "sim.marker_mean_control", float, 0.0),
+                _read(sim, "sim.marker_sd_treatment", float, 1.0),
+                _read(sim, "sim.marker_sd_control", float, 1.0),
             ),
             binary=BinaryModel(
-                num("response_p_treatment", 0.5), num("response_p_control", 0.5)
+                _read(sim, "sim.response_p_treatment", float, 0.5),
+                _read(sim, "sim.response_p_control", float, 0.5),
             ),
             correlation=base_corr,
-            seed=int(sim.get("seed", 0)),
+            seed=_read(sim, "sim.seed", int, 0),
         )
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}") from exc
@@ -296,18 +303,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if m not in METHOD_NAMES:
             raise ConfigError(f"sim.methods: unknown method {m!r}")
 
-    alpha = float(sim.get("alpha", 0.05))
-    n_trials = int(sim.get("n_trials", 2000))
-    replicates = int(sim.get("replicates", 199))
+    alpha = _read(sim, "sim.alpha", float, 0.05)
+    n_trials = _read(sim, "sim.n_trials", int, 2000)
+    replicates = _read(sim, "sim.replicates", int, 199)
     if n_trials < 1:
         raise ConfigError("sim.n_trials: must be >= 1")
     cfg = sim_config_from_mapping(sim)
-    plan = PermutationPlan.monte_carlo(replicates, seed=int(sim.get("seed", 0)))
+    plan = PermutationPlan.monte_carlo(replicates, seed=cfg.seed)
 
     out = Path(args.out or file_cfg.get("out", "simulation_out"))
     out.mkdir(parents=True, exist_ok=True)
-
-    from .simgen import binomial_band
 
     band_low, band_high = binomial_band(alpha, n_trials)
     lines = [

@@ -20,7 +20,7 @@ from scipy import stats as sps
 
 from .errors import KernelKindMismatchError
 from .pairwise import _level_matrix
-from .resampling import PermutationPlan, iter_label_blocks, pvalue_from_draws
+from .resampling import PermutationPlan, inference_mode, permutation_test
 from .results import InferenceMode, TestResult, clamp_p
 from .trial_data import EndpointKind, TrialDataset
 
@@ -184,20 +184,8 @@ def global_u_test(
     row_sums = np.column_stack(
         [kernel_matrix(ds, k).sum(axis=1, dtype=np.int64) for k in kernels]
     )
-    draws = []
-    for block in iter_label_blocks(plan, ds.group_codes):
-        counts = block @ row_sums
-        draws.append(_combine(counts, weights, n_pairs))
-    res = pvalue_from_draws(statistic, np.concatenate(draws), plan)
-    metadata.update(
-        {
-            "replicates_used": res.replicates_used,
-            "seed": res.master_seed,
-            "n_extreme": res.n_extreme,
-            "n_nonfinite": res.n_nonfinite,
-            "null_mean": res.null_mean,
-            "null_sd": res.null_sd,
-        }
+    res = permutation_test(
+        statistic, lambda block: _combine(block @ row_sums, weights, n_pairs), ds.group_codes, plan
     )
-    mode = InferenceMode.EXACT if plan.mode == "exact" else InferenceMode.PERMUTATION
-    return TestResult("global_u", statistic, variance, z, res.p, mode, metadata)
+    metadata.update(res.metadata())
+    return TestResult("global_u", statistic, variance, z, res.p, inference_mode(plan), metadata)

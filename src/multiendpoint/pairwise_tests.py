@@ -11,13 +11,13 @@ Float32 products are exact here: every partial sum is an integer far below
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import stats as sps
 
 from .pairwise import pairwise_score_vector, verdict_matrix
-from .resampling import PermutationPlan, iter_label_blocks, pvalue_from_draws
+from .resampling import PermutationPlan, inference_mode, permutation_test
 from .results import InferenceMode, TestResult, WinRatioResult, clamp_p
 from .trial_data import EndpointSpec, MissingPolicy, TrialDataset, validate_hierarchy
 
@@ -35,23 +35,6 @@ def _complete_case_kept(ds: TrialDataset, hierarchy: Sequence[EndpointSpec]) -> 
         if spec.missing_policy is MissingPolicy.COMPLETE_CASE:
             keep &= ds.present(spec.name)
     return np.flatnonzero(keep)
-
-
-def _mode(plan: PermutationPlan | None) -> InferenceMode:
-    if plan is None:
-        return InferenceMode.ASYMPTOTIC
-    return InferenceMode.EXACT if plan.mode == "exact" else InferenceMode.PERMUTATION
-
-
-def _perm_metadata(res) -> dict:
-    return {
-        "replicates_used": res.replicates_used,
-        "seed": res.master_seed,
-        "n_extreme": res.n_extreme,
-        "n_nonfinite": res.n_nonfinite,
-        "null_mean": res.null_mean,
-        "null_sd": res.null_sd,
-    }
 
 
 def fs_test(
@@ -86,19 +69,16 @@ def fs_test(
 
     if variance == 0.0:
         metadata["degenerate_variance"] = True
-        return TestResult("fs", 0.0, 0.0, 0.0, 1.0, _mode(plan), metadata)
+        return TestResult("fs", 0.0, 0.0, 0.0, 1.0, inference_mode(plan), metadata)
 
     z = statistic / math.sqrt(variance)
     if plan is None:
         p = clamp_p(2.0 * float(sps.norm.sf(abs(z))))
         return TestResult("fs", statistic, variance, z, p, InferenceMode.ASYMPTOTIC, metadata)
 
-    draws = []
-    for block in iter_label_blocks(plan, ds.group_codes):
-        draws.append(block[:, kept] @ u)
-    res = pvalue_from_draws(statistic, np.concatenate(draws), plan)
-    metadata.update(_perm_metadata(res))
-    return TestResult("fs", statistic, variance, z, res.p, _mode(plan), metadata)
+    res = permutation_test(statistic, lambda block: block[:, kept] @ u, ds.group_codes, plan)
+    metadata.update(res.metadata())
+    return TestResult("fs", statistic, variance, z, res.p, inference_mode(plan), metadata)
 
 
 def _log_ratio(wins: float, losses: float) -> float:
@@ -147,7 +127,7 @@ def win_ratio_test(
     if n_wins == 0 and n_losses == 0:
         metadata["degenerate"] = True
         return WinRatioResult(
-            n_wins, n_losses, n_ties, math.nan, None, None, 1.0, _mode(plan), metadata
+            n_wins, n_losses, n_ties, math.nan, None, None, 1.0, inference_mode(plan), metadata
         )
 
     if n_losses == 0:
@@ -192,12 +172,11 @@ def win_ratio_test(
             InferenceMode.ASYMPTOTIC, metadata,
         )
 
-    draws = _permuted_log_wr(ds, S, kept, plan)
-    res = pvalue_from_draws(observed_log, draws, plan)
-    metadata.update(_perm_metadata(res))
+    res = permutation_test(observed_log, _log_wr_reducer(S, kept), ds.group_codes, plan)
+    metadata.update(res.metadata())
     metadata["z"] = z
     return WinRatioResult(
-        n_wins, n_losses, n_ties, win_ratio, log_wr, ci, res.p, _mode(plan), metadata
+        n_wins, n_losses, n_ties, win_ratio, log_wr, ci, res.p, inference_mode(plan), metadata
     )
 
 
@@ -215,18 +194,16 @@ def _jackknife_log_wr(cross: np.ndarray, n_wins: int, n_losses: int) -> np.ndarr
     return np.log(wins_loo / losses_loo)
 
 
-def _permuted_log_wr(
-    ds: TrialDataset, S: np.ndarray, kept: np.ndarray, plan: PermutationPlan
-) -> np.ndarray:
-    """Null draws of log WR. wins - losses comes from the antisymmetric part
-    (an O(N) dot per replicate); wins + losses needs g' D (1-g) with the
-    symmetric determinacy matrix D, done as one float32 product per block."""
+def _log_wr_reducer(S: np.ndarray, kept: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Block reducer for the null draws of log WR. wins - losses comes from
+    the antisymmetric part (an O(N) dot per replicate); wins + losses needs
+    g' D (1-g) with the symmetric determinacy matrix D, done as one float32
+    product per block."""
     u = S.sum(axis=1, dtype=np.int64)
     D = np.abs(S).astype(np.float32)
     d_row = np.abs(S).sum(axis=1, dtype=np.int64)
 
-    draws = []
-    for block in iter_label_blocks(plan, ds.group_codes):
+    def reduce(block: np.ndarray) -> np.ndarray:
         g = block[:, kept]
         diff = (g @ u).astype(np.float64)
         gf = g.astype(np.float32)
@@ -235,5 +212,6 @@ def _permuted_log_wr(
         wins = (det + diff) / 2.0
         losses = (det - diff) / 2.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            draws.append(np.log(wins) - np.log(losses))
-    return np.concatenate(draws)
+            return np.log(wins) - np.log(losses)
+
+    return reduce

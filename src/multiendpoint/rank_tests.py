@@ -21,7 +21,7 @@ from scipy import stats as sps
 
 from .errors import EmptyAfterExclusionError, EmptyGroupError
 from .pairwise import gehan_score_vector
-from .resampling import PermutationPlan, iter_label_blocks, pvalue_from_draws
+from .resampling import PermutationPlan, inference_mode, permutation_test
 from .results import InferenceMode, TestResult, clamp_p
 from .trial_data import Direction, EndpointKind, EndpointSpec, TrialDataset
 
@@ -179,27 +179,18 @@ def obrien_test(
 
     z = statistic / math.sqrt(var_stat) if var_stat and var_stat > 0 else math.nan
     total = float(row_sums.sum())
-    draws = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for block in iter_label_blocks(plan, ds.group_codes):
-            g = block[:, rm.kept_indices]
-            n1_b = g.sum(axis=1, dtype=np.int64)
-            n0_b = rm.n - n1_b
-            s1 = g @ row_sums
-            draws.append(s1 / n1_b - (total - s1) / n0_b)
-    res = pvalue_from_draws(statistic, np.concatenate(draws), plan)
-    metadata.update(
-        {
-            "replicates_used": res.replicates_used,
-            "seed": res.master_seed,
-            "n_extreme": res.n_extreme,
-            "n_nonfinite": res.n_nonfinite,
-            "null_mean": res.null_mean,
-            "null_sd": res.null_sd,
-        }
-    )
-    mode = InferenceMode.EXACT if plan.mode == "exact" else InferenceMode.PERMUTATION
-    return TestResult("rank_sum", statistic, var_stat, z, res.p, mode, metadata)
+
+    def reduce(block: np.ndarray) -> np.ndarray:
+        g = block[:, rm.kept_indices]
+        n1_b = g.sum(axis=1, dtype=np.int64)
+        n0_b = rm.n - n1_b
+        s1 = g @ row_sums
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return s1 / n1_b - (total - s1) / n0_b
+
+    res = permutation_test(statistic, reduce, ds.group_codes, plan)
+    metadata.update(res.metadata())
+    return TestResult("rank_sum", statistic, var_stat, z, res.p, inference_mode(plan), metadata)
 
 
 def _quadform_stats(X: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,20 +285,9 @@ def multirank_test(
         return TestResult("multirank", statistic, 0.0, math.nan, p,
                           InferenceMode.ASYMPTOTIC, metadata)
 
-    draws = [
-        _quadform_stats(rm.ranks, block[:, rm.kept_indices])[0]
-        for block in iter_label_blocks(plan, ds.group_codes)
-    ]
-    res = pvalue_from_draws(statistic, np.concatenate(draws), plan)
-    metadata.update(
-        {
-            "replicates_used": res.replicates_used,
-            "seed": res.master_seed,
-            "n_extreme": res.n_extreme,
-            "n_nonfinite": res.n_nonfinite,
-            "null_mean": res.null_mean,
-            "null_sd": res.null_sd,
-        }
-    )
-    mode = InferenceMode.EXACT if plan.mode == "exact" else InferenceMode.PERMUTATION
-    return TestResult("multirank", statistic, 0.0, math.nan, res.p, mode, metadata)
+    def reduce(block: np.ndarray) -> np.ndarray:
+        return _quadform_stats(rm.ranks, block[:, rm.kept_indices])[0]
+
+    res = permutation_test(statistic, reduce, ds.group_codes, plan)
+    metadata.update(res.metadata())
+    return TestResult("multirank", statistic, 0.0, math.nan, res.p, inference_mode(plan), metadata)

@@ -27,6 +27,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ExactTooLargeError
+from .results import InferenceMode
 from .trial_data import TrialDataset
 
 _MASK64 = (1 << 64) - 1
@@ -233,6 +234,24 @@ class PermutationResult:
     null_sd: float
     master_seed: int
 
+    def metadata(self) -> dict:
+        """The permutation fields every test records in its result metadata."""
+        return {
+            "replicates_used": self.replicates_used,
+            "seed": self.master_seed,
+            "n_extreme": self.n_extreme,
+            "n_nonfinite": self.n_nonfinite,
+            "null_mean": self.null_mean,
+            "null_sd": self.null_sd,
+        }
+
+
+def inference_mode(plan: PermutationPlan | None) -> InferenceMode:
+    """The result's inference mode: asymptotic without a plan."""
+    if plan is None:
+        return InferenceMode.ASYMPTOTIC
+    return InferenceMode.EXACT if plan.mode == MODE_EXACT else InferenceMode.PERMUTATION
+
 
 def pvalue_from_draws(
     observed: float, draws: np.ndarray, plan: PermutationPlan
@@ -269,21 +288,36 @@ def pvalue_from_draws(
     )
 
 
+def permutation_test(
+    observed: float,
+    reduce: Callable[[np.ndarray], np.ndarray],
+    group_codes: np.ndarray,
+    plan: PermutationPlan,
+) -> PermutationResult:
+    """The one permutation driver every test runs through.
+
+    ``reduce`` maps a (b, N) label block from :func:`iter_label_blocks` to
+    the b null statistics of its rows; the driver streams the blocks, joins
+    the draws and applies :func:`pvalue_from_draws` against ``observed``.
+    """
+    draws = [reduce(block) for block in iter_label_blocks(plan, group_codes)]
+    return pvalue_from_draws(observed, np.concatenate(draws), plan)
+
+
 def permutation_pvalue(
     stat: Callable[[TrialDataset], float],
     ds: TrialDataset,
     plan: PermutationPlan,
-    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> PermutationResult:
     """Permutation p-value of an arbitrary dataset statistic.
 
-    The statistic must be deterministic given a dataset. Tests with a batch
-    fast path consume :func:`iter_label_blocks` directly and finish with
-    :func:`pvalue_from_draws`; both routes see identical label sequences.
+    The statistic must be deterministic given a dataset. This is the
+    reference the tests' block reducers are pinned against: its reducer
+    reruns ``stat`` on the relabeled dataset row by row, through the same
+    driver and so over the same label sequence.
     """
-    observed = float(stat(ds))
-    draws: list[float] = []
-    for block in iter_label_blocks(plan, ds.group_codes, block_size):
-        for labels in block:
-            draws.append(float(stat(ds.with_groups(labels))))
-    return pvalue_from_draws(observed, np.asarray(draws), plan)
+
+    def reduce(block: np.ndarray) -> np.ndarray:
+        return np.array([float(stat(ds.with_groups(labels))) for labels in block])
+
+    return permutation_test(float(stat(ds)), reduce, ds.group_codes, plan)

@@ -10,6 +10,7 @@ power studies; everything is deterministic under the config seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -76,9 +77,17 @@ class BinaryModel:
 
 
 def _check_correlation(corr: np.ndarray) -> np.ndarray:
+    """Read-only copula factor F (F F' = corr) of a valid 3x3 correlation
+    matrix, factored once per distinct matrix; an invalid one raises every time."""
     corr = np.asarray(corr, dtype=np.float64)
     if corr.shape != (3, 3):
         raise InvalidCorrelationError(f"correlation must be 3x3, got {corr.shape}")
+    return _correlation_factor(tuple(map(tuple, corr.tolist())))
+
+
+@lru_cache(maxsize=32)
+def _correlation_factor(rows: tuple[tuple[float, ...], ...]) -> np.ndarray:
+    corr = np.array(rows)
     if not np.allclose(corr, corr.T, atol=1e-12):
         raise InvalidCorrelationError("correlation matrix must be symmetric")
     if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
@@ -88,7 +97,9 @@ def _check_correlation(corr: np.ndarray) -> np.ndarray:
         raise InvalidCorrelationError(
             f"correlation matrix is not PSD (min eigenvalue {eigvals.min():.3g})"
         )
-    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    factor.flags.writeable = False
+    return factor
 
 
 @dataclass(frozen=True)

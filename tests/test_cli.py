@@ -178,6 +178,26 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(tmp_path / "none.yaml")) == EXIT_NOT_FOUND
 
 
+class TestMistypedConfig:
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("analyze", {"inference": {"replicates": "abc"}}),
+            ("analyze", {"inference": {"seed": 1.5}}),
+            ("analyze", {"include_week96": "false"}),
+            ("simulate", {"sim": {"n_trials": "x"}}),
+            ("simulate", {"sim": {"alpha": "x"}}),
+        ],
+        ids=["replicates_str", "seed_float", "include_week96_str", "n_trials_str", "alpha_str"],
+    )
+    def test_wrong_yaml_type_is_config_error(self, replica, tmp_path, capsys, command, cfg):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"input": replica, "methods": ["fs"], **cfg}))
+        code = run_cli(command, "--config", str(path), "--out", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
+
 class TestFormatting:
     def test_p_floor(self):
         assert format_p(5e-5) == "<0.0001"

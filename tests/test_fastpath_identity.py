@@ -1,6 +1,8 @@
-"""The batch permutation kernels inside each test must be bit-identical to
-routing the full statistic recomputation through the generic engine: same
-p, same extreme count and the same null mean and SD to the last bit."""
+"""Each test's block reducer must be bit-identical to the row-by-row
+reference reducer of ``permutation_pvalue``, which reruns the full statistic
+on every relabeled dataset through the same driver: the same p and the same
+six permutation metadata fields to the last bit, and the inference mode of
+the plan."""
 
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import pytest
 
 from multiendpoint import (
     BinaryModel,
+    InferenceMode,
     PermutationPlan,
     SimConfig,
     TrialDataset,
@@ -72,12 +75,21 @@ def multirank_stat(d):
     return float(stats[0])
 
 
+PLAN_MODES = {"monte_carlo": InferenceMode.PERMUTATION, "exact": InferenceMode.EXACT}
+
+
 def assert_same_null(fast, generic):
-    """p, extreme count, null mean and null SD agree bit for bit."""
-    got = [fast.p_two_sided, fast.metadata["n_extreme"], fast.metadata["null_mean"],
-           fast.metadata["null_sd"]]
-    want = [generic.p, generic.n_extreme, generic.null_mean, generic.null_sd]
-    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+    """p and every permutation metadata field agree bit for bit, and the
+    result carries the plan's inference mode."""
+
+    def bits(values):
+        return [v.hex() if isinstance(v, float) else v for v in values]
+
+    want = generic.metadata()
+    assert bits([fast.p_two_sided, *(fast.metadata[k] for k in want)]) == bits(
+        [generic.p, *want.values()]
+    )
+    assert fast.inference_mode is PLAN_MODES[generic.mode]
 
 
 @pytest.mark.parametrize("plan", PLANS, ids=["monte_carlo", "exact"])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from multiendpoint import (
     simulate_trial,
     SimConfig,
 )
+import multiendpoint
 from multiendpoint.pairwise import pairwise_score_vector
 from multiendpoint.resampling import (
     _pcg64_seed_states,
@@ -199,3 +201,16 @@ class TestSuperUniformity:
         rate = rejections / n_trials
         slack = 3.0 * math.sqrt(alpha * (1 - alpha) / n_trials)
         assert rate <= alpha + slack
+
+
+def test_only_resampling_runs_the_label_loop():
+    """Tests supply a block reducer to ``permutation_test``; no other module
+    streams label blocks or counts extreme draws itself."""
+    offenders = [
+        f"{path.name}: {call}"
+        for path in sorted(Path(multiendpoint.__file__).parent.glob("*.py"))
+        if path.name != "resampling.py"
+        for call in ("iter_label_blocks(", "pvalue_from_draws(")
+        if call in path.read_text()
+    ]
+    assert offenders == []
