@@ -100,6 +100,8 @@ class RunConfig:
         if self.variance not in (VARIANCE_NAIVE, VARIANCE_ADJUSTED):
             raise ConfigError("rank_sum.variance: must be 'naive' or 'adjusted'")
         if self.weights is not None:
+            if not isinstance(self.weights, Mapping):
+                raise ConfigError(f"global_u.weights: must be a mapping, got {self.weights!r}")
             for k, v in self.weights.items():
                 if not (isinstance(v, (int, float)) and v >= 0 and math.isfinite(float(v))):
                     raise ConfigError(f"global_u.weights.{k}: must be a finite number >= 0")
@@ -129,7 +131,7 @@ def mapping_from_config(cfg: Mapping[str, Any]) -> ColumnMapping:
         raise ConfigError(f"columns: unknown key(s) {sorted(unknown)}")
     if "covariates" in cfg:
         cov = dict(base.covariates)
-        cov.update(cfg["covariates"])
+        cov.update(_section(cfg, "columns.covariates"))
         kwargs["covariates"] = cov
     return ColumnMapping(
         **{**{k: getattr(base, k) for k in simple}, "covariates": base.covariates, **kwargs}
@@ -145,6 +147,23 @@ def _read(section: Mapping[str, Any], name: str, kind: type, default: Any) -> An
     if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{name}: must be of type {kind.__name__}, got {value!r}")
     return kind(value)
+
+
+def _section(cfg: Mapping[str, Any], name: str) -> Mapping[str, Any]:
+    """The mapping under the dotted key ``name`` (its last part, looked up in
+    ``cfg``); absent or null is empty, any other non-mapping a ConfigError."""
+    value = cfg.get(name.rsplit(".", 1)[-1])
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{name}: must be a mapping, got {value!r}")
+    return value
+
+
+def _method_names(value: Any, name: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(m, str) for m in value):
+        raise ConfigError(f"{name}: must be a list of method names, got {value!r}")
+    return value
 
 
 def _load_yaml(path: str | None) -> dict[str, Any]:
@@ -165,11 +184,11 @@ def _load_yaml(path: str | None) -> dict[str, Any]:
 
 
 def run_config_from_sources(file_cfg: Mapping[str, Any], args: argparse.Namespace) -> RunConfig:
-    inference = file_cfg.get("inference", {}) or {}
-    rank_sum = file_cfg.get("rank_sum", {}) or {}
-    glob = file_cfg.get("global_u", {}) or {}
+    inference = _section(file_cfg, "inference")
+    rank_sum = _section(file_cfg, "rank_sum")
+    glob = _section(file_cfg, "global_u")
 
-    methods = file_cfg.get("methods", list(DEFAULT_METHODS))
+    methods = _method_names(file_cfg.get("methods", list(DEFAULT_METHODS)), "methods")
     if args.methods is not None:
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
 
@@ -186,7 +205,7 @@ def run_config_from_sources(file_cfg: Mapping[str, Any], args: argparse.Namespac
         variance=args.variance or rank_sum.get("variance", VARIANCE_NAIVE),
         weights=glob.get("weights"),
         include_week96=_read(file_cfg, "include_week96", bool, True),
-        columns=file_cfg.get("columns", {}) or {},
+        columns=_section(file_cfg, "columns"),
         out=args.out or file_cfg.get("out"),
     )
     cfg.validate()
@@ -239,7 +258,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     if not input_path:
         raise ConfigError("input: a CSV path is required")
     contrast = args.contrast or file_cfg.get("contrast", DEFAULT_CONTRAST)
-    mapping = mapping_from_config(file_cfg.get("columns", {}) or {})
+    mapping = mapping_from_config(_section(file_cfg, "columns"))
     raw = load_trial_csv(input_path, mapping, contrast)
     summary = baseline_summary(raw)
     text = summary.to_text()
@@ -257,8 +276,14 @@ def sim_config_from_mapping(sim: Mapping[str, Any]) -> SimConfig:
     if n_per_group < 1:
         raise ConfigError("sim.n_per_group: must be a positive integer")
     corr = sim.get("correlation")
-    null = SimConfig.null(n_per_group)
-    base_corr = null.correlation if corr is None else tuple(tuple(float(v) for v in row) for row in corr)
+    if corr is None:
+        corr = SimConfig.null(n_per_group).correlation
+    elif not (
+        isinstance(corr, list)
+        and all(isinstance(row, list) for row in corr)
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for row in corr for v in row)
+    ):
+        raise ConfigError(f"sim.correlation: must be a list of rows of numbers, got {corr!r}")
     try:
         return SimConfig(
             n_per_group=n_per_group,
@@ -277,7 +302,7 @@ def sim_config_from_mapping(sim: Mapping[str, Any]) -> SimConfig:
                 _read(sim, "sim.response_p_treatment", float, 0.5),
                 _read(sim, "sim.response_p_control", float, 0.5),
             ),
-            correlation=base_corr,
+            correlation=tuple(tuple(float(v) for v in row) for row in corr),
             seed=_read(sim, "sim.seed", int, 0),
         )
     except ValueError as exc:
@@ -286,7 +311,7 @@ def sim_config_from_mapping(sim: Mapping[str, Any]) -> SimConfig:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     file_cfg = _load_yaml(args.config)
-    sim = dict(file_cfg.get("sim", {}) or {})
+    sim = dict(_section(file_cfg, "sim"))
     if args.seed is not None:
         sim["seed"] = args.seed
     if args.trials is not None:
@@ -294,7 +319,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.replicates is not None:
         sim["replicates"] = args.replicates
 
-    methods = sim.get("methods", list(DEFAULT_METHODS))
+    methods = _method_names(sim.get("methods", list(DEFAULT_METHODS)), "sim.methods")
     if args.methods is not None:
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
@@ -306,8 +331,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     alpha = _read(sim, "sim.alpha", float, 0.05)
     n_trials = _read(sim, "sim.n_trials", int, 2000)
     replicates = _read(sim, "sim.replicates", int, 199)
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError("sim.alpha: must lie in (0, 1)")
     if n_trials < 1:
         raise ConfigError("sim.n_trials: must be >= 1")
+    if replicates < 1:
+        raise ConfigError("sim.replicates: must be >= 1")
     cfg = sim_config_from_mapping(sim)
     plan = PermutationPlan.monte_carlo(replicates, seed=cfg.seed)
 

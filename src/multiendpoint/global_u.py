@@ -19,7 +19,7 @@ import numpy as np
 from scipy import stats as sps
 
 from .errors import KernelKindMismatchError
-from .pairwise import _level_matrix
+from .pairwise import Level, PairCounts, endpoint_level, stack_tiles, sweep_counts
 from .resampling import PermutationPlan, inference_mode, permutation_test
 from .results import InferenceMode, TestResult, clamp_p
 from .trial_data import EndpointKind, TrialDataset
@@ -55,8 +55,7 @@ def default_kernels(ds: TrialDataset) -> list[KernelSpec]:
     return out
 
 
-def kernel_matrix(ds: TrialDataset, spec: KernelSpec) -> np.ndarray:
-    """Antisymmetric N x N int8 matrix of kernel values phi(i, j)."""
+def _kernel_level(ds: TrialDataset, spec: KernelSpec) -> Level:
     ep = ds.spec(spec.endpoint)
     if spec.kernel is KernelType.GEHAN_SURVIVAL:
         if ep.kind is not EndpointKind.TIME_TO_EVENT:
@@ -70,7 +69,12 @@ def kernel_matrix(ds: TrialDataset, spec: KernelSpec) -> np.ndarray:
                 f"SignedDifference kernel cannot apply to time-to-event "
                 f"endpoint {spec.endpoint!r}"
             )
-    return _level_matrix(ds, ep)
+    return endpoint_level(ds, ep)
+
+
+def kernel_matrix(ds: TrialDataset, spec: KernelSpec) -> np.ndarray:
+    """Antisymmetric N x N int8 matrix of kernel values phi(i, j)."""
+    return stack_tiles([_kernel_level(ds, spec)])
 
 
 @dataclass(frozen=True)
@@ -83,21 +87,23 @@ class EndpointUStatistic:
     projection_control: np.ndarray  # mean kernel (treatment perspective) vs each control
 
 
-def endpoint_u(ds: TrialDataset, spec: KernelSpec) -> EndpointUStatistic:
-    """Per-endpoint pair average U_k plus per-subject projection means."""
-    phi = kernel_matrix(ds, spec)
+def _endpoint_u(ds: TrialDataset, spec: KernelSpec, counts: PairCounts) -> EndpointUStatistic:
     treat = ds.treatment_mask
-    cross = phi[treat][:, ~treat].astype(np.float64)
-    pair_sum = int(cross.sum())
-    n_pairs = ds.n_treatment * ds.n_control
+    vs_other = counts.wins - counts.losses
+    pair_sum = int(vs_other[treat].sum())
     return EndpointUStatistic(
         endpoint=spec.endpoint,
         kernel=spec.kernel,
-        u=pair_sum / n_pairs,
+        u=pair_sum / (ds.n_treatment * ds.n_control),
         pair_sum=pair_sum,
-        projection_treatment=cross.mean(axis=1),
-        projection_control=cross.mean(axis=0),
+        projection_treatment=vs_other[treat] / ds.n_control,
+        projection_control=-vs_other[~treat] / ds.n_treatment,
     )
+
+
+def endpoint_u(ds: TrialDataset, spec: KernelSpec) -> EndpointUStatistic:
+    """Per-endpoint pair average U_k plus per-subject projection means."""
+    return _endpoint_u(ds, spec, sweep_counts([_kernel_level(ds, spec)], ds.treatment_mask))
 
 
 def _normalized_weights(kernels: Sequence[KernelSpec]) -> np.ndarray:
@@ -141,7 +147,8 @@ def global_u_test(
     n1, n0 = ds.n_treatment, ds.n_control
     n_pairs = n1 * n0
 
-    parts = [endpoint_u(ds, k) for k in kernels]
+    counts = [sweep_counts([_kernel_level(ds, k)], ds.treatment_mask) for k in kernels]
+    parts = [_endpoint_u(ds, k, c) for k, c in zip(kernels, counts)]
     pair_sums = np.asarray([p.pair_sum for p in parts], dtype=np.float64)
     statistic = float(_combine(pair_sums, weights, n_pairs))
 
@@ -181,9 +188,7 @@ def global_u_test(
     z = statistic / math.sqrt(variance) if variance and variance > 0 else math.nan
     # g' Phi (1 - g) = g . rowsum(Phi) because every kernel matrix is
     # antisymmetric, so each replicate costs K dot products over int64 counts.
-    row_sums = np.column_stack(
-        [kernel_matrix(ds, k).sum(axis=1, dtype=np.int64) for k in kernels]
-    )
+    row_sums = np.column_stack([c.net for c in counts])
     res = permutation_test(
         statistic, lambda block: _combine(block @ row_sums, weights, n_pairs), ds.group_codes, plan
     )

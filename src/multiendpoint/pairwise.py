@@ -1,8 +1,16 @@
 """Hierarchical pairwise comparison of subjects.
 
-``compare_pair`` is the scalar reference rule; ``verdict_matrix`` is the
-vectorized production path used by the O(N^2) sweeps. Property tests assert
-the two agree, so keep any rule change mirrored in both.
+``compare_pair`` is the scalar reference rule. The vectorized path writes
+each hierarchy level as two per-subject keys (``Level``) and sweeps the
+N x N verdict matrix S in row tiles of about 2M entries, applying the level
+rule and the hierarchy in one place, ``_tiles``. ``sweep_counts`` reduces
+every tile at once to per-subject counts (net score, determinate pairs, wins
+and losses against the other group), so the tests' asymptotic paths need
+O(tile * N) memory, never S itself. ``verdict_matrix`` stacks the same tiles
+into S: it is the matrix reference for the counts, and the source of the
+win ratio's determinacy matrix under a permutation plan. Property tests
+assert that all of them agree with ``compare_pair``, so keep any rule change
+mirrored in both.
 
 Survival-level determinacy is Gehan-style: subject a beats subject b only
 when b's event was observed and a's follow-up time strictly exceeds b's
@@ -14,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,22 +97,116 @@ def compare_pair(
     return ComparisonOutcome(Verdict.TIE, None)
 
 
-def _level_matrix(ds: TrialDataset, spec: EndpointSpec) -> np.ndarray:
-    """Signed int8 matrix for one hierarchy level: entry (i, j) is the verdict
-    of subject i versus subject j at that level."""
+class Level(NamedTuple):
+    """One comparison level as two per-subject keys: subject i beats subject
+    j at this level exactly when ``hi[i] > lo[j]``, so the level's verdict is
+    ``[hi_i > lo_j] - [hi_j > lo_i]``. A NaN key compares false and leaves
+    the pair tied."""
+
+    hi: np.ndarray
+    lo: np.ndarray
+
+
+def survival_level(times: np.ndarray, events: np.ndarray) -> Level:
+    """Gehan level: a subject can only be beaten at its observed event time,
+    so a censored subject's ``lo`` key is +inf."""
+    t = np.asarray(times, dtype=np.float64)
+    return Level(t, np.where(np.asarray(events, dtype=bool), t, np.inf))
+
+
+def endpoint_level(ds: TrialDataset, spec: EndpointSpec) -> Level:
+    """The level of one endpoint: survival rule for time-to-event, value
+    comparison (sign by direction, NaN where absent) otherwise."""
     if spec.kind is EndpointKind.TIME_TO_EVENT:
-        t = ds.times(spec.name)
-        e = ds.events_observed(spec.name)
-        wins = (t[:, None] > t[None, :]) & e[None, :]
-        return wins.astype(np.int8) - wins.T.astype(np.int8)
+        return survival_level(ds.times(spec.name), ds.events_observed(spec.name))
     v = ds.values(spec.name)
-    p = ds.present(spec.name)
-    both = p[:, None] & p[None, :]
-    gt = (v[:, None] > v[None, :]) & both
-    s = gt.astype(np.int8) - gt.T.astype(np.int8)
     if spec.direction is Direction.LOWER_IS_BETTER:
-        s = -s
-    return s
+        v = -v
+    v = np.where(ds.present(spec.name), v, np.nan)
+    return Level(v, v)
+
+
+# Entries per row tile; the tile height follows from N so that each tile and
+# its few same-shaped temporaries stay a few MB at any cohort size.
+_TILE_ENTRIES = 1 << 21
+
+
+def _tiles(
+    levels: Sequence[Level], order: np.ndarray | None = None
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Row tiles of the int8 verdict matrix, top to bottom: rows ``rows`` of
+    S with columns taken in ``order`` (all of them, in index order, when
+    None). The first level that is not tied decides each pair."""
+    n = len(levels[0].hi)
+    cols = [lv if order is None else Level(lv.hi[order], lv.lo[order]) for lv in levels]
+    step = max(1, _TILE_ENTRIES // max(n, 1))
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        tile = None
+        for lv, col in zip(levels, cols):
+            level = (lv.hi[rows, None] > col.lo).view(np.int8) - (
+                lv.lo[rows, None] < col.hi
+            ).view(np.int8)
+            if tile is None:
+                tile = level
+            else:
+                level *= tile == 0  # branch-free; a masked copy is ~15x slower
+                tile += level
+        yield rows, tile
+
+
+def stack_tiles(levels: Sequence[Level]) -> np.ndarray:
+    """The whole N x N int8 verdict matrix of ``levels``, tile by tile."""
+    n = len(levels[0].hi)
+    out = np.empty((n, n), dtype=np.int8)
+    for rows, tile in _tiles(levels):
+        out[rows] = tile
+    return out
+
+
+@dataclass(frozen=True)
+class PairCounts:
+    """Per-subject tallies of the verdict matrix S, from one row-tiled sweep."""
+
+    net: np.ndarray  # row sum of S: wins minus losses against everyone
+    determinate: np.ndarray  # row sum of |S|: pairs decided at some level
+    wins: np.ndarray  # subjects of the other group this subject beats
+    losses: np.ndarray  # subjects of the other group that beat this subject
+
+
+def sweep_counts(levels: Sequence[Level], treatment_mask: np.ndarray) -> PairCounts:
+    """Reduce each row tile to int64 counts as soon as it is built, so memory
+    is O(tile * N) rather than N x N. Columns are swept treatment-first, which
+    makes each group's part of a tile a contiguous slice."""
+    treat = np.asarray(treatment_mask, dtype=bool)
+    n1 = int(treat.sum())
+    order = np.argsort(~treat, kind="stable")
+    net = np.zeros((2, treat.size), dtype=np.int64)  # vs treatment, vs control
+    det = np.zeros((2, treat.size), dtype=np.int64)
+    for rows, tile in _tiles(levels, order):
+        for k, part in enumerate((tile[:, :n1], tile[:, n1:])):
+            # A row sum of at most N entries in {-1, 0, 1} fits int32, which
+            # numpy reduces about twice as fast as int64.
+            net[k, rows] = part.sum(axis=1, dtype=np.int32)
+            det[k, rows] = np.abs(part).sum(axis=1, dtype=np.int32)
+    net_other = np.where(treat, net[1], net[0])
+    det_other = np.where(treat, det[1], det[0])
+    return PairCounts(
+        net=net.sum(axis=0),
+        determinate=det.sum(axis=0),
+        wins=(det_other + net_other) // 2,
+        losses=(det_other - net_other) // 2,
+    )
+
+
+def _hierarchy_levels(
+    ds: TrialDataset, hierarchy: Sequence[EndpointSpec] | None
+) -> list[Level]:
+    ordered = validate_hierarchy(hierarchy if hierarchy is not None else ds.endpoint_specs)
+    for spec in ordered:
+        if not ds.has_endpoint(spec.name):
+            raise HierarchyMismatchError(f"dataset lacks endpoint {spec.name!r}")
+    return [endpoint_level(ds, spec) for spec in ordered]
 
 
 def verdict_matrix(
@@ -114,34 +216,25 @@ def verdict_matrix(
 
     Antisymmetric with zero diagonal.
     """
-    ordered = validate_hierarchy(hierarchy if hierarchy is not None else ds.endpoint_specs)
-    for spec in ordered:
-        if not ds.has_endpoint(spec.name):
-            raise HierarchyMismatchError(f"dataset lacks endpoint {spec.name!r}")
-    out = np.zeros((ds.n, ds.n), dtype=np.int8)
-    undecided = np.ones((ds.n, ds.n), dtype=bool)
-    for spec in ordered:
-        level = _level_matrix(ds, spec)
-        newly = undecided & (level != 0)
-        out[newly] = level[newly]
-        undecided &= level == 0
-        if not undecided.any():
-            break
-    np.fill_diagonal(out, 0)
-    return out
+    return stack_tiles(_hierarchy_levels(ds, hierarchy))
+
+
+def pair_counts(
+    ds: TrialDataset, hierarchy: Sequence[EndpointSpec] | None = None
+) -> PairCounts:
+    """Per-subject counts of the hierarchy verdicts, without the N x N matrix."""
+    return sweep_counts(_hierarchy_levels(ds, hierarchy), ds.treatment_mask)
 
 
 def pairwise_score_vector(
     ds: TrialDataset, hierarchy: Sequence[EndpointSpec] | None = None
 ) -> np.ndarray:
     """Per-subject net score u_i = sum over j != i of the (i, j) verdict."""
-    return verdict_matrix(ds, hierarchy).sum(axis=1, dtype=np.int64)
+    return pair_counts(ds, hierarchy).net
 
 
 def gehan_score_vector(times: np.ndarray, events: np.ndarray) -> np.ndarray:
     """Censoring-aware survival score: (# subjects determinately outlived)
     minus (# subjects who determinately outlive this one)."""
-    t = np.asarray(times, dtype=np.float64)
-    e = np.asarray(events, dtype=bool)
-    wins = (t[:, None] > t[None, :]) & e[None, :]
-    return wins.sum(axis=1, dtype=np.int64) - wins.sum(axis=0, dtype=np.int64)
+    level = survival_level(times, events)
+    return sweep_counts([level], np.zeros(len(level.hi), dtype=bool)).net

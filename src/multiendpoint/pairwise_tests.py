@@ -1,11 +1,13 @@
 """Inference built on the pairwise kernel: the hierarchical sum-of-scores
 test (generalized Gehan-Wilcoxon) and the win ratio.
 
-Both tests sweep every subject pair once; permutation replicates reuse the
-pre-computed verdict matrix, so relabeling costs O(N) per replicate for the
-score sum and one thin matrix product per block for the win/loss counts.
-Float32 products are exact here: every partial sum is an integer far below
-2**24.
+Both tests read per-subject counts from one row-tiled sweep of every subject
+pair (``pairwise.pair_counts``), so asymptotic inference holds no N x N
+matrix. Permutation replicates of fs need only the net scores, O(N) per
+replicate. The win ratio's wins + losses under relabeling need the
+determinacy matrix |S|, so a permutation plan stacks the N x N verdict
+matrix once and does one thin float32 product per block. Float32 products
+are exact here: every partial sum is an integer far below 2**24.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import stats as sps
 
-from .pairwise import pairwise_score_vector, verdict_matrix
+from .pairwise import PairCounts, pair_counts, pairwise_score_vector, verdict_matrix
 from .resampling import PermutationPlan, inference_mode, permutation_test
 from .results import InferenceMode, TestResult, WinRatioResult, clamp_p
 from .trial_data import EndpointSpec, MissingPolicy, TrialDataset, validate_hierarchy
@@ -109,12 +111,11 @@ def win_ratio_test(
     kept = _complete_case_kept(ds, hierarchy)
     sub = ds if kept.size == ds.n else ds.subset(kept)
 
-    S = verdict_matrix(sub, hierarchy)
+    counts = pair_counts(sub, hierarchy)
     treat = sub.treatment_mask
     n1, n0 = sub.n_treatment, sub.n_control
-    cross = S[treat][:, ~treat]
-    n_wins = int((cross == 1).sum())
-    n_losses = int((cross == -1).sum())
+    n_wins = int(counts.wins[treat].sum())
+    n_losses = int(counts.losses[treat].sum())
     n_ties = n1 * n0 - n_wins - n_losses
 
     metadata: dict = {
@@ -146,7 +147,7 @@ def win_ratio_test(
     se = math.nan
     z = math.nan
     if finite:
-        loo = _jackknife_log_wr(cross, n_wins, n_losses)
+        loo = _jackknife_log_wr(counts, treat, n_wins, n_losses)
         if loo is not None:
             n_pool = n1 + n0
             se = math.sqrt((n_pool - 1) / n_pool * float(np.sum((loo - loo.mean()) ** 2)))
@@ -172,7 +173,8 @@ def win_ratio_test(
             InferenceMode.ASYMPTOTIC, metadata,
         )
 
-    res = permutation_test(observed_log, _log_wr_reducer(S, kept), ds.group_codes, plan)
+    reduce = _log_wr_reducer(verdict_matrix(sub, hierarchy), counts, kept)
+    res = permutation_test(observed_log, reduce, ds.group_codes, plan)
     metadata.update(res.metadata())
     metadata["z"] = z
     return WinRatioResult(
@@ -180,13 +182,16 @@ def win_ratio_test(
     )
 
 
-def _jackknife_log_wr(cross: np.ndarray, n_wins: int, n_losses: int) -> np.ndarray | None:
+def _jackknife_log_wr(
+    counts: PairCounts, treat: np.ndarray, n_wins: int, n_losses: int
+) -> np.ndarray | None:
     """Delete-one log win ratios over the pooled cohort; None when any
-    leave-one-out ratio is unbounded or zero."""
-    w_t = (cross == 1).sum(axis=1)
-    l_t = (cross == -1).sum(axis=1)
-    w_c = (cross == 1).sum(axis=0)
-    l_c = (cross == -1).sum(axis=0)
+    leave-one-out ratio is unbounded or zero. A control's losses are the
+    treatment wins it takes part in."""
+    w_t = counts.wins[treat]
+    l_t = counts.losses[treat]
+    w_c = counts.losses[~treat]
+    l_c = counts.wins[~treat]
     wins_loo = np.concatenate([n_wins - w_t, n_wins - w_c]).astype(np.float64)
     losses_loo = np.concatenate([n_losses - l_t, n_losses - l_c]).astype(np.float64)
     if np.any(wins_loo <= 0) or np.any(losses_loo <= 0):
@@ -194,14 +199,16 @@ def _jackknife_log_wr(cross: np.ndarray, n_wins: int, n_losses: int) -> np.ndarr
     return np.log(wins_loo / losses_loo)
 
 
-def _log_wr_reducer(S: np.ndarray, kept: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _log_wr_reducer(
+    S: np.ndarray, counts: PairCounts, kept: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
     """Block reducer for the null draws of log WR. wins - losses comes from
     the antisymmetric part (an O(N) dot per replicate); wins + losses needs
     g' D (1-g) with the symmetric determinacy matrix D, done as one float32
     product per block."""
-    u = S.sum(axis=1, dtype=np.int64)
+    u = counts.net
     D = np.abs(S).astype(np.float32)
-    d_row = np.abs(S).sum(axis=1, dtype=np.int64)
+    d_row = counts.determinate
 
     def reduce(block: np.ndarray) -> np.ndarray:
         g = block[:, kept]

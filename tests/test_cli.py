@@ -187,8 +187,20 @@ class TestMistypedConfig:
             ("analyze", {"include_week96": "false"}),
             ("simulate", {"sim": {"n_trials": "x"}}),
             ("simulate", {"sim": {"alpha": "x"}}),
+            ("simulate", {"sim": {"alpha": 2}}),
+            ("simulate", {"sim": {"replicates": 0}}),
+            ("simulate", {"sim": {"correlation": [["a", 0, 0], [0, 1, 0], [0, 0, 1]]}}),
+            ("analyze", {"methods": 5}),
+            ("analyze", {"global_u": {"weights": "x"}}),
+            ("analyze", {"columns": 5}),
+            ("analyze", {"inference": 5}),
+            ("simulate", {"sim": {"methods": 5}}),
         ],
-        ids=["replicates_str", "seed_float", "include_week96_str", "n_trials_str", "alpha_str"],
+        ids=[
+            "replicates_str", "seed_float", "include_week96_str", "n_trials_str", "alpha_str",
+            "alpha_range", "replicates_zero", "correlation_str", "methods_int", "weights_str",
+            "columns_int", "section_int", "sim_methods_int",
+        ],
     )
     def test_wrong_yaml_type_is_config_error(self, replica, tmp_path, capsys, command, cfg):
         path = tmp_path / "cfg.yaml"

@@ -2,7 +2,8 @@
 reference reducer of ``permutation_pvalue``, which reruns the full statistic
 on every relabeled dataset through the same driver: the same p and the same
 six permutation metadata fields to the last bit, and the inference mode of
-the plan."""
+the plan. The pairwise references reduce the stacked N x N matrices, while
+the tests themselves use the row-tiled counts."""
 
 from __future__ import annotations
 
@@ -26,8 +27,9 @@ from multiendpoint import (
     simulate_trial,
     win_ratio_test,
 )
-from multiendpoint.global_u import _combine, _normalized_weights, default_kernels, endpoint_u
-from multiendpoint.pairwise import pairwise_score_vector, verdict_matrix
+from multiendpoint import pairwise
+from multiendpoint.global_u import _combine, _normalized_weights, default_kernels, kernel_matrix
+from multiendpoint.pairwise import verdict_matrix
 from multiendpoint.rank_tests import _quadform_stats, rank_matrix
 import oracles
 from support import random_integer_cohort
@@ -45,7 +47,7 @@ PLANS = [
 
 
 def fs_stat(d):
-    u = pairwise_score_vector(d)
+    u = verdict_matrix(d).sum(axis=1, dtype=np.int64)
     return float(u[d.treatment_mask].sum())
 
 
@@ -73,6 +75,34 @@ def multirank_stat(d):
     rm = rank_matrix(d)
     stats, _ = _quadform_stats(rm.ranks, rm.treatment_mask[None, :])
     return float(stats[0])
+
+
+def gu_stat(ds):
+    kernels = default_kernels(ds)
+    w = _normalized_weights(kernels)
+    n_pairs = ds.n_treatment * ds.n_control
+
+    def stat(d):
+        t = d.treatment_mask
+        sums = np.asarray([kernel_matrix(d, k)[t][:, ~t].sum() for k in kernels], dtype=np.float64)
+        return float(_combine(sums, w, n_pairs))
+
+    return stat
+
+
+def result_bits(result):
+    """Every field of a test result, floats (also nested) by ``float.hex``."""
+
+    def bits(v):
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, dict):
+            return {k: bits(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [bits(x) for x in v]
+        return v
+
+    return bits(vars(result))
 
 
 PLAN_MODES = {"monte_carlo": InferenceMode.PERMUTATION, "exact": InferenceMode.EXACT}
@@ -132,14 +162,19 @@ class TestFastPathsMatchGenericEngine:
         assert_same_null(fast, permutation_pvalue(multirank_stat, sparse, plan))
 
     def test_global_u(self, ds, plan):
-        kernels = default_kernels(ds)
-        w = _normalized_weights(kernels)
-        n_pairs = ds.n_treatment * ds.n_control
+        assert_same_null(global_u_test(ds, plan=plan), permutation_pvalue(gu_stat(ds), ds, plan))
 
-        def gu_stat(d):
-            sums = np.asarray(
-                [endpoint_u(d, k).pair_sum for k in kernels], dtype=np.float64
-            )
-            return float(_combine(sums, w, n_pairs))
+    def test_pairwise_tests_across_row_tiles(self, ds, plan, monkeypatch):
+        # Tiles of 3 rows (the last one of 2) instead of one tile for N=14:
+        # every statistic, variance and p is unchanged to the last bit, and
+        # the reducers still match the references.
+        def run():
+            tests = (fs_test, win_ratio_test, global_u_test)
+            return [test(ds, plan=p) for test in tests for p in (None, plan)]
 
-        assert_same_null(global_u_test(ds, plan=plan), permutation_pvalue(gu_stat, ds, plan))
+        one_tile = run()
+        monkeypatch.setattr(pairwise, "_TILE_ENTRIES", 3 * ds.n)
+        tiled = run()
+        assert [result_bits(r) for r in tiled] == [result_bits(r) for r in one_tile]
+        for fast, stat in zip(tiled[1::2], (fs_stat, wr_stat, gu_stat(ds))):
+            assert_same_null(fast, permutation_pvalue(stat, ds, plan))

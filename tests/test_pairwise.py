@@ -1,20 +1,31 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from multiendpoint import (
+    Direction,
     HierarchyMismatchError,
+    SimConfig,
     Subject,
     TrialDataset,
     Verdict,
     compare_pair,
     gehan_score_vector,
     pairwise_score_vector,
+    run_method,
+    simulate_trial,
     verdict_matrix,
 )
+from multiendpoint import pairwise
+from multiendpoint.global_u import default_kernels, endpoint_u, kernel_matrix
+from multiendpoint.pairwise import pair_counts
 import oracles
 from support import FLAG, SCORE, SURV, binary, cont, subject, survival_cohort, tte
 
@@ -208,3 +219,96 @@ class TestScoreVector:
         got = gehan_score_vector(times, events)
         want = oracles.gehan_scores(list(zip(times, events)))
         assert got.tolist() == want
+
+
+# A lower-is-better middle level exercises the sign flip of value keys.
+TILE_HIERARCHY = [SURV, replace(SCORE, direction=Direction.LOWER_IS_BETTER), FLAG]
+
+
+def _interleaved_dataset(seed: int, n: int) -> TrialDataset:
+    """Tied times, censoring and missing values, with the groups interleaved
+    so that the sweep's treatment-first column order is not index order."""
+    rng = np.random.default_rng(seed)
+    groups = rng.permutation([1] * (n // 2) + [0] * (n - n // 2))
+    subs = [
+        subject(
+            f"s{i}",
+            int(g),
+            surv=tte(int(rng.integers(0, 6)), bool(rng.integers(0, 2))),
+            score=cont(None if rng.random() < 0.25 else int(rng.integers(-2, 3))),
+            flag=binary(None if rng.random() < 0.25 else int(rng.integers(0, 2))),
+        )
+        for i, g in enumerate(groups)
+    ]
+    return TrialDataset.from_subjects(subs, TILE_HIERARCHY)
+
+
+@pytest.mark.parametrize("height", ["1", "2", "n-1", "n", "n+1"])
+@pytest.mark.parametrize("seed", range(4))
+class TestRowTiles:
+    """The sweep must not depend on where the row tiles break."""
+
+    @pytest.fixture
+    def ds(self, monkeypatch, seed, height):
+        ds = _interleaved_dataset(900 + seed, 9 + seed)
+        n = ds.n
+        rows = {"1": 1, "2": 2, "n-1": n - 1, "n": n, "n+1": n + 1}[height]
+        monkeypatch.setattr(pairwise, "_TILE_ENTRIES", rows * n)
+        levels = [pairwise.endpoint_level(ds, spec) for spec in TILE_HIERARCHY]
+        assert len(list(pairwise._tiles(levels))) == math.ceil(n / rows)
+        return ds
+
+    def test_counts_and_stacked_matrix_match_compare_pair(self, ds):
+        subs = ds.subjects
+        want = np.array(
+            [
+                [0 if a is b else int(compare_pair(a, b, TILE_HIERARCHY).verdict) for b in subs]
+                for a in subs
+            ]
+        )
+        assert verdict_matrix(ds).tolist() == want.tolist()
+
+        counts = pair_counts(ds)
+        treat = ds.treatment_mask
+        other = treat[:, None] != treat[None, :]
+        assert counts.net.tolist() == oracles.score_vector(subs, TILE_HIERARCHY)
+        assert counts.determinate.tolist() == np.abs(want).sum(axis=1).tolist()
+        assert counts.wins.tolist() == ((want == 1) & other).sum(axis=1).tolist()
+        assert counts.losses.tolist() == ((want == -1) & other).sum(axis=1).tolist()
+        wins, losses, _ = oracles.win_counts(subs, TILE_HIERARCHY)
+        assert (counts.wins[treat].sum(), counts.losses[treat].sum()) == (wins, losses)
+
+    def test_single_level_sweeps_match_oracles(self, ds):
+        got = gehan_score_vector(ds.times("surv"), ds.events_observed("surv"))
+        pairs = [(s.outcomes["surv"].time, s.outcomes["surv"].event_observed) for s in ds.subjects]
+        assert got.tolist() == oracles.gehan_scores(pairs)
+
+        # The oracle compares values higher-is-better; so do the default kernels.
+        higher = TrialDataset.from_subjects(ds.subjects, HIERARCHY)
+        kernels = default_kernels(higher)
+        treat = higher.treatment_mask
+        for kernel, want in zip(kernels, oracles.global_u_parts(higher.subjects, kernels)):
+            part = endpoint_u(higher, kernel)
+            phi = kernel_matrix(higher, kernel)
+            cross = phi[treat][:, ~treat].astype(np.float64)
+            assert part.pair_sum == want
+            assert part.projection_treatment.tobytes() == cross.mean(axis=1).tobytes()
+            assert part.projection_control.tobytes() == cross.mean(axis=0).tobytes()
+
+
+@pytest.fixture(scope="module")
+def cohort_6k():
+    return simulate_trial(SimConfig.null(3000, seed=0))
+
+
+@pytest.mark.parametrize("method", ["rank_sum", "fs", "win_ratio", "global_u"])
+def test_asymptotic_memory_stays_below_n_squared(cohort_6k, method):
+    """Asymptotic inference sweeps row tiles: its peak traced allocation
+    stays below one byte per subject pair."""
+    tracemalloc.start()
+    try:
+        run_method(method, cohort_6k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cohort_6k.n ** 2
