@@ -1,9 +1,10 @@
 """Command-line driver: ``analyze``, ``summarize`` and ``simulate``.
 
-Configuration is a YAML file (see README for the key reference); every key
-a subcommand uses can also be supplied as a command-line flag, and flags win
-over the file. The default config path can be set through the
-``MULTIENDPOINT_CONFIG`` environment variable.
+Configuration is a YAML file. ``KEYS`` lists every key: the subcommands that
+read it, its type, its default and its check. A flag overrides the key named
+by its argparse ``dest`` (``--trials`` sets ``sim.n_trials``), and a key the
+table does not know is a config error. The default config path can be set
+through the ``MULTIENDPOINT_CONFIG`` environment variable.
 
 Exit codes:
     0  success
@@ -17,12 +18,13 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from types import UnionType
+from typing import Any, Callable, Mapping, Sequence, get_args, get_origin
 
 import yaml
 
@@ -37,12 +39,20 @@ from .errors import (
     MultiEndpointError,
     SchemaMismatchError,
 )
-from .global_u import KernelSpec, default_kernels
+from .global_u import default_kernels
 from .methods import METHOD_NAMES, run_method
 from .rank_tests import VARIANCE_ADJUSTED, VARIANCE_NAIVE
 from .report import results_text_table, write_results_csv
 from .resampling import MODE_EXACT, MODE_MONTE_CARLO, PermutationPlan
-from .simgen import BinaryModel, ContinuousModel, SimConfig, SurvivalModel, binomial_band, error_rate_study
+from .simgen import (
+    NULL_CORRELATION,
+    BinaryModel,
+    ContinuousModel,
+    SimConfig,
+    SurvivalModel,
+    binomial_band,
+    error_rate_study,
+)
 from .trial_data import (
     DEFAULT_CONTRAST,
     ColumnMapping,
@@ -66,104 +76,104 @@ RUN_MODES = (MODE_PERMUTATION, MODE_ASYMPTOTIC, "exact")
 
 DEFAULT_METHODS = ("rank_sum", "fs", "win_ratio", "multirank")
 
-
-@dataclass
-class RunConfig:
-    """Validated settings for the ``analyze`` subcommand."""
-
-    input: str
-    contrast: str = DEFAULT_CONTRAST
-    methods: tuple[str, ...] = DEFAULT_METHODS
-    mode: str = MODE_PERMUTATION
-    replicates: int = 10_000
-    seed: int = 0
-    variance: str = VARIANCE_NAIVE
-    weights: dict[str, float] | None = None
-    include_week96: bool = True
-    columns: dict[str, Any] = field(default_factory=dict)
-    out: str | None = None
-
-    def validate(self) -> None:
-        if not self.input:
-            raise ConfigError("input: a CSV path is required")
-        if not self.methods:
-            raise ConfigError("methods: must be non-empty")
-        for m in self.methods:
-            if m not in METHOD_NAMES:
-                raise ConfigError(f"methods: unknown method {m!r}; known: {list(METHOD_NAMES)}")
-        if self.mode not in RUN_MODES:
-            raise ConfigError(f"inference.mode: must be one of {list(RUN_MODES)}")
-        if self.replicates < 1:
-            raise ConfigError("inference.replicates: must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("inference.seed: must be >= 0")
-        if self.variance not in (VARIANCE_NAIVE, VARIANCE_ADJUSTED):
-            raise ConfigError("rank_sum.variance: must be 'naive' or 'adjusted'")
-        if self.weights is not None:
-            if not isinstance(self.weights, Mapping):
-                raise ConfigError(f"global_u.weights: must be a mapping, got {self.weights!r}")
-            for k, v in self.weights.items():
-                if not (isinstance(v, (int, float)) and v >= 0 and math.isfinite(float(v))):
-                    raise ConfigError(f"global_u.weights.{k}: must be a finite number >= 0")
-
-    def plan(self) -> PermutationPlan | None:
-        if self.mode == MODE_ASYMPTOTIC:
-            return None
-        if self.mode == "exact":
-            return PermutationPlan(MODE_EXACT, master_seed=self.seed)
-        return PermutationPlan(MODE_MONTE_CARLO, self.replicates, self.seed)
-
-    def column_mapping(self) -> ColumnMapping:
-        return mapping_from_config(self.columns)
+ANALYZE = ("analyze",)
+DATA = ("analyze", "summarize")
+SIMULATE = ("simulate",)
 
 
-def mapping_from_config(cfg: Mapping[str, Any]) -> ColumnMapping:
-    base = ColumnMapping()
-    if not cfg:
-        return base
-    kwargs: dict[str, Any] = {}
-    simple = ("subject_id", "arm", "days", "event", "cd4_baseline", "cd4_week20", "cd4_week96")
-    for key in simple:
-        if key in cfg:
-            kwargs[key] = cfg[key]
-    unknown = set(cfg) - set(simple) - {"covariates"}
-    if unknown:
-        raise ConfigError(f"columns: unknown key(s) {sorted(unknown)}")
-    if "covariates" in cfg:
-        cov = dict(base.covariates)
-        cov.update(_section(cfg, "columns.covariates"))
-        kwargs["covariates"] = cov
-    return ColumnMapping(
-        **{**{k: getattr(base, k) for k in simple}, "covariates": base.covariates, **kwargs}
-    )
+@dataclass(frozen=True)
+class Key:
+    """One config key: the subcommands that read it, its YAML type, its
+    default, and at most one check with the rule it states."""
+
+    commands: tuple[str, ...]
+    kind: Any
+    default: Any
+    check: Callable[[Any], bool] | None = None
+    rule: str = ""
+
+    def read(self, path: str, value: Any) -> Any:
+        if not _conforms(value, self.kind):
+            raise ConfigError(f"{path}: must be of type {_type_name(self.kind)}, got {value!r}")
+        if self.check is not None and not self.check(value):
+            raise ConfigError(f"{path}: must be {self.rule}, got {value!r}")
+        return float(value) if self.kind is float else value
 
 
-def _read(section: Mapping[str, Any], name: str, kind: type, default: Any) -> Any:
-    """The value of the dotted key ``name`` (its last part, looked up in
-    ``section``) as ``kind``. Another YAML type is a ConfigError, never a
-    coercion; an integer is accepted as a float."""
-    value = section.get(name.rsplit(".", 1)[-1], default)
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{name}: must be of type {kind.__name__}, got {value!r}")
-    return kind(value)
+def _known_methods(names: list[str]) -> bool:
+    return bool(names) and set(names) <= set(METHOD_NAMES)
 
 
-def _section(cfg: Mapping[str, Any], name: str) -> Mapping[str, Any]:
-    """The mapping under the dotted key ``name`` (its last part, looked up in
-    ``cfg``); absent or null is empty, any other non-mapping a ConfigError."""
-    value = cfg.get(name.rsplit(".", 1)[-1])
-    if value is None:
-        return {}
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{name}: must be a mapping, got {value!r}")
-    return value
+_METHODS_RULE = "a non-empty list of " + ", ".join(METHOD_NAMES)
+_COLUMNS = ColumnMapping()
+
+# Range checks that a library type makes on the value it is given
+# (PermutationPlan, SimConfig and its models, KernelSpec) are not repeated here.
+KEYS: dict[str, Key] = {
+    "input": Key(DATA, str, "", bool, "a CSV path"),
+    "contrast": Key(DATA, str, DEFAULT_CONTRAST),
+    "columns.subject_id": Key(DATA, str, _COLUMNS.subject_id),
+    "columns.arm": Key(DATA, str, _COLUMNS.arm),
+    "columns.days": Key(DATA, str, _COLUMNS.days),
+    "columns.event": Key(DATA, str, _COLUMNS.event),
+    "columns.cd4_baseline": Key(DATA, str | None, _COLUMNS.cd4_baseline),
+    "columns.cd4_week20": Key(DATA, str | None, _COLUMNS.cd4_week20),
+    "columns.cd4_week96": Key(DATA, str | None, _COLUMNS.cd4_week96),
+    "columns.covariates": Key(DATA, dict[str, str], {}),
+    "methods": Key(ANALYZE, list[str], list(DEFAULT_METHODS), _known_methods, _METHODS_RULE),
+    "inference.mode": Key(ANALYZE, str, MODE_PERMUTATION, lambda m: m in RUN_MODES,
+                          f"one of {list(RUN_MODES)}"),
+    "inference.replicates": Key(ANALYZE, int, 10_000),
+    "inference.seed": Key(ANALYZE, int, 0, lambda s: s >= 0, ">= 0"),
+    "rank_sum.variance": Key(ANALYZE, str, VARIANCE_NAIVE,
+                             lambda v: v in (VARIANCE_NAIVE, VARIANCE_ADJUSTED),
+                             f"{VARIANCE_NAIVE!r} or {VARIANCE_ADJUSTED!r}"),
+    "global_u.weights": Key(ANALYZE, dict[str, float] | None, None),
+    "include_week96": Key(ANALYZE, bool, True),
+    "sim.n_per_group": Key(SIMULATE, int, 20),
+    "sim.n_trials": Key(SIMULATE, int, 2000, lambda n: n >= 1, ">= 1"),
+    "sim.alpha": Key(SIMULATE, float, 0.05, lambda a: 0.0 < a < 1.0, "in (0, 1)"),
+    "sim.methods": Key(SIMULATE, list[str], list(DEFAULT_METHODS), _known_methods,
+                       _METHODS_RULE),
+    "sim.replicates": Key(SIMULATE, int, 199),
+    "sim.seed": Key(SIMULATE, int, 0, lambda s: s >= 0, ">= 0"),
+    "sim.hazard_treatment": Key(SIMULATE, float, 0.002),
+    "sim.hazard_control": Key(SIMULATE, float, 0.002),
+    "sim.censor_horizon": Key(SIMULATE, float, 1000.0),
+    "sim.marker_mean_treatment": Key(SIMULATE, float, 0.0),
+    "sim.marker_mean_control": Key(SIMULATE, float, 0.0),
+    "sim.marker_sd_treatment": Key(SIMULATE, float, 1.0),
+    "sim.marker_sd_control": Key(SIMULATE, float, 1.0),
+    "sim.response_p_treatment": Key(SIMULATE, float, 0.5),
+    "sim.response_p_control": Key(SIMULATE, float, 0.5),
+    "sim.correlation": Key(SIMULATE, list[list[float]], [list(r) for r in NULL_CORRELATION]),
+    "out": Key(DATA + SIMULATE, str | None, None),
+}
+
+_SECTIONS = {path.split(".")[0] for path in KEYS if "." in path}
 
 
-def _method_names(value: Any, name: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(m, str) for m in value):
-        raise ConfigError(f"{name}: must be a list of method names, got {value!r}")
-    return value
+def _conforms(value: Any, kind: Any) -> bool:
+    """Whether a YAML value has type ``kind``. A bool is never a number, an
+    int is a float, and a float must be finite."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is UnionType:
+        return any(_conforms(value, k) for k in args)
+    if origin is list:
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _conforms(k, args[0]) and _conforms(v, args[1]) for k, v in value.items()
+        )
+    if isinstance(value, bool) is not (kind is bool):
+        return False
+    if kind is float:  # exact comparison: rejects NaN, inf and ints past float range
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def _type_name(kind: Any) -> str:
+    return str(kind) if get_origin(kind) else kind.__name__
 
 
 def _load_yaml(path: str | None) -> dict[str, Any]:
@@ -183,67 +193,91 @@ def _load_yaml(path: str | None) -> dict[str, Any]:
     return data
 
 
-def run_config_from_sources(file_cfg: Mapping[str, Any], args: argparse.Namespace) -> RunConfig:
-    inference = _section(file_cfg, "inference")
-    rank_sum = _section(file_cfg, "rank_sum")
-    glob = _section(file_cfg, "global_u")
-
-    methods = _method_names(file_cfg.get("methods", list(DEFAULT_METHODS)), "methods")
-    if args.methods is not None:
-        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-
-    cfg = RunConfig(
-        input=args.input or file_cfg.get("input", ""),
-        contrast=args.contrast or file_cfg.get("contrast", DEFAULT_CONTRAST),
-        methods=tuple(methods),
-        mode=args.mode or inference.get("mode", MODE_PERMUTATION),
-        replicates=(
-            args.replicates if args.replicates is not None
-            else _read(inference, "inference.replicates", int, 10_000)
-        ),
-        seed=args.seed if args.seed is not None else _read(inference, "inference.seed", int, 0),
-        variance=args.variance or rank_sum.get("variance", VARIANCE_NAIVE),
-        weights=glob.get("weights"),
-        include_week96=_read(file_cfg, "include_week96", bool, True),
-        columns=_section(file_cfg, "columns"),
-        out=args.out or file_cfg.get("out"),
-    )
-    cfg.validate()
-    return cfg
+def _flatten(cfg: Mapping[str, Any], prefix: str = "") -> dict[str, Any]:
+    """The file's values by dotted key. A section (absent or null is empty)
+    must be a mapping; a key not in ``KEYS``, or written with a dot, is unknown."""
+    flat: dict[str, Any] = {}
+    for name, value in cfg.items():
+        path = f"{prefix}{name}"
+        if path in _SECTIONS:
+            if value is not None and not isinstance(value, Mapping):
+                raise ConfigError(f"{path}: must be a mapping, got {value!r}")
+            flat.update(_flatten(value or {}, f"{path}."))
+        elif path in KEYS and "." not in str(name):
+            flat[path] = value
+        else:
+            raise ConfigError(f"{path}: unknown key")
+    return flat
 
 
-def _kernels_for(ds, weights: dict[str, float] | None) -> list[KernelSpec] | None:
+def resolve(args: argparse.Namespace) -> dict[str, Any]:
+    """Every key that ``args.command`` reads, by dotted key: the flag whose
+    ``dest`` is that key if one was given, else the config file's value, else
+    the default. Every file value is typed and checked, read or not."""
+    given = _flatten(_load_yaml(args.config))
+    given = {path: KEYS[path].read(path, value) for path, value in given.items()}
+    given.update((path, v) for path, v in vars(args).items() if path in KEYS and v is not None)
+    return {
+        path: key.read(path, given.get(path, key.default))
+        for path, key in KEYS.items()
+        if args.command in key.commands
+    }
+
+
+@contextmanager
+def _config_errors(path: str):
+    """A library type's own range check on a config value is a ConfigError."""
+    try:
+        yield
+    except (ValueError, InvalidCorrelationError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _load_trial(cfg: Mapping[str, Any]):
+    columns = {p.removeprefix("columns."): v for p, v in cfg.items() if p.startswith("columns.")}
+    columns["covariates"] = {**_COLUMNS.covariates, **columns["covariates"]}
+    return load_trial_csv(cfg["input"], ColumnMapping(**columns), cfg["contrast"])
+
+
+def _kernels_for(ds, weights: dict[str, float] | None):
     if weights is None:
         return None
-    kernels = []
-    for spec in default_kernels(ds):
-        if spec.endpoint in weights:
-            kernels.append(KernelSpec(spec.endpoint, spec.kernel, float(weights[spec.endpoint])))
-        else:
-            kernels.append(spec)
+    kernels = default_kernels(ds)
     unknown = set(weights) - {k.endpoint for k in kernels}
     if unknown:
         raise ConfigError(f"global_u.weights: unknown endpoint(s) {sorted(unknown)}")
-    return kernels
+    with _config_errors("global_u.weights"):
+        return [replace(k, weight=float(weights.get(k.endpoint, k.weight))) for k in kernels]
+
+
+def _plan(cfg: Mapping[str, Any]) -> PermutationPlan | None:
+    mode, seed = cfg["inference.mode"], cfg["inference.seed"]
+    if mode == MODE_ASYMPTOTIC:
+        return None
+    if mode == "exact":
+        return PermutationPlan(MODE_EXACT, master_seed=seed)
+    with _config_errors("inference.replicates"):
+        return PermutationPlan(MODE_MONTE_CARLO, cfg["inference.replicates"], seed)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = run_config_from_sources(_load_yaml(args.config), args)
-    raw = load_trial_csv(cfg.input, cfg.column_mapping(), cfg.contrast)
+    cfg = resolve(args)
+    plan = _plan(cfg)
+    raw = _load_trial(cfg)
     ds = derive_endpoints(
-        raw, DerivationConfig(contrast=cfg.contrast, include_week96=cfg.include_week96)
+        raw, DerivationConfig(contrast=cfg["contrast"], include_week96=cfg["include_week96"])
     )
     summary = baseline_summary(ds)
-    plan = cfg.plan()
-    kernels = _kernels_for(ds, cfg.weights)
-    results = [run_method(m, ds, plan, variance=cfg.variance, kernels=kernels) for m in cfg.methods]
+    kernels = _kernels_for(ds, cfg["global_u.weights"])
+    variance = cfg["rank_sum.variance"]
+    results = [run_method(m, ds, plan, variance=variance, kernels=kernels) for m in cfg["methods"]]
 
     baseline_text = summary.to_text()
     results_text = results_text_table(results)
     print(baseline_text)
     print(results_text, end="")
-    if cfg.out:
-        out = Path(cfg.out)
+    if cfg["out"]:
+        out = Path(cfg["out"])
         out.mkdir(parents=True, exist_ok=True)
         (out / "baseline.txt").write_text(baseline_text)
         (out / "baseline.csv").write_text(summary.to_csv())
@@ -253,103 +287,47 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
-    file_cfg = _load_yaml(args.config)
-    input_path = args.input or file_cfg.get("input", "")
-    if not input_path:
-        raise ConfigError("input: a CSV path is required")
-    contrast = args.contrast or file_cfg.get("contrast", DEFAULT_CONTRAST)
-    mapping = mapping_from_config(_section(file_cfg, "columns"))
-    raw = load_trial_csv(input_path, mapping, contrast)
-    summary = baseline_summary(raw)
+    cfg = resolve(args)
+    summary = baseline_summary(_load_trial(cfg))
     text = summary.to_text()
     print(text, end="")
-    if args.out:
-        out = Path(args.out)
+    if cfg["out"]:
+        out = Path(cfg["out"])
         out.mkdir(parents=True, exist_ok=True)
         (out / "baseline.txt").write_text(text)
         (out / "baseline.csv").write_text(summary.to_csv())
     return EXIT_OK
 
 
-def sim_config_from_mapping(sim: Mapping[str, Any]) -> SimConfig:
-    n_per_group = _read(sim, "sim.n_per_group", int, 20)
-    if n_per_group < 1:
-        raise ConfigError("sim.n_per_group: must be a positive integer")
-    corr = sim.get("correlation")
-    if corr is None:
-        corr = SimConfig.null(n_per_group).correlation
-    elif not (
-        isinstance(corr, list)
-        and all(isinstance(row, list) for row in corr)
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for row in corr for v in row)
-    ):
-        raise ConfigError(f"sim.correlation: must be a list of rows of numbers, got {corr!r}")
-    try:
-        return SimConfig(
-            n_per_group=n_per_group,
+def cmd_simulate(args: argparse.Namespace) -> int:
+    sim = {p.removeprefix("sim."): v for p, v in resolve(args).items()}
+    with _config_errors("sim"):
+        cfg = SimConfig(
+            n_per_group=sim["n_per_group"],
             survival=SurvivalModel(
-                _read(sim, "sim.hazard_treatment", float, 0.002),
-                _read(sim, "sim.hazard_control", float, 0.002),
-                _read(sim, "sim.censor_horizon", float, 1000.0),
+                sim["hazard_treatment"], sim["hazard_control"], sim["censor_horizon"]
             ),
             continuous=ContinuousModel(
-                _read(sim, "sim.marker_mean_treatment", float, 0.0),
-                _read(sim, "sim.marker_mean_control", float, 0.0),
-                _read(sim, "sim.marker_sd_treatment", float, 1.0),
-                _read(sim, "sim.marker_sd_control", float, 1.0),
+                sim["marker_mean_treatment"], sim["marker_mean_control"],
+                sim["marker_sd_treatment"], sim["marker_sd_control"],
             ),
-            binary=BinaryModel(
-                _read(sim, "sim.response_p_treatment", float, 0.5),
-                _read(sim, "sim.response_p_control", float, 0.5),
-            ),
-            correlation=tuple(tuple(float(v) for v in row) for row in corr),
-            seed=_read(sim, "sim.seed", int, 0),
+            binary=BinaryModel(sim["response_p_treatment"], sim["response_p_control"]),
+            correlation=tuple(tuple(map(float, row)) for row in sim["correlation"]),
+            seed=sim["seed"],
         )
-    except ValueError as exc:
-        raise ConfigError(f"sim: {exc}") from exc
+        plan = PermutationPlan.monte_carlo(sim["replicates"], seed=cfg.seed)
+    alpha, n_trials = sim["alpha"], sim["n_trials"]
 
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    file_cfg = _load_yaml(args.config)
-    sim = dict(_section(file_cfg, "sim"))
-    if args.seed is not None:
-        sim["seed"] = args.seed
-    if args.trials is not None:
-        sim["n_trials"] = args.trials
-    if args.replicates is not None:
-        sim["replicates"] = args.replicates
-
-    methods = _method_names(sim.get("methods", list(DEFAULT_METHODS)), "sim.methods")
-    if args.methods is not None:
-        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise ConfigError("sim.methods: must be non-empty")
-    for m in methods:
-        if m not in METHOD_NAMES:
-            raise ConfigError(f"sim.methods: unknown method {m!r}")
-
-    alpha = _read(sim, "sim.alpha", float, 0.05)
-    n_trials = _read(sim, "sim.n_trials", int, 2000)
-    replicates = _read(sim, "sim.replicates", int, 199)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("sim.alpha: must lie in (0, 1)")
-    if n_trials < 1:
-        raise ConfigError("sim.n_trials: must be >= 1")
-    if replicates < 1:
-        raise ConfigError("sim.replicates: must be >= 1")
-    cfg = sim_config_from_mapping(sim)
-    plan = PermutationPlan.monte_carlo(replicates, seed=cfg.seed)
-
-    out = Path(args.out or file_cfg.get("out", "simulation_out"))
+    out = Path(sim["out"] or "simulation_out")
     out.mkdir(parents=True, exist_ok=True)
 
     band_low, band_high = binomial_band(alpha, n_trials)
     lines = [
         f"null-calibration study: alpha={alpha}, n_trials={n_trials}, "
-        f"n_per_group={cfg.n_per_group}, replicates_per_test={replicates}",
+        f"n_per_group={cfg.n_per_group}, replicates_per_test={plan.replicates}",
         f"95% binomial band around alpha: [{band_low:.4f}, {band_high:.4f}]",
     ]
-    for m in methods:
+    for m in sim["methods"]:
         report = error_rate_study(cfg, m, alpha, n_trials, plan)
         flag = "within-band" if band_low <= report.rate <= band_high else "OUT-OF-BAND"
         lines.append(
@@ -368,6 +346,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _comma_list(text: str) -> list[str]:
+    return [m.strip() for m in text.split(",") if m.strip()]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multiendpoint",
@@ -383,11 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(pa)
     pa.add_argument("--input", help="input CSV path")
     pa.add_argument("--contrast", help="arm contrast, e.g. rest_vs_0 or 1_vs_0")
-    pa.add_argument("--methods", help="comma-separated subset of " + ",".join(METHOD_NAMES))
-    pa.add_argument("--mode", choices=RUN_MODES, help="inference mode")
-    pa.add_argument("--replicates", type=int, help="Monte Carlo replicates")
-    pa.add_argument("--seed", type=int, help="master seed")
-    pa.add_argument("--variance", choices=(VARIANCE_NAIVE, VARIANCE_ADJUSTED),
+    pa.add_argument("--methods", type=_comma_list,
+                    help="comma-separated subset of " + ",".join(METHOD_NAMES))
+    pa.add_argument("--mode", dest="inference.mode", choices=RUN_MODES, help="inference mode")
+    pa.add_argument("--replicates", dest="inference.replicates", type=int,
+                    help="Monte Carlo replicates")
+    pa.add_argument("--seed", dest="inference.seed", type=int, help="master seed")
+    pa.add_argument("--variance", dest="rank_sum.variance",
+                    choices=(VARIANCE_NAIVE, VARIANCE_ADJUSTED),
                     help="rank-sum variance estimator")
 
     ps = sub.add_parser("summarize", help="emit the baseline characteristics table")
@@ -397,10 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("simulate", help="run a rejection-rate simulation study")
     common(pm)
-    pm.add_argument("--seed", type=int, help="master seed")
-    pm.add_argument("--trials", type=int, help="number of simulated trials")
-    pm.add_argument("--replicates", type=int, help="permutation replicates per test")
-    pm.add_argument("--methods", help="comma-separated method list")
+    pm.add_argument("--seed", dest="sim.seed", type=int, help="master seed")
+    pm.add_argument("--trials", dest="sim.n_trials", type=int, help="number of simulated trials")
+    pm.add_argument("--replicates", dest="sim.replicates", type=int,
+                    help="permutation replicates per test")
+    pm.add_argument("--methods", dest="sim.methods", type=_comma_list,
+                    help="comma-separated method list")
 
     return parser
 
@@ -424,7 +411,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         MissingColumnError,
         InvalidContrastError,
         EmptyAfterExclusionError,
-        InvalidCorrelationError,
     ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

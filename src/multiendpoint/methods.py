@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .global_u import KernelSpec, default_kernels, global_u_test
+from .global_u import KernelSpec, global_u_test
 from .pairwise_tests import fs_test, win_ratio_test
 from .rank_tests import VARIANCE_NAIVE, multirank_test, obrien_test
 from .resampling import PermutationPlan
@@ -70,5 +70,5 @@ def run_method(
     if name == "multirank":
         return multirank_test(ds, endpoints, plan)
     if name == "global_u":
-        return global_u_test(ds, kernels if kernels is not None else default_kernels(ds), plan)
+        return global_u_test(ds, kernels, plan)
     raise ValueError(f"unknown method {name!r}; known: {METHOD_NAMES}")

@@ -9,6 +9,7 @@ power studies; everything is deterministic under the config seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
@@ -18,16 +19,7 @@ from scipy import stats as sps
 
 from .errors import InvalidCorrelationError
 from .resampling import PermutationPlan, derive_replicate_seed
-from .trial_data import (
-    BinaryValue,
-    ContinuousValue,
-    EndpointKind,
-    EndpointSpec,
-    Group,
-    Subject,
-    TimeToEventValue,
-    TrialDataset,
-)
+from .trial_data import EndpointKind, EndpointSpec, TrialDataset, _frozen
 
 SIM_EVENT = "event"
 SIM_MARKER = "marker"
@@ -39,6 +31,14 @@ SIM_ENDPOINT_SPECS = (
     EndpointSpec(SIM_RESPONSE, EndpointKind.BINARY, priority=3),
 )
 
+# Latent correlation of ``SimConfig.null``: (event, marker, response).
+NULL_CORRELATION = ((1.0, 0.3, 0.2), (0.3, 1.0, 0.25), (0.2, 0.25, 1.0))
+
+
+def _require_finite(*values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"model parameters must be finite, got {values}")
+
 
 @dataclass(frozen=True)
 class SurvivalModel:
@@ -47,6 +47,7 @@ class SurvivalModel:
     censor_horizon: float  # admin censoring ~ Uniform(0, horizon) days
 
     def __post_init__(self):
+        _require_finite(self.hazard_treatment, self.hazard_control, self.censor_horizon)
         if min(self.hazard_treatment, self.hazard_control) <= 0:
             raise ValueError("hazards must be strictly positive")
         if self.censor_horizon <= 0:
@@ -61,6 +62,7 @@ class ContinuousModel:
     sd_control: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self.mean_treatment, self.mean_control, self.sd_treatment, self.sd_control)
         if min(self.sd_treatment, self.sd_control) <= 0:
             raise ValueError("SDs must be strictly positive")
 
@@ -136,7 +138,7 @@ class SimConfig:
         corr = (
             tuple(tuple(float(v) for v in row) for row in correlation)
             if correlation is not None
-            else ((1.0, 0.3, 0.2), (0.3, 1.0, 0.25), (0.2, 0.25, 1.0))
+            else NULL_CORRELATION
         )
         return cls(
             n_per_group=n_per_group,
@@ -172,22 +174,20 @@ def simulate_trial(cfg: SimConfig) -> TrialDataset:
     marker = mean + sd * z[:, 1]
 
     p_bin = np.where(treat, cfg.binary.p_treatment, cfg.binary.p_control)
-    response = (sps.norm.cdf(z[:, 2]) < p_bin).astype(int)
+    response = (sps.norm.cdf(z[:, 2]) < p_bin).astype(np.float64)
 
-    subjects = []
-    for i in range(n):
-        subjects.append(
-            Subject(
-                id=f"sim{i:05d}",
-                group=Group.TREATMENT if treat[i] else Group.CONTROL,
-                outcomes={
-                    SIM_EVENT: TimeToEventValue(float(time[i]), bool(observed[i])),
-                    SIM_MARKER: ContinuousValue(float(marker[i])),
-                    SIM_RESPONSE: BinaryValue(int(response[i])),
-                },
-            )
-        )
-    return TrialDataset.from_subjects(subjects, SIM_ENDPOINT_SPECS)
+    present = _frozen(np.ones(n, dtype=bool))
+    return TrialDataset(
+        _specs=SIM_ENDPOINT_SPECS,
+        _ids=tuple(f"sim{i:05d}" for i in range(n)),
+        _group=_frozen(treat.astype(np.int8)),
+        _columns={
+            SIM_EVENT: (_frozen(time), _frozen(observed)),
+            SIM_MARKER: (_frozen(marker), present),
+            SIM_RESPONSE: (_frozen(response), present),
+        },
+        _covariates={},
+    )
 
 
 @dataclass(frozen=True)

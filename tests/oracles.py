@@ -16,8 +16,17 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
+from scipy import stats as sps
 
-from multiendpoint import Direction, EndpointKind, Group, Subject
+from multiendpoint import (
+    BinaryValue,
+    ContinuousValue,
+    Direction,
+    EndpointKind,
+    Group,
+    Subject,
+    TimeToEventValue,
+)
 
 # ---------------------------------------------------------------------------
 # pairwise comparison
@@ -310,3 +319,43 @@ def label_rows(master_seed: int, group_codes, count: int) -> np.ndarray:
         for b in range(count)
     ]
     return np.stack(rows)
+
+
+# ---------------------------------------------------------------------------
+# simulated trials, one subject at a time
+# ---------------------------------------------------------------------------
+
+
+def simulated_subjects(cfg) -> list[Subject]:
+    """The cohort of ``simgen.simulate_trial(cfg)`` as value objects: the same
+    RNG calls in the same order (the latent normal rows, then the censoring
+    times), each subject's three outcomes mapped through the marginals on
+    their own."""
+    eigvals, eigvecs = np.linalg.eigh(np.asarray(cfg.correlation, dtype=np.float64))
+    factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    rng = np.random.default_rng(cfg.seed)
+    n = 2 * cfg.n_per_group
+    z = rng.standard_normal((n, 3)) @ factor.T
+    censor = rng.uniform(0.0, cfg.survival.censor_horizon, size=n)
+    sv, cm, bm = cfg.survival, cfg.continuous, cfg.binary
+    subjects = []
+    for i in range(n):
+        treat = i < cfg.n_per_group
+        hazard = sv.hazard_treatment if treat else sv.hazard_control
+        with np.errstate(divide="ignore"):
+            t_event = float(-np.log1p(-sps.norm.cdf(z[i, 0])) / hazard)
+        mean = cm.mean_treatment if treat else cm.mean_control
+        sd = cm.sd_treatment if treat else cm.sd_control
+        p = bm.p_treatment if treat else bm.p_control
+        subjects.append(
+            Subject(
+                id=f"sim{i:05d}",
+                group=Group.TREATMENT if treat else Group.CONTROL,
+                outcomes={
+                    "event": TimeToEventValue(min(t_event, float(censor[i])), t_event <= censor[i]),
+                    "marker": ContinuousValue(float(mean + sd * z[i, 1])),
+                    "response": BinaryValue(int(sps.norm.cdf(z[i, 2]) < p)),
+                },
+            )
+        )
+    return subjects

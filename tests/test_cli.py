@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import pytest
 import yaml
@@ -10,10 +11,17 @@ from multiendpoint.cli import (
     EXIT_DATA,
     EXIT_NOT_FOUND,
     EXIT_OK,
+    KEYS,
+    build_parser,
     main,
+    resolve,
 )
 from multiendpoint.report import format_p, read_results_csv, write_results_csv
 from multiendpoint.results import InferenceMode, TestResult as Result
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 @pytest.fixture
@@ -178,6 +186,11 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(tmp_path / "none.yaml")) == EXIT_NOT_FOUND
 
 
+# Study settings small enough that a config error the parser misses still
+# ends quickly, in exit 0 instead of 2.
+TINY_STUDY = {"n_per_group": 5, "n_trials": 1, "replicates": 9, "methods": ["fs"]}
+
+
 class TestMistypedConfig:
     @pytest.mark.parametrize(
         "command, cfg",
@@ -195,11 +208,30 @@ class TestMistypedConfig:
             ("analyze", {"columns": 5}),
             ("analyze", {"inference": 5}),
             ("simulate", {"sim": {"methods": 5}}),
+            ("analyze", {"methodz": ["fs"]}),
+            ("analyze", {"inference": {"replicatse": 50}}),
+            ("analyze", {"inference.replicates": 50}),
+            ("simulate", {"sim": {"n_trails": 3, **TINY_STUDY}}),
+            ("analyze", {"contrast": 5}),
+            ("summarize", {"contrast": 5}),
+            ("analyze", {"input": 5}),
+            ("analyze", {"out": 5}),
+            ("simulate", {"out": 5, "sim": TINY_STUDY}),
+            ("analyze", {"global_u": {"weights": {"composite_event": True}}}),
+            ("analyze", {"columns": {"subject_id": 5}}),
+            ("simulate", {"sim": {"seed": -1, **TINY_STUDY}}),
+            ("simulate", {"sim": {"correlation": [[1, 0], [0, 1]]}}),
+            ("simulate", {"sim": {"correlation": [[1, 0.9, -0.9], [0.9, 1, 0.9], [-0.9, 0.9, 1]]}}),
+            ("simulate", {"sim": {"hazard_control": 10**400}}),
         ],
         ids=[
             "replicates_str", "seed_float", "include_week96_str", "n_trials_str", "alpha_str",
             "alpha_range", "replicates_zero", "correlation_str", "methods_int", "weights_str",
-            "columns_int", "section_int", "sim_methods_int",
+            "columns_int", "section_int", "sim_methods_int", "unknown_top_key",
+            "unknown_inference_key", "dotted_key", "unknown_sim_key", "contrast_int",
+            "summarize_contrast_int", "input_int", "out_int", "simulate_out_int", "weight_bool",
+            "subject_id_int", "sim_seed_negative", "correlation_2x2", "correlation_not_psd",
+            "hazard_past_float_range",
         ],
     )
     def test_wrong_yaml_type_is_config_error(self, replica, tmp_path, capsys, command, cfg):
@@ -208,6 +240,37 @@ class TestMistypedConfig:
         code = run_cli(command, "--config", str(path), "--out", str(tmp_path / "out"))
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        code = run_cli("simulate", "--seed", "-1", "--out", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: sim.seed")
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+def test_shipped_configs_resolve(path):
+    data = yaml.safe_load(path.read_text())
+    command = "simulate" if "sim" in data else "analyze"
+    cfg = resolve(build_parser().parse_args([command, "--config", str(path)]))
+    assert cfg["out"] == data["out"]
+
+
+def test_flags_override_their_dest_key(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"sim": {"seed": 3, "n_trials": 10}}))
+    args = build_parser().parse_args(
+        ["simulate", "--config", str(path), "--trials", "4", "--methods", "fs, global_u"]
+    )
+    cfg = resolve(args)
+    assert (cfg["sim.seed"], cfg["sim.n_trials"]) == (3, 4)
+    assert cfg["sim.methods"] == ["fs", "global_u"]
+    assert cfg["sim.alpha"] == 0.05
+
+
+def test_readme_lists_every_key():
+    readme = (ROOT / "README.md").read_text()
+    missing = [path for path in KEYS if f"`{path}`" not in readme]
+    assert not missing, f"README lacks config key(s) {missing}"
 
 
 class TestFormatting:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+import oracles
 from multiendpoint import (
     BinaryModel,
     ContinuousModel,
@@ -13,10 +15,11 @@ from multiendpoint import (
     PermutationPlan,
     SimConfig,
     SurvivalModel,
+    TrialDataset,
     error_rate_study,
     simulate_trial,
 )
-from multiendpoint.simgen import binomial_band, binomial_ci
+from multiendpoint.simgen import SIM_ENDPOINT_SPECS, binomial_band, binomial_ci
 
 
 def alt_config(shift: float, n: int = 15, seed: int = 0) -> SimConfig:
@@ -36,6 +39,17 @@ class TestSimulateTrial:
         cfg = SimConfig.null(30, seed=123)
         assert simulate_trial(cfg) == simulate_trial(cfg)
         assert simulate_trial(cfg) != simulate_trial(SimConfig.null(30, seed=124))
+        unequal = SimConfig(
+            n_per_group=7,
+            survival=SurvivalModel(0.004, 0.002, 500.0),
+            continuous=ContinuousModel(0.5, -0.25, 1.0, 2.0),
+            binary=BinaryModel(0.7, 0.3),
+            correlation=SimConfig.null(7).correlation,
+        )
+        for seed in range(25):
+            cfg = replace(unequal, seed=seed)
+            built = TrialDataset.from_subjects(oracles.simulated_subjects(cfg), SIM_ENDPOINT_SPECS)
+            assert simulate_trial(cfg) == built
 
     def test_null_groups_exchangeable_in_means(self):
         cfg = SimConfig.null(5000, seed=6)
@@ -111,6 +125,12 @@ class TestSimulateTrial:
             ContinuousModel(0.0, 0.0, sd_treatment=0.0)
         with pytest.raises(ValueError):
             BinaryModel(1.5, 0.5)
+        with pytest.raises(ValueError):
+            SurvivalModel(math.nan, 0.01, 100.0)
+        with pytest.raises(ValueError):
+            SurvivalModel(0.01, 0.01, math.inf)
+        with pytest.raises(ValueError):
+            ContinuousModel(math.inf, 0.0)
 
 
 class TestErrorRateStudy:
