@@ -16,6 +16,7 @@ from .errors import (
     HierarchyMismatchError,
     InvalidContrastError,
     InvalidCorrelationError,
+    InvalidDataError,
     KernelKindMismatchError,
     MissingColumnError,
     MultiEndpointError,
@@ -23,14 +24,7 @@ from .errors import (
 )
 from .global_u import EndpointUStatistic, KernelSpec, KernelType, default_kernels, endpoint_u, global_u_test
 from .methods import METHOD_NAMES, run_method
-from .pairwise import (
-    ComparisonOutcome,
-    Verdict,
-    compare_pair,
-    gehan_score_vector,
-    pairwise_score_vector,
-    verdict_matrix,
-)
+from .pairwise import gehan_score_vector, pairwise_score_vector, verdict_matrix
 from .pairwise_tests import fs_test, win_ratio_test
 from .rank_tests import RankMatrix, multirank_test, obrien_test, rank_matrix
 from .resampling import (
@@ -51,23 +45,16 @@ from .simgen import (
 )
 from .trial_data import (
     DEFAULT_CONTRAST,
-    BinaryValue,
     ColumnMapping,
-    ContinuousValue,
     Contrast,
     DerivationConfig,
     Direction,
     EndpointKind,
     EndpointSpec,
-    Group,
     MissingPolicy,
-    Subject,
     SummaryTable,
-    TimeToEventValue,
     TrialDataset,
     baseline_summary,
-    dataset_from_csv,
-    dataset_to_csv,
     derive_endpoints,
     load_trial_csv,
     parse_contrast,

@@ -9,9 +9,9 @@ through the ``MULTIENDPOINT_CONFIG`` environment variable.
 Exit codes:
     0  success
     2  configuration / usage error (ConfigError, bad flags)
-    3  input file not found
-    4  data error (schema mismatch, parse error, empty group, bad contrast,
-       empty after exclusion)
+    3  input file not found (or not a file)
+    4  data error (schema mismatch, parse error, a value the dataset rejects,
+       empty group, bad contrast, empty after exclusion)
     5  any other analysis error
 """
 
@@ -35,6 +35,7 @@ from .errors import (
     EmptyGroupError,
     InvalidContrastError,
     InvalidCorrelationError,
+    InvalidDataError,
     MissingColumnError,
     MultiEndpointError,
     SchemaMismatchError,
@@ -182,7 +183,7 @@ def _load_yaml(path: str | None) -> dict[str, Any]:
     if path is None:
         return {}
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise FileNotFoundError(str(p))
     with open(p) as fh:
         data = yaml.safe_load(fh)
@@ -247,7 +248,10 @@ def _kernels_for(ds, weights: dict[str, float] | None):
     if unknown:
         raise ConfigError(f"global_u.weights: unknown endpoint(s) {sorted(unknown)}")
     with _config_errors("global_u.weights"):
-        return [replace(k, weight=float(weights.get(k.endpoint, k.weight))) for k in kernels]
+        kernels = [replace(k, weight=float(weights.get(k.endpoint, k.weight))) for k in kernels]
+    if not any(k.weight for k in kernels):
+        raise ConfigError("global_u.weights: must not all be zero")
+    return kernels
 
 
 def _plan(cfg: Mapping[str, Any]) -> PermutationPlan | None:
@@ -407,6 +411,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (
         SchemaMismatchError,
         CsvParseError,
+        InvalidDataError,
         EmptyGroupError,
         MissingColumnError,
         InvalidContrastError,

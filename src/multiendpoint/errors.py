@@ -23,6 +23,11 @@ class CsvParseError(MultiEndpointError):
         super().__init__(msg)
 
 
+class InvalidDataError(MultiEndpointError, ValueError):
+    """A dataset column breaks a rule of ``TrialDataset``, or a data file
+    cannot be read as text."""
+
+
 class EmptyGroupError(MultiEndpointError):
     """A treatment or control group ended up with zero subjects."""
 
@@ -40,7 +45,7 @@ class HierarchyMismatchError(MultiEndpointError):
 
 
 class EmptyAfterExclusionError(MultiEndpointError):
-    """Complete-case filtering removed every subject."""
+    """Too few subjects remain, after any complete-case filtering, for the test."""
 
 
 class ExactTooLargeError(MultiEndpointError):

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats as sps
 
-from .errors import KernelKindMismatchError
+from .errors import EmptyAfterExclusionError, KernelKindMismatchError
 from .pairwise import Level, PairCounts, endpoint_level, stack_tiles, sweep_counts
 from .resampling import PermutationPlan, inference_mode, permutation_test
 from .results import InferenceMode, TestResult, clamp_p
@@ -171,7 +171,7 @@ def global_u_test(
 
     if plan is None:
         if math.isnan(variance):
-            raise ValueError(
+            raise EmptyAfterExclusionError(
                 "asymptotic global-U inference needs at least 2 subjects per group"
             )
         if variance == 0.0:

@@ -1,16 +1,16 @@
 """Hierarchical pairwise comparison of subjects.
 
-``compare_pair`` is the scalar reference rule. The vectorized path writes
-each hierarchy level as two per-subject keys (``Level``) and sweeps the
-N x N verdict matrix S in row tiles of about 2M entries, applying the level
-rule and the hierarchy in one place, ``_tiles``. ``sweep_counts`` reduces
-every tile at once to per-subject counts (net score, determinate pairs, wins
-and losses against the other group), so the tests' asymptotic paths need
-O(tile * N) memory, never S itself. ``verdict_matrix`` stacks the same tiles
-into S: it is the matrix reference for the counts, and the source of the
-win ratio's determinacy matrix under a permutation plan. Property tests
-assert that all of them agree with ``compare_pair``, so keep any rule change
-mirrored in both.
+Each hierarchy level is written as two per-subject keys (``Level``), and
+the N x N verdict matrix S is swept in row tiles of about 2M entries, which
+applies the level rule and the hierarchy in one place, ``_tiles``.
+``sweep_counts`` reduces every tile at once to per-subject counts (net
+score, determinate pairs, wins and losses against the other group), so the
+tests' asymptotic paths need O(tile * N) memory, never S itself.
+``verdict_matrix`` stacks the same tiles into S: it is the matrix reference
+for the counts, and the source of the win ratio's determinacy matrix under
+a permutation plan. The scalar reference rule, one pair at a time, is
+``compare`` in ``tests/oracles.py``; property tests assert that S agrees
+with it.
 
 Survival-level determinacy is Gehan-style: subject a beats subject b only
 when b's event was observed and a's follow-up time strictly exceeds b's
@@ -21,7 +21,6 @@ indeterminate and the walk proceeds to the next level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -31,70 +30,9 @@ from .trial_data import (
     Direction,
     EndpointKind,
     EndpointSpec,
-    Subject,
-    TimeToEventValue,
     TrialDataset,
     validate_hierarchy,
 )
-
-
-class Verdict(IntEnum):
-    LOSS = -1
-    TIE = 0
-    WIN = 1
-
-
-@dataclass(frozen=True)
-class ComparisonOutcome:
-    verdict: Verdict
-    decided_at_level: int | None
-
-    def __post_init__(self):
-        if (self.verdict is Verdict.TIE) != (self.decided_at_level is None):
-            raise ValueError("decided_at_level must be None exactly when the verdict is a tie")
-
-
-def _compare_survival(a: TimeToEventValue, b: TimeToEventValue) -> int:
-    if b.event_observed and a.time > b.time:
-        return 1
-    if a.event_observed and b.time > a.time:
-        return -1
-    return 0
-
-
-def _compare_value(a, b, direction: Direction) -> int:
-    if not (a.present and b.present):
-        return 0
-    if a.value == b.value:
-        return 0
-    better = a.value > b.value
-    if direction is Direction.LOWER_IS_BETTER:
-        better = not better
-    return 1 if better else -1
-
-
-def compare_pair(
-    a: Subject, b: Subject, hierarchy: Sequence[EndpointSpec]
-) -> ComparisonOutcome:
-    """Walk the hierarchy in priority order and return the first determinate
-    verdict from a's perspective; missing values leave a level indeterminate."""
-    ordered = validate_hierarchy(hierarchy)
-    for spec in ordered:
-        for subj in (a, b):
-            if spec.name not in subj.outcomes:
-                raise HierarchyMismatchError(
-                    f"subject {subj.id!r} lacks outcome for endpoint {spec.name!r}"
-                )
-    for spec in ordered:
-        va = a.outcomes[spec.name]
-        vb = b.outcomes[spec.name]
-        if spec.kind is EndpointKind.TIME_TO_EVENT:
-            s = _compare_survival(va, vb)
-        else:
-            s = _compare_value(va, vb, spec.direction)
-        if s:
-            return ComparisonOutcome(Verdict(s), spec.priority)
-    return ComparisonOutcome(Verdict.TIE, None)
 
 
 class Level(NamedTuple):

@@ -165,7 +165,7 @@ def obrien_test(
 
     if plan is None:
         if math.isnan(var_stat):
-            raise ValueError(
+            raise EmptyAfterExclusionError(
                 "asymptotic rank-sum inference needs at least 2 subjects per group"
             )
         if var_stat == 0.0:
@@ -260,7 +260,7 @@ def multirank_test(
     statistic, rank = float(stats[0]), int(ranks[0])
     singular = rank < rm.k
     if math.isnan(statistic):
-        raise ValueError("multirank test needs at least 3 complete-case subjects")
+        raise EmptyAfterExclusionError("multirank test needs at least 3 complete-case subjects")
     if singular:
         warnings.warn(
             f"rank covariance is singular (rank {rank} < {rm.k}); using pseudo-inverse",

@@ -19,7 +19,7 @@ from scipy import stats as sps
 
 from .errors import InvalidCorrelationError
 from .resampling import PermutationPlan, derive_replicate_seed
-from .trial_data import EndpointKind, EndpointSpec, TrialDataset, _frozen
+from .trial_data import EndpointKind, EndpointSpec, TrialDataset
 
 SIM_EVENT = "event"
 SIM_MARKER = "marker"
@@ -176,17 +176,16 @@ def simulate_trial(cfg: SimConfig) -> TrialDataset:
     p_bin = np.where(treat, cfg.binary.p_treatment, cfg.binary.p_control)
     response = (sps.norm.cdf(z[:, 2]) < p_bin).astype(np.float64)
 
-    present = _frozen(np.ones(n, dtype=bool))
+    present = np.ones(n, dtype=bool)
     return TrialDataset(
-        _specs=SIM_ENDPOINT_SPECS,
-        _ids=tuple(f"sim{i:05d}" for i in range(n)),
-        _group=_frozen(treat.astype(np.int8)),
-        _columns={
-            SIM_EVENT: (_frozen(time), _frozen(observed)),
-            SIM_MARKER: (_frozen(marker), present),
-            SIM_RESPONSE: (_frozen(response), present),
+        SIM_ENDPOINT_SPECS,
+        [f"sim{i:05d}" for i in range(n)],
+        treat.astype(np.int8),
+        {
+            SIM_EVENT: (time, observed),
+            SIM_MARKER: (marker, present),
+            SIM_RESPONSE: (response, present),
         },
-        _covariates={},
     )
 
 

@@ -1,8 +1,8 @@
 """Trial data model, CSV ingestion, endpoint derivation and baseline summaries.
 
 The central object is :class:`TrialDataset`, an immutable two-group cohort
-stored column-wise (numpy arrays per endpoint) with a row-wise
-:class:`Subject` view for pairwise code. Ingestion targets ACTG 175-shaped
+stored column-wise (numpy arrays per endpoint); its constructor is the one
+place that checks the values of a dataset. Ingestion targets ACTG 175-shaped
 CSV files; the column mapping is configurable, so any file with an arm
 column, a follow-up time/event pair and CD4 columns can be loaded.
 """
@@ -10,11 +10,13 @@ column, a follow-up time/event pair and CD4 columns can be loaded.
 from __future__ import annotations
 
 import csv
+import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,14 +24,10 @@ from .errors import (
     CsvParseError,
     EmptyGroupError,
     InvalidContrastError,
+    InvalidDataError,
     MissingColumnError,
     SchemaMismatchError,
 )
-
-
-class Group(IntEnum):
-    CONTROL = 0
-    TREATMENT = 1
 
 
 class EndpointKind(Enum):
@@ -93,151 +91,100 @@ def validate_hierarchy(specs: Sequence[EndpointSpec]) -> tuple[EndpointSpec, ...
     return tuple(sorted(specs, key=lambda s: s.priority))
 
 
-@dataclass(frozen=True)
-class TimeToEventValue:
-    time: float
-    event_observed: bool
-
-    def __post_init__(self):
-        if not math.isfinite(self.time) or self.time < 0:
-            raise ValueError(f"event/censoring time must be finite and >= 0, got {self.time}")
-
-    @property
-    def present(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class ContinuousValue:
-    value: float = math.nan
-    present: bool = True
-
-    def __post_init__(self):
-        if self.present and not math.isfinite(self.value):
-            raise ValueError("a present continuous value must be finite")
-
-    @classmethod
-    def missing(cls) -> "ContinuousValue":
-        return cls(math.nan, present=False)
-
-
-@dataclass(frozen=True)
-class BinaryValue:
-    value: int = 0
-    present: bool = True
-
-    def __post_init__(self):
-        if self.present and self.value not in (0, 1):
-            raise ValueError(f"binary value must be 0 or 1, got {self.value}")
-
-    @classmethod
-    def missing(cls) -> "BinaryValue":
-        return cls(0, present=False)
-
-
-OutcomeValue = Union[TimeToEventValue, ContinuousValue, BinaryValue]
-
-_KIND_FOR_VALUE = {
-    TimeToEventValue: EndpointKind.TIME_TO_EVENT,
-    ContinuousValue: EndpointKind.CONTINUOUS,
-    BinaryValue: EndpointKind.BINARY,
+# Per endpoint kind: the name of the flag column, the name of the value
+# column, and the rule each value obeys given its flag.
+_VALUE_RULES = {
+    EndpointKind.TIME_TO_EVENT: (
+        "event flag", "time", lambda t, _: (t >= 0) & (t < np.inf), "finite and >= 0"
+    ),
+    EndpointKind.CONTINUOUS: (
+        "presence flag", "value", lambda v, present: np.isfinite(v) | ~present,
+        "finite where present",
+    ),
+    EndpointKind.BINARY: (
+        "presence flag", "value", lambda v, present: (v == 0) | (v == 1) | ~present,
+        "0 or 1 where present",
+    ),
 }
 
 
-@dataclass(frozen=True)
-class Subject:
-    id: str
-    group: Group
-    outcomes: Mapping[str, OutcomeValue]
-    covariates: Mapping[str, float] = field(default_factory=dict)
+def _column(ids, what: str, values: np.ndarray, dtype, valid=None, rule="") -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``, one entry per subject,
+    each obeying ``valid``; a flag column must already hold booleans."""
+    arr = np.asarray(values)
+    if arr.shape != (len(ids),):
+        raise InvalidDataError(f"{what}: shape {arr.shape} for {len(ids)} subjects")
+    if arr.dtype.kind not in ("b" if dtype is bool else "biuf"):
+        raise InvalidDataError(f"{what}: wrong dtype {arr.dtype}")
+    if valid is not None:
+        ok = valid(arr)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise InvalidDataError(
+                f"{what} of subject {ids[i]!r} is {arr[i].item()!r}; must be {rule}"
+            )
+    arr = arr.astype(dtype, copy=False)
+    arr.setflags(write=False)
+    return arr
 
 
 class TrialDataset:
-    """Immutable cohort of subjects with per-endpoint outcome columns.
+    """Immutable two-group cohort, stored column-wise.
 
-    Construct with :meth:`from_subjects`. Arrays returned by accessors are
-    read-only views; ``with_groups`` and ``subset`` return new datasets that
-    share outcome storage, which keeps relabeling cheap inside permutation
-    loops.
+    ``columns`` maps each endpoint of ``specs`` to a pair of arrays: times
+    and event flags for a time-to-event endpoint, values (NaN where absent)
+    and presence flags otherwise. ``group`` holds 1 for treatment and 0 for
+    control, and ``covariates`` maps names to float columns, NaN where
+    missing. The constructor checks every value, raising
+    ``InvalidDataError`` (``EmptyGroupError`` for an empty group), and
+    freezes the arrays it keeps rather than copying them. ``with_groups``
+    and ``subset`` return new datasets; the first shares outcome storage,
+    which keeps relabeling cheap.
     """
 
-    def __init__(self, *, _specs, _ids, _group, _columns, _covariates):
-        self._specs: tuple[EndpointSpec, ...] = _specs
-        self._spec_by_name = {s.name: s for s in _specs}
-        self._ids: tuple[str, ...] = _ids
-        self._group: np.ndarray = _group
-        self._columns: dict[str, tuple[np.ndarray, np.ndarray]] = _columns
-        self._covariates: dict[str, np.ndarray] = _covariates
-        n1 = int(self._group.sum())
-        n0 = len(self._group) - n1
-        if n1 < 1 or n0 < 1:
-            raise EmptyGroupError(
-                f"both groups must be non-empty (treatment={n1}, control={n0})"
+    def __init__(
+        self,
+        specs: Sequence[EndpointSpec],
+        ids: Sequence[str],
+        group: np.ndarray,
+        columns: Mapping[str, tuple[np.ndarray, np.ndarray]],
+        covariates: Mapping[str, np.ndarray] | None = None,
+    ):
+        self._specs: tuple[EndpointSpec, ...] = tuple(specs)
+        self._spec_by_name = {s.name: s for s in self._specs}
+        self._ids: tuple[str, ...] = tuple(ids)
+        if len(self._spec_by_name) != len(self._specs):
+            raise InvalidDataError("endpoint spec names must be unique")
+        if len(set(self._ids)) != len(self._ids):
+            dup = next(i for i, count in Counter(self._ids).items() if count > 1)
+            raise InvalidDataError(f"duplicate subject id {dup!r}")
+        if set(columns) != set(self._spec_by_name):
+            raise InvalidDataError(
+                f"columns {sorted(columns)} do not match endpoints {sorted(self._spec_by_name)}"
             )
-        self._n_treatment = n1
-        self._n_control = n0
 
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_subjects(
-        cls, subjects: Sequence[Subject], specs: Sequence[EndpointSpec]
-    ) -> "TrialDataset":
-        specs = tuple(specs)
-        if not subjects:
-            raise EmptyGroupError("dataset must contain at least one subject per group")
-        ids = tuple(s.id for s in subjects)
-        if len(set(ids)) != len(ids):
-            raise ValueError("subject ids must be unique")
-        seen = set()
-        for s in specs:
-            if s.name in seen:
-                raise ValueError(f"duplicate endpoint spec {s.name!r}")
-            seen.add(s.name)
-
-        n = len(subjects)
-        group = np.fromiter((int(s.group) for s in subjects), dtype=np.int8, count=n)
-        columns: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for spec in specs:
-            a = np.empty(n, dtype=np.float64)
-            b = np.empty(n, dtype=bool)
-            for i, subj in enumerate(subjects):
-                try:
-                    val = subj.outcomes[spec.name]
-                except KeyError:
-                    raise ValueError(
-                        f"subject {subj.id!r} lacks an outcome for endpoint {spec.name!r}"
-                    ) from None
-                if _KIND_FOR_VALUE[type(val)] is not spec.kind:
-                    raise ValueError(
-                        f"subject {subj.id!r}: outcome for {spec.name!r} is "
-                        f"{type(val).__name__}, expected kind {spec.kind.value}"
-                    )
-                if spec.kind is EndpointKind.TIME_TO_EVENT:
-                    a[i] = val.time
-                    b[i] = val.event_observed
-                else:
-                    a[i] = val.value if val.present else math.nan
-                    b[i] = val.present
-            columns[spec.name] = (_frozen(a), _frozen(b))
-
-        cov_names = sorted({k for s in subjects for k in s.covariates})
-        covariates = {}
-        for name in cov_names:
-            arr = np.full(n, math.nan)
-            for i, subj in enumerate(subjects):
-                v = subj.covariates.get(name)
-                if v is not None:
-                    arr[i] = float(v)
-            covariates[name] = _frozen(arr)
-
-        return cls(
-            _specs=specs,
-            _ids=ids,
-            _group=_frozen(group),
-            _columns=columns,
-            _covariates=covariates,
-        )
+        self._group = _column(self._ids, "group code", group, np.int8,
+                              lambda g: (g == 0) | (g == 1), "0 or 1")
+        self._n_treatment = int(self._group.sum())
+        self._n_control = len(self._group) - self._n_treatment
+        if self._n_treatment < 1 or self._n_control < 1:
+            raise EmptyGroupError(
+                f"both groups must be non-empty "
+                f"(treatment={self._n_treatment}, control={self._n_control})"
+            )
+        self._columns: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for spec in self._specs:
+            a, b = columns[spec.name]
+            flag, value, valid, rule = _VALUE_RULES[spec.kind]
+            what = f"endpoint {spec.name!r}"
+            b = _column(self._ids, f"{what} {flag}", b, bool)
+            a = _column(self._ids, f"{what} {value}", a, np.float64, lambda v: valid(v, b), rule)
+            self._columns[spec.name] = (a, b)
+        self._covariates: dict[str, np.ndarray] = {
+            name: _column(self._ids, f"covariate {name!r}", v, np.float64,
+                          lambda c: ~np.isinf(c), "finite or NaN (missing)")
+            for name, v in (covariates or {}).items()
+        }
 
     # -- basic shape -------------------------------------------------------
 
@@ -319,95 +266,29 @@ class TrialDataset:
         except KeyError:
             raise KeyError(f"no covariate named {name!r}") from None
 
-    # -- row view ------------------------------------------------------------
-
-    def subject(self, i: int) -> Subject:
-        outcomes: dict[str, OutcomeValue] = {}
-        for spec in self._specs:
-            a, b = self._columns[spec.name]
-            if spec.kind is EndpointKind.TIME_TO_EVENT:
-                outcomes[spec.name] = TimeToEventValue(float(a[i]), bool(b[i]))
-            elif spec.kind is EndpointKind.CONTINUOUS:
-                outcomes[spec.name] = (
-                    ContinuousValue(float(a[i])) if b[i] else ContinuousValue.missing()
-                )
-            else:
-                outcomes[spec.name] = (
-                    BinaryValue(int(a[i])) if b[i] else BinaryValue.missing()
-                )
-        covs = {
-            k: float(v[i]) for k, v in self._covariates.items() if not math.isnan(v[i])
-        }
-        return Subject(self._ids[i], Group(int(self._group[i])), outcomes, covs)
-
-    @property
-    def subjects(self) -> tuple[Subject, ...]:
-        return tuple(self.subject(i) for i in range(self.n))
-
     # -- derived datasets ------------------------------------------------------
 
     def with_groups(self, group_codes: np.ndarray) -> "TrialDataset":
         """Same cohort with new group labels (shares outcome storage)."""
-        g = np.asarray(group_codes, dtype=np.int8)
-        if g.shape != self._group.shape:
-            raise ValueError("group label array has wrong length")
         return TrialDataset(
-            _specs=self._specs,
-            _ids=self._ids,
-            _group=_frozen(g.copy()),
-            _columns=self._columns,
-            _covariates=self._covariates,
+            self._specs, self._ids, np.array(group_codes), self._columns, self._covariates
         )
 
     def subset(self, indices: np.ndarray) -> "TrialDataset":
         idx = np.asarray(indices)
-        columns = {
-            k: (_frozen(a[idx].copy()), _frozen(b[idx].copy()))
-            for k, (a, b) in self._columns.items()
-        }
-        covs = {k: _frozen(v[idx].copy()) for k, v in self._covariates.items()}
         return TrialDataset(
-            _specs=self._specs,
-            _ids=tuple(self._ids[i] for i in idx),
-            _group=_frozen(self._group[idx].copy()),
-            _columns=columns,
-            _covariates=covs,
+            self._specs,
+            [self._ids[i] for i in idx],
+            self._group[idx],
+            {k: (a[idx], b[idx]) for k, (a, b) in self._columns.items()},
+            {k: v[idx] for k, v in self._covariates.items()},
         )
-
-    # -- equality (used by round-trip checks) ----------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrialDataset):
-            return NotImplemented
-        if self._ids != other._ids or self._specs != other._specs:
-            return False
-        if not np.array_equal(self._group, other._group):
-            return False
-        for name in self._columns:
-            a1, b1 = self._columns[name]
-            a2, b2 = other._columns[name]
-            if not np.array_equal(a1, a2, equal_nan=True) or not np.array_equal(b1, b2):
-                return False
-        if set(self._covariates) != set(other._covariates):
-            return False
-        for name, v in self._covariates.items():
-            if not np.array_equal(v, other._covariates[name], equal_nan=True):
-                return False
-        return True
-
-    def __hash__(self):
-        return hash((self._ids, self._specs))
 
     def __repr__(self):
         return (
             f"TrialDataset(n={self.n}, treatment={self.n_treatment}, "
             f"control={self.n_control}, endpoints={[s.name for s in self._specs]})"
         )
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -561,84 +442,71 @@ def load_trial_csv(
     come from ``contrast`` applied to the arm column; subjects in arms
     outside a two-arm contrast are dropped.
 
-    Raises FileNotFoundError, SchemaMismatchError, CsvParseError or
-    EmptyGroupError.
+    Raises FileNotFoundError (also for a path that is not a file),
+    SchemaMismatchError, CsvParseError, InvalidDataError or EmptyGroupError.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(str(path))
     con = parse_contrast(contrast)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidDataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaMismatchError(f"{path}: no header row")
-        header = set(reader.fieldnames)
-        absent = [c for c in mapping.named_columns() if c not in header]
-        if absent:
-            raise SchemaMismatchError(f"{path}: missing column(s) {absent}")
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None:
+        raise SchemaMismatchError(f"{path}: no header row")
+    header = set(reader.fieldnames)
+    absent = [c for c in mapping.named_columns() if c not in header]
+    if absent:
+        raise SchemaMismatchError(f"{path}: missing column(s) {absent}")
 
-        ids: list[str] = []
-        arms: list[float] = []
-        days: list[float] = []
-        events: list[bool] = []
-        optionals: dict[str, list[float]] = {
-            c: [] for c in (mapping.cd4_baseline, mapping.cd4_week20, mapping.cd4_week96)
-            if c is not None
-        }
-        cov_rows: dict[str, list[float]] = {name: [] for name in mapping.covariates}
+    ids: list[str] = []
+    arms: list[float] = []
+    days: list[float] = []
+    events: list[bool] = []
+    optionals: dict[str, list[float]] = {
+        c: [] for c in (mapping.cd4_baseline, mapping.cd4_week20, mapping.cd4_week96)
+        if c is not None
+    }
+    cov_rows: dict[str, list[float]] = {name: [] for name in mapping.covariates}
 
-        for rownum, row in enumerate(reader, start=1):
-            ids.append(row[mapping.subject_id].strip())
-            arms.append(_req_float(row, mapping.arm, rownum))
-            d = _req_float(row, mapping.days, rownum)
-            if d < 0:
-                raise CsvParseError(rownum, mapping.days, "negative follow-up time")
-            days.append(d)
-            ev = _req_float(row, mapping.event, rownum)
-            if ev not in (0.0, 1.0):
-                raise CsvParseError(rownum, mapping.event, "event indicator must be 0/1")
-            events.append(bool(ev))
-            for col, store in optionals.items():
-                store.append(_opt_float(row, col, rownum))
-            for name, col in mapping.covariates.items():
-                cov_rows[name].append(_opt_float(row, col, rownum))
-
-    if len(set(ids)) != len(ids):
-        raise CsvParseError(0, mapping.subject_id, "duplicate subject ids")
+    for rownum, row in enumerate(reader, start=1):
+        ids.append(row[mapping.subject_id].strip())
+        arm = _req_float(row, mapping.arm, rownum)
+        if not arm.is_integer():
+            raise CsvParseError(rownum, mapping.arm, "arm code must be a finite integer")
+        arms.append(arm)
+        days.append(_req_float(row, mapping.days, rownum))
+        ev = _req_float(row, mapping.event, rownum)
+        if ev not in (0.0, 1.0):
+            raise CsvParseError(rownum, mapping.event, "event indicator must be 0/1")
+        events.append(bool(ev))
+        for col, store in optionals.items():
+            store.append(_opt_float(row, col, rownum))
+        for name, col in mapping.covariates.items():
+            cov_rows[name].append(_opt_float(row, col, rownum))
 
     arms_arr = np.asarray(arms)
     kept, group = _apply_contrast(arms_arr, con)
-    if kept.size == 0 or group.sum() == 0 or group.sum() == len(group):
-        raise EmptyGroupError(
-            f"contrast {contrast!r} left an empty group "
-            f"(n={kept.size}, treatment={int(group.sum()) if kept.size else 0})"
-        )
-
-    specs = _raw_specs(mapping)
-    columns: dict[str, tuple[np.ndarray, np.ndarray]] = {
-        RAW_EVENT_ENDPOINT: (
-            _frozen(np.asarray(days)[kept]),
-            _frozen(np.asarray(events)[kept]),
-        )
+    columns = {
+        RAW_EVENT_ENDPOINT: (np.asarray(days)[kept], np.asarray(events, dtype=bool)[kept])
     }
     for spec_name, col in ((RAW_CD4_WEEK20, mapping.cd4_week20), (RAW_CD4_WEEK96, mapping.cd4_week96)):
         if col is not None:
             vals = np.asarray(optionals[col])[kept]
-            columns[spec_name] = (_frozen(vals), _frozen(~np.isnan(vals)))
+            columns[spec_name] = (vals, ~np.isnan(vals))
 
-    covariates = {"arm": _frozen(arms_arr[kept])}
+    covariates = {"arm": arms_arr[kept]}
     if mapping.cd4_baseline is not None:
-        covariates["cd4_baseline"] = _frozen(np.asarray(optionals[mapping.cd4_baseline])[kept])
+        covariates["cd4_baseline"] = np.asarray(optionals[mapping.cd4_baseline])[kept]
     for name in mapping.covariates:
-        covariates[name] = _frozen(np.asarray(cov_rows[name])[kept])
+        covariates[name] = np.asarray(cov_rows[name])[kept]
 
     return TrialDataset(
-        _specs=specs,
-        _ids=tuple(ids[i] for i in kept),
-        _group=_frozen(group),
-        _columns=columns,
-        _covariates=covariates,
+        _raw_specs(mapping), [ids[i] for i in kept], group, columns, covariates
     )
 
 
@@ -704,8 +572,6 @@ def derive_endpoints(raw: TrialDataset, config: DerivationConfig = DerivationCon
 
     con = parse_contrast(config.contrast)
     kept, group = _apply_contrast(raw.covariate("arm"), con)
-    if kept.size == 0 or group.sum() == 0 or group.sum() == len(group):
-        raise EmptyGroupError(f"contrast {config.contrast!r} left an empty group")
 
     policy = config.missing_policy
     specs = [
@@ -720,35 +586,26 @@ def derive_endpoints(raw: TrialDataset, config: DerivationConfig = DerivationCon
                          missing_policy=policy)
         )
 
-    columns: dict[str, tuple[np.ndarray, np.ndarray]] = {
+    columns = {
         RAW_EVENT_ENDPOINT: (
-            _frozen(raw.times(RAW_EVENT_ENDPOINT)[kept].copy()),
-            _frozen(raw.events_observed(RAW_EVENT_ENDPOINT)[kept].copy()),
+            raw.times(RAW_EVENT_ENDPOINT)[kept],
+            raw.events_observed(RAW_EVENT_ENDPOINT)[kept],
         )
     }
     if already_derived:
         columns[DERIVED_CD4_CHANGE] = (
-            _frozen(raw.values(DERIVED_CD4_CHANGE)[kept].copy()),
-            _frozen(raw.present(DERIVED_CD4_CHANGE)[kept].copy()),
+            raw.values(DERIVED_CD4_CHANGE)[kept],
+            raw.present(DERIVED_CD4_CHANGE)[kept],
         )
     else:
-        wk20 = raw.values(RAW_CD4_WEEK20)[kept]
-        base = raw.covariate("cd4_baseline")[kept]
-        change = wk20 - base
-        columns[DERIVED_CD4_CHANGE] = (_frozen(change), _frozen(~np.isnan(change)))
+        change = raw.values(RAW_CD4_WEEK20)[kept] - raw.covariate("cd4_baseline")[kept]
+        columns[DERIVED_CD4_CHANGE] = (change, ~np.isnan(change))
     if config.include_week96:
-        vals = raw.values(RAW_CD4_WEEK96)[kept].copy()
-        columns[RAW_CD4_WEEK96] = (_frozen(vals), _frozen(~np.isnan(vals)))
+        vals = raw.values(RAW_CD4_WEEK96)[kept]
+        columns[RAW_CD4_WEEK96] = (vals, ~np.isnan(vals))
 
-    covariates = {k: _frozen(raw.covariate(k)[kept].copy()) for k in raw.covariate_names}
-
-    return TrialDataset(
-        _specs=tuple(specs),
-        _ids=tuple(raw.ids[i] for i in kept),
-        _group=_frozen(group),
-        _columns=columns,
-        _covariates=covariates,
-    )
+    covariates = {k: raw.covariate(k)[kept] for k in raw.covariate_names}
+    return TrialDataset(specs, [raw.ids[i] for i in kept], group, columns, covariates)
 
 
 # ---------------------------------------------------------------------------
@@ -863,101 +720,3 @@ def baseline_summary(ds: TrialDataset) -> SummaryTable:
     rows.append(SummaryRow("baseline cd4 (mean)", "mean", tuple(mean_of("cd4_baseline"))))
 
     return SummaryTable(tuple(name for name, _ in masks), tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# Generic round-trip CSV (write a dataset, read it back)
-# ---------------------------------------------------------------------------
-
-
-def dataset_to_csv(ds: TrialDataset, path: str | Path) -> None:
-    """Write a dataset in the generic column layout understood by
-    :func:`dataset_from_csv`: time-to-event endpoints become two columns
-    ``<name>_time``/``<name>_event``, others a single value column."""
-    header = ["id", "group"]
-    for spec in ds.endpoint_specs:
-        if spec.kind is EndpointKind.TIME_TO_EVENT:
-            header += [f"{spec.name}_time", f"{spec.name}_event"]
-        else:
-            header.append(spec.name)
-    header.extend(ds.covariate_names)
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(ds.n):
-            row: list[str] = [ds.ids[i], "treatment" if ds.group_codes[i] else "control"]
-            for spec in ds.endpoint_specs:
-                if spec.kind is EndpointKind.TIME_TO_EVENT:
-                    row.append(repr(float(ds.times(spec.name)[i])))
-                    row.append("1" if ds.events_observed(spec.name)[i] else "0")
-                else:
-                    if ds.present(spec.name)[i]:
-                        row.append(repr(float(ds.values(spec.name)[i])))
-                    else:
-                        row.append("")
-            for name in ds.covariate_names:
-                v = ds.covariate(name)[i]
-                row.append("" if math.isnan(v) else repr(float(v)))
-            w.writerow(row)
-
-
-def dataset_from_csv(path: str | Path, specs: Sequence[EndpointSpec]) -> TrialDataset:
-    """Reload a dataset written by :func:`dataset_to_csv` (specs supplied by
-    the caller; column layout must match)."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    specs = tuple(specs)
-
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaMismatchError(f"{path}: no header row")
-        header = list(reader.fieldnames)
-        needed = ["id", "group"]
-        for spec in specs:
-            if spec.kind is EndpointKind.TIME_TO_EVENT:
-                needed += [f"{spec.name}_time", f"{spec.name}_event"]
-            else:
-                needed.append(spec.name)
-        absent = [c for c in needed if c not in header]
-        if absent:
-            raise SchemaMismatchError(f"{path}: missing column(s) {absent}")
-        cov_names = [c for c in header if c not in needed]
-
-        subjects = []
-        for rownum, row in enumerate(reader, start=1):
-            outcomes: dict[str, OutcomeValue] = {}
-            for spec in specs:
-                if spec.kind is EndpointKind.TIME_TO_EVENT:
-                    t = _req_float(row, f"{spec.name}_time", rownum)
-                    e = _req_float(row, f"{spec.name}_event", rownum)
-                    outcomes[spec.name] = TimeToEventValue(t, bool(e))
-                elif spec.kind is EndpointKind.CONTINUOUS:
-                    v = _opt_float(row, spec.name, rownum)
-                    outcomes[spec.name] = (
-                        ContinuousValue(v) if not math.isnan(v) else ContinuousValue.missing()
-                    )
-                else:
-                    v = _opt_float(row, spec.name, rownum)
-                    outcomes[spec.name] = (
-                        BinaryValue(int(v)) if not math.isnan(v) else BinaryValue.missing()
-                    )
-            gtok = row["group"].strip().lower()
-            if gtok not in ("treatment", "control"):
-                raise CsvParseError(rownum, "group", f"unknown group {gtok!r}")
-            covs = {}
-            for name in cov_names:
-                v = _opt_float(row, name, rownum)
-                if not math.isnan(v):
-                    covs[name] = v
-            subjects.append(
-                Subject(
-                    row["id"],
-                    Group.TREATMENT if gtok == "treatment" else Group.CONTROL,
-                    outcomes,
-                    covs,
-                )
-            )
-    return TrialDataset.from_subjects(subjects, specs)

@@ -18,15 +18,8 @@ from typing import Sequence
 import numpy as np
 from scipy import stats as sps
 
-from multiendpoint import (
-    BinaryValue,
-    ContinuousValue,
-    Direction,
-    EndpointKind,
-    Group,
-    Subject,
-    TimeToEventValue,
-)
+from multiendpoint import Direction, EndpointKind
+from support import Subject, Tte, Value
 
 # ---------------------------------------------------------------------------
 # pairwise comparison
@@ -76,9 +69,9 @@ def score_vector(subjects: Sequence[Subject], hierarchy) -> list[int]:
 def fs_statistic(subjects, hierarchy) -> tuple[float, float]:
     """(T, closed-form variance)."""
     u = score_vector(subjects, hierarchy)
-    t = float(sum(ui for s, ui in zip(subjects, u) if s.group is Group.TREATMENT))
+    t = float(sum(ui for s, ui in zip(subjects, u) if s.group == 1))
     n = len(subjects)
-    n1 = sum(1 for s in subjects if s.group is Group.TREATMENT)
+    n1 = sum(1 for s in subjects if s.group == 1)
     n0 = n - n1
     v = n1 * n0 * sum(ui * ui for ui in u) / (n * (n - 1))
     return t, float(v)
@@ -87,10 +80,10 @@ def fs_statistic(subjects, hierarchy) -> tuple[float, float]:
 def win_counts(subjects, hierarchy) -> tuple[int, int, int]:
     wins = losses = ties = 0
     for a in subjects:
-        if a.group is not Group.TREATMENT:
+        if a.group != 1:
             continue
         for b in subjects:
-            if b.group is not Group.CONTROL:
+            if b.group != 0:
                 continue
             s, _ = compare(a, b, hierarchy)
             if s > 0:
@@ -155,8 +148,8 @@ def obrien_statistic(subjects, specs) -> tuple[float, float, float]:
     """(mean rank-sum difference, naive variance, adjusted variance)."""
     rows, kept = rank_rows(subjects, specs)
     sums = [sum(r) for r in rows]
-    s1 = [v for v, s in zip(sums, kept) if s.group is Group.TREATMENT]
-    s0 = [v for v, s in zip(sums, kept) if s.group is Group.CONTROL]
+    s1 = [v for v, s in zip(sums, kept) if s.group == 1]
+    s0 = [v for v, s in zip(sums, kept) if s.group == 0]
     n1, n0 = len(s1), len(s0)
     if n1 == 0 or n0 == 0:
         return math.nan, math.nan, math.nan
@@ -174,7 +167,7 @@ def obrien_statistic(subjects, specs) -> tuple[float, float, float]:
 def multirank_statistic(subjects, specs) -> float:
     rows, kept = rank_rows(subjects, specs)
     x = np.asarray(rows, dtype=np.float64)
-    mask = np.asarray([s.group is Group.TREATMENT for s in kept])
+    mask = np.asarray([s.group == 1 for s in kept])
     n, k = x.shape
     n1 = int(mask.sum())
     n0 = n - n1
@@ -207,10 +200,10 @@ def global_u_parts(subjects, kernel_specs) -> list[int]:
     for ks in kernel_specs:
         total = 0
         for a in subjects:
-            if a.group is not Group.TREATMENT:
+            if a.group != 1:
                 continue
             for b in subjects:
-                if b.group is not Group.CONTROL:
+                if b.group != 0:
                     continue
                 va, vb = a.outcomes[ks.endpoint], b.outcomes[ks.endpoint]
                 if ks.kernel is KernelType.GEHAN_SURVIVAL:
@@ -228,7 +221,7 @@ def global_u_parts(subjects, kernel_specs) -> list[int]:
 def global_u_statistic(subjects, kernel_specs) -> tuple[float, float]:
     """(weighted U, projection variance)."""
     sums = global_u_parts(subjects, kernel_specs)
-    n1 = sum(1 for s in subjects if s.group is Group.TREATMENT)
+    n1 = sum(1 for s in subjects if s.group == 1)
     n0 = len(subjects) - n1
     n_pairs = n1 * n0
     weights = np.asarray([k.weight for k in kernel_specs], dtype=np.float64)
@@ -237,8 +230,8 @@ def global_u_statistic(subjects, kernel_specs) -> tuple[float, float]:
 
     from multiendpoint import KernelType
 
-    treatment = [s for s in subjects if s.group is Group.TREATMENT]
-    control = [s for s in subjects if s.group is Group.CONTROL]
+    treatment = [s for s in subjects if s.group == 1]
+    control = [s for s in subjects if s.group == 0]
 
     def phi(ks, a, b) -> int:
         va, vb = a.outcomes[ks.endpoint], b.outcomes[ks.endpoint]
@@ -272,7 +265,7 @@ def global_u_statistic(subjects, kernel_specs) -> tuple[float, float]:
 def relabel(subjects, treatment_indices) -> list[Subject]:
     tset = set(treatment_indices)
     return [
-        replace(s, group=Group.TREATMENT if i in tset else Group.CONTROL)
+        replace(s, group=1 if i in tset else 0)
         for i, s in enumerate(subjects)
     ]
 
@@ -280,7 +273,7 @@ def relabel(subjects, treatment_indices) -> list[Subject]:
 def exact_pvalue(stat_fn, subjects) -> float:
     """Enumerate every treatment index set of the observed size, recompute
     the statistic each time, and count |T| >= |T_obs| (non-finite extreme)."""
-    n1 = sum(1 for s in subjects if s.group is Group.TREATMENT)
+    n1 = sum(1 for s in subjects if s.group == 1)
     observed = stat_fn(subjects)
     n_extreme = 0
     total = 0
@@ -327,7 +320,7 @@ def label_rows(master_seed: int, group_codes, count: int) -> np.ndarray:
 
 
 def simulated_subjects(cfg) -> list[Subject]:
-    """The cohort of ``simgen.simulate_trial(cfg)`` as value objects: the same
+    """The cohort of ``simgen.simulate_trial(cfg)`` as records: the same
     RNG calls in the same order (the latent normal rows, then the censoring
     times), each subject's three outcomes mapped through the marginals on
     their own."""
@@ -350,11 +343,11 @@ def simulated_subjects(cfg) -> list[Subject]:
         subjects.append(
             Subject(
                 id=f"sim{i:05d}",
-                group=Group.TREATMENT if treat else Group.CONTROL,
+                group=int(treat),
                 outcomes={
-                    "event": TimeToEventValue(min(t_event, float(censor[i])), t_event <= censor[i]),
-                    "marker": ContinuousValue(float(mean + sd * z[i, 1])),
-                    "response": BinaryValue(int(sps.norm.cdf(z[i, 2]) < p)),
+                    "event": Tte(min(t_event, float(censor[i])), bool(t_event <= censor[i])),
+                    "marker": Value(float(mean + sd * z[i, 1])),
+                    "response": Value(float(sps.norm.cdf(z[i, 2]) < p)),
                 },
             )
         )

@@ -1,46 +1,107 @@
-"""Shared fixture-building helpers for the test suite."""
+"""Shared fixture-building helpers for the test suite.
+
+A fixture describes its cohort one subject at a time, as plain records that
+make no checks of their own. ``dataset`` lays the records out as columns and
+calls the ``TrialDataset`` constructor, so the validity rules live there
+alone; ``subjects_of`` turns a dataset back into records for the oracles.
+"""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from multiendpoint import (
-    BinaryValue,
-    ContinuousValue,
-    EndpointKind,
-    EndpointSpec,
-    Group,
-    Subject,
-    TimeToEventValue,
-    TrialDataset,
-)
+from multiendpoint import EndpointKind, EndpointSpec, TrialDataset
 
 SURV = EndpointSpec("surv", EndpointKind.TIME_TO_EVENT, priority=1)
 SCORE = EndpointSpec("score", EndpointKind.CONTINUOUS, priority=2)
 FLAG = EndpointSpec("flag", EndpointKind.BINARY, priority=3)
 
 
-def tte(time, event=True) -> TimeToEventValue:
-    return TimeToEventValue(float(time), bool(event))
+@dataclass(frozen=True)
+class Tte:
+    """A time-to-event outcome: follow-up time and whether the event was seen."""
+
+    time: float
+    event_observed: bool
+    present: bool = True
 
 
-def cont(value=None) -> ContinuousValue:
-    if value is None:
-        return ContinuousValue.missing()
-    return ContinuousValue(float(value))
+@dataclass(frozen=True)
+class Value:
+    """A continuous or binary outcome; ``value`` is None when missing."""
+
+    value: float | None
+
+    @property
+    def present(self) -> bool:
+        return self.value is not None
 
 
-def binary(value=None) -> BinaryValue:
-    if value is None:
-        return BinaryValue.missing()
-    return BinaryValue(int(value))
+@dataclass(frozen=True)
+class Subject:
+    id: str
+    group: int  # 1 = treatment, 0 = control
+    outcomes: Mapping[str, Tte | Value]
+    covariates: dict[str, float] = field(default_factory=dict)
+
+
+def tte(time, event=True) -> Tte:
+    return Tte(float(time), bool(event))
+
+
+def cont(value=None) -> Value:
+    return Value(None if value is None else float(value))
+
+
+binary = cont
 
 
 def subject(sid, group, **outcomes) -> Subject:
-    g = Group.TREATMENT if group in (1, "t", "treatment", Group.TREATMENT) else Group.CONTROL
-    return Subject(str(sid), g, dict(outcomes))
+    return Subject(str(sid), int(group), dict(outcomes))
+
+
+def dataset(subjects: Sequence[Subject], specs: Sequence[EndpointSpec]) -> TrialDataset:
+    """The records as a dataset over ``specs``; a covariate that a subject
+    lacks is NaN (missing)."""
+    columns = {}
+    for spec in specs:
+        outs = [s.outcomes[spec.name] for s in subjects]
+        if spec.kind is EndpointKind.TIME_TO_EVENT:
+            columns[spec.name] = ([o.time for o in outs], [o.event_observed for o in outs])
+        else:
+            values = [math.nan if o.value is None else o.value for o in outs]
+            columns[spec.name] = (values, [o.present for o in outs])
+    names = sorted({k for s in subjects for k in s.covariates})
+    covariates = {k: [s.covariates.get(k, math.nan) for s in subjects] for k in names}
+    return TrialDataset(
+        specs, [s.id for s in subjects], [s.group for s in subjects], columns, covariates
+    )
+
+
+def subjects_of(ds: TrialDataset) -> list[Subject]:
+    """The rows of ``ds`` as records; missing covariates are left out."""
+    outcomes: dict[str, list] = {}
+    for spec in ds.endpoint_specs:
+        if spec.kind is EndpointKind.TIME_TO_EVENT:
+            pairs = zip(ds.times(spec.name).tolist(), ds.events_observed(spec.name).tolist())
+            outcomes[spec.name] = [Tte(t, e) for t, e in pairs]
+        else:
+            pairs = zip(ds.values(spec.name).tolist(), ds.present(spec.name).tolist())
+            outcomes[spec.name] = [Value(v if p else None) for v, p in pairs]
+    covariates = {k: ds.covariate(k).tolist() for k in ds.covariate_names}
+    return [
+        Subject(
+            sid,
+            int(g),
+            {name: col[i] for name, col in outcomes.items()},
+            {k: col[i] for k, col in covariates.items() if not math.isnan(col[i])},
+        )
+        for i, (sid, g) in enumerate(zip(ds.ids, ds.group_codes.tolist()))
+    ]
 
 
 def survival_cohort(times, events, groups) -> TrialDataset:
@@ -49,7 +110,7 @@ def survival_cohort(times, events, groups) -> TrialDataset:
         subject(f"s{i}", g, surv=tte(t, e))
         for i, (t, e, g) in enumerate(zip(times, events, groups))
     ]
-    return TrialDataset.from_subjects(subs, [SURV])
+    return dataset(subs, [SURV])
 
 
 def results_equal(a, b) -> bool:

@@ -19,9 +19,7 @@ from multiendpoint import (
     KernelType,
     PermutationPlan,
     SimConfig,
-    TrialDataset,
     baseline_summary,
-    compare_pair,
     default_kernels,
     derive_replicate_seed,
     error_rate_study,
@@ -33,13 +31,14 @@ from multiendpoint import (
     rank_matrix,
     run_method,
     simulate_trial,
+    verdict_matrix,
     win_ratio_test,
 )
 from multiendpoint.global_u import _combine, _normalized_weights, kernel_matrix
 from multiendpoint.resampling import iter_label_blocks
 from multiendpoint.simgen import binomial_band
 import oracles
-from support import random_integer_cohort
+from support import dataset, random_integer_cohort, subjects_of
 
 TABLE2_THRESHOLDS = {
     "rank_sum": 1e-3,
@@ -116,8 +115,8 @@ def test_criterion_3_oracle_equivalence():
     for _ in range(50):
         n = int(rng.integers(6, 11))
         subs, specs = random_integer_cohort(rng, n)
-        ds = TrialDataset.from_subjects(subs, specs)
-        subjects = ds.subjects
+        ds = dataset(subs, specs)
+        subjects = subjects_of(ds)
         n_pairs = ds.n_treatment * ds.n_control
 
         # FS: statistic, closed-form variance, exact p.
@@ -248,18 +247,15 @@ def test_criterion_6_property_bundle():
 
     for trial in range(10):
         subs, specs = random_integer_cohort(rng, int(rng.integers(6, 11)))
-        ds = TrialDataset.from_subjects(subs, specs)
-        subjects = ds.subjects
+        ds = dataset(subs, specs)
+        subjects = subjects_of(ds)
 
-        # Antisymmetry, reflexivity, verdict partition.
-        for i in range(min(4, ds.n)):
-            for j in range(min(4, ds.n)):
-                ab = compare_pair(subjects[i], subjects[j], specs)
-                ba = compare_pair(subjects[j], subjects[i], specs)
-                assert int(ab.verdict) == -int(ba.verdict)
-                assert ab.decided_at_level == ba.decided_at_level
-                if i == j:
-                    assert ab.decided_at_level is None
+        # Antisymmetry and reflexivity under every prefix of the hierarchy,
+        # so a pair is also decided at the same level both ways round.
+        for k in range(1, len(specs) + 1):
+            mat = verdict_matrix(ds, specs[:k])
+            assert np.array_equal(mat, -mat.T)
+            assert not mat.diagonal().any()
 
         u = pairwise_score_vector(ds)
         assert u.sum() == 0
@@ -300,7 +296,7 @@ def test_criterion_6_property_bundle():
             )
             for s in subjects
         ]
-        ds_t = TrialDataset.from_subjects(transformed, specs)
+        ds_t = dataset(transformed, specs)
         assert fs_test(ds_t).statistic == fs_test(ds).statistic
         wr_t = win_ratio_test(ds_t)
         assert (wr_t.n_wins, wr_t.n_losses) == (wr.n_wins, wr.n_losses)

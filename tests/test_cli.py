@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import math
 from pathlib import Path
 
@@ -184,6 +185,65 @@ class TestSimulate:
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("simulate", "--config", str(tmp_path / "none.yaml")) == EXIT_NOT_FOUND
+
+
+def edited_replica(replica: str, path: Path, column: str, token: str) -> str:
+    """A copy of the replica with ``column`` of its first row set to ``token``."""
+    with open(replica, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[0][column] = token
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    return str(path)
+
+
+class TestBadData:
+    @pytest.mark.parametrize(
+        "column, token",
+        [
+            ("days", "inf"), ("days", "NAN"), ("cd420", "-inf"), ("cd420", "1e400"),
+            ("cd40", "inf"), ("arms", "2.5"), ("arms", "inf"), ("pidnum", "11335"),
+        ],
+    )
+    def test_rejected_value_is_data_error(self, replica, tmp_path, capsys, column, token):
+        path = edited_replica(replica, tmp_path / "edited.csv", column, token)
+        code = run_cli("analyze", "--input", path, "--mode", "asymptotic", "--methods", "fs")
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "11043" in err or "row 1, column 'arms'" in err or "'11335'" in err
+
+    def test_directory_input_is_not_found(self, tmp_path, capsys):
+        assert run_cli("analyze", "--input", str(tmp_path)) == EXIT_NOT_FOUND
+        assert capsys.readouterr().err.startswith("not found: ")
+
+    def test_non_utf8_input_is_data_error(self, replica, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(Path(replica).read_bytes().replace(b"11043", b"11043\xe9", 1))
+        assert run_cli("analyze", "--input", str(path)) == EXIT_DATA
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("contrast, method", [("rest_vs_0", "rank_sum"), ("2_vs_1", "global_u")])
+    def test_too_few_subjects_is_data_error(self, replica, tmp_path, capsys, contrast, method):
+        # The replica's first 12 rows leave one complete case in the control
+        # group, and one subject in arm 2.
+        path = tmp_path / "small.csv"
+        path.write_text("".join(Path(replica).read_text().splitlines(True)[:13]))
+        code = run_cli("analyze", "--input", str(path), "--mode", "asymptotic",
+                       "--methods", method, "--contrast", contrast)
+        assert code == EXIT_DATA
+        assert "needs at least 2 subjects per group" in capsys.readouterr().err
+
+    def test_all_zero_global_u_weights_is_config_error(self, replica, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        weights = {"composite_event": 0, "cd4_change_20wk": 0, "cd4_week96": 0}
+        path.write_text(yaml.safe_dump({"input": replica, "global_u": {"weights": weights}}))
+        code = run_cli("analyze", "--config", str(path), "--mode", "asymptotic",
+                       "--methods", "global_u")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: global_u.weights: ")
 
 
 # Study settings small enough that a config error the parser misses still

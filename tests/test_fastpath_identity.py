@@ -18,7 +18,6 @@ from multiendpoint import (
     InferenceMode,
     PermutationPlan,
     SimConfig,
-    TrialDataset,
     fs_test,
     global_u_test,
     multirank_test,
@@ -32,7 +31,7 @@ from multiendpoint.global_u import _combine, _normalized_weights, default_kernel
 from multiendpoint.pairwise import verdict_matrix
 from multiendpoint.rank_tests import _quadform_stats, rank_matrix
 import oracles
-from support import random_integer_cohort
+from support import dataset, random_integer_cohort, subjects_of
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +147,7 @@ class TestFastPathsMatchGenericEngine:
             fast = multirank_test(singular, plan=plan)
         assert fast.metadata["singular_covariance"]
         assert fast.statistic == pytest.approx(
-            oracles.multirank_statistic(singular.subjects, singular.endpoint_specs), rel=1e-12
+            oracles.multirank_statistic(subjects_of(singular), singular.endpoint_specs), rel=1e-12
         )
         assert_same_null(fast, permutation_pvalue(multirank_stat, singular, plan))
 
@@ -156,7 +155,7 @@ class TestFastPathsMatchGenericEngine:
         # Complete-case exclusion keeps a handful of the 9 subjects, so some
         # relabelings put every kept subject in one group: NaN draws.
         subs, specs = random_integer_cohort(np.random.default_rng(0), 9, missing_prob=0.4)
-        sparse = TrialDataset.from_subjects(subs, specs)
+        sparse = dataset(subs, specs)
         fast = multirank_test(sparse, plan=plan)
         assert fast.metadata["n_nonfinite"] > 0
         assert_same_null(fast, permutation_pvalue(multirank_stat, sparse, plan))

@@ -10,15 +10,15 @@ from multiendpoint import (
     PermutationPlan,
     SimConfig,
     TrialDataset,
-    compare_pair,
     default_kernels,
     endpoint_u,
     global_u_test,
     permutation_pvalue,
     simulate_trial,
+    verdict_matrix,
 )
 import oracles
-from support import SURV, cont, random_integer_cohort, subject
+from support import SURV, cont, dataset, random_integer_cohort, subject, subjects_of
 
 SCORE_KERNEL = KernelSpec("score", KernelType.SIGNED_DIFFERENCE)
 SURV_KERNEL = KernelSpec("surv", KernelType.GEHAN_SURVIVAL)
@@ -33,7 +33,7 @@ def score_only_dataset(treatment_vals, control_vals) -> TrialDataset:
     from multiendpoint import EndpointKind, EndpointSpec
 
     spec = EndpointSpec("score", EndpointKind.CONTINUOUS, priority=1)
-    return TrialDataset.from_subjects(subs, [spec])
+    return dataset(subs, [spec])
 
 
 class TestEndpointU:
@@ -50,21 +50,15 @@ class TestEndpointU:
     def test_gehan_kernel_reproduces_survival_verdicts(self):
         rng = np.random.default_rng(12)
         subs, specs = random_integer_cohort(rng, 10)
-        ds = TrialDataset.from_subjects(subs, specs)
+        ds = dataset(subs, specs)
         r = endpoint_u(ds, SURV_KERNEL)
-        wins = losses = 0
-        for a in ds.subjects:
-            for b in ds.subjects:
-                if int(a.group) == 1 and int(b.group) == 0:
-                    v = compare_pair(a, b, [SURV]).verdict
-                    wins += v == 1
-                    losses += v == -1
-        assert r.pair_sum == wins - losses
+        treat = ds.treatment_mask
+        assert r.pair_sum == int(verdict_matrix(ds, [SURV])[treat][:, ~treat].sum())
 
     def test_kernel_kind_mismatch(self):
         rng = np.random.default_rng(1)
         subs, specs = random_integer_cohort(rng, 6)
-        ds = TrialDataset.from_subjects(subs, specs)
+        ds = dataset(subs, specs)
         with pytest.raises(KernelKindMismatchError):
             endpoint_u(ds, KernelSpec("surv", KernelType.SIGNED_DIFFERENCE))
         with pytest.raises(KernelKindMismatchError):
@@ -74,7 +68,7 @@ class TestEndpointU:
         rng = np.random.default_rng(7)
         for _ in range(6):
             subs, specs = random_integer_cohort(rng, int(rng.integers(5, 10)))
-            ds = TrialDataset.from_subjects(subs, specs)
+            ds = dataset(subs, specs)
             for k in default_kernels(ds):
                 assert -1.0 <= endpoint_u(ds, k).u <= 1.0
 
@@ -84,24 +78,24 @@ class TestGlobalU:
         rng = np.random.default_rng(19)
         for _ in range(8):
             subs, specs = random_integer_cohort(rng, int(rng.integers(5, 10)))
-            ds = TrialDataset.from_subjects(subs, specs)
+            ds = dataset(subs, specs)
             kernels = default_kernels(ds)
             got = global_u_test(ds)
-            want_u, want_var = oracles.global_u_statistic(ds.subjects, kernels)
+            want_u, want_var = oracles.global_u_statistic(subjects_of(ds), kernels)
             assert got.statistic == pytest.approx(want_u, rel=1e-14, abs=1e-15)
             assert got.variance == pytest.approx(want_var, rel=1e-12)
 
     def test_global_u_bounded_under_normalized_weights(self):
         rng = np.random.default_rng(3)
         subs, specs = random_integer_cohort(rng, 9)
-        ds = TrialDataset.from_subjects(subs, specs)
+        ds = dataset(subs, specs)
         r = global_u_test(ds)
         assert -1.0 <= r.statistic <= 1.0
 
     def test_all_weight_on_one_kernel_reduces_to_endpoint_u(self):
         rng = np.random.default_rng(5)
         subs, specs = random_integer_cohort(rng, 8)
-        ds = TrialDataset.from_subjects(subs, specs)
+        ds = dataset(subs, specs)
         kernels = [
             KernelSpec("surv", KernelType.GEHAN_SURVIVAL, 5.0),
             KernelSpec("score", KernelType.SIGNED_DIFFERENCE, 0.0),
@@ -143,7 +137,7 @@ class TestGlobalU:
     def test_weight_continuity(self):
         rng = np.random.default_rng(15)
         subs, specs = random_integer_cohort(rng, 10)
-        ds = TrialDataset.from_subjects(subs, specs)
+        ds = dataset(subs, specs)
         base = default_kernels(ds)
         r0 = global_u_test(ds, base)
         max_u = max(abs(u) for u in r0.metadata["endpoint_u"].values())

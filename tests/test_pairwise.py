@@ -13,10 +13,7 @@ from multiendpoint import (
     Direction,
     HierarchyMismatchError,
     SimConfig,
-    Subject,
     TrialDataset,
-    Verdict,
-    compare_pair,
     gehan_score_vector,
     pairwise_score_vector,
     run_method,
@@ -27,7 +24,19 @@ from multiendpoint import pairwise
 from multiendpoint.global_u import default_kernels, endpoint_u, kernel_matrix
 from multiendpoint.pairwise import pair_counts
 import oracles
-from support import FLAG, SCORE, SURV, binary, cont, subject, survival_cohort, tte
+from support import (
+    FLAG,
+    SCORE,
+    SURV,
+    Subject,
+    binary,
+    cont,
+    dataset,
+    subject,
+    subjects_of,
+    survival_cohort,
+    tte,
+)
 
 HIERARCHY = [SURV, SCORE, FLAG]
 
@@ -49,86 +58,96 @@ def subject_from(outcomes, sid="a", group=1) -> Subject:
 pairs = st.tuples(outcome_strategy(), outcome_strategy())
 
 
+def verdict(a: Subject, b: Subject, levels: int = len(HIERARCHY)) -> int:
+    """a's verdict over b under the first ``levels`` levels of the hierarchy:
+    entry (0, 1) of the verdict matrix of the two-subject cohort."""
+    if levels == 0:
+        return 0
+    return int(verdict_matrix(dataset([a, b], HIERARCHY), HIERARCHY[:levels])[0, 1])
+
+
+def decided_level(a: Subject, b: Subject) -> int | None:
+    """The first level whose prefix of the hierarchy decides the pair."""
+    return next((k for k in range(1, len(HIERARCHY) + 1) if verdict(a, b, k)), None)
+
+
+def assert_decided_at(a: Subject, b: Subject, level: int) -> None:
+    assert verdict(a, b, level) == verdict(a, b) != 0
+    assert verdict(a, b, level - 1) == 0
+
+
 class TestComparePair:
     def test_identical_outcomes_tie_at_no_level(self):
         a = subject("a", 1, surv=tte(10), score=cont(5), flag=binary(1))
         b = subject("b", 0, surv=tte(10), score=cont(5), flag=binary(1))
-        out = compare_pair(a, b, HIERARCHY)
-        assert out.verdict is Verdict.TIE
-        assert out.decided_at_level is None
+        assert verdict(a, b) == 0
 
     def test_event_before_event_is_loss_at_level_one(self):
         # a's event at day 100, b's at day 400: b outlives a.
         a = subject("a", 1, surv=tte(100, True), score=cont(0), flag=binary(0))
         b = subject("b", 0, surv=tte(400, True), score=cont(0), flag=binary(0))
-        out = compare_pair(a, b, HIERARCHY)
-        assert out.verdict is Verdict.LOSS
-        assert out.decided_at_level == 1
+        assert verdict(a, b) == -1
+        assert_decided_at(a, b, 1)
 
     def test_censoring_before_event_defers_to_level_two(self):
         # a censored at 300, b's event at 500 lies beyond a's follow-up:
         # survival level indeterminate, decided by the continuous endpoint.
         a = subject("a", 1, surv=tte(300, False), score=cont(50), flag=binary(0))
         b = subject("b", 0, surv=tte(500, True), score=cont(-20), flag=binary(0))
-        out = compare_pair(a, b, HIERARCHY)
-        assert out.verdict is Verdict.WIN
-        assert out.decided_at_level == 2
+        assert verdict(a, b) == 1
+        assert_decided_at(a, b, 2)
 
     def test_both_censored_indeterminate_regardless_of_times(self):
         a = subject("a", 1, surv=tte(900, False), score=cont(1), flag=binary(0))
         b = subject("b", 0, surv=tte(10, False), score=cont(0), flag=binary(0))
-        assert compare_pair(a, b, HIERARCHY).decided_at_level == 2
+        assert_decided_at(a, b, 2)
 
     def test_equal_event_times_indeterminate(self):
         a = subject("a", 1, surv=tte(50, True), score=cont(2), flag=binary(0))
         b = subject("b", 0, surv=tte(50, True), score=cont(1), flag=binary(0))
-        assert compare_pair(a, b, HIERARCHY).decided_at_level == 2
+        assert_decided_at(a, b, 2)
 
     def test_missing_value_ties_at_level(self):
         a = subject("a", 1, surv=tte(10, False), score=cont(None), flag=binary(1))
         b = subject("b", 0, surv=tte(10, False), score=cont(5), flag=binary(0))
-        out = compare_pair(a, b, HIERARCHY)
-        assert out.verdict is Verdict.WIN
-        assert out.decided_at_level == 3
+        assert verdict(a, b) == 1
+        assert_decided_at(a, b, 3)
 
     def test_hierarchy_mismatch(self):
         a = subject("a", 1, surv=tte(10))
         b = subject("b", 0, surv=tte(20))
         with pytest.raises(HierarchyMismatchError):
-            compare_pair(a, b, HIERARCHY)
+            verdict_matrix(dataset([a, b], [SURV]), HIERARCHY)
 
     @given(pairs)
     def test_antisymmetry(self, outcome_pair):
         a = subject_from(outcome_pair[0], "a", 1)
         b = subject_from(outcome_pair[1], "b", 0)
-        ab = compare_pair(a, b, HIERARCHY)
-        ba = compare_pair(b, a, HIERARCHY)
-        assert int(ab.verdict) == -int(ba.verdict)
-        assert ab.decided_at_level == ba.decided_at_level
+        assert verdict(a, b) == -verdict(b, a)
+        assert decided_level(a, b) == decided_level(b, a)
 
     @given(outcome_strategy())
     def test_reflexivity(self, outcomes):
         a = subject_from(outcomes, "a", 1)
         a2 = subject_from(outcomes, "a2", 0)
-        assert compare_pair(a, a2, HIERARCHY).verdict is Verdict.TIE
+        assert verdict(a, a2) == 0
 
     @given(pairs, st.integers(-3, 3), st.integers(0, 1))
     def test_level_monotonicity(self, outcome_pair, new_score, new_flag):
         """Once a level decides, outcomes at lower-priority levels are inert."""
         a = subject_from(outcome_pair[0], "a", 1)
         b = subject_from(outcome_pair[1], "b", 0)
-        out = compare_pair(a, b, HIERARCHY)
-        if out.decided_at_level is None:
+        level = decided_level(a, b)
+        if level is None:
             return
         mutated = dict(a.outcomes)
-        if out.decided_at_level <= 1:
+        if level <= 1:
             mutated["score"] = cont(new_score)
-        if out.decided_at_level <= 2:
+        if level <= 2:
             mutated["flag"] = binary(new_flag)
         a2 = Subject("a", a.group, mutated)
-        out2 = compare_pair(a2, b, HIERARCHY)
-        assert out2.verdict is out.verdict
-        assert out2.decided_at_level == out.decided_at_level
+        assert verdict(a2, b) == verdict(a, b)
+        assert decided_level(a2, b) == level
 
     @given(pairs)
     def test_censoring_soundness(self, outcome_pair):
@@ -140,19 +159,14 @@ class TestComparePair:
         if not surv.event_observed:
             return
         censored = Subject("a", a.group, {**a.outcomes, "surv": tte(surv.time, False)})
-        before = oracles.level_verdict(SURV, surv, b.outcomes["surv"])
-        after = oracles.level_verdict(SURV, censored.outcomes["surv"], b.outcomes["surv"])
-        if before == 0:
-            assert after <= 0
+        if verdict(a, b, 1) == 0:
+            assert verdict(censored, b, 1) <= 0
 
     @given(pairs)
     def test_matches_independent_rule(self, outcome_pair):
         a = subject_from(outcome_pair[0], "a", 1)
         b = subject_from(outcome_pair[1], "b", 0)
-        got = compare_pair(a, b, HIERARCHY)
-        verdict, level = oracles.compare(a, b, HIERARCHY)
-        assert int(got.verdict) == verdict
-        assert got.decided_at_level == level
+        assert (verdict(a, b), decided_level(a, b)) == oracles.compare(a, b, HIERARCHY)
 
 
 def _random_dataset(seed: int, n: int) -> TrialDataset:
@@ -169,7 +183,7 @@ def _random_dataset(seed: int, n: int) -> TrialDataset:
                 flag=binary(None if rng.random() < 0.2 else int(rng.integers(0, 2))),
             )
         )
-    return TrialDataset.from_subjects(subs, HIERARCHY)
+    return dataset(subs, HIERARCHY)
 
 
 class TestScoreVector:
@@ -178,7 +192,7 @@ class TestScoreVector:
             subject(f"s{i}", i % 2, surv=tte(7), score=cont(1), flag=binary(0))
             for i in range(6)
         ]
-        ds = TrialDataset.from_subjects(subs, HIERARCHY)
+        ds = dataset(subs, HIERARCHY)
         assert pairwise_score_vector(ds).tolist() == [0] * 6
 
     def test_strictly_ordered_fixture(self):
@@ -197,20 +211,20 @@ class TestScoreVector:
         n = int(rng.integers(3, 9))
         ds = _random_dataset(seed + 77, n)
         assert pairwise_score_vector(ds).tolist() == oracles.score_vector(
-            ds.subjects, HIERARCHY
+            subjects_of(ds), HIERARCHY
         )
 
     @pytest.mark.parametrize("seed", range(8))
     def test_verdict_matrix_matches_compare_pair(self, seed):
         ds = _random_dataset(seed + 500, 7)
         mat = verdict_matrix(ds)
-        subs = ds.subjects
+        subs = subjects_of(ds)
         for i in range(ds.n):
             for j in range(ds.n):
                 if i == j:
                     assert mat[i, j] == 0
                 else:
-                    assert mat[i, j] == int(compare_pair(subs[i], subs[j], HIERARCHY).verdict)
+                    assert mat[i, j] == oracles.compare(subs[i], subs[j], HIERARCHY)[0]
 
     def test_gehan_scores_match_survival_level(self):
         rng = np.random.default_rng(3)
@@ -240,7 +254,7 @@ def _interleaved_dataset(seed: int, n: int) -> TrialDataset:
         )
         for i, g in enumerate(groups)
     ]
-    return TrialDataset.from_subjects(subs, TILE_HIERARCHY)
+    return dataset(subs, TILE_HIERARCHY)
 
 
 @pytest.mark.parametrize("height", ["1", "2", "n-1", "n", "n+1"])
@@ -259,10 +273,10 @@ class TestRowTiles:
         return ds
 
     def test_counts_and_stacked_matrix_match_compare_pair(self, ds):
-        subs = ds.subjects
+        subs = subjects_of(ds)
         want = np.array(
             [
-                [0 if a is b else int(compare_pair(a, b, TILE_HIERARCHY).verdict) for b in subs]
+                [0 if a is b else oracles.compare(a, b, TILE_HIERARCHY)[0] for b in subs]
                 for a in subs
             ]
         )
@@ -280,14 +294,15 @@ class TestRowTiles:
 
     def test_single_level_sweeps_match_oracles(self, ds):
         got = gehan_score_vector(ds.times("surv"), ds.events_observed("surv"))
-        pairs = [(s.outcomes["surv"].time, s.outcomes["surv"].event_observed) for s in ds.subjects]
+        subs = subjects_of(ds)
+        pairs = [(s.outcomes["surv"].time, s.outcomes["surv"].event_observed) for s in subs]
         assert got.tolist() == oracles.gehan_scores(pairs)
 
         # The oracle compares values higher-is-better; so do the default kernels.
-        higher = TrialDataset.from_subjects(ds.subjects, HIERARCHY)
+        higher = dataset(subs, HIERARCHY)
         kernels = default_kernels(higher)
         treat = higher.treatment_mask
-        for kernel, want in zip(kernels, oracles.global_u_parts(higher.subjects, kernels)):
+        for kernel, want in zip(kernels, oracles.global_u_parts(subs, kernels)):
             part = endpoint_u(higher, kernel)
             phi = kernel_matrix(higher, kernel)
             cross = phi[treat][:, ~treat].astype(np.float64)

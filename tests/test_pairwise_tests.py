@@ -17,7 +17,18 @@ from multiendpoint import (
 )
 from multiendpoint.pairwise import pairwise_score_vector
 import oracles
-from support import FLAG, SCORE, SURV, binary, cont, subject, survival_cohort, tte
+from support import (
+    FLAG,
+    SCORE,
+    SURV,
+    binary,
+    cont,
+    dataset,
+    subject,
+    subjects_of,
+    survival_cohort,
+    tte,
+)
 
 HIERARCHY = [SURV, SCORE, FLAG]
 
@@ -27,7 +38,7 @@ def identical_cohort(n=6) -> TrialDataset:
         subject(f"s{i}", i % 2, surv=tte(7), score=cont(1), flag=binary(0))
         for i in range(n)
     ]
-    return TrialDataset.from_subjects(subs, HIERARCHY)
+    return dataset(subs, HIERARCHY)
 
 
 def ordered_fixture() -> TrialDataset:
@@ -60,9 +71,9 @@ class TestFsTest:
             from support import random_integer_cohort
 
             subs, specs = random_integer_cohort(rng, int(rng.integers(5, 9)))
-            ds = TrialDataset.from_subjects(subs, specs)
+            ds = dataset(subs, specs)
             r = fs_test(ds)
-            t, v = oracles.fs_statistic(ds.subjects, specs)
+            t, v = oracles.fs_statistic(subjects_of(ds), specs)
             assert r.statistic == t
             assert r.variance == pytest.approx(v, rel=1e-14)
 
@@ -87,11 +98,11 @@ class TestFsTest:
         subs = [
             subject(s.id, int(s.group), event=s.outcomes["event"],
                     marker=cube_marker(s), response=s.outcomes["response"])
-            for s in ds.subjects
+            for s in subjects_of(ds)
         ]
         from multiendpoint.simgen import SIM_ENDPOINT_SPECS
 
-        ds2 = TrialDataset.from_subjects(subs, SIM_ENDPOINT_SPECS)
+        ds2 = dataset(subs, SIM_ENDPOINT_SPECS)
         r2 = fs_test(ds2)
         assert r2.statistic == r.statistic
         assert r2.variance == r.variance
@@ -134,7 +145,7 @@ class TestWinRatio:
                 subs.append(
                     subject(f"g{g}s{i}", g, surv=tte(t, e), score=cont(v), flag=binary(0))
                 )
-        ds = TrialDataset.from_subjects(subs, HIERARCHY)
+        ds = dataset(subs, HIERARCHY)
         r = win_ratio_test(ds)
         assert r.n_wins == r.n_losses
         assert r.win_ratio == 1.0
@@ -153,10 +164,10 @@ class TestWinRatio:
 
         for _ in range(8):
             subs, specs = random_integer_cohort(rng, int(rng.integers(5, 10)))
-            ds = TrialDataset.from_subjects(subs, specs)
+            ds = dataset(subs, specs)
             r = win_ratio_test(ds)
             assert r.n_wins + r.n_losses + r.n_ties == ds.n_treatment * ds.n_control
-            w, l, t = oracles.win_counts(ds.subjects, specs)
+            w, l, t = oracles.win_counts(subjects_of(ds), specs)
             assert (r.n_wins, r.n_losses, r.n_ties) == (w, l, t)
 
     def test_all_ties_degenerate(self):
@@ -186,11 +197,11 @@ class TestWinRatio:
                 marker=cont(math.exp(s.outcomes["marker"].value / 4.0)),
                 response=s.outcomes["response"],
             )
-            for s in ds.subjects
+            for s in subjects_of(ds)
         ]
         from multiendpoint.simgen import SIM_ENDPOINT_SPECS
 
-        ds2 = TrialDataset.from_subjects(subs, SIM_ENDPOINT_SPECS)
+        ds2 = dataset(subs, SIM_ENDPOINT_SPECS)
         r2 = win_ratio_test(ds2)
         assert (r2.n_wins, r2.n_losses, r2.n_ties) == (r.n_wins, r.n_losses, r.n_ties)
 

@@ -19,7 +19,7 @@ from multiendpoint import (
     simulate_trial,
 )
 import oracles
-from support import cont, random_integer_cohort, subject
+from support import cont, dataset, random_integer_cohort, subject, subjects_of
 
 C1 = EndpointSpec("c1", EndpointKind.CONTINUOUS, priority=1)
 C2 = EndpointSpec("c2", EndpointKind.CONTINUOUS, priority=2)
@@ -32,14 +32,14 @@ def two_endpoint_fixture() -> TrialDataset:
         subject(f"s{i}", g, c1=cont(a), c2=cont(b))
         for i, (a, b, g) in enumerate(vals)
     ]
-    return TrialDataset.from_subjects(subs, [C1, C2])
+    return dataset(subs, [C1, C2])
 
 
 def one_endpoint_dataset(values, groups) -> TrialDataset:
     subs = [
         subject(f"s{i}", g, c1=cont(v)) for i, (v, g) in enumerate(zip(values, groups))
     ]
-    return TrialDataset.from_subjects(subs, [C1])
+    return dataset(subs, [C1])
 
 
 class TestRankMatrix:
@@ -61,7 +61,7 @@ class TestRankMatrix:
         rng = np.random.default_rng(4)
         for _ in range(6):
             subs, specs = random_integer_cohort(rng, int(rng.integers(5, 12)))
-            ds = TrialDataset.from_subjects(subs, specs)
+            ds = dataset(subs, specs)
             rm = rank_matrix(ds)
             n = rm.n
             assert np.allclose(rm.column_rank_sums, n * (n + 1) / 2.0)
@@ -74,7 +74,7 @@ class TestRankMatrix:
             subject("c", 0, c1=cont(3), c2=cont(4)),
             subject("d", 0, c1=cont(4), c2=cont(1)),
         ]
-        rm = rank_matrix(TrialDataset.from_subjects(subs, [C1, C2]))
+        rm = rank_matrix(dataset(subs, [C1, C2]))
         assert rm.n_excluded == 1
         assert rm.n == 3
 
@@ -84,14 +84,14 @@ class TestRankMatrix:
             subject("b", 0, c1=cont(2), c2=cont(None)),
         ]
         with pytest.raises(EmptyAfterExclusionError):
-            rank_matrix(TrialDataset.from_subjects(subs, [C1, C2]))
+            rank_matrix(dataset(subs, [C1, C2]))
 
     def test_survival_endpoint_uses_gehan_scores(self):
         rng = np.random.default_rng(17)
         subs, specs = random_integer_cohort(rng, 9, missing_prob=0.0)
-        ds = TrialDataset.from_subjects(subs, specs)
+        ds = dataset(subs, specs)
         rm = rank_matrix(ds)
-        rows, kept = oracles.rank_rows(ds.subjects, specs)
+        rows, kept = oracles.rank_rows(subjects_of(ds), specs)
         assert np.allclose(rm.ranks, np.asarray(rows))
         assert len(kept) == rm.n
 
@@ -99,7 +99,7 @@ class TestRankMatrix:
         low = EndpointSpec("c1", EndpointKind.CONTINUOUS, priority=1,
                            direction=Direction.LOWER_IS_BETTER)
         subs = [subject("a", 1, c1=cont(1)), subject("b", 0, c1=cont(9))]
-        rm = rank_matrix(TrialDataset.from_subjects(subs, [low]))
+        rm = rank_matrix(dataset(subs, [low]))
         # Lower value is better, so subject a gets the higher rank.
         assert rm.ranks[:, 0].tolist() == [2.0, 1.0]
 
@@ -110,7 +110,7 @@ class TestObrien:
         for g in (1, 0):
             for i, (a, b) in enumerate([(5, 1), (7, 2), (9, 0)]):
                 subs.append(subject(f"g{g}i{i}", g, c1=cont(a), c2=cont(b)))
-        ds = TrialDataset.from_subjects(subs, [C1, C2])
+        ds = dataset(subs, [C1, C2])
         r = obrien_test(ds)
         assert r.statistic == 0.0
         assert r.p_two_sided == 1.0
@@ -125,8 +125,8 @@ class TestObrien:
         rng = np.random.default_rng(23)
         for _ in range(8):
             subs, specs = random_integer_cohort(rng, int(rng.integers(6, 11)))
-            ds = TrialDataset.from_subjects(subs, specs)
-            stat, naive, adjusted = oracles.obrien_statistic(ds.subjects, specs)
+            ds = dataset(subs, specs)
+            stat, naive, adjusted = oracles.obrien_statistic(subjects_of(ds), specs)
             r_n = obrien_test(ds, variance="naive")
             r_a = obrien_test(ds, variance="adjusted")
             assert r_n.statistic == stat == r_a.statistic
@@ -140,7 +140,7 @@ class TestObrien:
         control = [v + 1 for v in treatment]
         subs = [subject(f"t{i}", 1, c1=cont(v)) for i, v in enumerate(treatment)]
         subs += [subject(f"c{i}", 0, c1=cont(v)) for i, v in enumerate(control)]
-        ds = TrialDataset.from_subjects(subs, [C1])
+        ds = dataset(subs, [C1])
         r_n = obrien_test(ds, variance="naive")
         r_a = obrien_test(ds, variance="adjusted")
         assert r_n.variance == pytest.approx(r_a.variance, rel=0.02)
@@ -155,9 +155,9 @@ class TestObrien:
     def test_subject_order_invariance(self):
         rng = np.random.default_rng(3)
         subs, specs = random_integer_cohort(rng, 10)
-        ds1 = TrialDataset.from_subjects(subs, specs)
+        ds1 = dataset(subs, specs)
         order = rng.permutation(len(subs))
-        ds2 = TrialDataset.from_subjects([subs[i] for i in order], specs)
+        ds2 = dataset([subs[i] for i in order], specs)
         r1, r2 = obrien_test(ds1), obrien_test(ds2)
         assert r1.statistic == pytest.approx(r2.statistic, rel=1e-14)
         assert r1.p_two_sided == pytest.approx(r2.p_two_sided, rel=1e-14)
@@ -165,7 +165,7 @@ class TestObrien:
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(51)
         subs, specs = random_integer_cohort(rng, 10, missing_prob=0.0)
-        ds = TrialDataset.from_subjects(subs, specs)
+        ds = dataset(subs, specs)
         r = obrien_test(ds)
         transformed = [
             subject(
@@ -175,9 +175,9 @@ class TestObrien:
                 score=cont(math.atan(s.outcomes["score"].value) * 10.0),
                 flag=s.outcomes["flag"],
             )
-            for s in ds.subjects
+            for s in subjects_of(ds)
         ]
-        r2 = obrien_test(TrialDataset.from_subjects(transformed, specs))
+        r2 = obrien_test(dataset(transformed, specs))
         assert r2.statistic == r.statistic
         assert r2.p_two_sided == r.p_two_sided
 
@@ -188,7 +188,7 @@ class TestMultirank:
         for g in (1, 0):
             for i, (a, b) in enumerate([(5, 1), (7, 2), (9, 0)]):
                 subs.append(subject(f"g{g}i{i}", g, c1=cont(a), c2=cont(b)))
-        ds = TrialDataset.from_subjects(subs, [C1, C2])
+        ds = dataset(subs, [C1, C2])
         r = multirank_test(ds)
         assert r.statistic == 0.0
         assert r.p_two_sided == 1.0
@@ -210,8 +210,8 @@ class TestMultirank:
         rng = np.random.default_rng(29)
         for _ in range(8):
             subs, specs = random_integer_cohort(rng, int(rng.integers(6, 11)))
-            ds = TrialDataset.from_subjects(subs, specs)
-            want = oracles.multirank_statistic(ds.subjects, specs)
+            ds = dataset(subs, specs)
+            want = oracles.multirank_statistic(subjects_of(ds), specs)
             got = multirank_test(ds)
             assert got.statistic == pytest.approx(want, rel=1e-12)
 
@@ -228,17 +228,22 @@ class TestMultirank:
             subject(f"s{i}", g, c1=cont(v), c2=cont(v))
             for i, (v, g) in enumerate(zip([5, 3, 8, 1, 9, 2], [1, 1, 1, 0, 0, 0]))
         ]
-        ds = TrialDataset.from_subjects(subs, [C1, C2])
+        ds = dataset(subs, [C1, C2])
         with pytest.warns(RuntimeWarning, match="singular"):
             r = multirank_test(ds)
         assert r.metadata["df"] == 1
         assert r.metadata["singular_covariance"]
         assert 0 < r.p_two_sided <= 1
 
+    def test_too_few_complete_cases_rejected(self):
+        ds = one_endpoint_dataset([1, 2], [1, 0])
+        with pytest.raises(EmptyAfterExclusionError, match="at least 3"):
+            multirank_test(ds)
+
     def test_chi2_reference_df_equals_rank(self):
         rng = np.random.default_rng(31)
         subs, specs = random_integer_cohort(rng, 12, missing_prob=0.0)
-        ds = TrialDataset.from_subjects(subs, specs)
+        ds = dataset(subs, specs)
         r = multirank_test(ds)
         from scipy.stats import chi2
 

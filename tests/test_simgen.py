@@ -12,14 +12,15 @@ from multiendpoint import (
     BinaryModel,
     ContinuousModel,
     InvalidCorrelationError,
+    InvalidDataError,
     PermutationPlan,
     SimConfig,
     SurvivalModel,
-    TrialDataset,
     error_rate_study,
     simulate_trial,
 )
-from multiendpoint.simgen import SIM_ENDPOINT_SPECS, binomial_band, binomial_ci
+from multiendpoint.simgen import binomial_band, binomial_ci
+from support import subjects_of
 
 
 def alt_config(shift: float, n: int = 15, seed: int = 0) -> SimConfig:
@@ -37,8 +38,10 @@ def alt_config(shift: float, n: int = 15, seed: int = 0) -> SimConfig:
 class TestSimulateTrial:
     def test_deterministic_under_seed(self):
         cfg = SimConfig.null(30, seed=123)
-        assert simulate_trial(cfg) == simulate_trial(cfg)
-        assert simulate_trial(cfg) != simulate_trial(SimConfig.null(30, seed=124))
+        assert subjects_of(simulate_trial(cfg)) == subjects_of(simulate_trial(cfg))
+        assert subjects_of(simulate_trial(cfg)) != subjects_of(
+            simulate_trial(SimConfig.null(30, seed=124))
+        )
         unequal = SimConfig(
             n_per_group=7,
             survival=SurvivalModel(0.004, 0.002, 500.0),
@@ -48,8 +51,7 @@ class TestSimulateTrial:
         )
         for seed in range(25):
             cfg = replace(unequal, seed=seed)
-            built = TrialDataset.from_subjects(oracles.simulated_subjects(cfg), SIM_ENDPOINT_SPECS)
-            assert simulate_trial(cfg) == built
+            assert subjects_of(simulate_trial(cfg)) == oracles.simulated_subjects(cfg)
 
     def test_null_groups_exchangeable_in_means(self):
         cfg = SimConfig.null(5000, seed=6)
@@ -131,6 +133,14 @@ class TestSimulateTrial:
             SurvivalModel(0.01, 0.01, math.inf)
         with pytest.raises(ValueError):
             ContinuousModel(math.inf, 0.0)
+
+
+    def test_marker_overflow_rejected(self):
+        # A finite mean + SD x z past float range is an infinite marker.
+        huge = ContinuousModel(1.7e308, 1.7e308, 1.7e308, 1.7e308)
+        cfg = replace(SimConfig.null(20, seed=0), continuous=huge)
+        with np.errstate(over="ignore"), pytest.raises(InvalidDataError, match="'marker'"):
+            simulate_trial(cfg)
 
 
 class TestErrorRateStudy:

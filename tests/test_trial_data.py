@@ -1,37 +1,43 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from multiendpoint import (
     ColumnMapping,
-    ContinuousValue,
     CsvParseError,
     DerivationConfig,
     Direction,
     EmptyGroupError,
     EndpointKind,
     EndpointSpec,
-    Group,
     InvalidContrastError,
+    InvalidDataError,
     MissingColumnError,
     SchemaMismatchError,
-    Subject,
-    TimeToEventValue,
     TrialDataset,
     baseline_summary,
-    dataset_from_csv,
-    dataset_to_csv,
     derive_endpoints,
     load_trial_csv,
     parse_contrast,
     validate_hierarchy,
 )
-from support import SURV, random_integer_cohort, subject, tte
+from support import (
+    FLAG,
+    SCORE,
+    SURV,
+    Subject,
+    Tte,
+    Value,
+    dataset,
+    random_integer_cohort,
+    subject,
+    subjects_of,
+    tte,
+)
 
 FIXTURE_MAPPING = ColumnMapping(
     subject_id="pid",
@@ -77,37 +83,82 @@ class TestSpecs:
         c = EndpointSpec("c", EndpointKind.CONTINUOUS, priority=2)
         assert [s.name for s in validate_hierarchy([b, c, a])] == ["a", "c", "b"]
 
-    def test_outcome_validation(self):
-        with pytest.raises(ValueError):
-            TimeToEventValue(-1.0, True)
-        with pytest.raises(ValueError):
-            TimeToEventValue(math.inf, False)
-        with pytest.raises(ValueError):
-            ContinuousValue(math.nan, present=True)
-        assert not ContinuousValue.missing().present
+
+def _valid_args():
+    """Constructor arguments of a valid 4-subject cohort; subject 'b' has
+    every value present."""
+    return dict(
+        specs=[SURV, SCORE, FLAG],
+        ids=["a", "b", "c", "d"],
+        group=[1, 1, 0, 0],
+        columns={
+            "surv": ([1.0, 2.0, 3.0, 4.0], [True, False, True, True]),
+            "score": ([0.5, 1.5, math.nan, 2.0], [True, True, False, True]),
+            "flag": ([1.0, 0.0, 1.0, math.nan], [True, True, True, False]),
+        },
+        covariates={"age": [30.0, 35.0, math.nan, 52.0]},
+    )
+
+
+DROP = object()  # delete subject 'b' from the list instead of setting it
 
 
 class TestDatasetConstruction:
-    def test_duplicate_ids_rejected(self):
-        subs = [subject("x", 1, surv=tte(1)), subject("x", 0, surv=tte(2))]
-        with pytest.raises(ValueError):
-            TrialDataset.from_subjects(subs, [SURV])
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("columns", "surv", 0), math.inf, "endpoint 'surv' time of subject 'b' is inf"),
+            (("columns", "surv", 0), math.nan, "endpoint 'surv' time of subject 'b' is nan"),
+            (("columns", "surv", 0), -1.0, "endpoint 'surv' time of subject 'b' is -1.0"),
+            (("columns", "surv", 1), 1, "endpoint 'surv' event flag: wrong dtype int64"),
+            (("columns", "score", 0), math.inf, "endpoint 'score' value of subject 'b' is inf"),
+            (("columns", "score", 0), -math.inf, "endpoint 'score' value of subject 'b' is -inf"),
+            (("columns", "score", 0), math.nan, "endpoint 'score' value of subject 'b' is nan"),
+            (("columns", "flag", 0), 2.0, "endpoint 'flag' value of subject 'b' is 2.0"),
+            (("ids",), "a", "duplicate subject id 'a'"),
+            (("columns", "score", 1), DROP, "endpoint 'score' presence flag: shape (3,) for 4"),
+            (("covariates", "age"), math.inf, "covariate 'age' of subject 'b' is inf"),
+            (("group",), 2, "group code of subject 'b' is 2"),
+        ],
+        ids=[
+            "time-inf", "time-nan", "time-negative", "event-flag-int", "continuous-inf",
+            "continuous-minus-inf", "continuous-nan", "binary-2", "duplicate-id",
+            "wrong-length", "covariate-inf", "group-2",
+        ],
+    )
+    def test_rejects_invalid_value(self, path, value, message):
+        args = _valid_args()
+        target = args
+        for key in path:
+            target = target[key]
+        if value is DROP:
+            del target[1]
+        else:
+            target[1] = value
+        with pytest.raises(InvalidDataError, match=re.escape(message)):
+            TrialDataset(**args)
 
     def test_missing_outcome_rejected(self):
-        subs = [subject("a", 1, surv=tte(1)), Subject("b", Group.CONTROL, {})]
-        with pytest.raises(ValueError):
-            TrialDataset.from_subjects(subs, [SURV])
+        args = _valid_args()
+        del args["columns"]["flag"]
+        with pytest.raises(InvalidDataError, match="do not match endpoints"):
+            TrialDataset(**args)
 
     def test_empty_group_rejected(self):
         subs = [subject("a", 1, surv=tte(1)), subject("b", 1, surv=tte(2))]
         with pytest.raises(EmptyGroupError):
-            TrialDataset.from_subjects(subs, [SURV])
+            dataset(subs, [SURV])
 
     def test_columns_are_read_only(self):
-        subs = [subject("a", 1, surv=tte(1)), subject("b", 0, surv=tte(2))]
-        ds = TrialDataset.from_subjects(subs, [SURV])
+        ds = TrialDataset(**_valid_args())
+        assert not np.isnan(ds.values("score")[ds.present("score")]).any()
         with pytest.raises(ValueError):
             ds.times("surv")[0] = 5.0
+        times = np.array([1.0, 2.0])
+        dataset_of_arrays = TrialDataset(
+            [SURV], ["a", "b"], np.array([1, 0]), {"surv": (times, np.array([True, True]))}
+        )
+        assert dataset_of_arrays.times("surv") is times and not times.flags.writeable
 
 
 class TestLoadCsv:
@@ -116,16 +167,17 @@ class TestLoadCsv:
         assert ds.n == 4
         assert ds.n_control == 1  # arm 0 under the default contrast
         assert ds.n_treatment == 3
-        p1 = ds.subject(ds.ids.index("p1"))
-        assert p1.group is Group.CONTROL
-        assert p1.outcomes["composite_event"] == TimeToEventValue(100.0, True)
-        assert p1.outcomes["cd4_week20"] == ContinuousValue(350.0)
+        rows = subjects_of(ds)
+        p1 = rows[ds.ids.index("p1")]
+        assert p1.group == 0
+        assert p1.outcomes["composite_event"] == Tte(100.0, True)
+        assert p1.outcomes["cd4_week20"] == Value(350.0)
         assert not p1.outcomes["cd4_week96"].present
         assert p1.covariates["cd4_baseline"] == 400.0
         assert p1.covariates["arm"] == 0.0
-        p4 = ds.subject(ds.ids.index("p4"))
-        assert p4.outcomes["composite_event"] == TimeToEventValue(400.0, False)
-        assert p4.outcomes["cd4_week96"] == ContinuousValue(450.0)
+        p4 = rows[ds.ids.index("p4")]
+        assert p4.outcomes["composite_event"] == Tte(400.0, False)
+        assert p4.outcomes["cd4_week96"] == Value(450.0)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -151,6 +203,35 @@ class TestLoadCsv:
         assert err.value.row == 3
         assert err.value.column == "day"
 
+    @pytest.mark.parametrize("arm", ["2.5", "inf", "NAN"])
+    def test_arm_code_must_be_a_finite_integer(self, tmp_path, arm):
+        path = tmp_path / "bad.csv"
+        path.write_text(FIXTURE_CSV.replace("p3,2,150", f"p3,{arm},150"))
+        with pytest.raises(CsvParseError) as err:
+            load_trial_csv(path, FIXTURE_MAPPING)
+        assert (err.value.row, err.value.column) == (3, "arm")
+
+    @pytest.mark.parametrize(
+        "row",
+        ["p3,2,inf,1,250,260,300", "p3,2,150,1,250,-inf,300", "p3,2,150,1,1e400,260,300"],
+        ids=["days-inf", "cd4w20-minus-inf", "cd4b-1e400"],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(FIXTURE_CSV.replace("p3,2,150,1,250,260,300", row))
+        with pytest.raises(InvalidDataError, match="subject 'p3'"):
+            load_trial_csv(path, FIXTURE_MAPPING)
+
+    def test_directory_is_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_trial_csv(tmp_path, FIXTURE_MAPPING)
+
+    def test_non_utf8_bytes_rejected(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(FIXTURE_CSV.replace("p3", "p\xe9").encode("latin-1"))
+        with pytest.raises(InvalidDataError, match="not UTF-8"):
+            load_trial_csv(path, FIXTURE_MAPPING)
+
     def test_single_arm_contrast_drops_other_arms(self, fixture_csv):
         ds = load_trial_csv(fixture_csv, FIXTURE_MAPPING, contrast="1_vs_0")
         assert ds.n == 2
@@ -164,12 +245,12 @@ class TestLoadCsv:
 class TestDeriveEndpoints:
     def test_cd4_change_arithmetic(self, fixture_csv):
         ds = derive_endpoints(load_trial_csv(fixture_csv, FIXTURE_MAPPING))
-        p1 = ds.subject(ds.ids.index("p1"))
-        assert p1.outcomes["cd4_change_20wk"] == ContinuousValue(-50.0)
+        p1 = subjects_of(ds)[ds.ids.index("p1")]
+        assert p1.outcomes["cd4_change_20wk"] == Value(-50.0)
 
     def test_missing_week96_passthrough(self, fixture_csv):
         ds = derive_endpoints(load_trial_csv(fixture_csv, FIXTURE_MAPPING))
-        assert not ds.subject(ds.ids.index("p1")).outcomes["cd4_week96"].present
+        assert not subjects_of(ds)[ds.ids.index("p1")].outcomes["cd4_week96"].present
         present = ds.present("cd4_week96")
         assert present.sum() + (~present).sum() == ds.n
 
@@ -185,8 +266,9 @@ class TestDeriveEndpoints:
         raw = load_trial_csv(fixture_csv, FIXTURE_MAPPING)
         cfg = DerivationConfig()
         once = derive_endpoints(raw, cfg)
-        assert derive_endpoints(raw, cfg) == once
-        assert derive_endpoints(once, cfg) == once
+        want = (once.endpoint_specs, subjects_of(once))
+        for again in (derive_endpoints(raw, cfg), derive_endpoints(once, cfg)):
+            assert (again.endpoint_specs, subjects_of(again)) == want
 
     def test_invalid_contrast(self, fixture_csv):
         raw = load_trial_csv(fixture_csv, FIXTURE_MAPPING)
@@ -221,14 +303,14 @@ class TestContrastParsing:
 class TestBaselineSummary:
     def _toy(self):
         subs = [
-            Subject("a", Group.TREATMENT, {"surv": tte(10)},
+            Subject("a", 1, {"surv": tte(10)},
                     {"age": 30, "male": 1, "karnofsky": 100, "prior_art": 0,
                      "cd4_baseline": 400, "race": 0}),
-            Subject("b", Group.CONTROL, {"surv": tte(20)},
+            Subject("b", 0, {"surv": tte(20)},
                     {"age": 40, "male": 0, "karnofsky": 90, "prior_art": 1,
                      "cd4_baseline": 300, "race": 1}),
         ]
-        return TrialDataset.from_subjects(subs, [SURV])
+        return dataset(subs, [SURV])
 
     def test_minimal_cohort_counts(self):
         table = baseline_summary(self._toy())
@@ -242,7 +324,7 @@ class TestBaselineSummary:
 
     def test_absent_covariates_reported_unavailable(self):
         subs = [subject("a", 1, surv=tte(1)), subject("b", 0, surv=tte(2))]
-        table = baseline_summary(TrialDataset.from_subjects(subs, [SURV]))
+        table = baseline_summary(dataset(subs, [SURV]))
         assert table.value("male", "all") is None
         assert table.columns == ("all",)
 
@@ -251,9 +333,9 @@ class TestBaselineSummary:
         subs, specs = random_integer_cohort(rng, 9)
         for s in subs:
             s.covariates["age"] = float(rng.integers(20, 60))  # type: ignore[index]
-        ds = TrialDataset.from_subjects(subs, specs)
+        ds = dataset(subs, specs)
         perm = rng.permutation(len(subs))
-        ds2 = TrialDataset.from_subjects([subs[i] for i in perm], specs)
+        ds2 = dataset([subs[i] for i in perm], specs)
         t1, t2 = baseline_summary(ds), baseline_summary(ds2)
         assert t1 == t2
 
@@ -261,29 +343,6 @@ class TestBaselineSummary:
         table = baseline_summary(self._toy())
         assert "unavailable" in table.to_text() or "n" in table.to_text()
         assert table.to_csv().startswith("characteristic,")
-
-
-class TestRoundTrip:
-    def test_mixed_dataset_round_trips(self, tmp_path):
-        rng = np.random.default_rng(11)
-        subs, specs = random_integer_cohort(rng, 10)
-        ds = TrialDataset.from_subjects(subs, specs)
-        path = tmp_path / "roundtrip.csv"
-        dataset_to_csv(ds, path)
-        assert dataset_from_csv(path, specs) == ds
-
-    @given(st.integers(0, 2**32 - 1))
-    def test_round_trip_random_cohorts(self, seed):
-        import tempfile
-        from pathlib import Path
-
-        rng = np.random.default_rng(seed)
-        subs, specs = random_integer_cohort(rng, int(rng.integers(4, 12)))
-        ds = TrialDataset.from_subjects(subs, specs)
-        with tempfile.TemporaryDirectory() as d:
-            path = Path(d) / "ds.csv"
-            dataset_to_csv(ds, path)
-            assert dataset_from_csv(path, specs) == ds
 
 
 class TestReplicaShape:
