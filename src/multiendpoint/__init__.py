@@ -24,7 +24,7 @@ from .errors import (
 )
 from .global_u import EndpointUStatistic, KernelSpec, KernelType, default_kernels, endpoint_u, global_u_test
 from .methods import METHOD_NAMES, run_method
-from .pairwise import gehan_score_vector, pairwise_score_vector, verdict_matrix
+from .pairwise import gehan_score_vector, pairwise_score_vector
 from .pairwise_tests import fs_test, win_ratio_test
 from .rank_tests import RankMatrix, multirank_test, obrien_test, rank_matrix
 from .resampling import (

@@ -332,7 +332,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"95% binomial band around alpha: [{band_low:.4f}, {band_high:.4f}]",
     ]
     for m in sim["methods"]:
-        report = error_rate_study(cfg, m, alpha, n_trials, plan)
+        try:
+            report = error_rate_study(cfg, m, alpha, n_trials, plan)
+        except InvalidDataError as exc:
+            # Simulated times and responses are valid for any accepted
+            # setting; only the marker, mean + SD x z, can leave float range.
+            raise ConfigError(
+                f"sim.marker_mean_* / sim.marker_sd_*: the simulated marker overflows ({exc})"
+            ) from exc
         flag = "within-band" if band_low <= report.rate <= band_high else "OUT-OF-BAND"
         lines.append(
             f"{m}: rejection rate {report.rate:.4f} "

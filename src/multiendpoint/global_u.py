@@ -19,8 +19,8 @@ import numpy as np
 from scipy import stats as sps
 
 from .errors import EmptyAfterExclusionError, KernelKindMismatchError
-from .pairwise import Level, PairCounts, endpoint_level, stack_tiles, sweep_counts
-from .resampling import PermutationPlan, inference_mode, permutation_test
+from .pairwise import Level, PairCounts, endpoint_level, sweep_counts
+from .resampling import PermutationPlan, inference_mode, label_product, permutation_test
 from .results import InferenceMode, TestResult, clamp_p
 from .trial_data import EndpointKind, TrialDataset
 
@@ -70,11 +70,6 @@ def _kernel_level(ds: TrialDataset, spec: KernelSpec) -> Level:
                 f"endpoint {spec.endpoint!r}"
             )
     return endpoint_level(ds, ep)
-
-
-def kernel_matrix(ds: TrialDataset, spec: KernelSpec) -> np.ndarray:
-    """Antisymmetric N x N int8 matrix of kernel values phi(i, j)."""
-    return stack_tiles([_kernel_level(ds, spec)])
 
 
 @dataclass(frozen=True)
@@ -187,10 +182,13 @@ def global_u_test(
 
     z = statistic / math.sqrt(variance) if variance and variance > 0 else math.nan
     # g' Phi (1 - g) = g . rowsum(Phi) because every kernel matrix is
-    # antisymmetric, so each replicate costs K dot products over int64 counts.
-    row_sums = np.column_stack([c.net for c in counts])
+    # antisymmetric, so each replicate costs K dot products over the counts.
+    row_sums = np.column_stack([c.net for c in counts]).astype(np.float64)
     res = permutation_test(
-        statistic, lambda block: _combine(block @ row_sums, weights, n_pairs), ds.group_codes, plan
+        statistic,
+        lambda block: _combine(label_product(block, row_sums), weights, n_pairs),
+        ds.group_codes,
+        plan,
     )
     metadata.update(res.metadata())
     return TestResult("global_u", statistic, variance, z, res.p, inference_mode(plan), metadata)

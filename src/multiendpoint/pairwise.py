@@ -4,13 +4,13 @@ Each hierarchy level is written as two per-subject keys (``Level``), and
 the N x N verdict matrix S is swept in row tiles of about 2M entries, which
 applies the level rule and the hierarchy in one place, ``_tiles``.
 ``sweep_counts`` reduces every tile at once to per-subject counts (net
-score, determinate pairs, wins and losses against the other group), so the
-tests' asymptotic paths need O(tile * N) memory, never S itself.
-``verdict_matrix`` stacks the same tiles into S: it is the matrix reference
-for the counts, and the source of the win ratio's determinacy matrix under
-a permutation plan. The scalar reference rule, one pair at a time, is
-``compare`` in ``tests/oracles.py``; property tests assert that S agrees
-with it.
+score, determinate pairs, wins and losses against the other group) and, on
+request, the list of pairs tied at every level, so no test holds S itself.
+The one N x N array left in ``src`` is ``determinacy_matrix``, the win
+ratio's permutation path for cohorts with more tie pairs than the sweep
+keeps. The scalar reference rule, one pair at a time, is ``compare`` in
+``tests/oracles.py``, and ``tests/oracles.py`` also stacks the tiles into S
+for the property tests.
 
 Survival-level determinacy is Gehan-style: subject a beats subject b only
 when b's event was observed and a's follow-up time strictly exceeds b's
@@ -93,13 +93,10 @@ def _tiles(
         yield rows, tile
 
 
-def stack_tiles(levels: Sequence[Level]) -> np.ndarray:
-    """The whole N x N int8 verdict matrix of ``levels``, tile by tile."""
-    n = len(levels[0].hi)
-    out = np.empty((n, n), dtype=np.int8)
-    for rows, tile in _tiles(levels):
-        out[rows] = tile
-    return out
+# A tie list longer than N^2 / _TIE_CAP_DIVISOR pairs is dropped: past that
+# many pairs the win ratio's dense product is the faster permutation path,
+# and the list stays a fraction of the N x N matrix it replaces.
+_TIE_CAP_DIVISOR = 64
 
 
 @dataclass(frozen=True)
@@ -110,23 +107,53 @@ class PairCounts:
     determinate: np.ndarray  # row sum of |S|: pairs decided at some level
     wins: np.ndarray  # subjects of the other group this subject beats
     losses: np.ndarray  # subjects of the other group that beat this subject
+    # (2, P) int32 pairs (i, j), i < j, tied at every level, in ascending i;
+    # None unless asked for and at most N^2 / _TIE_CAP_DIVISOR pairs.
+    ties: np.ndarray | None = None
 
 
-def sweep_counts(levels: Sequence[Level], treatment_mask: np.ndarray) -> PairCounts:
+def sweep_counts(
+    levels: Sequence[Level], treatment_mask: np.ndarray, collect_ties: bool = False
+) -> PairCounts:
     """Reduce each row tile to int64 counts as soon as it is built, so memory
     is O(tile * N) rather than N x N. Columns are swept treatment-first, which
-    makes each group's part of a tile a contiguous slice."""
+    makes each group's part of a tile a contiguous slice.
+
+    With ``collect_ties`` the same tiles also give the tie pairs. A tile's
+    off-diagonal zeros are counted from its determinate counts, and every
+    tie pair is an off-diagonal zero twice over the sweep; so a tile without
+    ties costs nothing more, and collecting stops for good once the zeros
+    seen so far prove the list will pass its cap."""
     treat = np.asarray(treatment_mask, dtype=bool)
+    n = treat.size
     n1 = int(treat.sum())
     order = np.argsort(~treat, kind="stable")
-    net = np.zeros((2, treat.size), dtype=np.int64)  # vs treatment, vs control
-    det = np.zeros((2, treat.size), dtype=np.int64)
+    net = np.zeros((2, n), dtype=np.int64)  # vs treatment, vs control
+    det = np.zeros((2, n), dtype=np.int64)
+    tie_parts: list[np.ndarray] | None = [] if collect_ties else None
+    tie_entries = 0
     for rows, tile in _tiles(levels, order):
         for k, part in enumerate((tile[:, :n1], tile[:, n1:])):
             # A row sum of at most N entries in {-1, 0, 1} fits int32, which
             # numpy reduces about twice as fast as int64.
             net[k, rows] = part.sum(axis=1, dtype=np.int32)
             det[k, rows] = np.abs(part).sum(axis=1, dtype=np.int32)
+        if tie_parts is None:
+            continue
+        zeros = tile.size - tile.shape[0] - int(det[:, rows].sum())
+        tie_entries += zeros
+        if tie_entries > 2 * (n * n // _TIE_CAP_DIVISOR):
+            tie_parts = None
+        elif zeros:
+            # flatnonzero: 2-D nonzero is ~10x slower on a sparse tile
+            i, c = np.divmod(np.flatnonzero(tile == 0), n)
+            i += rows.start
+            j = order[c]
+            upper = i < j
+            tie_parts.append(np.stack([i[upper], j[upper]]).astype(np.int32))
+    ties = None
+    if tie_parts is not None:
+        ties = np.concatenate([np.zeros((2, 0), dtype=np.int32), *tie_parts], axis=1)
     net_other = np.where(treat, net[1], net[0])
     det_other = np.where(treat, det[1], det[0])
     return PairCounts(
@@ -134,6 +161,7 @@ def sweep_counts(levels: Sequence[Level], treatment_mask: np.ndarray) -> PairCou
         determinate=det.sum(axis=0),
         wins=(det_other + net_other) // 2,
         losses=(det_other - net_other) // 2,
+        ties=ties,
     )
 
 
@@ -147,21 +175,28 @@ def _hierarchy_levels(
     return [endpoint_level(ds, spec) for spec in ordered]
 
 
-def verdict_matrix(
+def determinacy_matrix(
     ds: TrialDataset, hierarchy: Sequence[EndpointSpec] | None = None
 ) -> np.ndarray:
-    """N x N int8 matrix of hierarchy verdicts; entry (i, j) = +1 when i beats j.
+    """N x N float32 |S|: 1 where the hierarchy decides the pair, else 0.
 
-    Antisymmetric with zero diagonal.
+    The win ratio's permutation path for cohorts with too many tie pairs
+    for ``sweep_counts`` to list.
     """
-    return stack_tiles(_hierarchy_levels(ds, hierarchy))
+    levels = _hierarchy_levels(ds, hierarchy)
+    out = np.empty((ds.n, ds.n), dtype=np.float32)
+    for rows, tile in _tiles(levels):
+        out[rows] = tile != 0
+    return out
 
 
 def pair_counts(
-    ds: TrialDataset, hierarchy: Sequence[EndpointSpec] | None = None
+    ds: TrialDataset,
+    hierarchy: Sequence[EndpointSpec] | None = None,
+    collect_ties: bool = False,
 ) -> PairCounts:
     """Per-subject counts of the hierarchy verdicts, without the N x N matrix."""
-    return sweep_counts(_hierarchy_levels(ds, hierarchy), ds.treatment_mask)
+    return sweep_counts(_hierarchy_levels(ds, hierarchy), ds.treatment_mask, collect_ties)
 
 
 def pairwise_score_vector(

@@ -2,12 +2,15 @@
 test (generalized Gehan-Wilcoxon) and the win ratio.
 
 Both tests read per-subject counts from one row-tiled sweep of every subject
-pair (``pairwise.pair_counts``), so asymptotic inference holds no N x N
-matrix. Permutation replicates of fs need only the net scores, O(N) per
-replicate. The win ratio's wins + losses under relabeling need the
-determinacy matrix |S|, so a permutation plan stacks the N x N verdict
-matrix once and does one thin float32 product per block. Float32 products
-are exact here: every partial sum is an integer far below 2**24.
+pair (``pairwise.pair_counts``), so they hold no N x N matrix. A permutation
+replicate of fs needs only the net scores: a float64 product with each
+label block. The win ratio's wins + losses under relabeling is g'|S|(1 - g) for
+labels g; with |S| = J - I - T, T the pairs tied at every level, that is
+g'd - n1(n1 - 1) + 2 * (tie pairs inside the relabeled treatment group),
+from the tie list the same sweep gives. A cohort with more tie pairs than
+the sweep keeps falls back to the dense |S| and one float32 product per
+block. Every product is exact: each partial sum is an integer, far below
+2**24 in float32 and 2**53 in float64.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import stats as sps
 
-from .pairwise import PairCounts, pair_counts, pairwise_score_vector, verdict_matrix
-from .resampling import PermutationPlan, inference_mode, permutation_test
+from .pairwise import PairCounts, determinacy_matrix, pair_counts, pairwise_score_vector
+from .resampling import PermutationPlan, inference_mode, label_product, permutation_test
 from .results import InferenceMode, TestResult, WinRatioResult, clamp_p
 from .trial_data import EndpointSpec, MissingPolicy, TrialDataset, validate_hierarchy
 
@@ -78,7 +81,11 @@ def fs_test(
         p = clamp_p(2.0 * float(sps.norm.sf(abs(z))))
         return TestResult("fs", statistic, variance, z, p, InferenceMode.ASYMPTOTIC, metadata)
 
-    res = permutation_test(statistic, lambda block: block[:, kept] @ u, ds.group_codes, plan)
+    u_all = np.zeros(ds.n)  # zero on excluded subjects, so no column gather
+    u_all[kept] = u
+    res = permutation_test(
+        statistic, lambda block: label_product(block, u_all), ds.group_codes, plan
+    )
     metadata.update(res.metadata())
     return TestResult("fs", statistic, variance, z, res.p, inference_mode(plan), metadata)
 
@@ -111,7 +118,7 @@ def win_ratio_test(
     kept = _complete_case_kept(ds, hierarchy)
     sub = ds if kept.size == ds.n else ds.subset(kept)
 
-    counts = pair_counts(sub, hierarchy)
+    counts = pair_counts(sub, hierarchy, collect_ties=plan is not None)
     treat = sub.treatment_mask
     n1, n0 = sub.n_treatment, sub.n_control
     n_wins = int(counts.wins[treat].sum())
@@ -173,7 +180,8 @@ def win_ratio_test(
             InferenceMode.ASYMPTOTIC, metadata,
         )
 
-    reduce = _log_wr_reducer(verdict_matrix(sub, hierarchy), counts, kept)
+    dense = None if counts.ties is not None else determinacy_matrix(sub, hierarchy)
+    reduce = _log_wr_reducer(counts, kept, ds.n, dense)
     res = permutation_test(observed_log, reduce, ds.group_codes, plan)
     metadata.update(res.metadata())
     metadata["z"] = z
@@ -199,23 +207,47 @@ def _jackknife_log_wr(
     return np.log(wins_loo / losses_loo)
 
 
+# Label entries per chunk of gathered tie pairs.
+_TIE_CHUNK_ENTRIES = 1 << 20
+
+
+def _tie_products(block: np.ndarray, subjects: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Per block row, the number of tie pairs whose two subjects both carry
+    label 1; ``pairs`` holds positions in ``subjects``, the block columns
+    that take part in some tie."""
+    labels = block.T[subjects]  # a subject's labels are one contiguous row
+    out = np.zeros(block.shape[0], dtype=np.int64)
+    step = max(1, _TIE_CHUNK_ENTRIES // block.shape[0])
+    for start in range(0, pairs.shape[1], step):
+        both = labels[pairs[0, start : start + step]]
+        both &= labels[pairs[1, start : start + step]]
+        out += both.sum(axis=0, dtype=np.int32)
+    return out
+
+
 def _log_wr_reducer(
-    S: np.ndarray, counts: PairCounts, kept: np.ndarray
+    counts: PairCounts, kept: np.ndarray, n: int, dense: np.ndarray | None
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Block reducer for the null draws of log WR. wins - losses comes from
-    the antisymmetric part (an O(N) dot per replicate); wins + losses needs
-    g' D (1-g) with the symmetric determinacy matrix D, done as one float32
-    product per block."""
-    u = counts.net
-    D = np.abs(S).astype(np.float32)
-    d_row = counts.determinate
+    """Block reducer for the null draws of log WR. For labels g over the kept
+    subjects, wins - losses = g'u and wins + losses = g'd - g'|S|g, with u
+    and d the net and determinate counts. g'|S|g is n1(n1 - 1) minus twice
+    the tie pairs inside the treatment group, or, given the ``dense`` |S|,
+    one float32 product."""
+    # Columns u, d and 1 over the kept subjects, zero on the excluded ones.
+    weights = np.zeros((n, 3))
+    weights[kept] = np.column_stack([counts.net, counts.determinate, np.ones(kept.size)])
+    if dense is None:
+        subjects, pairs = np.unique(kept[counts.ties.ravel()], return_inverse=True)
+        pairs = pairs.reshape(2, -1)
 
     def reduce(block: np.ndarray) -> np.ndarray:
-        g = block[:, kept]
-        diff = (g @ u).astype(np.float64)
-        gf = g.astype(np.float32)
-        quad = np.einsum("bi,bi->b", gf @ D, gf, dtype=np.float64)
-        det = (g @ d_row).astype(np.float64) - quad
+        diff, g_det, n1 = label_product(block, weights).T
+        if dense is None:
+            quad = n1 * (n1 - 1) - 2.0 * _tie_products(block, subjects, pairs)
+        else:
+            gf = (block if kept.size == n else block[:, kept]).astype(np.float32)
+            quad = np.einsum("bi,bi->b", gf @ dense, gf, dtype=np.float64)
+        det = g_det - quad
         wins = (det + diff) / 2.0
         losses = (det - diff) / 2.0
         with np.errstate(divide="ignore", invalid="ignore"):

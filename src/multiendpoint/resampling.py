@@ -288,6 +288,25 @@ def pvalue_from_draws(
     )
 
 
+# Label entries converted to float64 at a time by ``label_product``: a 1 MB
+# copy stays in cache for its product, which measured 1.5x (N=2467) to 4x
+# (N=10,000) faster than converting a whole 1024-row block at once.
+_PRODUCT_ENTRIES = 1 << 17
+
+
+def label_product(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``block @ weights`` for a 0/1 label block and integer-valued float64
+    weights, as float64 BLAS products over row slices (numpy runs integer
+    matmuls without BLAS, several times slower). The result equals integer
+    arithmetic bit for bit: each partial sum is an integer far below 2**53,
+    exact in any order.
+    """
+    step = max(1, _PRODUCT_ENTRIES // max(block.shape[1], 1))
+    return np.concatenate(
+        [block[r : r + step].astype(np.float64) @ weights for r in range(0, len(block), step)]
+    )
+
+
 def permutation_test(
     observed: float,
     reduce: Callable[[np.ndarray], np.ndarray],

@@ -171,7 +171,8 @@ def simulate_trial(cfg: SimConfig) -> TrialDataset:
 
     mean = np.where(treat, cfg.continuous.mean_treatment, cfg.continuous.mean_control)
     sd = np.where(treat, cfg.continuous.sd_treatment, cfg.continuous.sd_control)
-    marker = mean + sd * z[:, 1]
+    with np.errstate(over="ignore"):  # the dataset constructor reports an infinite marker
+        marker = mean + sd * z[:, 1]
 
     p_bin = np.where(treat, cfg.binary.p_treatment, cfg.binary.p_control)
     response = (sps.norm.cdf(z[:, 2]) < p_bin).astype(np.float64)

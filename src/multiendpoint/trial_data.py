@@ -365,6 +365,14 @@ def _apply_contrast(arms: np.ndarray, contrast: Contrast) -> tuple[np.ndarray, n
     return idx, group[idx]
 
 
+def _empty_group(contrast: str, group: np.ndarray) -> EmptyGroupError:
+    """The empty-group error of a contrast, naming it."""
+    n1 = int(group.sum())
+    return EmptyGroupError(
+        f"contrast {contrast!r} left an empty group (treatment={n1}, control={group.size - n1})"
+    )
+
+
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
@@ -491,23 +499,27 @@ def load_trial_csv(
 
     arms_arr = np.asarray(arms)
     kept, group = _apply_contrast(arms_arr, con)
-    columns = {
-        RAW_EVENT_ENDPOINT: (np.asarray(days)[kept], np.asarray(events, dtype=bool)[kept])
-    }
+    columns = {RAW_EVENT_ENDPOINT: (np.asarray(days), np.asarray(events, dtype=bool))}
     for spec_name, col in ((RAW_CD4_WEEK20, mapping.cd4_week20), (RAW_CD4_WEEK96, mapping.cd4_week96)):
         if col is not None:
-            vals = np.asarray(optionals[col])[kept]
+            vals = np.asarray(optionals[col])
             columns[spec_name] = (vals, ~np.isnan(vals))
 
-    covariates = {"arm": arms_arr[kept]}
+    covariates = {"arm": arms_arr}
     if mapping.cd4_baseline is not None:
-        covariates["cd4_baseline"] = np.asarray(optionals[mapping.cd4_baseline])[kept]
+        covariates["cd4_baseline"] = np.asarray(optionals[mapping.cd4_baseline])
     for name in mapping.covariates:
-        covariates[name] = np.asarray(cov_rows[name])[kept]
+        covariates[name] = np.asarray(cov_rows[name])
 
-    return TrialDataset(
-        _raw_specs(mapping), [ids[i] for i in kept], group, columns, covariates
-    )
+    # Every parsed row goes through the constructor's checks, also the rows
+    # of arms the contrast drops (they carry code 0 until the subset).
+    all_rows = np.zeros(arms_arr.size, dtype=np.int8)
+    all_rows[kept] = group
+    try:
+        ds = TrialDataset(_raw_specs(mapping), ids, all_rows, columns, covariates)
+        return ds if kept.size == ds.n else ds.subset(kept)
+    except EmptyGroupError:
+        raise _empty_group(contrast, group) from None
 
 
 def _req_float(row: Mapping[str, str], col: str, rownum: int) -> float:
@@ -605,7 +617,10 @@ def derive_endpoints(raw: TrialDataset, config: DerivationConfig = DerivationCon
         columns[RAW_CD4_WEEK96] = (vals, ~np.isnan(vals))
 
     covariates = {k: raw.covariate(k)[kept] for k in raw.covariate_names}
-    return TrialDataset(specs, [raw.ids[i] for i in kept], group, columns, covariates)
+    try:
+        return TrialDataset(specs, [raw.ids[i] for i in kept], group, columns, covariates)
+    except EmptyGroupError:
+        raise _empty_group(config.contrast, group) from None
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ loops, re-deriving each statistic from its definition rather than calling
 the production code paths. Fixtures feed integer-valued outcomes so every
 intermediate sum is exact in float64; where a statistic ends in a
 transcendental (the log win ratio), the oracle applies the same ``np.log``
-ufunc so that tie comparisons against the engine are well defined.
+ufunc so that tie comparisons against the engine are well defined. The one
+exception is the N x N matrices, which are stacked from the production row
+tiles; property tests pin them to ``compare``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from typing import Sequence
 import numpy as np
 from scipy import stats as sps
 
-from multiendpoint import Direction, EndpointKind
+from multiendpoint import Direction, EndpointKind, TrialDataset
+from multiendpoint.global_u import KernelSpec, _kernel_level
+from multiendpoint.pairwise import Level, _hierarchy_levels, _tiles
 from support import Subject, Tte, Value
 
 # ---------------------------------------------------------------------------
@@ -59,6 +63,31 @@ def score_vector(subjects: Sequence[Subject], hierarchy) -> list[int]:
                 u += compare(a, b, hierarchy)[0]
         out.append(u)
     return out
+
+
+# ---------------------------------------------------------------------------
+# N x N matrices stacked from the production row tiles
+# ---------------------------------------------------------------------------
+
+
+def stack_tiles(levels: Sequence[Level]) -> np.ndarray:
+    """The whole N x N int8 verdict matrix of ``levels``, tile by tile."""
+    n = len(levels[0].hi)
+    out = np.empty((n, n), dtype=np.int8)
+    for rows, tile in _tiles(levels):
+        out[rows] = tile
+    return out
+
+
+def verdict_matrix(ds: TrialDataset, hierarchy=None) -> np.ndarray:
+    """N x N int8 matrix of hierarchy verdicts; entry (i, j) = +1 when i
+    beats j. Antisymmetric with zero diagonal."""
+    return stack_tiles(_hierarchy_levels(ds, hierarchy))
+
+
+def kernel_matrix(ds: TrialDataset, spec: KernelSpec) -> np.ndarray:
+    """Antisymmetric N x N int8 matrix of global-U kernel values phi(i, j)."""
+    return stack_tiles([_kernel_level(ds, spec)])
 
 
 # ---------------------------------------------------------------------------

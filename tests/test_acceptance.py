@@ -31,13 +31,13 @@ from multiendpoint import (
     rank_matrix,
     run_method,
     simulate_trial,
-    verdict_matrix,
     win_ratio_test,
 )
-from multiendpoint.global_u import _combine, _normalized_weights, kernel_matrix
+from multiendpoint.global_u import _combine, _normalized_weights
 from multiendpoint.resampling import iter_label_blocks
 from multiendpoint.simgen import binomial_band
 import oracles
+from oracles import kernel_matrix, verdict_matrix
 from support import dataset, random_integer_cohort, subjects_of
 
 TABLE2_THRESHOLDS = {

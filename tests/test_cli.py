@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -187,11 +188,15 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(tmp_path / "none.yaml")) == EXIT_NOT_FOUND
 
 
-def edited_replica(replica: str, path: Path, column: str, token: str) -> str:
-    """A copy of the replica with ``column`` of its first row set to ``token``."""
+def edited_replica(
+    replica: str, path: Path, column: str, token: str, arm: str | None = None
+) -> str:
+    """A copy of the replica with ``column`` of its first row (its first row
+    in ``arm``, when given) set to ``token``."""
     with open(replica, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    rows[0][column] = token
+    row = next(r for r in rows if arm is None or r["arms"] == arm)
+    row[column] = token
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, list(rows[0]))
         writer.writeheader()
@@ -214,6 +219,36 @@ class TestBadData:
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
         assert "11043" in err or "row 1, column 'arms'" in err or "'11335'" in err
+
+    @pytest.mark.parametrize(
+        "column, token, message",
+        [("days", "inf", "'11043' is inf"), ("pidnum", "11335", "duplicate subject id '11335'")],
+    )
+    def test_rejected_value_in_a_dropped_arm_is_data_error(
+        self, replica, tmp_path, capsys, column, token, message
+    ):
+        # The 1_vs_0 contrast drops arms 2 and 3, but every parsed row is
+        # checked: row 1 (id 11043, arm 2) gets the bad value or the id of
+        # row 2 (arm 3).
+        path = edited_replica(replica, tmp_path / "edited.csv", column, token, arm="2")
+        code = run_cli("analyze", "--input", path, "--mode", "asymptotic", "--methods", "fs",
+                       "--contrast", "1_vs_0")
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
+
+    def test_empty_group_names_the_contrast(self, replica, tmp_path, capsys):
+        with open(replica, newline="") as fh:
+            lines = fh.read().splitlines(True)
+        arm = lines[0].strip().split(",").index("arms")
+        arm0 = [line for line in lines[1:] if line.strip().split(",")[arm] == "0"][:10]
+        path = tmp_path / "arm0.csv"
+        path.write_text(lines[0] + "".join(arm0))
+        code = run_cli("analyze", "--input", str(path), "--mode", "asymptotic", "--methods", "fs")
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: contrast 'rest_vs_0' left an empty group (treatment=0, control=10)\n"
+        )
 
     def test_directory_input_is_not_found(self, tmp_path, capsys):
         assert run_cli("analyze", "--input", str(tmp_path)) == EXIT_NOT_FOUND
@@ -300,6 +335,21 @@ class TestMistypedConfig:
         code = run_cli(command, "--config", str(path), "--out", str(tmp_path / "out"))
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_marker_overflow_is_config_error(self, tmp_path, capsys):
+        # mean + SD x z past float range: a setting the key checks cannot
+        # rule out, reported as a config error without numpy's warning.
+        path = tmp_path / "cfg.yaml"
+        sim = {**TINY_STUDY, "marker_sd_treatment": 1.7e308, "marker_sd_control": 1.7e308}
+        path.write_text(yaml.safe_dump({"sim": sim}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "config error: sim.marker_mean_* / sim.marker_sd_*: the simulated marker overflows"
+        )
+        assert [w.message for w in caught] == []
 
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
         code = run_cli("simulate", "--seed", "-1", "--out", str(tmp_path / "out"))

@@ -3,7 +3,8 @@ reference reducer of ``permutation_pvalue``, which reruns the full statistic
 on every relabeled dataset through the same driver: the same p and the same
 six permutation metadata fields to the last bit, and the inference mode of
 the plan. The pairwise references reduce the stacked N x N matrices, while
-the tests themselves use the row-tiled counts."""
+the tests themselves use the row-tiled counts (and the win ratio its tie
+pairs, or the dense |S| when they are too many)."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import pytest
 from multiendpoint import (
     BinaryModel,
     InferenceMode,
+    MissingPolicy,
     PermutationPlan,
     SimConfig,
     fs_test,
@@ -26,17 +28,34 @@ from multiendpoint import (
     simulate_trial,
     win_ratio_test,
 )
-from multiendpoint import pairwise
-from multiendpoint.global_u import _combine, _normalized_weights, default_kernels, kernel_matrix
-from multiendpoint.pairwise import verdict_matrix
+from multiendpoint import pairwise, resampling
+from multiendpoint.global_u import _combine, _normalized_weights, default_kernels
 from multiendpoint.rank_tests import _quadform_stats, rank_matrix
 import oracles
-from support import dataset, random_integer_cohort, subjects_of
+from oracles import kernel_matrix, verdict_matrix
+from support import cont, dataset, random_integer_cohort, subjects_of
 
 
 @pytest.fixture(scope="module")
 def ds():
     return simulate_trial(SimConfig.null(7, seed=7))
+
+
+@pytest.fixture(scope="module")
+def tied(ds):
+    """``ds`` with three subjects copied onto three others: tie pairs inside
+    the treatment group, across the groups and inside the control group,
+    with rows 0, 4 and 12 in three different 3-row tiles. Three pairs is the
+    N^2 / 64 cap at N = 14, so the win ratio takes its tie-pair path."""
+    subs = subjects_of(ds)
+    for a, b in [(0, 1), (4, 9), (12, 13)]:
+        subs[b] = replace(subs[b], outcomes=subs[a].outcomes)
+    return dataset(subs, ds.endpoint_specs)
+
+
+def tie_pairs(d):
+    """The win ratio's tie list for ``d``: None means the dense path."""
+    return pairwise.pair_counts(d, collect_ties=True).ties
 
 
 PLANS = [
@@ -58,6 +77,11 @@ def wr_stat(d):
     l = float((cross == -1).sum())
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(np.log(np.float64(w)) - np.log(np.float64(l)))
+
+
+def wr_stat_complete_case(d):
+    """``wr_stat`` over the subjects present on the complete-case marker."""
+    return wr_stat(d.subset(np.flatnonzero(d.present("marker"))))
 
 
 def obrien_stat(d):
@@ -129,6 +153,41 @@ class TestFastPathsMatchGenericEngine:
     def test_win_ratio(self, ds, plan):
         assert_same_null(win_ratio_test(ds, plan=plan), permutation_pvalue(wr_stat, ds, plan))
 
+    def test_win_ratio_tie_pairs(self, tied, plan):
+        assert tie_pairs(tied).T.tolist() == [[0, 1], [4, 9], [12, 13]]
+        assert_same_null(
+            win_ratio_test(tied, plan=plan), permutation_pvalue(wr_stat, tied, plan)
+        )
+
+    def test_win_ratio_tie_heavy_dense(self, plan):
+        subs, specs = random_integer_cohort(np.random.default_rng(1), 14)
+        heavy = dataset(subs, specs)
+        assert tie_pairs(heavy) is None
+        assert_same_null(
+            win_ratio_test(heavy, plan=plan), permutation_pvalue(wr_stat, heavy, plan)
+        )
+
+    @pytest.mark.parametrize("path", ["tie_pairs", "dense"])
+    def test_win_ratio_complete_case(self, tied, plan, path, monkeypatch):
+        # Two subjects miss a complete-case marker. They still carry labels,
+        # so the kept treatment count n1 differs from one relabeling to the
+        # next; the three tie pairs are all kept.
+        subs = subjects_of(tied)
+        for i in (2, 7):
+            subs[i] = replace(subs[i], outcomes={**subs[i].outcomes, "marker": cont()})
+        specs = [
+            replace(s, missing_policy=MissingPolicy.COMPLETE_CASE) if s.name == "marker" else s
+            for s in tied.endpoint_specs
+        ]
+        sparse = dataset(subs, specs)
+        cap_divisor = 1 if path == "tie_pairs" else sparse.n ** 2 + 1  # cap N^2 or 0
+        monkeypatch.setattr(pairwise, "_TIE_CAP_DIVISOR", cap_divisor)
+        fast = win_ratio_test(sparse, plan=plan)
+        assert fast.metadata["n_excluded"] == 2
+        ties = tie_pairs(sparse.subset(np.flatnonzero(sparse.present("marker"))))
+        assert (ties is None) == (path == "dense")
+        assert_same_null(fast, permutation_pvalue(wr_stat_complete_case, sparse, plan))
+
     def test_obrien(self, ds, plan):
         assert_same_null(obrien_test(ds, plan=plan), permutation_pvalue(obrien_stat, ds, plan))
 
@@ -163,17 +222,25 @@ class TestFastPathsMatchGenericEngine:
     def test_global_u(self, ds, plan):
         assert_same_null(global_u_test(ds, plan=plan), permutation_pvalue(gu_stat(ds), ds, plan))
 
-    def test_pairwise_tests_across_row_tiles(self, ds, plan, monkeypatch):
-        # Tiles of 3 rows (the last one of 2) instead of one tile for N=14:
-        # every statistic, variance and p is unchanged to the last bit, and
-        # the reducers still match the references.
+    def test_pairwise_tests_across_row_tiles(self, ds, tied, plan, monkeypatch):
+        # Tiles of 3 rows (the last one of 2) instead of one tile for N=14,
+        # and label products over slices of 5 block rows: every statistic,
+        # variance and p is unchanged to the last bit, the tie list of
+        # ``tied`` is gathered over several tiles, and the reducers still
+        # match the references.
+        cohorts = (ds, tied)
+
         def run():
             tests = (fs_test, win_ratio_test, global_u_test)
-            return [test(ds, plan=p) for test in tests for p in (None, plan)]
+            return [test(d, plan=p) for d in cohorts for test in tests for p in (None, plan)]
 
-        one_tile = run()
+        one_tile = run(), [tie_pairs(d).tolist() for d in cohorts]
         monkeypatch.setattr(pairwise, "_TILE_ENTRIES", 3 * ds.n)
-        tiled = run()
-        assert [result_bits(r) for r in tiled] == [result_bits(r) for r in one_tile]
-        for fast, stat in zip(tiled[1::2], (fs_stat, wr_stat, gu_stat(ds))):
-            assert_same_null(fast, permutation_pvalue(stat, ds, plan))
+        monkeypatch.setattr(resampling, "_PRODUCT_ENTRIES", 5 * ds.n)
+        tiled = run(), [tie_pairs(d).tolist() for d in cohorts]
+        assert [result_bits(r) for r in tiled[0]] == [result_bits(r) for r in one_tile[0]]
+        assert tiled[1] == one_tile[1]
+        fast = iter(tiled[0][1::2])
+        for d in cohorts:
+            for stat in (fs_stat, wr_stat, gu_stat(d)):
+                assert_same_null(next(fast), permutation_pvalue(stat, d, plan))

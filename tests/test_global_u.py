@@ -15,9 +15,9 @@ from multiendpoint import (
     global_u_test,
     permutation_pvalue,
     simulate_trial,
-    verdict_matrix,
 )
 import oracles
+from oracles import kernel_matrix, verdict_matrix
 from support import SURV, cont, dataset, random_integer_cohort, subject, subjects_of
 
 SCORE_KERNEL = KernelSpec("score", KernelType.SIGNED_DIFFERENCE)
@@ -174,7 +174,7 @@ class TestGlobalU:
         ds = simulate_trial(cfg)
         r = global_u_test(ds)
         from multiendpoint.resampling import iter_label_blocks
-        from multiendpoint.global_u import kernel_matrix, _normalized_weights, _combine
+        from multiendpoint.global_u import _normalized_weights, _combine
 
         kernels = default_kernels(ds)
         w = _normalized_weights(kernels)

@@ -12,18 +12,19 @@ from hypothesis import strategies as st
 from multiendpoint import (
     Direction,
     HierarchyMismatchError,
+    PermutationPlan,
     SimConfig,
     TrialDataset,
     gehan_score_vector,
     pairwise_score_vector,
     run_method,
     simulate_trial,
-    verdict_matrix,
 )
 from multiendpoint import pairwise
-from multiendpoint.global_u import default_kernels, endpoint_u, kernel_matrix
+from multiendpoint.global_u import default_kernels, endpoint_u
 from multiendpoint.pairwise import pair_counts
 import oracles
+from oracles import kernel_matrix, verdict_matrix
 from support import (
     FLAG,
     SCORE,
@@ -292,6 +293,31 @@ class TestRowTiles:
         wins, losses, _ = oracles.win_counts(subs, TILE_HIERARCHY)
         assert (counts.wins[treat].sum(), counts.losses[treat].sum()) == (wins, losses)
 
+    def test_tie_pairs_match_compare_pair(self, ds, monkeypatch):
+        monkeypatch.setattr(pairwise, "_TIE_CAP_DIVISOR", 1)  # a cap of N^2 keeps them all
+        subs = subjects_of(ds)
+        want = [
+            [i, j]
+            for i in range(ds.n)
+            for j in range(i + 1, ds.n)
+            if oracles.compare(subs[i], subs[j], TILE_HIERARCHY)[0] == 0
+        ]
+        ties = pair_counts(ds, collect_ties=True).ties
+        assert ties.dtype == np.int32
+        assert sorted(ties.T.tolist()) == want
+        assert np.all(np.diff(ties[0]) >= 0)  # ascending i
+        assert pair_counts(ds).ties is None  # only when asked for
+
+    def test_tie_list_is_dropped_past_its_cap(self, ds, monkeypatch):
+        n = ds.n
+        monkeypatch.setattr(pairwise, "_TIE_CAP_DIVISOR", 1)
+        n_ties = pair_counts(ds, collect_ties=True).ties.shape[1]
+        assert n_ties > 0
+        for divisor in range(1, n * n + 2):
+            monkeypatch.setattr(pairwise, "_TIE_CAP_DIVISOR", divisor)
+            ties = pair_counts(ds, collect_ties=True).ties
+            assert (ties is None) == (n_ties > n * n // divisor)
+
     def test_single_level_sweeps_match_oracles(self, ds):
         got = gehan_score_vector(ds.times("surv"), ds.events_observed("surv"))
         subs = subjects_of(ds)
@@ -327,3 +353,18 @@ def test_asymptotic_memory_stays_below_n_squared(cohort_6k, method):
     finally:
         tracemalloc.stop()
     assert peak < cohort_6k.n ** 2
+
+
+def test_permutation_win_ratio_memory_stays_below_n_squared():
+    """With few tie pairs the permutation win ratio holds no N x N array:
+    at N=10,000 its peak traced allocation stays under 64 MB, where the
+    int8 verdict matrix alone would take 100 MB."""
+    ds = simulate_trial(SimConfig.null(5000, seed=0))
+    tracemalloc.start()
+    try:
+        result = run_method("win_ratio", ds, PermutationPlan.monte_carlo(64, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.metadata["replicates_used"] == 64
+    assert peak < 64 * 2**20
