@@ -21,14 +21,15 @@ Run from the repository root:
 
     python3 scripts/build_actg175_replica.py [--check]
 
-``--check`` reruns the four Table-2 methods on the generated file with a
-small permutation budget and prints the p-values.
+``--check`` reruns the five tests on the generated file with a small
+permutation budget and prints the p-values.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from pathlib import Path
 
@@ -173,13 +174,19 @@ def _norm_cdf(x):
     return norm.cdf(x)
 
 
+def to_csv(rows) -> str:
+    """The CSV text of ``rows``, header first, as written to the data file."""
+    buf = io.StringIO(newline="")
+    w = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    w.writeheader()
+    w.writerows(rows)
+    return buf.getvalue()
+
+
 def write(rows) -> None:
     OUT.parent.mkdir(parents=True, exist_ok=True)
-    fieldnames = list(rows[0])
     with open(OUT, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fieldnames)
-        w.writeheader()
-        w.writerows(rows)
+        fh.write(to_csv(rows))
     print(f"wrote {len(rows)} rows -> {OUT}")
 
 
@@ -210,7 +217,7 @@ def check() -> None:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true",
-                    help="run the four tests on the generated file")
+                    help="run the five tests on the generated file")
     args = ap.parse_args()
     write(build())
     if args.check:

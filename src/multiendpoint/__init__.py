@@ -33,7 +33,7 @@ from .resampling import (
     derive_replicate_seed,
     permutation_pvalue,
 )
-from .results import InferenceMode, TestResult, WinRatioResult
+from .results import InferenceMode, TestResult
 from .simgen import (
     BinaryModel,
     ContinuousModel,

@@ -1,13 +1,12 @@
 """Uniform front door to the five test procedures.
 
-``run_method`` returns a :class:`TestResult` for every method so the CLI,
-the simulation studies and the acceptance harness can treat them alike; the
-win ratio's richer result stays available through ``win_ratio_test``.
+Every test returns a :class:`TestResult`, so the CLI, the simulation
+studies and the acceptance harness treat them alike; ``run_method`` picks
+the test by name.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from .global_u import KernelSpec, global_u_test
@@ -18,37 +17,6 @@ from .results import TestResult
 from .trial_data import EndpointSpec, TrialDataset
 
 METHOD_NAMES = ("rank_sum", "fs", "win_ratio", "multirank", "global_u")
-
-
-def _win_ratio_as_test_result(ds, hierarchy, plan) -> TestResult:
-    wr = win_ratio_test(ds, hierarchy, plan)
-    if wr.n_wins == 0 and wr.n_losses == 0:
-        statistic = 0.0
-    else:
-        statistic = wr.log_wr if wr.log_wr is not None else (
-            math.inf if wr.n_losses == 0 else -math.inf
-        )
-    se = wr.metadata.get("jackknife_se")
-    metadata = dict(wr.metadata)
-    metadata.update(
-        {
-            "n_wins": wr.n_wins,
-            "n_losses": wr.n_losses,
-            "n_ties": wr.n_ties,
-            "win_ratio": wr.win_ratio,
-            "ci_95": list(wr.ci_95) if wr.ci_95 is not None else None,
-        }
-    )
-    z = metadata.pop("z", math.nan)
-    return TestResult(
-        method="win_ratio",
-        statistic=statistic,
-        variance=se**2 if se is not None else math.nan,
-        z=z,
-        p_two_sided=wr.p_two_sided,
-        inference_mode=wr.inference_mode,
-        metadata=metadata,
-    )
 
 
 def run_method(
@@ -66,7 +34,7 @@ def run_method(
     if name == "fs":
         return fs_test(ds, hierarchy, plan)
     if name == "win_ratio":
-        return _win_ratio_as_test_result(ds, hierarchy, plan)
+        return win_ratio_test(ds, hierarchy, plan)
     if name == "multirank":
         return multirank_test(ds, endpoints, plan)
     if name == "global_u":

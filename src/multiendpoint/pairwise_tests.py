@@ -23,7 +23,7 @@ from scipy import stats as sps
 
 from .pairwise import PairCounts, determinacy_matrix, pair_counts, pairwise_score_vector
 from .resampling import PermutationPlan, inference_mode, label_product, permutation_test
-from .results import InferenceMode, TestResult, WinRatioResult, clamp_p
+from .results import InferenceMode, TestResult, clamp_p
 from .trial_data import EndpointSpec, MissingPolicy, TrialDataset, validate_hierarchy
 
 
@@ -105,13 +105,21 @@ def win_ratio_test(
     ds: TrialDataset,
     hierarchy: Sequence[EndpointSpec] | None = None,
     plan: PermutationPlan | None = None,
-) -> WinRatioResult:
-    """Tally wins/losses/ties over all treatment x control ordered pairs.
+) -> TestResult:
+    """Log win ratio over all treatment x control ordered pairs.
+
+    ``statistic`` is log(wins) - log(losses): inf/-inf when the ratio is
+    unbounded (wins with zero losses) or has zero wins, and 0.0 when no pair
+    was determinate. ``metadata`` holds the tallies ``n_wins``, ``n_losses``
+    and ``n_ties``, the ratio ``win_ratio`` (inf when unbounded, NaN when no
+    pair was determinate) and ``ci_95`` (None unless the ratio is finite,
+    positive and has a positive SE).
 
     Asymptotic inference: delete-one-subject jackknife SE on log WR over the
-    pooled cohort, normal reference, 95% CI on the ratio scale. With a plan,
-    the p-value comes from label permutation of log WR; an unbounded observed
-    ratio suppresses the asymptotic summary but still permutes (non-finite
+    pooled cohort (``variance`` is its square, NaN when there is none),
+    normal reference, 95% CI on the ratio scale. With a plan, the p-value
+    comes from label permutation of log WR; an unbounded observed ratio
+    suppresses the asymptotic summary but still permutes (non-finite
     replicate values count as extreme).
     """
     hierarchy = _resolve_hierarchy(ds, hierarchy)
@@ -131,63 +139,52 @@ def win_ratio_test(
         "n_control": n0,
         "n_excluded": ds.n - kept.size,
     }
-
+    statistic = _log_ratio(n_wins, n_losses)
+    se = z = p = math.nan
+    ci = None
     if n_wins == 0 and n_losses == 0:
         metadata["degenerate"] = True
-        return WinRatioResult(
-            n_wins, n_losses, n_ties, math.nan, None, None, 1.0, inference_mode(plan), metadata
-        )
-
-    if n_losses == 0:
-        win_ratio = math.inf
-        metadata["unbounded"] = True
-    elif n_wins == 0:
-        win_ratio = 0.0
-        metadata["zero_wins"] = True
+        statistic, p = 0.0, 1.0
     else:
-        win_ratio = n_wins / n_losses
-    observed_log = _log_ratio(n_wins, n_losses)
-    finite = math.isfinite(observed_log)
-
-    log_wr: float | None = observed_log if finite else None
-    ci: tuple[float, float] | None = None
-    se = math.nan
-    z = math.nan
-    if finite:
-        loo = _jackknife_log_wr(counts, treat, n_wins, n_losses)
-        if loo is not None:
-            n_pool = n1 + n0
-            se = math.sqrt((n_pool - 1) / n_pool * float(np.sum((loo - loo.mean()) ** 2)))
-            metadata["jackknife_se"] = se
-            if se > 0:
-                z = observed_log / se
-                ci = (math.exp(observed_log - 1.96 * se), math.exp(observed_log + 1.96 * se))
+        if n_losses == 0:
+            metadata["unbounded"] = True
+        elif n_wins == 0:
+            metadata["zero_wins"] = True
+        if math.isfinite(statistic):
+            loo = _jackknife_log_wr(counts, treat, n_wins, n_losses)
+            if loo is not None:
+                n_pool = n1 + n0
+                se = math.sqrt((n_pool - 1) / n_pool * float(np.sum((loo - loo.mean()) ** 2)))
+                metadata["jackknife_se"] = se
+                if se > 0:
+                    z = statistic / se
+                    ci = [math.exp(statistic - 1.96 * se), math.exp(statistic + 1.96 * se)]
+                else:
+                    metadata["degenerate_variance"] = True
             else:
-                metadata["degenerate_variance"] = True
-        else:
-            metadata["jackknife_suppressed"] = True
+                metadata["jackknife_suppressed"] = True
 
-    if plan is None:
-        if finite and se > 0:
-            p = clamp_p(2.0 * float(sps.norm.sf(abs(z))))
-        elif finite and se == 0:
-            p = 1.0 if observed_log == 0 else clamp_p(0.0)
+        if plan is None:
+            if se > 0:
+                p = clamp_p(2.0 * float(sps.norm.sf(abs(z))))
+            elif se == 0:
+                p = 1.0 if statistic == 0 else clamp_p(0.0)
+            # otherwise p stays NaN: asymptotic inference suppressed
         else:
-            p = math.nan  # asymptotic inference suppressed
-        metadata["z"] = z
-        return WinRatioResult(
-            n_wins, n_losses, n_ties, win_ratio, log_wr, ci, p,
-            InferenceMode.ASYMPTOTIC, metadata,
-        )
+            dense = None if counts.ties is not None else determinacy_matrix(sub, hierarchy)
+            reduce = _log_wr_reducer(counts, kept, ds.n, dense)
+            res = permutation_test(statistic, reduce, ds.group_codes, plan)
+            metadata.update(res.metadata())
+            p = res.p
 
-    dense = None if counts.ties is not None else determinacy_matrix(sub, hierarchy)
-    reduce = _log_wr_reducer(counts, kept, ds.n, dense)
-    res = permutation_test(observed_log, reduce, ds.group_codes, plan)
-    metadata.update(res.metadata())
-    metadata["z"] = z
-    return WinRatioResult(
-        n_wins, n_losses, n_ties, win_ratio, log_wr, ci, res.p, inference_mode(plan), metadata
+    metadata.update(
+        n_wins=n_wins,
+        n_losses=n_losses,
+        n_ties=n_ties,
+        win_ratio=n_wins / n_losses if n_losses else (math.inf if n_wins else math.nan),
+        ci_95=ci,
     )
+    return TestResult("win_ratio", statistic, se**2, z, p, inference_mode(plan), metadata)
 
 
 def _jackknife_log_wr(

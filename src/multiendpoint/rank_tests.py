@@ -21,7 +21,7 @@ from scipy import stats as sps
 
 from .errors import EmptyAfterExclusionError, EmptyGroupError
 from .pairwise import gehan_score_vector
-from .resampling import PermutationPlan, inference_mode, permutation_test
+from .resampling import PermutationPlan, inference_mode, label_product, permutation_test
 from .results import InferenceMode, TestResult, clamp_p
 from .trial_data import Direction, EndpointKind, EndpointSpec, TrialDataset
 
@@ -106,14 +106,14 @@ def _require_groups(rm: RankMatrix):
         )
 
 
-def _mean_diff(row_sums: np.ndarray, mask: np.ndarray) -> float:
-    n1 = int(mask.sum())
-    n0 = mask.size - n1
-    if n1 == 0 or n0 == 0:
-        return math.nan
-    total = float(row_sums.sum())
-    s1 = float(row_sums[mask].sum())
-    return s1 / n1 - (total - s1) / n0
+def _kept_weights(rm: RankMatrix, n: int, columns: np.ndarray) -> np.ndarray:
+    """``columns`` (one row per kept subject) and a kept indicator as label
+    product weights over all ``n`` subjects, zero on the excluded ones: a
+    label row's product is its treatment-group sums and its kept treatment
+    count, exact because midranks are half-integers."""
+    weights = np.zeros((n, columns.shape[1] + 1))
+    weights[rm.kept_indices] = np.column_stack([columns, np.ones(rm.n)])
+    return weights
 
 
 def obrien_test(
@@ -137,7 +137,15 @@ def obrien_test(
     mask = rm.treatment_mask
     n1 = int(mask.sum())
     n0 = rm.n - n1
-    statistic = _mean_diff(row_sums, mask)
+    weights = _kept_weights(rm, ds.n, row_sums[:, None])
+    total = float(row_sums.sum())
+
+    def reduce(block: np.ndarray) -> np.ndarray:
+        s1, n1_b = label_product(block, weights).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return s1 / n1_b - (total - s1) / (rm.n - n1_b)
+
+    statistic = float(reduce(ds.group_codes[None, :])[0])
 
     var_stat = math.nan
     df = math.nan
@@ -178,38 +186,31 @@ def obrien_test(
         return TestResult("rank_sum", statistic, var_stat, z, p, InferenceMode.ASYMPTOTIC, metadata)
 
     z = statistic / math.sqrt(var_stat) if var_stat and var_stat > 0 else math.nan
-    total = float(row_sums.sum())
-
-    def reduce(block: np.ndarray) -> np.ndarray:
-        g = block[:, rm.kept_indices]
-        n1_b = g.sum(axis=1, dtype=np.int64)
-        n0_b = rm.n - n1_b
-        s1 = g @ row_sums
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return s1 / n1_b - (total - s1) / n0_b
-
     res = permutation_test(statistic, reduce, ds.group_codes, plan)
     metadata.update(res.metadata())
     return TestResult("rank_sum", statistic, var_stat, z, res.p, inference_mode(plan), metadata)
 
 
-def _quadform_stats(X: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-Hotelling statistic d' Sigma^-1 d for each row of a (B, n) 0/1
-    label block; the observed labeling is the one-row case.
+def _quadform_stats(
+    X: np.ndarray, s1: np.ndarray, n1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-Hotelling statistic d' Sigma^-1 d for each labeling, given its
+    treatment-group column sums ``s1`` (b, k) of the (n, k) rank matrix
+    ``X`` and its treatment count ``n1`` (b,); the observed labeling is the
+    one-row case.
 
     The within-group scatter is computed from sufficient statistics
     (X'X minus the group-mean outer products), so the value is a
     deterministic function of the per-group column sums; labelings that tie
     mathematically tie bitwise, which keeps exact-permutation tie counting
-    consistent. The group rank sums ``labels @ X`` are exact (midranks are
-    half-integers), and every row sees the same element-wise operations, so
-    a row's value does not depend on the block it sits in. Returns
-    (statistics, effective ranks): NaN and rank 0 where a group is empty or
-    n < 3, 0.0 where the covariance is zero, and the pseudo-inverse form
-    where it is singular (rank < k).
+    consistent. Group rank sums are exact (midranks are half-integers), and
+    every row sees the same element-wise operations, so a row's value does
+    not depend on the block it sits in. Returns (statistics, effective
+    ranks): NaN and rank 0 where a group is empty or n < 3, 0.0 where the
+    covariance is zero, and the pseudo-inverse form where it is singular
+    (rank < k).
     """
     n, k = X.shape
-    n1 = labels.sum(axis=1, dtype=np.int64)
     ok = (n1 > 0) & (n1 < n) & (n >= 3)
     stats = np.full(n1.shape, math.nan)
     ranks = np.zeros(n1.shape, dtype=np.int64)
@@ -217,9 +218,9 @@ def _quadform_stats(X: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.n
         return stats, ranks
     xtx = X.T @ X
     colsum = X.sum(axis=0)
-    n1 = n1[ok].astype(np.float64)[:, None]
+    n1 = n1[ok][:, None]
     n0 = n - n1
-    s1 = (labels.astype(np.float64) @ X)[ok]
+    s1 = s1[ok]
     m1 = s1 / n1
     m0 = (colsum - s1) / n0
     d = m1 - m0
@@ -256,7 +257,13 @@ def multirank_test(
     """
     rm = rank_matrix(ds, endpoints)
     _require_groups(rm)
-    stats, ranks = _quadform_stats(rm.ranks, rm.treatment_mask[None, :])
+    weights = _kept_weights(rm, ds.n, rm.ranks)
+
+    def reduce(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sums = label_product(block, weights)
+        return _quadform_stats(rm.ranks, sums[:, :-1], sums[:, -1])
+
+    stats, ranks = reduce(ds.group_codes[None, :])
     statistic, rank = float(stats[0]), int(ranks[0])
     singular = rank < rm.k
     if math.isnan(statistic):
@@ -285,9 +292,6 @@ def multirank_test(
         return TestResult("multirank", statistic, 0.0, math.nan, p,
                           InferenceMode.ASYMPTOTIC, metadata)
 
-    def reduce(block: np.ndarray) -> np.ndarray:
-        return _quadform_stats(rm.ranks, block[:, rm.kept_indices])[0]
-
-    res = permutation_test(statistic, reduce, ds.group_codes, plan)
+    res = permutation_test(statistic, lambda block: reduce(block)[0], ds.group_codes, plan)
     metadata.update(res.metadata())
     return TestResult("multirank", statistic, 0.0, math.nan, res.p, inference_mode(plan), metadata)

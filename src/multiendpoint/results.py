@@ -47,32 +47,3 @@ class TestResult:
         if not math.isnan(self.variance) and self.variance < 0:
             raise ValueError("variance must be >= 0")
 
-
-@dataclass(frozen=True)
-class WinRatioResult:
-    """Win ratio over all treatment x control ordered pairs.
-
-    ``win_ratio`` is ``inf`` when the ratio is unbounded (wins with zero
-    losses) and NaN when no pair was determinate; ``log_wr`` and ``ci_95``
-    are None whenever the ratio is not a finite positive number.
-    """
-
-    n_wins: int
-    n_losses: int
-    n_ties: int
-    win_ratio: float
-    log_wr: float | None
-    ci_95: tuple[float, float] | None
-    p_two_sided: float
-    inference_mode: InferenceMode
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def is_unbounded(self) -> bool:
-        return math.isinf(self.win_ratio)
-
-    def __post_init__(self):
-        if min(self.n_wins, self.n_losses, self.n_ties) < 0:
-            raise ValueError("pair counts must be non-negative")
-        if not math.isnan(self.p_two_sided) and not (0.0 < self.p_two_sided <= 1.0):
-            raise ValueError(f"p_two_sided must lie in (0, 1], got {self.p_two_sided}")

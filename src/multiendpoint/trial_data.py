@@ -557,7 +557,6 @@ class DerivationConfig:
 
     contrast: str = DEFAULT_CONTRAST
     include_week96: bool = True
-    missing_policy: MissingPolicy = MissingPolicy.TIE_AT_LEVEL
 
 
 def derive_endpoints(raw: TrialDataset, config: DerivationConfig = DerivationConfig()) -> TrialDataset:
@@ -585,18 +584,12 @@ def derive_endpoints(raw: TrialDataset, config: DerivationConfig = DerivationCon
     con = parse_contrast(config.contrast)
     kept, group = _apply_contrast(raw.covariate("arm"), con)
 
-    policy = config.missing_policy
     specs = [
-        EndpointSpec(RAW_EVENT_ENDPOINT, EndpointKind.TIME_TO_EVENT, priority=1,
-                     missing_policy=policy),
-        EndpointSpec(DERIVED_CD4_CHANGE, EndpointKind.CONTINUOUS, priority=2,
-                     missing_policy=policy),
+        EndpointSpec(RAW_EVENT_ENDPOINT, EndpointKind.TIME_TO_EVENT, priority=1),
+        EndpointSpec(DERIVED_CD4_CHANGE, EndpointKind.CONTINUOUS, priority=2),
     ]
     if config.include_week96:
-        specs.append(
-            EndpointSpec(RAW_CD4_WEEK96, EndpointKind.CONTINUOUS, priority=3,
-                         missing_policy=policy)
-        )
+        specs.append(EndpointSpec(RAW_CD4_WEEK96, EndpointKind.CONTINUOUS, priority=3))
 
     columns = {
         RAW_EVENT_ENDPOINT: (

@@ -132,6 +132,11 @@ def results_equal(a, b) -> bool:
     )
 
 
+def win_tallies(result) -> tuple[int, int, int]:
+    """(wins, losses, ties) from a win-ratio result's metadata."""
+    return tuple(result.metadata[k] for k in ("n_wins", "n_losses", "n_ties"))
+
+
 def random_integer_cohort(rng: np.random.Generator, n: int, missing_prob: float = 0.15):
     """Random small cohort with integer-valued outcomes (keeps all downstream
     float arithmetic exact) and at least 2 complete cases per group.

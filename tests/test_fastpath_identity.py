@@ -89,6 +89,8 @@ def obrien_stat(d):
     sums = rm.ranks.sum(axis=1)
     m = rm.treatment_mask
     n1 = int(m.sum())
+    if n1 in (0, rm.n):
+        return np.nan  # a kept group is empty
     total = float(sums.sum())
     s1 = float(sums[m].sum())
     return s1 / n1 - (total - s1) / (rm.n - n1)
@@ -96,7 +98,8 @@ def obrien_stat(d):
 
 def multirank_stat(d):
     rm = rank_matrix(d)
-    stats, _ = _quadform_stats(rm.ranks, rm.treatment_mask[None, :])
+    mask = rm.treatment_mask[None, :].astype(np.float64)
+    stats, _ = _quadform_stats(rm.ranks, mask @ rm.ranks, mask.sum(axis=1))
     return float(stats[0])
 
 
@@ -211,27 +214,32 @@ class TestFastPathsMatchGenericEngine:
         assert_same_null(fast, permutation_pvalue(multirank_stat, singular, plan))
 
     def test_multirank_empty_kept_group(self, plan):
-        # Complete-case exclusion keeps a handful of the 9 subjects, so some
-        # relabelings put every kept subject in one group: NaN draws.
+        # Complete-case exclusion keeps a handful of the 9 subjects, so the
+        # kept treatment count varies between relabelings and some put
+        # every kept subject in one group: NaN draws. rank_sum excludes
+        # the same subjects.
         subs, specs = random_integer_cohort(np.random.default_rng(0), 9, missing_prob=0.4)
         sparse = dataset(subs, specs)
-        fast = multirank_test(sparse, plan=plan)
-        assert fast.metadata["n_nonfinite"] > 0
-        assert_same_null(fast, permutation_pvalue(multirank_stat, sparse, plan))
+        for test, stat in [(multirank_test, multirank_stat), (obrien_test, obrien_stat)]:
+            fast = test(sparse, plan=plan)
+            assert fast.metadata["n_excluded"] > 0
+            assert fast.metadata["n_nonfinite"] > 0
+            assert_same_null(fast, permutation_pvalue(stat, sparse, plan))
 
     def test_global_u(self, ds, plan):
         assert_same_null(global_u_test(ds, plan=plan), permutation_pvalue(gu_stat(ds), ds, plan))
 
     def test_pairwise_tests_across_row_tiles(self, ds, tied, plan, monkeypatch):
         # Tiles of 3 rows (the last one of 2) instead of one tile for N=14,
-        # and label products over slices of 5 block rows: every statistic,
+        # and label products over slices of 5 block rows (the rank tests'
+        # Gehan scores and group sums too): every statistic,
         # variance and p is unchanged to the last bit, the tie list of
         # ``tied`` is gathered over several tiles, and the reducers still
         # match the references.
         cohorts = (ds, tied)
 
         def run():
-            tests = (fs_test, win_ratio_test, global_u_test)
+            tests = (fs_test, win_ratio_test, global_u_test, obrien_test, multirank_test)
             return [test(d, plan=p) for d in cohorts for test in tests for p in (None, plan)]
 
         one_tile = run(), [tie_pairs(d).tolist() for d in cohorts]
@@ -242,5 +250,5 @@ class TestFastPathsMatchGenericEngine:
         assert tiled[1] == one_tile[1]
         fast = iter(tiled[0][1::2])
         for d in cohorts:
-            for stat in (fs_stat, wr_stat, gu_stat(d)):
+            for stat in (fs_stat, wr_stat, gu_stat(d), obrien_stat, multirank_stat):
                 assert_same_null(next(fast), permutation_pvalue(stat, d, plan))

@@ -28,6 +28,7 @@ from support import (
     subjects_of,
     survival_cohort,
     tte,
+    win_tallies,
 )
 
 HIERARCHY = [SURV, SCORE, FLAG]
@@ -147,14 +148,14 @@ class TestWinRatio:
                 )
         ds = dataset(subs, HIERARCHY)
         r = win_ratio_test(ds)
-        assert r.n_wins == r.n_losses
-        assert r.win_ratio == 1.0
+        assert r.metadata["n_wins"] == r.metadata["n_losses"]
+        assert r.metadata["win_ratio"] == 1.0
 
     def test_unbounded_ratio(self):
         r = win_ratio_test(ordered_fixture(), [SURV], plan=PermutationPlan.exact())
-        assert r.n_wins == 4 and r.n_losses == 0
-        assert r.is_unbounded
-        assert r.log_wr is None and r.ci_95 is None
+        assert r.metadata["n_wins"] == 4 and r.metadata["n_losses"] == 0
+        assert math.isinf(r.metadata["win_ratio"])
+        assert not math.isfinite(r.statistic) and r.metadata["ci_95"] is None
         # Both all-win splits (the observed and its mirror) are extreme.
         assert r.p_two_sided == pytest.approx(2.0 / 6.0)
 
@@ -166,13 +167,13 @@ class TestWinRatio:
             subs, specs = random_integer_cohort(rng, int(rng.integers(5, 10)))
             ds = dataset(subs, specs)
             r = win_ratio_test(ds)
-            assert r.n_wins + r.n_losses + r.n_ties == ds.n_treatment * ds.n_control
+            assert sum(win_tallies(r)) == ds.n_treatment * ds.n_control
             w, l, t = oracles.win_counts(subjects_of(ds), specs)
-            assert (r.n_wins, r.n_losses, r.n_ties) == (w, l, t)
+            assert win_tallies(r) == (w, l, t)
 
     def test_all_ties_degenerate(self):
         r = win_ratio_test(identical_cohort())
-        assert math.isnan(r.win_ratio)
+        assert math.isnan(r.metadata["win_ratio"])
         assert r.p_two_sided == 1.0
         assert r.metadata["degenerate"]
 
@@ -180,7 +181,7 @@ class TestWinRatio:
         ds = simulate_trial(SimConfig.null(15, seed=31))
         swapped = ds.with_groups(1 - ds.group_codes)
         r1, r2 = win_ratio_test(ds), win_ratio_test(swapped)
-        assert r1.win_ratio == pytest.approx(1.0 / r2.win_ratio, rel=1e-12)
+        assert r1.metadata["win_ratio"] == pytest.approx(1.0 / r2.metadata["win_ratio"], rel=1e-12)
         assert r1.p_two_sided == pytest.approx(r2.p_two_sided, rel=1e-12)
         plan = PermutationPlan.monte_carlo(400, seed=6)
         p1, p2 = win_ratio_test(ds, plan=plan), win_ratio_test(swapped, plan=plan)
@@ -203,14 +204,14 @@ class TestWinRatio:
 
         ds2 = dataset(subs, SIM_ENDPOINT_SPECS)
         r2 = win_ratio_test(ds2)
-        assert (r2.n_wins, r2.n_losses, r2.n_ties) == (r.n_wins, r.n_losses, r.n_ties)
+        assert win_tallies(r2) == win_tallies(r)
 
     def test_jackknife_ci_brackets_estimate(self):
         ds = simulate_trial(SimConfig.null(40, seed=2))
         r = win_ratio_test(ds)
-        assert r.ci_95 is not None
-        low, high = r.ci_95
-        assert low < r.win_ratio < high
+        assert r.metadata["ci_95"] is not None
+        low, high = r.metadata["ci_95"]
+        assert low < r.metadata["win_ratio"] < high
         assert r.metadata["jackknife_se"] > 0
 
     def test_asymptotic_agrees_with_permutation_at_scale(self):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,3 +362,15 @@ class TestReplicaShape:
         present = actg_derived.present("cd4_week96")
         assert present.sum() + (~present).sum() == actg_derived.n
         assert 0 < present.sum() < actg_derived.n
+
+    def test_builder_reproduces_bundled_file(self):
+        # The seeded builder script regenerates data/actg175_replica.csv
+        # byte for byte.
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location(
+            "build_actg175_replica", root / "scripts" / "build_actg175_replica.py"
+        )
+        builder = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(builder)
+        bundled = (root / "data" / "actg175_replica.csv").read_bytes()
+        assert builder.to_csv(builder.build()).encode() == bundled
