@@ -51,7 +51,6 @@ from .trial_data import (
     Direction,
     EndpointKind,
     EndpointSpec,
-    MissingPolicy,
     SummaryTable,
     TrialDataset,
     baseline_summary,

@@ -44,7 +44,8 @@ from .global_u import default_kernels
 from .methods import METHOD_NAMES, run_method
 from .rank_tests import VARIANCE_ADJUSTED, VARIANCE_NAIVE
 from .report import results_text_table, write_results_csv
-from .resampling import MODE_EXACT, MODE_MONTE_CARLO, PermutationPlan
+from .resampling import PermutationPlan
+from .results import InferenceMode
 from .simgen import (
     NULL_CORRELATION,
     BinaryModel,
@@ -71,9 +72,7 @@ EXIT_ANALYSIS = 5
 
 ENV_CONFIG = "MULTIENDPOINT_CONFIG"
 
-MODE_ASYMPTOTIC = "asymptotic"
-MODE_PERMUTATION = "permutation"
-RUN_MODES = (MODE_PERMUTATION, MODE_ASYMPTOTIC, "exact")
+RUN_MODES = tuple(m.value for m in InferenceMode)
 
 DEFAULT_METHODS = ("rank_sum", "fs", "win_ratio", "multirank")
 
@@ -122,7 +121,7 @@ KEYS: dict[str, Key] = {
     "columns.cd4_week96": Key(DATA, str | None, _COLUMNS.cd4_week96),
     "columns.covariates": Key(DATA, dict[str, str], {}),
     "methods": Key(ANALYZE, list[str], list(DEFAULT_METHODS), _known_methods, _METHODS_RULE),
-    "inference.mode": Key(ANALYZE, str, MODE_PERMUTATION, lambda m: m in RUN_MODES,
+    "inference.mode": Key(ANALYZE, str, InferenceMode.PERMUTATION.value, lambda m: m in RUN_MODES,
                           f"one of {list(RUN_MODES)}"),
     "inference.replicates": Key(ANALYZE, int, 10_000),
     "inference.seed": Key(ANALYZE, int, 0, lambda s: s >= 0, ">= 0"),
@@ -255,13 +254,11 @@ def _kernels_for(ds, weights: dict[str, float] | None):
 
 
 def _plan(cfg: Mapping[str, Any]) -> PermutationPlan | None:
-    mode, seed = cfg["inference.mode"], cfg["inference.seed"]
-    if mode == MODE_ASYMPTOTIC:
+    mode = InferenceMode(cfg["inference.mode"])
+    if mode is InferenceMode.ASYMPTOTIC:
         return None
-    if mode == "exact":
-        return PermutationPlan(MODE_EXACT, master_seed=seed)
     with _config_errors("inference.replicates"):
-        return PermutationPlan(MODE_MONTE_CARLO, cfg["inference.replicates"], seed)
+        return PermutationPlan(mode, cfg["inference.replicates"], cfg["inference.seed"])
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -20,8 +20,8 @@ from scipy import stats as sps
 
 from .errors import EmptyAfterExclusionError, KernelKindMismatchError
 from .pairwise import Level, PairCounts, endpoint_level, sweep_counts
-from .resampling import PermutationPlan, inference_mode, label_product, permutation_test
-from .results import InferenceMode, TestResult, clamp_p
+from .resampling import PermutationPlan, conclude, label_product
+from .results import TestResult, two_sided_p, z_score
 from .trial_data import EndpointKind, TrialDataset
 
 
@@ -164,31 +164,17 @@ def global_u_test(
         "n_control": n0,
     }
 
-    if plan is None:
-        if math.isnan(variance):
-            raise EmptyAfterExclusionError(
-                "asymptotic global-U inference needs at least 2 subjects per group"
-            )
-        if variance == 0.0:
-            metadata["degenerate_variance"] = True
-            p = 1.0 if statistic == 0.0 else clamp_p(0.0)
-            z = 0.0 if statistic == 0.0 else math.copysign(math.inf, statistic)
-            return TestResult("global_u", statistic, 0.0, z, p,
-                              InferenceMode.ASYMPTOTIC, metadata)
-        z = statistic / math.sqrt(variance)
-        p = clamp_p(2.0 * float(sps.norm.sf(abs(z))))
-        return TestResult("global_u", statistic, variance, z, p,
-                          InferenceMode.ASYMPTOTIC, metadata)
-
-    z = statistic / math.sqrt(variance) if variance and variance > 0 else math.nan
+    if plan is None and math.isnan(variance):
+        raise EmptyAfterExclusionError(
+            "asymptotic global-U inference needs at least 2 subjects per group"
+        )
+    z = z_score(statistic, math.sqrt(variance), metadata)
     # g' Phi (1 - g) = g . rowsum(Phi) because every kernel matrix is
     # antisymmetric, so each replicate costs K dot products over the counts.
     row_sums = np.column_stack([c.net for c in counts]).astype(np.float64)
-    res = permutation_test(
-        statistic,
+    return conclude(
+        "global_u", statistic, variance, z, metadata, plan,
         lambda block: _combine(label_product(block, row_sums), weights, n_pairs),
         ds.group_codes,
-        plan,
+        lambda: two_sided_p(z, sps.norm.sf),
     )
-    metadata.update(res.metadata())
-    return TestResult("global_u", statistic, variance, z, res.p, inference_mode(plan), metadata)

@@ -14,7 +14,7 @@ from .pairwise_tests import fs_test, win_ratio_test
 from .rank_tests import VARIANCE_NAIVE, multirank_test, obrien_test
 from .resampling import PermutationPlan
 from .results import TestResult
-from .trial_data import EndpointSpec, TrialDataset
+from .trial_data import TrialDataset
 
 METHOD_NAMES = ("rank_sum", "fs", "win_ratio", "multirank", "global_u")
 
@@ -25,18 +25,16 @@ def run_method(
     plan: PermutationPlan | None = None,
     *,
     variance: str = VARIANCE_NAIVE,
-    hierarchy: Sequence[EndpointSpec] | None = None,
-    endpoints: Sequence[str] | None = None,
     kernels: Sequence[KernelSpec] | None = None,
 ) -> TestResult:
     if name == "rank_sum":
-        return obrien_test(ds, endpoints, variance=variance, plan=plan)
+        return obrien_test(ds, variance=variance, plan=plan)
     if name == "fs":
-        return fs_test(ds, hierarchy, plan)
+        return fs_test(ds, plan=plan)
     if name == "win_ratio":
-        return win_ratio_test(ds, hierarchy, plan)
+        return win_ratio_test(ds, plan=plan)
     if name == "multirank":
-        return multirank_test(ds, endpoints, plan)
+        return multirank_test(ds, plan=plan)
     if name == "global_u":
         return global_u_test(ds, kernels, plan)
     raise ValueError(f"unknown method {name!r}; known: {METHOD_NAMES}")

@@ -22,24 +22,15 @@ import numpy as np
 from scipy import stats as sps
 
 from .pairwise import PairCounts, determinacy_matrix, pair_counts, pairwise_score_vector
-from .resampling import PermutationPlan, inference_mode, label_product, permutation_test
-from .results import InferenceMode, TestResult, clamp_p
-from .trial_data import EndpointSpec, MissingPolicy, TrialDataset, validate_hierarchy
+from .resampling import PermutationPlan, conclude, label_product
+from .results import TestResult, two_sided_p, z_score
+from .trial_data import EndpointSpec, TrialDataset, validate_hierarchy
 
 
 def _resolve_hierarchy(
     ds: TrialDataset, hierarchy: Sequence[EndpointSpec] | None
 ) -> tuple[EndpointSpec, ...]:
     return validate_hierarchy(hierarchy if hierarchy is not None else ds.endpoint_specs)
-
-
-def _complete_case_kept(ds: TrialDataset, hierarchy: Sequence[EndpointSpec]) -> np.ndarray:
-    """Indices of subjects present on every COMPLETE_CASE endpoint."""
-    keep = np.ones(ds.n, dtype=bool)
-    for spec in hierarchy:
-        if spec.missing_policy is MissingPolicy.COMPLETE_CASE:
-            keep &= ds.present(spec.name)
-    return np.flatnonzero(keep)
 
 
 def fs_test(
@@ -56,38 +47,24 @@ def fs_test(
     reported).
     """
     hierarchy = _resolve_hierarchy(ds, hierarchy)
-    kept = _complete_case_kept(ds, hierarchy)
-    sub = ds if kept.size == ds.n else ds.subset(kept)
-
-    u = pairwise_score_vector(sub, hierarchy)
-    treat = sub.treatment_mask
-    statistic = float(u[treat].sum())
-    n1, n0, n = sub.n_treatment, sub.n_control, sub.n
-    variance = float(n1 * n0 * np.sum(u.astype(np.float64) ** 2) / (n * (n - 1)))
+    u = pairwise_score_vector(ds, hierarchy)
+    weights = u.astype(np.float64)
+    statistic = float(u[ds.treatment_mask].sum())
+    n1, n0, n = ds.n_treatment, ds.n_control, ds.n
+    variance = float(n1 * n0 * np.sum(weights**2) / (n * (n - 1)))
 
     metadata: dict = {
         "hierarchy": [s.name for s in hierarchy],
         "n_treatment": n1,
         "n_control": n0,
-        "n_excluded": ds.n - kept.size,
+        "n_excluded": 0,
     }
-
-    if variance == 0.0:
-        metadata["degenerate_variance"] = True
-        return TestResult("fs", 0.0, 0.0, 0.0, 1.0, inference_mode(plan), metadata)
-
-    z = statistic / math.sqrt(variance)
-    if plan is None:
-        p = clamp_p(2.0 * float(sps.norm.sf(abs(z))))
-        return TestResult("fs", statistic, variance, z, p, InferenceMode.ASYMPTOTIC, metadata)
-
-    u_all = np.zeros(ds.n)  # zero on excluded subjects, so no column gather
-    u_all[kept] = u
-    res = permutation_test(
-        statistic, lambda block: label_product(block, u_all), ds.group_codes, plan
+    z = z_score(statistic, math.sqrt(variance), metadata)
+    return conclude(
+        "fs", statistic, variance, z, metadata, plan,
+        lambda block: label_product(block, weights), ds.group_codes,
+        lambda: two_sided_p(z, sps.norm.sf),
     )
-    metadata.update(res.metadata())
-    return TestResult("fs", statistic, variance, z, res.p, inference_mode(plan), metadata)
 
 
 def _log_ratio(wins: float, losses: float) -> float:
@@ -123,12 +100,9 @@ def win_ratio_test(
     replicate values count as extreme).
     """
     hierarchy = _resolve_hierarchy(ds, hierarchy)
-    kept = _complete_case_kept(ds, hierarchy)
-    sub = ds if kept.size == ds.n else ds.subset(kept)
-
-    counts = pair_counts(sub, hierarchy, collect_ties=plan is not None)
-    treat = sub.treatment_mask
-    n1, n0 = sub.n_treatment, sub.n_control
+    counts = pair_counts(ds, hierarchy, collect_ties=plan is not None)
+    treat = ds.treatment_mask
+    n1, n0 = ds.n_treatment, ds.n_control
     n_wins = int(counts.wins[treat].sum())
     n_losses = int(counts.losses[treat].sum())
     n_ties = n1 * n0 - n_wins - n_losses
@@ -137,45 +111,30 @@ def win_ratio_test(
         "hierarchy": [s.name for s in hierarchy],
         "n_treatment": n1,
         "n_control": n0,
-        "n_excluded": ds.n - kept.size,
+        "n_excluded": 0,
     }
     statistic = _log_ratio(n_wins, n_losses)
-    se = z = p = math.nan
+    se = math.nan
     ci = None
-    if n_wins == 0 and n_losses == 0:
+    degenerate = n_wins == 0 and n_losses == 0
+    if degenerate:
         metadata["degenerate"] = True
-        statistic, p = 0.0, 1.0
+        statistic = 0.0
+    elif n_losses == 0:
+        metadata["unbounded"] = True
+    elif n_wins == 0:
+        metadata["zero_wins"] = True
     else:
-        if n_losses == 0:
-            metadata["unbounded"] = True
-        elif n_wins == 0:
-            metadata["zero_wins"] = True
-        if math.isfinite(statistic):
-            loo = _jackknife_log_wr(counts, treat, n_wins, n_losses)
-            if loo is not None:
-                n_pool = n1 + n0
-                se = math.sqrt((n_pool - 1) / n_pool * float(np.sum((loo - loo.mean()) ** 2)))
-                metadata["jackknife_se"] = se
-                if se > 0:
-                    z = statistic / se
-                    ci = [math.exp(statistic - 1.96 * se), math.exp(statistic + 1.96 * se)]
-                else:
-                    metadata["degenerate_variance"] = True
-            else:
-                metadata["jackknife_suppressed"] = True
-
-        if plan is None:
+        loo = _jackknife_log_wr(counts, treat, n_wins, n_losses)
+        if loo is not None:
+            n_pool = n1 + n0
+            se = math.sqrt((n_pool - 1) / n_pool * float(np.sum((loo - loo.mean()) ** 2)))
+            metadata["jackknife_se"] = se
             if se > 0:
-                p = clamp_p(2.0 * float(sps.norm.sf(abs(z))))
-            elif se == 0:
-                p = 1.0 if statistic == 0 else clamp_p(0.0)
-            # otherwise p stays NaN: asymptotic inference suppressed
+                ci = [math.exp(statistic - 1.96 * se), math.exp(statistic + 1.96 * se)]
         else:
-            dense = None if counts.ties is not None else determinacy_matrix(sub, hierarchy)
-            reduce = _log_wr_reducer(counts, kept, ds.n, dense)
-            res = permutation_test(statistic, reduce, ds.group_codes, plan)
-            metadata.update(res.metadata())
-            p = res.p
+            metadata["jackknife_suppressed"] = True
+    z = z_score(statistic, se, metadata)
 
     metadata.update(
         n_wins=n_wins,
@@ -184,7 +143,14 @@ def win_ratio_test(
         win_ratio=n_wins / n_losses if n_losses else (math.inf if n_wins else math.nan),
         ci_95=ci,
     )
-    return TestResult("win_ratio", statistic, se**2, z, p, inference_mode(plan), metadata)
+    dense = None if plan is None or counts.ties is not None else determinacy_matrix(ds, hierarchy)
+    # With no determinate pair every relabeling's log WR is NaN too: p = 1
+    # in both modes.
+    return conclude(
+        "win_ratio", statistic, se**2, z, metadata, plan,
+        _log_wr_reducer(counts, dense), ds.group_codes,
+        lambda: 1.0 if degenerate else two_sided_p(z, sps.norm.sf),
+    )
 
 
 def _jackknife_log_wr(
@@ -223,18 +189,16 @@ def _tie_products(block: np.ndarray, subjects: np.ndarray, pairs: np.ndarray) ->
 
 
 def _log_wr_reducer(
-    counts: PairCounts, kept: np.ndarray, n: int, dense: np.ndarray | None
+    counts: PairCounts, dense: np.ndarray | None
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Block reducer for the null draws of log WR. For labels g over the kept
-    subjects, wins - losses = g'u and wins + losses = g'd - g'|S|g, with u
-    and d the net and determinate counts. g'|S|g is n1(n1 - 1) minus twice
-    the tie pairs inside the treatment group, or, given the ``dense`` |S|,
-    one float32 product."""
-    # Columns u, d and 1 over the kept subjects, zero on the excluded ones.
-    weights = np.zeros((n, 3))
-    weights[kept] = np.column_stack([counts.net, counts.determinate, np.ones(kept.size)])
-    if dense is None:
-        subjects, pairs = np.unique(kept[counts.ties.ravel()], return_inverse=True)
+    """Block reducer for the null draws of log WR. For labels g, wins -
+    losses = g'u and wins + losses = g'd - g'|S|g, with u and d the net and
+    determinate counts. g'|S|g is n1(n1 - 1) minus twice the tie pairs
+    inside the treatment group, or, given the ``dense`` |S|, one float32
+    product."""
+    weights = np.column_stack([counts.net, counts.determinate, np.ones(counts.net.size)])
+    if counts.ties is not None:
+        subjects, pairs = np.unique(counts.ties.ravel(), return_inverse=True)
         pairs = pairs.reshape(2, -1)
 
     def reduce(block: np.ndarray) -> np.ndarray:
@@ -242,7 +206,7 @@ def _log_wr_reducer(
         if dense is None:
             quad = n1 * (n1 - 1) - 2.0 * _tie_products(block, subjects, pairs)
         else:
-            gf = (block if kept.size == n else block[:, kept]).astype(np.float32)
+            gf = block.astype(np.float32)
             quad = np.einsum("bi,bi->b", gf @ dense, gf, dtype=np.float64)
         det = g_det - quad
         wins = (det + diff) / 2.0

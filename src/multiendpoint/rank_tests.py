@@ -21,8 +21,8 @@ from scipy import stats as sps
 
 from .errors import EmptyAfterExclusionError, EmptyGroupError
 from .pairwise import gehan_score_vector
-from .resampling import PermutationPlan, inference_mode, label_product, permutation_test
-from .results import InferenceMode, TestResult, clamp_p
+from .resampling import PermutationPlan, conclude, label_product
+from .results import TestResult, clamp_p, two_sided_p, z_score
 from .trial_data import Direction, EndpointKind, EndpointSpec, TrialDataset
 
 VARIANCE_NAIVE = "naive"
@@ -171,24 +171,15 @@ def obrien_test(
         "n_excluded": rm.n_excluded,
     }
 
-    if plan is None:
-        if math.isnan(var_stat):
-            raise EmptyAfterExclusionError(
-                "asymptotic rank-sum inference needs at least 2 subjects per group"
-            )
-        if var_stat == 0.0:
-            metadata["degenerate_variance"] = True
-            p = 1.0 if statistic == 0.0 else clamp_p(0.0)
-            z = 0.0 if statistic == 0.0 else math.copysign(math.inf, statistic)
-            return TestResult("rank_sum", statistic, 0.0, z, p, InferenceMode.ASYMPTOTIC, metadata)
-        z = statistic / math.sqrt(var_stat)
-        p = clamp_p(2.0 * float(sps.t.sf(abs(z), df)))
-        return TestResult("rank_sum", statistic, var_stat, z, p, InferenceMode.ASYMPTOTIC, metadata)
-
-    z = statistic / math.sqrt(var_stat) if var_stat and var_stat > 0 else math.nan
-    res = permutation_test(statistic, reduce, ds.group_codes, plan)
-    metadata.update(res.metadata())
-    return TestResult("rank_sum", statistic, var_stat, z, res.p, inference_mode(plan), metadata)
+    if plan is None and math.isnan(var_stat):
+        raise EmptyAfterExclusionError(
+            "asymptotic rank-sum inference needs at least 2 subjects per group"
+        )
+    z = z_score(statistic, math.sqrt(var_stat), metadata)
+    return conclude(
+        "rank_sum", statistic, var_stat, z, metadata, plan, reduce, ds.group_codes,
+        lambda: two_sided_p(z, sps.t.sf, df),
+    )
 
 
 def _quadform_stats(
@@ -283,15 +274,10 @@ def multirank_test(
         "n_excluded": rm.n_excluded,
     }
 
-    if plan is None:
-        if rank == 0:
-            metadata["degenerate_variance"] = True
-            return TestResult("multirank", 0.0, 0.0, math.nan, 1.0,
-                              InferenceMode.ASYMPTOTIC, metadata)
-        p = clamp_p(float(sps.chi2.sf(statistic, rank)))
-        return TestResult("multirank", statistic, 0.0, math.nan, p,
-                          InferenceMode.ASYMPTOTIC, metadata)
-
-    res = permutation_test(statistic, lambda block: reduce(block)[0], ds.group_codes, plan)
-    metadata.update(res.metadata())
-    return TestResult("multirank", statistic, 0.0, math.nan, res.p, inference_mode(plan), metadata)
+    if rank == 0:  # zero covariance: the statistic is 0 and p is 1
+        metadata["degenerate_variance"] = True
+    return conclude(
+        "multirank", statistic, 0.0, math.nan, metadata, plan,
+        lambda block: reduce(block)[0], ds.group_codes,
+        lambda: 1.0 if rank == 0 else clamp_p(float(sps.chi2.sf(statistic, rank))),
+    )

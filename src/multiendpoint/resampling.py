@@ -27,18 +27,15 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ExactTooLargeError
-from .results import InferenceMode
+from .results import InferenceMode, TestResult
 from .trial_data import TrialDataset
 
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 DEFAULT_REPLICATES = 10_000
-DEFAULT_EXACT_CAP = 200_000
+EXACT_CAP = 200_000  # most label assignments an exact plan enumerates
 DEFAULT_BLOCK_SIZE = 1_024
-
-MODE_MONTE_CARLO = "monte_carlo"
-MODE_EXACT = "exact"
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
 # the PCG64 128-bit LCG multiplier.
@@ -131,40 +128,40 @@ def _pcg64_seed_states(seeds: np.ndarray) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class PermutationPlan:
-    """How to resample: Monte Carlo with B replicates, or exact enumeration
-    of all C(N, n1) label assignments (only allowed under ``exact_cap``).
+    """How to resample: Monte Carlo with B replicates
+    (``InferenceMode.PERMUTATION``), or exact enumeration of all C(N, n1)
+    label assignments (``InferenceMode.EXACT``, at most ``EXACT_CAP``).
     Sidedness is fixed two-sided."""
 
-    mode: str = MODE_MONTE_CARLO
+    mode: InferenceMode = InferenceMode.PERMUTATION
     replicates: int = DEFAULT_REPLICATES
     master_seed: int = 0
-    exact_cap: int = DEFAULT_EXACT_CAP
 
     def __post_init__(self):
-        if self.mode not in (MODE_MONTE_CARLO, MODE_EXACT):
+        if self.mode not in (InferenceMode.PERMUTATION, InferenceMode.EXACT):
             raise ValueError(f"unknown permutation mode {self.mode!r}")
-        if self.mode == MODE_MONTE_CARLO and self.replicates < 1:
+        if self.mode is InferenceMode.PERMUTATION and self.replicates < 1:
             raise ValueError("replicate count must be >= 1")
 
     @classmethod
     def monte_carlo(cls, replicates: int = DEFAULT_REPLICATES, seed: int = 0) -> "PermutationPlan":
-        return cls(MODE_MONTE_CARLO, replicates, seed)
+        return cls(InferenceMode.PERMUTATION, replicates, seed)
 
     @classmethod
-    def exact(cls, cap: int = DEFAULT_EXACT_CAP) -> "PermutationPlan":
-        return cls(MODE_EXACT, exact_cap=cap)
+    def exact(cls) -> "PermutationPlan":
+        return cls(InferenceMode.EXACT)
 
     def with_seed(self, seed: int) -> "PermutationPlan":
         return replace(self, master_seed=seed)
 
 
 def n_assignments(plan: PermutationPlan, n: int, n1: int) -> int:
-    if plan.mode == MODE_MONTE_CARLO:
+    if plan.mode is InferenceMode.PERMUTATION:
         return plan.replicates
     total = math.comb(n, n1)
-    if total > plan.exact_cap:
+    if total > EXACT_CAP:
         raise ExactTooLargeError(
-            f"C({n}, {n1}) = {total} exceeds the exact-enumeration cap {plan.exact_cap}"
+            f"C({n}, {n1}) = {total} exceeds the exact-enumeration cap {EXACT_CAP}"
         )
     return total
 
@@ -186,7 +183,7 @@ def iter_label_blocks(
     n1 = int(base.sum())
     total = n_assignments(plan, n, n1)
 
-    if plan.mode == MODE_MONTE_CARLO:
+    if plan.mode is InferenceMode.PERMUTATION:
         bitgen = np.random.PCG64(0)
         shuffle = np.random.Generator(bitgen).shuffle
         # shuffle draws the same intervals for any dtype; intp takes its
@@ -227,7 +224,7 @@ class PermutationResult:
     p: float
     observed: float
     replicates_used: int
-    mode: str
+    mode: InferenceMode
     n_extreme: int
     n_nonfinite: int
     null_mean: float
@@ -244,13 +241,6 @@ class PermutationResult:
             "null_mean": self.null_mean,
             "null_sd": self.null_sd,
         }
-
-
-def inference_mode(plan: PermutationPlan | None) -> InferenceMode:
-    """The result's inference mode: asymptotic without a plan."""
-    if plan is None:
-        return InferenceMode.ASYMPTOTIC
-    return InferenceMode.EXACT if plan.mode == MODE_EXACT else InferenceMode.PERMUTATION
 
 
 def pvalue_from_draws(
@@ -270,7 +260,7 @@ def pvalue_from_draws(
         extreme |= np.isnan(draws)
     n_extreme = int(extreme.sum())
     total = draws.size
-    if plan.mode == MODE_MONTE_CARLO:
+    if plan.mode is InferenceMode.PERMUTATION:
         p = (1 + n_extreme) / (total + 1)
     else:
         p = n_extreme / total
@@ -340,3 +330,27 @@ def permutation_pvalue(
         return np.array([float(stat(ds.with_groups(labels))) for labels in block])
 
     return permutation_test(float(stat(ds)), reduce, ds.group_codes, plan)
+
+
+def conclude(
+    method: str,
+    statistic: float,
+    variance: float,
+    z: float,
+    metadata: dict,
+    plan: PermutationPlan | None,
+    reduce: Callable[[np.ndarray], np.ndarray],
+    group_codes: np.ndarray,
+    asymptotic_p: Callable[[], float],
+) -> TestResult:
+    """The one way a test ends. Without a plan the p-value is
+    ``asymptotic_p()``, called only then; with one it comes from
+    :func:`permutation_test` of ``reduce`` against ``statistic``, and the
+    six driver fields join ``metadata``."""
+    if plan is None:
+        return TestResult(
+            method, statistic, variance, z, asymptotic_p(), InferenceMode.ASYMPTOTIC, metadata
+        )
+    res = permutation_test(statistic, reduce, group_codes, plan)
+    metadata.update(res.metadata())
+    return TestResult(method, statistic, variance, z, res.p, plan.mode, metadata)

@@ -41,11 +41,6 @@ class Direction(Enum):
     LOWER_IS_BETTER = "lower_is_better"
 
 
-class MissingPolicy(Enum):
-    TIE_AT_LEVEL = "tie_at_level"
-    COMPLETE_CASE = "complete_case"
-
-
 @dataclass(frozen=True)
 class EndpointSpec:
     """Declaration of one analysis endpoint.
@@ -59,7 +54,6 @@ class EndpointSpec:
     kind: EndpointKind
     priority: int
     direction: Direction = Direction.HIGHER_IS_BETTER
-    missing_policy: MissingPolicy = MissingPolicy.TIE_AT_LEVEL
 
     def __post_init__(self):
         if not self.name:
@@ -346,23 +340,12 @@ def _apply_contrast(arms: np.ndarray, contrast: Contrast) -> tuple[np.ndarray, n
     missing = named - observed
     if missing:
         raise InvalidContrastError(f"contrast names absent arm(s) {sorted(missing)}")
-    if contrast.treatment_arms is None:
-        control = contrast.control_arms
-        is_control = np.isin(arms, list(control))
-        kept = ~np.isnan(arms)
-        group = np.where(is_control, 0, 1).astype(np.int8)
-    elif contrast.control_arms is None:
-        treatment = contrast.treatment_arms
-        is_treat = np.isin(arms, list(treatment))
-        kept = ~np.isnan(arms)
-        group = np.where(is_treat, 1, 0).astype(np.int8)
-    else:
-        is_treat = np.isin(arms, list(contrast.treatment_arms))
-        is_control = np.isin(arms, list(contrast.control_arms))
-        kept = is_treat | is_control
-        group = np.where(is_treat, 1, 0).astype(np.int8)
-    idx = np.flatnonzero(kept)
-    return idx, group[idx]
+    # A 'rest' side is every arm the other side does not name.
+    treat, control = contrast.treatment_arms, contrast.control_arms
+    is_treat = ~np.isin(arms, list(control)) if treat is None else np.isin(arms, list(treat))
+    is_control = ~is_treat if control is None else np.isin(arms, list(control))
+    idx = np.flatnonzero((is_treat | is_control) & ~np.isnan(arms))
+    return idx, is_treat[idx].astype(np.int8)
 
 
 def _empty_group(contrast: str, group: np.ndarray) -> EmptyGroupError:

@@ -16,8 +16,6 @@ import pytest
 
 from multiendpoint import (
     BinaryModel,
-    InferenceMode,
-    MissingPolicy,
     PermutationPlan,
     SimConfig,
     fs_test,
@@ -79,11 +77,6 @@ def wr_stat(d):
         return float(np.log(np.float64(w)) - np.log(np.float64(l)))
 
 
-def wr_stat_complete_case(d):
-    """``wr_stat`` over the subjects present on the complete-case marker."""
-    return wr_stat(d.subset(np.flatnonzero(d.present("marker"))))
-
-
 def obrien_stat(d):
     rm = rank_matrix(d)
     sums = rm.ranks.sum(axis=1)
@@ -131,9 +124,6 @@ def result_bits(result):
     return bits(vars(result))
 
 
-PLAN_MODES = {"monte_carlo": InferenceMode.PERMUTATION, "exact": InferenceMode.EXACT}
-
-
 def assert_same_null(fast, generic):
     """p and every permutation metadata field agree bit for bit, and the
     result carries the plan's inference mode."""
@@ -145,7 +135,7 @@ def assert_same_null(fast, generic):
     assert bits([fast.p_two_sided, *(fast.metadata[k] for k in want)]) == bits(
         [generic.p, *want.values()]
     )
-    assert fast.inference_mode is PLAN_MODES[generic.mode]
+    assert fast.inference_mode is generic.mode
 
 
 @pytest.mark.parametrize("plan", PLANS, ids=["monte_carlo", "exact"])
@@ -171,25 +161,19 @@ class TestFastPathsMatchGenericEngine:
         )
 
     @pytest.mark.parametrize("path", ["tie_pairs", "dense"])
-    def test_win_ratio_complete_case(self, tied, plan, path, monkeypatch):
-        # Two subjects miss a complete-case marker. They still carry labels,
-        # so the kept treatment count n1 differs from one relabeling to the
-        # next; the three tie pairs are all kept.
+    def test_win_ratio_missing_marker(self, tied, plan, path, monkeypatch):
+        # Two subjects miss the marker, which ties every pair they take part
+        # in at that level; the tie pairs are forced onto each path.
         subs = subjects_of(tied)
         for i in (2, 7):
             subs[i] = replace(subs[i], outcomes={**subs[i].outcomes, "marker": cont()})
-        specs = [
-            replace(s, missing_policy=MissingPolicy.COMPLETE_CASE) if s.name == "marker" else s
-            for s in tied.endpoint_specs
-        ]
-        sparse = dataset(subs, specs)
+        sparse = dataset(subs, tied.endpoint_specs)
         cap_divisor = 1 if path == "tie_pairs" else sparse.n ** 2 + 1  # cap N^2 or 0
         monkeypatch.setattr(pairwise, "_TIE_CAP_DIVISOR", cap_divisor)
         fast = win_ratio_test(sparse, plan=plan)
-        assert fast.metadata["n_excluded"] == 2
-        ties = tie_pairs(sparse.subset(np.flatnonzero(sparse.present("marker"))))
-        assert (ties is None) == (path == "dense")
-        assert_same_null(fast, permutation_pvalue(wr_stat_complete_case, sparse, plan))
+        assert fast.metadata["n_excluded"] == 0
+        assert (tie_pairs(sparse) is None) == (path == "dense")
+        assert_same_null(fast, permutation_pvalue(wr_stat, sparse, plan))
 
     def test_obrien(self, ds, plan):
         assert_same_null(obrien_test(ds, plan=plan), permutation_pvalue(obrien_stat, ds, plan))

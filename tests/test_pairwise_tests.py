@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from multiendpoint import (
     SimConfig,
     TrialDataset,
     fs_test,
+    run_method,
     simulate_trial,
     win_ratio_test,
 )
+from multiendpoint.methods import METHOD_NAMES
 from multiendpoint.pairwise import pairwise_score_vector
 import oracles
 from support import (
@@ -229,3 +232,23 @@ class TestWinRatio:
         perm = win_ratio_test(ds, plan=PermutationPlan.monte_carlo(10_000, seed=4))
         assert 0.01 <= perm.p_two_sided <= 0.99
         assert abs(asym.p_two_sided - perm.p_two_sided) <= 0.01
+
+
+DRIVER_FIELDS = ("replicates_used", "seed", "n_extreme", "n_nonfinite", "null_mean", "null_sd")
+
+
+@pytest.mark.parametrize("plan", [PermutationPlan.monte_carlo(99), PermutationPlan.exact()],
+                         ids=["monte_carlo", "exact"])
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_identical_cohort_under_a_plan(method, plan):
+    """All subjects alike: every test permutes, reports p = 1 and flags the
+    degenerate case, and a zero variance gives z = 0 as it does
+    asymptotically."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # multirank: rank 0 < 3
+        r = run_method(method, identical_cohort(), plan)
+    assert r.p_two_sided == 1.0
+    assert set(DRIVER_FIELDS) <= set(r.metadata)
+    assert r.metadata["degenerate" if method == "win_ratio" else "degenerate_variance"]
+    if method in ("rank_sum", "fs", "global_u"):
+        assert r.z == 0.0

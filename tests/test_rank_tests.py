@@ -18,6 +18,7 @@ from multiendpoint import (
     rank_matrix,
     simulate_trial,
 )
+from multiendpoint.results import MIN_P
 import oracles
 from support import cont, dataset, random_integer_cohort, subject, subjects_of
 
@@ -144,6 +145,15 @@ class TestObrien:
         r_n = obrien_test(ds, variance="naive")
         r_a = obrien_test(ds, variance="adjusted")
         assert r_n.variance == pytest.approx(r_a.variance, rel=0.02)
+
+    @pytest.mark.parametrize("variance", ["naive", "adjusted"])
+    def test_zero_variance_z_rule(self, variance):
+        # Rank sums constant within each group: the variance is 0 under both
+        # estimators, and the Welch df is undefined (NaN).
+        for values, z, p in [([1, 1, 1, 1], 0.0, 1.0), ([2, 2, 1, 1], math.inf, MIN_P)]:
+            r = obrien_test(one_endpoint_dataset(values, [1, 1, 0, 0]), variance=variance)
+            assert (r.variance, r.z, r.p_two_sided) == (0.0, z, p)
+            assert r.metadata["degenerate_variance"]
 
     def test_label_swap_negates_statistic(self):
         ds = simulate_trial(SimConfig.null(12, seed=44))

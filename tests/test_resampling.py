@@ -43,10 +43,12 @@ class TestPlans:
         with pytest.raises(ValueError):
             PermutationPlan.monte_carlo(0)
 
-    def test_exact_cap_enforced(self, ordered):
-        plan = PermutationPlan("exact", exact_cap=3)
-        with pytest.raises(ExactTooLargeError):
-            permutation_pvalue(fs_stat, ordered, plan)
+    def test_exact_cap_enforced(self):
+        # C(22, 11) = 705,432 assignments is over the cap; the check comes
+        # before any enumeration.
+        cohort = survival_cohort(range(1, 23), [1] * 22, [1, 0] * 11)
+        with pytest.raises(ExactTooLargeError, match=r"C\(22, 11\) = 705432"):
+            permutation_pvalue(fs_stat, cohort, PermutationPlan.exact())
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -203,14 +205,22 @@ class TestSuperUniformity:
         assert rate <= alpha + slack
 
 
-def test_only_resampling_runs_the_label_loop():
-    """Tests supply a block reducer to ``permutation_test``; no other module
-    streams label blocks or counts extreme draws itself."""
-    offenders = [
-        f"{path.name}: {call}"
+def _modules_calling(call: str) -> list[str]:
+    return [
+        path.name
         for path in sorted(Path(multiendpoint.__file__).parent.glob("*.py"))
-        if path.name != "resampling.py"
-        for call in ("iter_label_blocks(", "pvalue_from_draws(")
         if call in path.read_text()
     ]
-    assert offenders == []
+
+
+def test_only_resampling_runs_the_label_loop():
+    """Tests end in ``resampling.conclude``; no other module streams label
+    blocks, runs the permutation driver or counts extreme draws itself."""
+    for call in ("iter_label_blocks(", "permutation_test(", "pvalue_from_draws("):
+        assert _modules_calling(call) == ["resampling.py"], call
+
+
+def test_only_the_shared_tail_builds_results():
+    """Every test's result is built in ``resampling.conclude``; ``report``
+    builds them only to read a results CSV back."""
+    assert _modules_calling("TestResult(") == ["report.py", "resampling.py"]
