@@ -13,18 +13,16 @@ from .errors import (
     EmptyAfterExclusionError,
     EmptyGroupError,
     ExactTooLargeError,
-    HierarchyMismatchError,
     InvalidContrastError,
     InvalidCorrelationError,
     InvalidDataError,
-    KernelKindMismatchError,
     MissingColumnError,
     MultiEndpointError,
     SchemaMismatchError,
 )
-from .global_u import EndpointUStatistic, KernelSpec, KernelType, default_kernels, endpoint_u, global_u_test
+from .global_u import endpoint_weights, global_u_test
 from .methods import METHOD_NAMES, run_method
-from .pairwise import gehan_score_vector, pairwise_score_vector
+from .pairwise import gehan_score_vector
 from .pairwise_tests import fs_test, win_ratio_test
 from .rank_tests import RankMatrix, multirank_test, obrien_test, rank_matrix
 from .resampling import (
@@ -57,7 +55,6 @@ from .trial_data import (
     derive_endpoints,
     load_trial_csv,
     parse_contrast,
-    validate_hierarchy,
 )
 
 __version__ = "0.1.0"

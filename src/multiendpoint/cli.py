@@ -21,7 +21,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from types import UnionType
 from typing import Any, Callable, Mapping, Sequence, get_args, get_origin
@@ -40,7 +40,7 @@ from .errors import (
     MultiEndpointError,
     SchemaMismatchError,
 )
-from .global_u import default_kernels
+from .global_u import endpoint_weights
 from .methods import METHOD_NAMES, run_method
 from .rank_tests import VARIANCE_ADJUSTED, VARIANCE_NAIVE
 from .report import results_text_table, write_results_csv
@@ -108,7 +108,8 @@ _METHODS_RULE = "a non-empty list of " + ", ".join(METHOD_NAMES)
 _COLUMNS = ColumnMapping()
 
 # Range checks that a library type makes on the value it is given
-# (PermutationPlan, SimConfig and its models, KernelSpec) are not repeated here.
+# (ColumnMapping, PermutationPlan, SimConfig and its models, the global-U
+# weights) are not repeated here.
 KEYS: dict[str, Key] = {
     "input": Key(DATA, str, "", bool, "a CSV path"),
     "contrast": Key(DATA, str, DEFAULT_CONTRAST),
@@ -236,21 +237,9 @@ def _config_errors(path: str):
 def _load_trial(cfg: Mapping[str, Any]):
     columns = {p.removeprefix("columns."): v for p, v in cfg.items() if p.startswith("columns.")}
     columns["covariates"] = {**_COLUMNS.covariates, **columns["covariates"]}
-    return load_trial_csv(cfg["input"], ColumnMapping(**columns), cfg["contrast"])
-
-
-def _kernels_for(ds, weights: dict[str, float] | None):
-    if weights is None:
-        return None
-    kernels = default_kernels(ds)
-    unknown = set(weights) - {k.endpoint for k in kernels}
-    if unknown:
-        raise ConfigError(f"global_u.weights: unknown endpoint(s) {sorted(unknown)}")
-    with _config_errors("global_u.weights"):
-        kernels = [replace(k, weight=float(weights.get(k.endpoint, k.weight))) for k in kernels]
-    if not any(k.weight for k in kernels):
-        raise ConfigError("global_u.weights: must not all be zero")
-    return kernels
+    with _config_errors("columns.covariates"):
+        mapping = ColumnMapping(**columns)
+    return load_trial_csv(cfg["input"], mapping, cfg["contrast"])
 
 
 def _plan(cfg: Mapping[str, Any]) -> PermutationPlan | None:
@@ -269,9 +258,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raw, DerivationConfig(contrast=cfg["contrast"], include_week96=cfg["include_week96"])
     )
     summary = baseline_summary(ds)
-    kernels = _kernels_for(ds, cfg["global_u.weights"])
+    weights = cfg["global_u.weights"]
+    with _config_errors("global_u.weights"):
+        endpoint_weights(ds, weights)
     variance = cfg["rank_sum.variance"]
-    results = [run_method(m, ds, plan, variance=variance, kernels=kernels) for m in cfg["methods"]]
+    results = [run_method(m, ds, plan, variance=variance, weights=weights) for m in cfg["methods"]]
 
     baseline_text = summary.to_text()
     results_text = results_text_table(results)

@@ -12,12 +12,16 @@ class SchemaMismatchError(MultiEndpointError):
 
 
 class CsvParseError(MultiEndpointError):
-    """A required field in a data row could not be parsed."""
+    """A data row could not be parsed: a required field of it (``column``),
+    or its field count (``column`` is None)."""
 
-    def __init__(self, row: int, column: str, detail: str = ""):
+    def __init__(self, row: int, column: str | None, detail: str = ""):
         self.row = row
         self.column = column
-        msg = f"row {row}, column {column!r}: malformed value"
+        if column is None:
+            msg = f"row {row}: malformed row"
+        else:
+            msg = f"row {row}, column {column!r}: malformed value"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
@@ -40,20 +44,12 @@ class InvalidContrastError(MultiEndpointError):
     """A contrast names an arm that does not exist, or is malformed."""
 
 
-class HierarchyMismatchError(MultiEndpointError):
-    """A subject or dataset lacks an endpoint named in the hierarchy."""
-
-
 class EmptyAfterExclusionError(MultiEndpointError):
     """Too few subjects remain, after any complete-case filtering, for the test."""
 
 
 class ExactTooLargeError(MultiEndpointError):
     """Exact enumeration was requested but C(N, n1) exceeds the cap."""
-
-
-class KernelKindMismatchError(MultiEndpointError):
-    """A kernel was applied to an endpoint kind it does not support."""
 
 
 class InvalidCorrelationError(MultiEndpointError):

@@ -1,111 +1,50 @@
 """Weighted global U-statistic test over endpoint-specific two-sample kernels.
 
-Each kernel scores an ordered (treatment, control) pair in {-1, 0, +1} with
-+1 favoring treatment: a Mann-Whitney signed difference for continuous and
-binary endpoints, or the censoring-aware Gehan survival rule for
-time-to-event endpoints. The global statistic is the weight-normalized sum
-of per-endpoint pair averages; its asymptotic variance comes from the
-two-sample projection estimator.
+Each endpoint's kernel follows from its kind and scores an ordered
+(treatment, control) pair in {-1, 0, +1} with +1 favoring treatment: the
+censoring-aware Gehan survival rule for a time-to-event endpoint, a
+Mann-Whitney signed difference for a continuous or binary one. The global
+statistic is the weight-normalized sum of per-endpoint pair averages; its
+asymptotic variance comes from the two-sample projection estimator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
-from typing import Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy import stats as sps
 
-from .errors import EmptyAfterExclusionError, KernelKindMismatchError
-from .pairwise import Level, PairCounts, endpoint_level, sweep_counts
+from .errors import EmptyAfterExclusionError
+from .pairwise import endpoint_level, sweep_counts
 from .resampling import PermutationPlan, conclude, label_product
 from .results import TestResult, two_sided_p, z_score
 from .trial_data import EndpointKind, TrialDataset
 
 
-class KernelType(Enum):
-    SIGNED_DIFFERENCE = "signed_difference"
-    GEHAN_SURVIVAL = "gehan_survival"
+def endpoint_weights(ds: TrialDataset, weights: Mapping[str, float] | None = None) -> np.ndarray:
+    """The normalized weight of each endpoint of ``ds``, in priority order.
 
-
-@dataclass(frozen=True)
-class KernelSpec:
-    endpoint: str
-    kernel: KernelType
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if not (self.weight >= 0 and math.isfinite(self.weight)):
-            raise ValueError(f"kernel weight must be finite and >= 0, got {self.weight}")
-
-
-def default_kernels(ds: TrialDataset) -> list[KernelSpec]:
-    """Equal-weight kernel per endpoint: Gehan for time-to-event, signed
-    difference otherwise."""
-    out = []
-    for spec in sorted(ds.endpoint_specs, key=lambda s: s.priority):
-        kernel = (
-            KernelType.GEHAN_SURVIVAL
-            if spec.kind is EndpointKind.TIME_TO_EVENT
-            else KernelType.SIGNED_DIFFERENCE
-        )
-        out.append(KernelSpec(spec.name, kernel, 1.0))
-    return out
-
-
-def _kernel_level(ds: TrialDataset, spec: KernelSpec) -> Level:
-    ep = ds.spec(spec.endpoint)
-    if spec.kernel is KernelType.GEHAN_SURVIVAL:
-        if ep.kind is not EndpointKind.TIME_TO_EVENT:
-            raise KernelKindMismatchError(
-                f"GehanSurvival kernel requires a time-to-event endpoint, "
-                f"{spec.endpoint!r} is {ep.kind.value}"
-            )
-    else:
-        if ep.kind is EndpointKind.TIME_TO_EVENT:
-            raise KernelKindMismatchError(
-                f"SignedDifference kernel cannot apply to time-to-event "
-                f"endpoint {spec.endpoint!r}"
-            )
-    return endpoint_level(ds, ep)
-
-
-@dataclass(frozen=True)
-class EndpointUStatistic:
-    endpoint: str
-    kernel: KernelType
-    u: float
-    pair_sum: int
-    projection_treatment: np.ndarray  # mean kernel of each treatment subject vs controls
-    projection_control: np.ndarray  # mean kernel (treatment perspective) vs each control
-
-
-def _endpoint_u(ds: TrialDataset, spec: KernelSpec, counts: PairCounts) -> EndpointUStatistic:
-    treat = ds.treatment_mask
-    vs_other = counts.wins - counts.losses
-    pair_sum = int(vs_other[treat].sum())
-    return EndpointUStatistic(
-        endpoint=spec.endpoint,
-        kernel=spec.kernel,
-        u=pair_sum / (ds.n_treatment * ds.n_control),
-        pair_sum=pair_sum,
-        projection_treatment=vs_other[treat] / ds.n_control,
-        projection_control=-vs_other[~treat] / ds.n_treatment,
-    )
-
-
-def endpoint_u(ds: TrialDataset, spec: KernelSpec) -> EndpointUStatistic:
-    """Per-endpoint pair average U_k plus per-subject projection means."""
-    return _endpoint_u(ds, spec, sweep_counts([_kernel_level(ds, spec)], ds.treatment_mask))
-
-
-def _normalized_weights(kernels: Sequence[KernelSpec]) -> np.ndarray:
-    w = np.asarray([k.weight for k in kernels], dtype=np.float64)
-    total = w.sum()
+    An endpoint that ``weights`` leaves out weighs 1.0 before normalizing.
+    Raises ValueError for an endpoint the dataset lacks, a negative or
+    non-finite weight, or weights that are all zero or whose sum overflows.
+    """
+    names = [s.name for s in ds.endpoint_specs]
+    given = dict(weights or {})
+    unknown = set(given) - set(names)
+    if unknown:
+        raise ValueError(f"unknown endpoint(s) {sorted(unknown)}")
+    w = np.asarray([float(given.get(name, 1.0)) for name in names], dtype=np.float64)
+    for name, weight in zip(names, w):
+        if not (weight >= 0 and math.isfinite(weight)):
+            raise ValueError(f"weight of {name!r} must be finite and >= 0, got {weight}")
+    with np.errstate(over="ignore"):
+        total = w.sum()
     if total <= 0:
-        raise ValueError("kernel weights must not all be zero")
+        raise ValueError("weights must not all be zero")
+    if total == math.inf:
+        raise ValueError("weights must have a finite sum")
     return w / total
 
 
@@ -125,41 +64,45 @@ def _combine(pair_sums: np.ndarray, weights: np.ndarray, n_pairs: int) -> np.nda
 
 def global_u_test(
     ds: TrialDataset,
-    kernels: Sequence[KernelSpec] | None = None,
+    weights: Mapping[str, float] | None = None,
     plan: PermutationPlan | None = None,
 ) -> TestResult:
-    """Weight-normalized sum of endpoint U-statistics.
+    """Weight-normalized sum of endpoint U-statistics, one per endpoint of
+    the dataset; ``weights`` as in ``endpoint_weights``.
 
     Asymptotic variance: S1^2/n1 + S0^2/n0 with S^2 the sample variances of
     the weighted per-subject projection means within each group. With a
     plan, the p-value is a label permutation of the combined statistic.
     """
-    if kernels is None:
-        kernels = default_kernels(ds)
-    if not kernels:
-        raise ValueError("at least one kernel is required")
-    weights = _normalized_weights(kernels)
+    specs = ds.endpoint_specs
+    w = endpoint_weights(ds, weights)
+    treat = ds.treatment_mask
     n1, n0 = ds.n_treatment, ds.n_control
     n_pairs = n1 * n0
 
-    counts = [sweep_counts([_kernel_level(ds, k)], ds.treatment_mask) for k in kernels]
-    parts = [_endpoint_u(ds, k, c) for k, c in zip(kernels, counts)]
-    pair_sums = np.asarray([p.pair_sum for p in parts], dtype=np.float64)
-    statistic = float(_combine(pair_sums, weights, n_pairs))
+    counts = [sweep_counts([endpoint_level(ds, spec)], treat) for spec in specs]
+    # A subject's kernel sum over the other group, from the treatment side.
+    vs_other = [c.wins - c.losses for c in counts]
+    pair_sums = [int(v[treat].sum()) for v in vs_other]
+    statistic = float(_combine(np.asarray(pair_sums, dtype=np.float64), w, n_pairs))
 
     h_t = np.zeros(n1)
     h_c = np.zeros(n0)
-    for w, p in zip(weights, parts):
-        h_t += w * p.projection_treatment
-        h_c += w * p.projection_control
+    for w_k, v in zip(w, vs_other):
+        h_t += w_k * (v[treat] / n0)
+        h_c += w_k * (-v[~treat] / n1)
     s1 = float(h_t.var(ddof=1)) if n1 >= 2 else math.nan
     s0 = float(h_c.var(ddof=1)) if n0 >= 2 else math.nan
     variance = s1 / n1 + s0 / n0
 
     metadata: dict = {
-        "kernels": [(k.endpoint, k.kernel.value) for k in kernels],
-        "weights": [float(w) for w in weights],
-        "endpoint_u": {p.endpoint: p.u for p in parts},
+        "kernels": [
+            (s.name, "gehan_survival" if s.kind is EndpointKind.TIME_TO_EVENT
+             else "signed_difference")
+            for s in specs
+        ],
+        "weights": [float(w_k) for w_k in w],
+        "endpoint_u": {s.name: total / n_pairs for s, total in zip(specs, pair_sums)},
         "n_treatment": n1,
         "n_control": n0,
     }
@@ -174,7 +117,7 @@ def global_u_test(
     row_sums = np.column_stack([c.net for c in counts]).astype(np.float64)
     return conclude(
         "global_u", statistic, variance, z, metadata, plan,
-        lambda block: _combine(label_product(block, row_sums), weights, n_pairs),
+        lambda block: _combine(label_product(block, row_sums), w, n_pairs),
         ds.group_codes,
         lambda: two_sided_p(z, sps.norm.sf),
     )

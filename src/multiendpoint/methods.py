@@ -7,9 +7,9 @@ the test by name.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping
 
-from .global_u import KernelSpec, global_u_test
+from .global_u import global_u_test
 from .pairwise_tests import fs_test, win_ratio_test
 from .rank_tests import VARIANCE_NAIVE, multirank_test, obrien_test
 from .resampling import PermutationPlan
@@ -25,7 +25,7 @@ def run_method(
     plan: PermutationPlan | None = None,
     *,
     variance: str = VARIANCE_NAIVE,
-    kernels: Sequence[KernelSpec] | None = None,
+    weights: Mapping[str, float] | None = None,
 ) -> TestResult:
     if name == "rank_sum":
         return obrien_test(ds, variance=variance, plan=plan)
@@ -36,5 +36,5 @@ def run_method(
     if name == "multirank":
         return multirank_test(ds, plan=plan)
     if name == "global_u":
-        return global_u_test(ds, kernels, plan)
+        return global_u_test(ds, weights, plan)
     raise ValueError(f"unknown method {name!r}; known: {METHOD_NAMES}")

@@ -1,8 +1,10 @@
 """Hierarchical pairwise comparison of subjects.
 
-Each hierarchy level is written as two per-subject keys (``Level``), and
-the N x N verdict matrix S is swept in row tiles of about 2M entries, which
-applies the level rule and the hierarchy in one place, ``_tiles``.
+The hierarchy is the dataset's endpoints in priority order
+(``TrialDataset.endpoint_specs``). Each level is written as two per-subject
+keys (``Level``), and the N x N verdict matrix S is swept in row tiles of
+about 2M entries, which applies the level rule and the hierarchy in one
+place, ``_tiles``.
 ``sweep_counts`` reduces every tile at once to per-subject counts (net
 score, determinate pairs, wins and losses against the other group) and, on
 request, the list of pairs tied at every level, so no test holds S itself.
@@ -25,14 +27,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import HierarchyMismatchError
-from .trial_data import (
-    Direction,
-    EndpointKind,
-    EndpointSpec,
-    TrialDataset,
-    validate_hierarchy,
-)
+from .trial_data import Direction, EndpointKind, EndpointSpec, TrialDataset
 
 
 class Level(NamedTuple):
@@ -165,45 +160,26 @@ def sweep_counts(
     )
 
 
-def _hierarchy_levels(
-    ds: TrialDataset, hierarchy: Sequence[EndpointSpec] | None
-) -> list[Level]:
-    ordered = validate_hierarchy(hierarchy if hierarchy is not None else ds.endpoint_specs)
-    for spec in ordered:
-        if not ds.has_endpoint(spec.name):
-            raise HierarchyMismatchError(f"dataset lacks endpoint {spec.name!r}")
-    return [endpoint_level(ds, spec) for spec in ordered]
+def _hierarchy_levels(ds: TrialDataset) -> list[Level]:
+    return [endpoint_level(ds, spec) for spec in ds.endpoint_specs]
 
 
-def determinacy_matrix(
-    ds: TrialDataset, hierarchy: Sequence[EndpointSpec] | None = None
-) -> np.ndarray:
+def determinacy_matrix(ds: TrialDataset) -> np.ndarray:
     """N x N float32 |S|: 1 where the hierarchy decides the pair, else 0.
 
     The win ratio's permutation path for cohorts with too many tie pairs
     for ``sweep_counts`` to list.
     """
-    levels = _hierarchy_levels(ds, hierarchy)
     out = np.empty((ds.n, ds.n), dtype=np.float32)
-    for rows, tile in _tiles(levels):
+    for rows, tile in _tiles(_hierarchy_levels(ds)):
         out[rows] = tile != 0
     return out
 
 
-def pair_counts(
-    ds: TrialDataset,
-    hierarchy: Sequence[EndpointSpec] | None = None,
-    collect_ties: bool = False,
-) -> PairCounts:
-    """Per-subject counts of the hierarchy verdicts, without the N x N matrix."""
-    return sweep_counts(_hierarchy_levels(ds, hierarchy), ds.treatment_mask, collect_ties)
-
-
-def pairwise_score_vector(
-    ds: TrialDataset, hierarchy: Sequence[EndpointSpec] | None = None
-) -> np.ndarray:
-    """Per-subject net score u_i = sum over j != i of the (i, j) verdict."""
-    return pair_counts(ds, hierarchy).net
+def pair_counts(ds: TrialDataset, collect_ties: bool = False) -> PairCounts:
+    """Per-subject counts of the verdicts of the dataset's hierarchy, its
+    endpoints in priority order, without the N x N matrix."""
+    return sweep_counts(_hierarchy_levels(ds), ds.treatment_mask, collect_ties)
 
 
 def gehan_score_vector(times: np.ndarray, events: np.ndarray) -> np.ndarray:

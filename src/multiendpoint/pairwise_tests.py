@@ -16,45 +16,34 @@ block. Every product is exact: each partial sum is an integer, far below
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import stats as sps
 
-from .pairwise import PairCounts, determinacy_matrix, pair_counts, pairwise_score_vector
+from .pairwise import PairCounts, determinacy_matrix, pair_counts
 from .resampling import PermutationPlan, conclude, label_product
 from .results import TestResult, two_sided_p, z_score
-from .trial_data import EndpointSpec, TrialDataset, validate_hierarchy
+from .trial_data import TrialDataset
 
 
-def _resolve_hierarchy(
-    ds: TrialDataset, hierarchy: Sequence[EndpointSpec] | None
-) -> tuple[EndpointSpec, ...]:
-    return validate_hierarchy(hierarchy if hierarchy is not None else ds.endpoint_specs)
-
-
-def fs_test(
-    ds: TrialDataset,
-    hierarchy: Sequence[EndpointSpec] | None = None,
-    plan: PermutationPlan | None = None,
-) -> TestResult:
+def fs_test(ds: TrialDataset, plan: PermutationPlan | None = None) -> TestResult:
     """Sum over treatment subjects of their net pairwise scores against the
-    pooled cohort.
+    pooled cohort, under the dataset's hierarchy.
 
     Asymptotic variance is the permutation moment
     ``n1 * n0 / (N (N-1)) * sum(u_i^2)``; with ``plan`` given, the p-value
     comes from the resampling engine instead (the closed form is still
     reported).
     """
-    hierarchy = _resolve_hierarchy(ds, hierarchy)
-    u = pairwise_score_vector(ds, hierarchy)
+    u = pair_counts(ds).net
     weights = u.astype(np.float64)
     statistic = float(u[ds.treatment_mask].sum())
     n1, n0, n = ds.n_treatment, ds.n_control, ds.n
     variance = float(n1 * n0 * np.sum(weights**2) / (n * (n - 1)))
 
     metadata: dict = {
-        "hierarchy": [s.name for s in hierarchy],
+        "hierarchy": [s.name for s in ds.endpoint_specs],
         "n_treatment": n1,
         "n_control": n0,
         "n_excluded": 0,
@@ -78,12 +67,9 @@ def _log_ratio(wins: float, losses: float) -> float:
         return float(np.log(np.float64(wins)) - np.log(np.float64(losses)))
 
 
-def win_ratio_test(
-    ds: TrialDataset,
-    hierarchy: Sequence[EndpointSpec] | None = None,
-    plan: PermutationPlan | None = None,
-) -> TestResult:
-    """Log win ratio over all treatment x control ordered pairs.
+def win_ratio_test(ds: TrialDataset, plan: PermutationPlan | None = None) -> TestResult:
+    """Log win ratio over all treatment x control ordered pairs, under the
+    dataset's hierarchy.
 
     ``statistic`` is log(wins) - log(losses): inf/-inf when the ratio is
     unbounded (wins with zero losses) or has zero wins, and 0.0 when no pair
@@ -99,8 +85,7 @@ def win_ratio_test(
     suppresses the asymptotic summary but still permutes (non-finite
     replicate values count as extreme).
     """
-    hierarchy = _resolve_hierarchy(ds, hierarchy)
-    counts = pair_counts(ds, hierarchy, collect_ties=plan is not None)
+    counts = pair_counts(ds, collect_ties=plan is not None)
     treat = ds.treatment_mask
     n1, n0 = ds.n_treatment, ds.n_control
     n_wins = int(counts.wins[treat].sum())
@@ -108,7 +93,7 @@ def win_ratio_test(
     n_ties = n1 * n0 - n_wins - n_losses
 
     metadata: dict = {
-        "hierarchy": [s.name for s in hierarchy],
+        "hierarchy": [s.name for s in ds.endpoint_specs],
         "n_treatment": n1,
         "n_control": n0,
         "n_excluded": 0,
@@ -143,7 +128,7 @@ def win_ratio_test(
         win_ratio=n_wins / n_losses if n_losses else (math.inf if n_wins else math.nan),
         ci_95=ci,
     )
-    dense = None if plan is None or counts.ties is not None else determinacy_matrix(ds, hierarchy)
+    dense = None if plan is None or counts.ties is not None else determinacy_matrix(ds)
     # With no determinate pair every relabeling's log WR is NaN too: p = 1
     # in both modes.
     return conclude(

@@ -2,8 +2,8 @@
 heteroscedasticity-adjusted variance) and a multivariate-rank quadratic-form
 test.
 
-Ranking is complete-case by construction: subjects missing any listed
-endpoint are excluded and the exclusion count reported, since midranks over
+Ranking is complete-case by construction: subjects missing any endpoint of
+the dataset are excluded and the exclusion count reported, since midranks over
 partially missing columns would silently change N per column. Time-to-event
 endpoints are first converted to censoring-aware net survival scores
 (Gehan scores), so one endpoint's censoring never leaks into the others.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy import stats as sps
@@ -23,7 +22,7 @@ from .errors import EmptyAfterExclusionError, EmptyGroupError
 from .pairwise import gehan_score_vector
 from .resampling import PermutationPlan, conclude, label_product
 from .results import TestResult, clamp_p, two_sided_p, z_score
-from .trial_data import Direction, EndpointKind, EndpointSpec, TrialDataset
+from .trial_data import Direction, EndpointKind, TrialDataset
 
 VARIANCE_NAIVE = "naive"
 VARIANCE_ADJUSTED = "adjusted"
@@ -53,23 +52,13 @@ class RankMatrix:
         return self.ranks.sum(axis=0)
 
 
-def _endpoint_names(ds: TrialDataset, endpoints: Sequence[str] | Sequence[EndpointSpec] | None) -> list[str]:
-    if endpoints is None:
-        return [s.name for s in sorted(ds.endpoint_specs, key=lambda s: s.priority)]
-    names = [e.name if isinstance(e, EndpointSpec) else str(e) for e in endpoints]
-    if not names:
-        raise ValueError("endpoint list must be non-empty")
-    return names
-
-
-def rank_matrix(
-    ds: TrialDataset, endpoints: Sequence[str] | Sequence[EndpointSpec] | None = None
-) -> RankMatrix:
-    """Column-wise pooled midranks over the complete-case subset."""
-    names = _endpoint_names(ds, endpoints)
+def rank_matrix(ds: TrialDataset) -> RankMatrix:
+    """Column-wise pooled midranks over the complete-case subset, one column
+    per endpoint in priority order."""
+    specs = ds.endpoint_specs
     keep = np.ones(ds.n, dtype=bool)
-    for name in names:
-        keep &= ds.present(name)
+    for spec in specs:
+        keep &= ds.present(spec.name)
     kept = np.flatnonzero(keep)
     if kept.size == 0:
         raise EmptyAfterExclusionError(
@@ -77,8 +66,8 @@ def rank_matrix(
         )
 
     cols = []
-    for name in names:
-        spec = ds.spec(name)
+    for spec in specs:
+        name = spec.name
         if spec.kind is EndpointKind.TIME_TO_EVENT:
             score = gehan_score_vector(ds.times(name)[kept], ds.events_observed(name)[kept])
             score = score.astype(np.float64)
@@ -90,7 +79,7 @@ def rank_matrix(
 
     return RankMatrix(
         ranks=np.column_stack(cols),
-        endpoint_names=tuple(names),
+        endpoint_names=tuple(s.name for s in specs),
         kept_indices=kept,
         treatment_mask=ds.treatment_mask[kept],
         n_excluded=ds.n - kept.size,
@@ -117,10 +106,7 @@ def _kept_weights(rm: RankMatrix, n: int, columns: np.ndarray) -> np.ndarray:
 
 
 def obrien_test(
-    ds: TrialDataset,
-    endpoints: Sequence[str] | Sequence[EndpointSpec] | None = None,
-    variance: str = VARIANCE_NAIVE,
-    plan: PermutationPlan | None = None,
+    ds: TrialDataset, variance: str = VARIANCE_NAIVE, plan: PermutationPlan | None = None
 ) -> TestResult:
     """Difference in group means of per-subject rank sums.
 
@@ -131,7 +117,7 @@ def obrien_test(
     """
     if variance not in (VARIANCE_NAIVE, VARIANCE_ADJUSTED):
         raise ValueError(f"unknown variance option {variance!r}")
-    rm = rank_matrix(ds, endpoints)
+    rm = rank_matrix(ds)
     _require_groups(rm)
     row_sums = rm.ranks.sum(axis=1)
     mask = rm.treatment_mask
@@ -234,11 +220,7 @@ def _quadform_stats(
     return stats, ranks
 
 
-def multirank_test(
-    ds: TrialDataset,
-    endpoints: Sequence[str] | Sequence[EndpointSpec] | None = None,
-    plan: PermutationPlan | None = None,
-) -> TestResult:
+def multirank_test(ds: TrialDataset, plan: PermutationPlan | None = None) -> TestResult:
     """Quadratic form in the per-endpoint differences of mean midranks,
     scaled by the pooled covariance of the centered rank rows.
 
@@ -246,7 +228,7 @@ def multirank_test(
     with a warning when the covariance is singular). Permutation of the
     statistic is the recommended mode.
     """
-    rm = rank_matrix(ds, endpoints)
+    rm = rank_matrix(ds)
     _require_groups(rm)
     weights = _kept_weights(rm, ds.n, rm.ranks)
 

@@ -70,21 +70,6 @@ class EndpointSpec:
             )
 
 
-def validate_hierarchy(specs: Sequence[EndpointSpec]) -> tuple[EndpointSpec, ...]:
-    """Check priorities are distinct and contiguous from 1; return specs sorted."""
-    if not specs:
-        raise ValueError("hierarchy must contain at least one endpoint")
-    priorities = sorted(s.priority for s in specs)
-    if priorities != list(range(1, len(specs) + 1)):
-        raise ValueError(
-            f"hierarchy priorities must be distinct and contiguous from 1, got {priorities}"
-        )
-    names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        raise ValueError("hierarchy endpoint names must be unique")
-    return tuple(sorted(specs, key=lambda s: s.priority))
-
-
 # Per endpoint kind: the name of the flag column, the name of the value
 # column, and the rule each value obeys given its flag.
 _VALUE_RULES = {
@@ -125,6 +110,9 @@ def _column(ids, what: str, values: np.ndarray, dtype, valid=None, rule="") -> n
 class TrialDataset:
     """Immutable two-group cohort, stored column-wise.
 
+    ``specs`` is the comparison hierarchy: the dataset keeps it sorted by
+    priority, which must run 1, 2, ..., K, and every test reads its
+    endpoints in that order from ``endpoint_specs``.
     ``columns`` maps each endpoint of ``specs`` to a pair of arrays: times
     and event flags for a time-to-event endpoint, values (NaN where absent)
     and presence flags otherwise. ``group`` holds 1 for treatment and 0 for
@@ -144,9 +132,14 @@ class TrialDataset:
         columns: Mapping[str, tuple[np.ndarray, np.ndarray]],
         covariates: Mapping[str, np.ndarray] | None = None,
     ):
-        self._specs: tuple[EndpointSpec, ...] = tuple(specs)
+        self._specs = tuple(sorted(specs, key=lambda s: s.priority))
         self._spec_by_name = {s.name: s for s in self._specs}
         self._ids: tuple[str, ...] = tuple(ids)
+        priorities = [s.priority for s in self._specs]
+        if not priorities or priorities != list(range(1, len(priorities) + 1)):
+            raise InvalidDataError(
+                f"endpoint priorities must be distinct and contiguous from 1, got {priorities}"
+            )
         if len(self._spec_by_name) != len(self._specs):
             raise InvalidDataError("endpoint spec names must be unique")
         if len(set(self._ids)) != len(self._ids):
@@ -200,6 +193,7 @@ class TrialDataset:
 
     @property
     def endpoint_specs(self) -> tuple[EndpointSpec, ...]:
+        """The endpoints in priority order, the one comparison hierarchy."""
         return self._specs
 
     def spec(self, name: str) -> EndpointSpec:
@@ -366,6 +360,8 @@ RAW_EVENT_ENDPOINT = "composite_event"
 RAW_CD4_WEEK20 = "cd4_week20"
 RAW_CD4_WEEK96 = "cd4_week96"
 DERIVED_CD4_CHANGE = "cd4_change_20wk"
+# The covariates that ingestion fills from ``arm`` and ``cd4_baseline``.
+RESERVED_COVARIATES = frozenset({"arm", "cd4_baseline"})
 
 
 @dataclass(frozen=True)
@@ -373,7 +369,8 @@ class ColumnMapping:
     """Names of the CSV columns carrying each ingested field.
 
     Optional fields may be set to ``None`` to skip them. ``covariates`` maps
-    standardized covariate names to CSV column names.
+    standardized covariate names to CSV column names; ``arm`` and
+    ``cd4_baseline`` are taken by the arm and baseline CD4 columns.
     """
 
     subject_id: str = "pidnum"
@@ -396,6 +393,13 @@ class ColumnMapping:
             "prior_art": "str2",
         }
     )
+
+    def __post_init__(self):
+        taken = sorted(RESERVED_COVARIATES & set(self.covariates))
+        if taken:
+            raise ValueError(
+                f"covariate name(s) {taken} are taken by the arm and baseline CD4 columns"
+            )
 
     def named_columns(self) -> list[str]:
         cols = [self.subject_id, self.arm, self.days, self.event]
@@ -465,6 +469,11 @@ def load_trial_csv(
     cov_rows: dict[str, list[float]] = {name: [] for name in mapping.covariates}
 
     for rownum, row in enumerate(reader, start=1):
+        # DictReader files the fields past the header under None, and fills
+        # the columns past a short row's end with None.
+        if None in row or None in row.values():
+            more = "more" if None in row else "fewer"
+            raise CsvParseError(rownum, None, f"{more} fields than the header")
         ids.append(row[mapping.subject_id].strip())
         arm = _req_float(row, mapping.arm, rownum)
         if not arm.is_integer():
@@ -547,20 +556,18 @@ def derive_endpoints(raw: TrialDataset, config: DerivationConfig = DerivationCon
 
     E1 = composite event (time-to-event, priority 1), E2 = CD4 change at
     ~20 weeks from baseline (priority 2), E3 = CD4 at ~96 weeks (priority 3,
-    frequently missing). Already-derived datasets pass through unchanged
-    apart from the contrast, so the operation is idempotent per config.
+    frequently missing). ``raw`` is a raw ingest, as ``load_trial_csv``
+    returns it.
     """
     if not raw.has_endpoint(RAW_EVENT_ENDPOINT):
         raise MissingColumnError(f"dataset lacks endpoint {RAW_EVENT_ENDPOINT!r}")
     if not raw.has_covariate("arm"):
         raise MissingColumnError("dataset lacks the 'arm' covariate needed for contrasts")
 
-    already_derived = raw.has_endpoint(DERIVED_CD4_CHANGE)
-    if not already_derived:
-        if not raw.has_endpoint(RAW_CD4_WEEK20):
-            raise MissingColumnError(f"dataset lacks endpoint {RAW_CD4_WEEK20!r}")
-        if not raw.has_covariate("cd4_baseline"):
-            raise MissingColumnError("dataset lacks the 'cd4_baseline' covariate")
+    if not raw.has_endpoint(RAW_CD4_WEEK20):
+        raise MissingColumnError(f"dataset lacks endpoint {RAW_CD4_WEEK20!r}")
+    if not raw.has_covariate("cd4_baseline"):
+        raise MissingColumnError("dataset lacks the 'cd4_baseline' covariate")
     if config.include_week96 and not raw.has_endpoint(RAW_CD4_WEEK96):
         raise MissingColumnError(f"dataset lacks endpoint {RAW_CD4_WEEK96!r}")
 
@@ -580,14 +587,8 @@ def derive_endpoints(raw: TrialDataset, config: DerivationConfig = DerivationCon
             raw.events_observed(RAW_EVENT_ENDPOINT)[kept],
         )
     }
-    if already_derived:
-        columns[DERIVED_CD4_CHANGE] = (
-            raw.values(DERIVED_CD4_CHANGE)[kept],
-            raw.present(DERIVED_CD4_CHANGE)[kept],
-        )
-    else:
-        change = raw.values(RAW_CD4_WEEK20)[kept] - raw.covariate("cd4_baseline")[kept]
-        columns[DERIVED_CD4_CHANGE] = (change, ~np.isnan(change))
+    change = raw.values(RAW_CD4_WEEK20)[kept] - raw.covariate("cd4_baseline")[kept]
+    columns[DERIVED_CD4_CHANGE] = (change, ~np.isnan(change))
     if config.include_week96:
         vals = raw.values(RAW_CD4_WEEK96)[kept]
         columns[RAW_CD4_WEEK96] = (vals, ~np.isnan(vals))

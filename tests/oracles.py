@@ -21,8 +21,7 @@ import numpy as np
 from scipy import stats as sps
 
 from multiendpoint import Direction, EndpointKind, TrialDataset
-from multiendpoint.global_u import KernelSpec, _kernel_level
-from multiendpoint.pairwise import Level, _hierarchy_levels, _tiles
+from multiendpoint.pairwise import Level, _hierarchy_levels, _tiles, endpoint_level
 from support import Subject, Tte, Value
 
 # ---------------------------------------------------------------------------
@@ -79,15 +78,16 @@ def stack_tiles(levels: Sequence[Level]) -> np.ndarray:
     return out
 
 
-def verdict_matrix(ds: TrialDataset, hierarchy=None) -> np.ndarray:
-    """N x N int8 matrix of hierarchy verdicts; entry (i, j) = +1 when i
-    beats j. Antisymmetric with zero diagonal."""
-    return stack_tiles(_hierarchy_levels(ds, hierarchy))
+def verdict_matrix(ds: TrialDataset) -> np.ndarray:
+    """N x N int8 matrix of the verdicts of the dataset's hierarchy; entry
+    (i, j) = +1 when i beats j. Antisymmetric with zero diagonal."""
+    return stack_tiles(_hierarchy_levels(ds))
 
 
-def kernel_matrix(ds: TrialDataset, spec: KernelSpec) -> np.ndarray:
-    """Antisymmetric N x N int8 matrix of global-U kernel values phi(i, j)."""
-    return stack_tiles([_kernel_level(ds, spec)])
+def kernel_matrix(ds: TrialDataset, spec) -> np.ndarray:
+    """Antisymmetric N x N int8 matrix of the global-U kernel values
+    phi(i, j) of one endpoint."""
+    return stack_tiles([endpoint_level(ds, spec)])
 
 
 # ---------------------------------------------------------------------------
@@ -221,67 +221,46 @@ def multirank_statistic(subjects, specs) -> float:
     return float(d @ np.linalg.solve(sigma, d))
 
 
-def global_u_parts(subjects, kernel_specs) -> list[int]:
-    """Per-kernel sum of phi over all treatment x control ordered pairs."""
-    from multiendpoint import KernelType
-
-    sums = []
-    for ks in kernel_specs:
-        total = 0
-        for a in subjects:
-            if a.group != 1:
-                continue
-            for b in subjects:
-                if b.group != 0:
-                    continue
-                va, vb = a.outcomes[ks.endpoint], b.outcomes[ks.endpoint]
-                if ks.kernel is KernelType.GEHAN_SURVIVAL:
-                    if vb.event_observed and va.time > vb.time:
-                        total += 1
-                    elif va.event_observed and vb.time > va.time:
-                        total -= 1
-                else:
-                    if va.present and vb.present and va.value != vb.value:
-                        total += 1 if va.value > vb.value else -1
-        sums.append(total)
-    return sums
+def global_u_parts(subjects, specs) -> list[int]:
+    """Per-endpoint sum of phi over all treatment x control ordered pairs;
+    each endpoint's kernel is the level rule of its kind."""
+    return [
+        sum(
+            level_verdict(spec, a.outcomes[spec.name], b.outcomes[spec.name])
+            for a in subjects
+            if a.group == 1
+            for b in subjects
+            if b.group == 0
+        )
+        for spec in specs
+    ]
 
 
-def global_u_statistic(subjects, kernel_specs) -> tuple[float, float]:
-    """(weighted U, projection variance)."""
-    sums = global_u_parts(subjects, kernel_specs)
+def global_u_statistic(subjects, specs, weights=None) -> tuple[float, float]:
+    """(weighted U, projection variance) over the endpoints ``specs``; an
+    endpoint that ``weights`` leaves out weighs 1.0 before normalizing."""
+    sums = global_u_parts(subjects, specs)
     n1 = sum(1 for s in subjects if s.group == 1)
     n0 = len(subjects) - n1
     n_pairs = n1 * n0
-    weights = np.asarray([k.weight for k in kernel_specs], dtype=np.float64)
-    weights = weights / weights.sum()
-    u = float((np.asarray(sums, dtype=np.float64) / n_pairs) @ weights)
-
-    from multiendpoint import KernelType
+    w = np.asarray([(weights or {}).get(sp.name, 1.0) for sp in specs], dtype=np.float64)
+    w = w / w.sum()
+    u = float((np.asarray(sums, dtype=np.float64) / n_pairs) @ w)
 
     treatment = [s for s in subjects if s.group == 1]
     control = [s for s in subjects if s.group == 0]
 
-    def phi(ks, a, b) -> int:
-        va, vb = a.outcomes[ks.endpoint], b.outcomes[ks.endpoint]
-        if ks.kernel is KernelType.GEHAN_SURVIVAL:
-            if vb.event_observed and va.time > vb.time:
-                return 1
-            if va.event_observed and vb.time > va.time:
-                return -1
-            return 0
-        if va.present and vb.present and va.value != vb.value:
-            return 1 if va.value > vb.value else -1
-        return 0
+    def phi(sp, a, b) -> int:
+        return level_verdict(sp, a.outcomes[sp.name], b.outcomes[sp.name])
 
     h_t = []
     for a in treatment:
-        h_t.append(sum(w * (sum(phi(k, a, b) for b in control) / n0)
-                       for w, k in zip(weights, kernel_specs)))
+        h_t.append(sum(w_k * (sum(phi(sp, a, b) for b in control) / n0)
+                       for w_k, sp in zip(w, specs)))
     h_c = []
     for b in control:
-        h_c.append(sum(w * (sum(phi(k, a, b) for a in treatment) / n1)
-                       for w, k in zip(weights, kernel_specs)))
+        h_c.append(sum(w_k * (sum(phi(sp, a, b) for a in treatment) / n1)
+                       for w_k, sp in zip(w, specs)))
     var = float(np.var(h_t, ddof=1) / n1 + np.var(h_c, ddof=1) / n0)
     return u, var
 

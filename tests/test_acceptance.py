@@ -15,25 +15,23 @@ import numpy as np
 import pytest
 
 from multiendpoint import (
-    KernelSpec,
-    KernelType,
     PermutationPlan,
     SimConfig,
     baseline_summary,
-    default_kernels,
     derive_replicate_seed,
+    endpoint_weights,
     error_rate_study,
     fs_test,
     global_u_test,
     multirank_test,
     obrien_test,
-    pairwise_score_vector,
     rank_matrix,
     run_method,
     simulate_trial,
     win_ratio_test,
 )
-from multiendpoint.global_u import _combine, _normalized_weights
+from multiendpoint.global_u import _combine
+from multiendpoint.pairwise import pair_counts
 from multiendpoint.resampling import iter_label_blocks
 from multiendpoint.simgen import binomial_band
 import oracles
@@ -93,12 +91,7 @@ def test_criterion_2_table1_baseline(actg_raw):
     _announce("criterion 2 (Table 1 baseline summary)")
 
 
-def _oracle_kernels():
-    return [
-        KernelSpec("surv", KernelType.GEHAN_SURVIVAL, 0.5),
-        KernelSpec("score", KernelType.SIGNED_DIFFERENCE, 0.25),
-        KernelSpec("flag", KernelType.SIGNED_DIFFERENCE, 0.25),
-    ]
+ORACLE_WEIGHTS = {"surv": 0.5, "score": 0.25, "flag": 0.25}
 
 
 def test_criterion_3_oracle_equivalence():
@@ -108,8 +101,6 @@ def test_criterion_3_oracle_equivalence():
     enumeration exactly."""
     rng = np.random.default_rng(20250811)
     exact = PermutationPlan.exact()
-    kernels = _oracle_kernels()
-    w = _normalized_weights(kernels)
 
     n_checked = 0
     for _ in range(50):
@@ -118,6 +109,7 @@ def test_criterion_3_oracle_equivalence():
         ds = dataset(subs, specs)
         subjects = subjects_of(ds)
         n_pairs = ds.n_treatment * ds.n_control
+        w = endpoint_weights(ds, ORACLE_WEIGHTS)
 
         # FS: statistic, closed-form variance, exact p.
         r = fs_test(ds)
@@ -164,17 +156,17 @@ def test_criterion_3_oracle_equivalence():
         )
 
         # Global U: statistic, projection variance and exact p.
-        r_g = global_u_test(ds, kernels)
-        u_b, var_b = oracles.global_u_statistic(subjects, kernels)
+        r_g = global_u_test(ds, ORACLE_WEIGHTS)
+        u_b, var_b = oracles.global_u_statistic(subjects, specs, ORACLE_WEIGHTS)
         assert r_g.statistic == pytest.approx(u_b, rel=1e-13, abs=1e-15)
         assert r_g.variance == pytest.approx(var_b, rel=1e-12)
 
         def brute_global(ss):
-            counts = oracles.global_u_parts(ss, kernels)
+            counts = oracles.global_u_parts(ss, specs)
             return float(_combine(np.asarray(counts, dtype=np.float64), w, n_pairs))
 
         assert (
-            global_u_test(ds, kernels, plan=exact).p_two_sided
+            global_u_test(ds, ORACLE_WEIGHTS, plan=exact).p_two_sided
             == oracles.exact_pvalue(brute_global, subjects)
         )
         n_checked += 1
@@ -213,7 +205,7 @@ def test_criterion_5_variance_formulas():
         ds = simulate_trial(SimConfig.null(120, seed=seed))  # N = 240
         plan = PermutationPlan.monte_carlo(20_000, seed=seed + 900)
 
-        u = pairwise_score_vector(ds)
+        u = pair_counts(ds).net
         fs = fs_test(ds)
         draws = np.concatenate(
             [blk @ u for blk in iter_label_blocks(plan, ds.group_codes)]
@@ -222,10 +214,9 @@ def test_criterion_5_variance_formulas():
         assert rel_fs <= 0.05, f"seed {seed}: FS variance off by {rel_fs:.1%}"
 
         gu = global_u_test(ds)
-        kernels = default_kernels(ds)
-        wts = _normalized_weights(kernels)
+        wts = endpoint_weights(ds)
         rs = np.column_stack(
-            [kernel_matrix(ds, k).sum(axis=1, dtype=np.int64) for k in kernels]
+            [kernel_matrix(ds, spec).sum(axis=1, dtype=np.int64) for spec in ds.endpoint_specs]
         )
         gu_draws = np.concatenate(
             [
@@ -253,11 +244,11 @@ def test_criterion_6_property_bundle():
         # Antisymmetry and reflexivity under every prefix of the hierarchy,
         # so a pair is also decided at the same level both ways round.
         for k in range(1, len(specs) + 1):
-            mat = verdict_matrix(ds, specs[:k])
+            mat = verdict_matrix(dataset(subs, specs[:k]))
             assert np.array_equal(mat, -mat.T)
             assert not mat.diagonal().any()
 
-        u = pairwise_score_vector(ds)
+        u = pair_counts(ds).net
         assert u.sum() == 0
 
         wr = win_ratio_test(ds)
@@ -312,7 +303,7 @@ def test_criterion_6_property_bundle():
     ds = simulate_trial(SimConfig.null(12, seed=3))
     plan = PermutationPlan.monte_carlo(400, seed=17)
     assert fs_test(ds, plan=plan).p_two_sided == fs_test(ds, plan=plan).p_two_sided
-    u = pairwise_score_vector(ds)
+    u = pair_counts(ds).net
     whole = np.concatenate([b @ u for b in iter_label_blocks(plan, ds.group_codes, 400)])
     chunked = np.concatenate([b @ u for b in iter_label_blocks(plan, ds.group_codes, 23)])
     assert np.array_equal(whole, chunked)

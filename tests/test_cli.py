@@ -280,6 +280,43 @@ class TestBadData:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: global_u.weights: ")
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ({"composite_event": -1.0}, "weight of 'composite_event' must be finite and >= 0"),
+            ({"cd4_week20": 1.0}, "unknown endpoint(s) ['cd4_week20']"),
+        ],
+        ids=["negative", "unknown-endpoint"],
+    )
+    @pytest.mark.parametrize("method", ["global_u", "rank_sum"])
+    def test_bad_global_u_weights_are_config_error(
+        self, replica, tmp_path, capsys, weights, message, method
+    ):
+        # Checked once, before any method runs, whether global U runs or not.
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"input": replica, "global_u": {"weights": weights}}))
+        code = run_cli("analyze", "--config", str(path), "--mode", "asymptotic",
+                       "--methods", method, "--out", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: global_u.weights: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit", ["short", "long"])
+    def test_row_of_the_wrong_length_is_data_error(self, replica, tmp_path, capsys, edit):
+        # The id column moved to the end, past the end of the short row.
+        with open(replica, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows = [row[1:] + row[:1] for row in rows]
+        rows[1] = rows[1][:-1] if edit == "short" else rows[1] + ["7"]
+        path = tmp_path / "edited.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert run_cli("summarize", "--input", str(path)) == EXIT_DATA
+        more = "fewer" if edit == "short" else "more"
+        assert capsys.readouterr().err == (
+            f"data error: row 1: malformed row ({more} fields than the header)\n"
+        )
+
 
 # Study settings small enough that a config error the parser misses still
 # ends quickly, in exit 0 instead of 2.
@@ -318,6 +355,8 @@ class TestMistypedConfig:
             ("simulate", {"sim": {"correlation": [[1, 0], [0, 1]]}}),
             ("simulate", {"sim": {"correlation": [[1, 0.9, -0.9], [0.9, 1, 0.9], [-0.9, 0.9, 1]]}}),
             ("simulate", {"sim": {"hazard_control": 10**400}}),
+            ("analyze", {"columns": {"covariates": {"cd4_baseline": "cd420"}}}),
+            ("summarize", {"columns": {"covariates": {"arm": "arms"}}}),
         ],
         ids=[
             "replicates_str", "seed_float", "include_week96_str", "n_trials_str", "alpha_str",
@@ -326,7 +365,7 @@ class TestMistypedConfig:
             "unknown_inference_key", "dotted_key", "unknown_sim_key", "contrast_int",
             "summarize_contrast_int", "input_int", "out_int", "simulate_out_int", "weight_bool",
             "subject_id_int", "sim_seed_negative", "correlation_2x2", "correlation_not_psd",
-            "hazard_past_float_range",
+            "hazard_past_float_range", "covariate_shadows_baseline", "covariate_shadows_arm",
         ],
     )
     def test_wrong_yaml_type_is_config_error(self, replica, tmp_path, capsys, command, cfg):

@@ -27,7 +27,7 @@ from multiendpoint import (
     win_ratio_test,
 )
 from multiendpoint import pairwise, resampling
-from multiendpoint.global_u import _combine, _normalized_weights, default_kernels
+from multiendpoint.global_u import _combine, endpoint_weights
 from multiendpoint.rank_tests import _quadform_stats, rank_matrix
 import oracles
 from oracles import kernel_matrix, verdict_matrix
@@ -97,13 +97,15 @@ def multirank_stat(d):
 
 
 def gu_stat(ds):
-    kernels = default_kernels(ds)
-    w = _normalized_weights(kernels)
+    w = endpoint_weights(ds)
     n_pairs = ds.n_treatment * ds.n_control
 
     def stat(d):
         t = d.treatment_mask
-        sums = np.asarray([kernel_matrix(d, k)[t][:, ~t].sum() for k in kernels], dtype=np.float64)
+        sums = np.asarray(
+            [kernel_matrix(d, spec)[t][:, ~t].sum() for spec in d.endpoint_specs],
+            dtype=np.float64,
+        )
         return float(_combine(sums, w, n_pairs))
 
     return stat

@@ -1,27 +1,26 @@
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 from multiendpoint import (
-    KernelKindMismatchError,
-    KernelSpec,
-    KernelType,
+    EndpointKind,
+    EndpointSpec,
     PermutationPlan,
     SimConfig,
     TrialDataset,
-    default_kernels,
-    endpoint_u,
+    endpoint_weights,
     global_u_test,
     permutation_pvalue,
     simulate_trial,
 )
+from multiendpoint.pairwise import endpoint_level, sweep_counts
 import oracles
 from oracles import kernel_matrix, verdict_matrix
 from support import SURV, cont, dataset, random_integer_cohort, subject, subjects_of
-
-SCORE_KERNEL = KernelSpec("score", KernelType.SIGNED_DIFFERENCE)
-SURV_KERNEL = KernelSpec("surv", KernelType.GEHAN_SURVIVAL)
 
 
 def score_only_dataset(treatment_vals, control_vals) -> TrialDataset:
@@ -30,47 +29,45 @@ def score_only_dataset(treatment_vals, control_vals) -> TrialDataset:
     ] + [
         subject(f"c{i}", 0, score=cont(v)) for i, v in enumerate(control_vals)
     ]
-    from multiendpoint import EndpointKind, EndpointSpec
-
     spec = EndpointSpec("score", EndpointKind.CONTINUOUS, priority=1)
     return dataset(subs, [spec])
+
+
+def endpoint_pair_sum(ds: TrialDataset, name: str) -> int:
+    """Sum of one endpoint's kernel over the treatment x control pairs, from
+    a one-level sweep."""
+    counts = sweep_counts([endpoint_level(ds, ds.spec(name))], ds.treatment_mask)
+    return int((counts.wins - counts.losses)[ds.treatment_mask].sum())
 
 
 class TestEndpointU:
     def test_identical_groups_give_zero(self):
         ds = score_only_dataset([1, 2, 3], [1, 2, 3])
-        assert endpoint_u(ds, SCORE_KERNEL).u == 0.0
+        assert endpoint_pair_sum(ds, "score") == 0
+        assert global_u_test(ds).metadata["endpoint_u"] == {"score": 0.0}
 
     def test_complete_separation_gives_one(self):
         ds = score_only_dataset([3, 4], [1, 2])
-        r = endpoint_u(ds, SCORE_KERNEL)
-        assert r.u == 1.0
-        assert r.pair_sum == 4
+        assert endpoint_pair_sum(ds, "score") == 4
+        assert global_u_test(ds).metadata["endpoint_u"] == {"score": 1.0}
 
     def test_gehan_kernel_reproduces_survival_verdicts(self):
         rng = np.random.default_rng(12)
         subs, specs = random_integer_cohort(rng, 10)
         ds = dataset(subs, specs)
-        r = endpoint_u(ds, SURV_KERNEL)
         treat = ds.treatment_mask
-        assert r.pair_sum == int(verdict_matrix(ds, [SURV])[treat][:, ~treat].sum())
-
-    def test_kernel_kind_mismatch(self):
-        rng = np.random.default_rng(1)
-        subs, specs = random_integer_cohort(rng, 6)
-        ds = dataset(subs, specs)
-        with pytest.raises(KernelKindMismatchError):
-            endpoint_u(ds, KernelSpec("surv", KernelType.SIGNED_DIFFERENCE))
-        with pytest.raises(KernelKindMismatchError):
-            endpoint_u(ds, KernelSpec("score", KernelType.GEHAN_SURVIVAL))
+        want = int(verdict_matrix(dataset(subs, [SURV]))[treat][:, ~treat].sum())
+        assert endpoint_pair_sum(ds, "surv") == want
+        n_pairs = ds.n_treatment * ds.n_control
+        assert global_u_test(ds).metadata["endpoint_u"]["surv"] == want / n_pairs
 
     def test_u_bounded(self):
         rng = np.random.default_rng(7)
         for _ in range(6):
             subs, specs = random_integer_cohort(rng, int(rng.integers(5, 10)))
             ds = dataset(subs, specs)
-            for k in default_kernels(ds):
-                assert -1.0 <= endpoint_u(ds, k).u <= 1.0
+            for u in global_u_test(ds).metadata["endpoint_u"].values():
+                assert -1.0 <= u <= 1.0
 
 
 class TestGlobalU:
@@ -79,11 +76,16 @@ class TestGlobalU:
         for _ in range(8):
             subs, specs = random_integer_cohort(rng, int(rng.integers(5, 10)))
             ds = dataset(subs, specs)
-            kernels = default_kernels(ds)
+            subjects = subjects_of(ds)
             got = global_u_test(ds)
-            want_u, want_var = oracles.global_u_statistic(subjects_of(ds), kernels)
+            want_u, want_var = oracles.global_u_statistic(subjects, specs)
             assert got.statistic == pytest.approx(want_u, rel=1e-14, abs=1e-15)
             assert got.variance == pytest.approx(want_var, rel=1e-12)
+            n_pairs = ds.n_treatment * ds.n_control
+            parts = oracles.global_u_parts(subjects, specs)
+            assert got.metadata["endpoint_u"] == {
+                spec.name: part / n_pairs for spec, part in zip(specs, parts)
+            }
 
     def test_global_u_bounded_under_normalized_weights(self):
         rng = np.random.default_rng(3)
@@ -96,18 +98,15 @@ class TestGlobalU:
         rng = np.random.default_rng(5)
         subs, specs = random_integer_cohort(rng, 8)
         ds = dataset(subs, specs)
-        kernels = [
-            KernelSpec("surv", KernelType.GEHAN_SURVIVAL, 5.0),
-            KernelSpec("score", KernelType.SIGNED_DIFFERENCE, 0.0),
-        ]
-        r = global_u_test(ds, kernels)
-        assert r.statistic == pytest.approx(endpoint_u(ds, SURV_KERNEL).u, rel=1e-14)
+        r = global_u_test(ds, {"surv": 5.0, "score": 0.0, "flag": 0.0})
+        assert r.metadata["weights"] == [1.0, 0.0, 0.0]
+        assert r.statistic == pytest.approx(r.metadata["endpoint_u"]["surv"], rel=1e-14)
 
     def test_single_kernel_matches_mann_whitney_permutation(self):
         # 12-subject fixture, distinct integer values.
         ds = score_only_dataset([14, 9, 3, 11, 6, 1], [8, 2, 13, 5, 10, 4])
         plan = PermutationPlan.monte_carlo(1500, seed=9)
-        got = global_u_test(ds, [SCORE_KERNEL], plan=plan)
+        got = global_u_test(ds, plan=plan)
 
         vals = ds.values("score")
 
@@ -123,7 +122,7 @@ class TestGlobalU:
 
         exact = PermutationPlan.exact()
         assert (
-            global_u_test(ds, [SCORE_KERNEL], plan=exact).p_two_sided
+            global_u_test(ds, plan=exact).p_two_sided
             == permutation_pvalue(centered_mw, ds, exact).p
         )
 
@@ -138,30 +137,48 @@ class TestGlobalU:
         rng = np.random.default_rng(15)
         subs, specs = random_integer_cohort(rng, 10)
         ds = dataset(subs, specs)
-        base = default_kernels(ds)
-        r0 = global_u_test(ds, base)
+        r0 = global_u_test(ds)
         max_u = max(abs(u) for u in r0.metadata["endpoint_u"].values())
         for eps in (1e-3, 1e-6):
-            for j in range(len(base)):
-                bumped = [
-                    KernelSpec(k.endpoint, k.kernel, k.weight + (eps if i == j else 0.0))
-                    for i, k in enumerate(base)
-                ]
-                r = global_u_test(ds, bumped)
+            for spec in specs:
+                r = global_u_test(ds, {spec.name: 1.0 + eps})
                 # |dU| = eps |U_j - U| / (sum w + eps) <= 2 eps max|U_k| here.
                 assert abs(r.statistic - r0.statistic) <= 2 * eps * max(max_u, 1e-12) + 1e-15
 
     def test_degenerate_variance_flag(self):
         ds = score_only_dataset([1, 1, 1], [1, 1, 1])
-        r = global_u_test(ds, [SCORE_KERNEL])
+        r = global_u_test(ds)
         assert r.statistic == 0.0
         assert r.p_two_sided == 1.0
         assert r.metadata["degenerate_variance"]
 
     def test_all_zero_weights_rejected(self):
         ds = score_only_dataset([1, 2], [3, 4])
-        with pytest.raises(ValueError):
-            global_u_test(ds, [KernelSpec("score", KernelType.SIGNED_DIFFERENCE, 0.0)])
+        with pytest.raises(ValueError, match="must not all be zero"):
+            global_u_test(ds, {"score": 0.0})
+
+    def test_weights_with_an_overflowing_sum_rejected(self):
+        # Each weight is finite, but normalizing by their infinite sum would
+        # zero them all.
+        subs, specs = random_integer_cohort(np.random.default_rng(2), 6)
+        with pytest.raises(ValueError, match="must have a finite sum"):
+            global_u_test(dataset(subs, specs), {"surv": 1.7e308, "score": 1.7e308})
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ({"score": -1.0}, "weight of 'score' must be finite and >= 0, got -1.0"),
+            ({"score": math.inf}, "weight of 'score' must be finite and >= 0, got inf"),
+            ({"score": math.nan}, "weight of 'score' must be finite and >= 0, got nan"),
+            ({"score": 1.0, "surv": 1.0}, "unknown endpoint(s) ['surv']"),
+        ],
+        ids=["negative", "inf", "nan", "unknown-endpoint"],
+    )
+    def test_bad_weights_rejected(self, weights, message):
+        ds = score_only_dataset([1, 2], [3, 4])
+        for check in (endpoint_weights, global_u_test):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check(ds, weights)
 
     def test_equal_weights_on_trial_data_strongly_significant(self, actg_derived):
         plan = PermutationPlan.monte_carlo(2000, seed=12)
@@ -174,12 +191,11 @@ class TestGlobalU:
         ds = simulate_trial(cfg)
         r = global_u_test(ds)
         from multiendpoint.resampling import iter_label_blocks
-        from multiendpoint.global_u import _normalized_weights, _combine
+        from multiendpoint.global_u import _combine
 
-        kernels = default_kernels(ds)
-        w = _normalized_weights(kernels)
+        w = endpoint_weights(ds)
         rs = np.column_stack(
-            [kernel_matrix(ds, k).sum(axis=1, dtype=np.int64) for k in kernels]
+            [kernel_matrix(ds, spec).sum(axis=1, dtype=np.int64) for spec in ds.endpoint_specs]
         )
         plan = PermutationPlan.monte_carlo(20_000, seed=101)
         draws = np.concatenate(

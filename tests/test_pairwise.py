@@ -11,18 +11,16 @@ from hypothesis import strategies as st
 
 from multiendpoint import (
     Direction,
-    HierarchyMismatchError,
     PermutationPlan,
     SimConfig,
     TrialDataset,
     gehan_score_vector,
-    pairwise_score_vector,
+    global_u_test,
     run_method,
     simulate_trial,
 )
 from multiendpoint import pairwise
-from multiendpoint.global_u import default_kernels, endpoint_u
-from multiendpoint.pairwise import pair_counts
+from multiendpoint.pairwise import endpoint_level, pair_counts, sweep_counts
 import oracles
 from oracles import kernel_matrix, verdict_matrix
 from support import (
@@ -64,7 +62,7 @@ def verdict(a: Subject, b: Subject, levels: int = len(HIERARCHY)) -> int:
     entry (0, 1) of the verdict matrix of the two-subject cohort."""
     if levels == 0:
         return 0
-    return int(verdict_matrix(dataset([a, b], HIERARCHY), HIERARCHY[:levels])[0, 1])
+    return int(verdict_matrix(dataset([a, b], HIERARCHY[:levels]))[0, 1])
 
 
 def decided_level(a: Subject, b: Subject) -> int | None:
@@ -113,12 +111,6 @@ class TestComparePair:
         b = subject("b", 0, surv=tte(10, False), score=cont(5), flag=binary(0))
         assert verdict(a, b) == 1
         assert_decided_at(a, b, 3)
-
-    def test_hierarchy_mismatch(self):
-        a = subject("a", 1, surv=tte(10))
-        b = subject("b", 0, surv=tte(20))
-        with pytest.raises(HierarchyMismatchError):
-            verdict_matrix(dataset([a, b], [SURV]), HIERARCHY)
 
     @given(pairs)
     def test_antisymmetry(self, outcome_pair):
@@ -194,24 +186,24 @@ class TestScoreVector:
             for i in range(6)
         ]
         ds = dataset(subs, HIERARCHY)
-        assert pairwise_score_vector(ds).tolist() == [0] * 6
+        assert pair_counts(ds).net.tolist() == [0] * 6
 
     def test_strictly_ordered_fixture(self):
         # Event times 10 < 20 < 30 < 40, all observed: u = (-3, -1, +1, +3).
         ds = survival_cohort([10, 20, 30, 40], [1, 1, 1, 1], [1, 1, 0, 0])
-        assert pairwise_score_vector(ds, [SURV]).tolist() == [-3, -1, 1, 3]
+        assert pair_counts(ds).net.tolist() == [-3, -1, 1, 3]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_scores_sum_to_zero(self, seed):
         ds = _random_dataset(seed, 9)
-        assert pairwise_score_vector(ds).sum() == 0
+        assert pair_counts(ds).net.sum() == 0
 
     @pytest.mark.parametrize("seed", range(15))
     def test_brute_force_oracle_small_cohorts(self, seed):
         rng = np.random.default_rng(1000 + seed)
         n = int(rng.integers(3, 9))
         ds = _random_dataset(seed + 77, n)
-        assert pairwise_score_vector(ds).tolist() == oracles.score_vector(
+        assert pair_counts(ds).net.tolist() == oracles.score_vector(
             subjects_of(ds), HIERARCHY
         )
 
@@ -324,17 +316,27 @@ class TestRowTiles:
         pairs = [(s.outcomes["surv"].time, s.outcomes["surv"].event_observed) for s in subs]
         assert got.tolist() == oracles.gehan_scores(pairs)
 
-        # The oracle compares values higher-is-better; so do the default kernels.
-        higher = dataset(subs, HIERARCHY)
-        kernels = default_kernels(higher)
-        treat = higher.treatment_mask
-        for kernel, want in zip(kernels, oracles.global_u_parts(subs, kernels)):
-            part = endpoint_u(higher, kernel)
-            phi = kernel_matrix(higher, kernel)
-            cross = phi[treat][:, ~treat].astype(np.float64)
-            assert part.pair_sum == want
-            assert part.projection_treatment.tobytes() == cross.mean(axis=1).tobytes()
-            assert part.projection_control.tobytes() == cross.mean(axis=0).tobytes()
+        # One sweep per endpoint, the global-U kernel of its kind (the
+        # middle one lower-is-better): its per-subject kernel sums over the
+        # other group give the projections, and global U over the dataset
+        # gives each endpoint's U and the projection variance.
+        treat = ds.treatment_mask
+        n1, n0 = ds.n_treatment, ds.n_control
+        parts = oracles.global_u_parts(subs, TILE_HIERARCHY)
+        for spec, want in zip(TILE_HIERARCHY, parts):
+            counts = sweep_counts([endpoint_level(ds, spec)], treat)
+            vs_other = counts.wins - counts.losses
+            cross = kernel_matrix(ds, spec)[treat][:, ~treat].astype(np.int64)
+            assert vs_other[treat].tolist() == cross.sum(axis=1).tolist()
+            assert (-vs_other[~treat]).tolist() == cross.sum(axis=0).tolist()
+            assert int(vs_other[treat].sum()) == want
+        gu = global_u_test(ds)
+        assert gu.metadata["endpoint_u"] == {
+            spec.name: want / (n1 * n0) for spec, want in zip(TILE_HIERARCHY, parts)
+        }
+        want_u, want_var = oracles.global_u_statistic(subs, TILE_HIERARCHY)
+        assert gu.statistic == pytest.approx(want_u, rel=1e-14, abs=1e-15)
+        assert gu.variance == pytest.approx(want_var, rel=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ from multiendpoint import (
     win_ratio_test,
 )
 from multiendpoint.methods import METHOD_NAMES
-from multiendpoint.pairwise import pairwise_score_vector
+from multiendpoint.pairwise import pair_counts
 import oracles
 from support import (
     FLAG,
@@ -46,7 +46,7 @@ def identical_cohort(n=6) -> TrialDataset:
 
 
 def ordered_fixture() -> TrialDataset:
-    # 2 vs 2, strictly ordered event times favoring treatment.
+    # 2 vs 2, strictly ordered event times favoring treatment; one endpoint.
     return survival_cohort([30, 40, 10, 20], [1, 1, 1, 1], [1, 1, 0, 0])
 
 
@@ -58,14 +58,14 @@ class TestFsTest:
         assert r.metadata["degenerate_variance"]
 
     def test_ordered_fixture_hand_values(self):
-        r = fs_test(ordered_fixture(), [SURV])
+        r = fs_test(ordered_fixture())
         # u = (+1, +3, -3, -1); T = 4; V = 2*2*20 / (4*3).
         assert r.statistic == 4.0
         assert r.variance == pytest.approx(20.0 / 3.0, rel=1e-15)
         assert r.z == pytest.approx(4.0 / math.sqrt(20.0 / 3.0), rel=1e-15)
 
     def test_ordered_fixture_exact_permutation(self):
-        r = fs_test(ordered_fixture(), [SURV], plan=PermutationPlan.exact())
+        r = fs_test(ordered_fixture(), plan=PermutationPlan.exact())
         assert r.p_two_sided == pytest.approx(2.0 / 6.0, abs=0.0)
         assert r.inference_mode is InferenceMode.EXACT
 
@@ -115,7 +115,7 @@ class TestFsTest:
         # The closed form is the exact permutation variance of T; empirical
         # agreement is limited only by Monte Carlo noise.
         ds = simulate_trial(SimConfig.null(60, seed=21))  # N = 120
-        u = pairwise_score_vector(ds)
+        u = pair_counts(ds).net
         r = fs_test(ds)
         rng = np.random.default_rng(77)
         draws = np.array(
@@ -155,7 +155,7 @@ class TestWinRatio:
         assert r.metadata["win_ratio"] == 1.0
 
     def test_unbounded_ratio(self):
-        r = win_ratio_test(ordered_fixture(), [SURV], plan=PermutationPlan.exact())
+        r = win_ratio_test(ordered_fixture(), plan=PermutationPlan.exact())
         assert r.metadata["n_wins"] == 4 and r.metadata["n_losses"] == 0
         assert math.isinf(r.metadata["win_ratio"])
         assert not math.isfinite(r.statistic) and r.metadata["ci_95"] is None

@@ -17,7 +17,7 @@ from multiendpoint import (
     SimConfig,
 )
 import multiendpoint
-from multiendpoint.pairwise import pairwise_score_vector
+from multiendpoint.pairwise import pair_counts
 from multiendpoint.resampling import (
     _pcg64_seed_states,
     iter_label_blocks,
@@ -25,11 +25,11 @@ from multiendpoint.resampling import (
     pvalue_from_draws,
 )
 import oracles
-from support import SURV, survival_cohort
+from support import survival_cohort
 
 
 def fs_stat(ds) -> float:
-    u = pairwise_score_vector(ds, [SURV])
+    u = pair_counts(ds).net
     return float(u[ds.treatment_mask].sum())
 
 

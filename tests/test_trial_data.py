@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import importlib.util
 import math
+from dataclasses import replace
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multiendpoint
 from multiendpoint import (
     ColumnMapping,
     CsvParseError,
@@ -25,7 +27,6 @@ from multiendpoint import (
     derive_endpoints,
     load_trial_csv,
     parse_contrast,
-    validate_hierarchy,
 )
 from support import (
     FLAG,
@@ -78,12 +79,22 @@ class TestSpecs:
             EndpointSpec("e", EndpointKind.CONTINUOUS, priority=0)
 
     def test_hierarchy_priorities_contiguous(self):
-        a = EndpointSpec("a", EndpointKind.CONTINUOUS, priority=1)
-        b = EndpointSpec("b", EndpointKind.CONTINUOUS, priority=3)
-        with pytest.raises(ValueError):
-            validate_hierarchy([a, b])
-        c = EndpointSpec("c", EndpointKind.CONTINUOUS, priority=2)
-        assert [s.name for s in validate_hierarchy([b, c, a])] == ["a", "c", "b"]
+        # A gap, a start past 1, a repeat, and no endpoint at all.
+        for priorities in [(1, 3, 4), (2, 3, 4), (1, 2, 2), ()]:
+            args = _valid_args()
+            args["specs"] = [replace(s, priority=k) for s, k in zip(args["specs"], priorities)]
+            args["columns"] = {s.name: args["columns"][s.name] for s in args["specs"]}
+            with pytest.raises(InvalidDataError, match="distinct and contiguous from 1"):
+                TrialDataset(**args)
+
+    def test_endpoints_are_kept_in_priority_order(self):
+        args = _valid_args()
+        surv, score, flag = args["specs"]
+        args["specs"] = [replace(surv, priority=2), replace(score, priority=3),
+                         replace(flag, priority=1)]
+        ds = TrialDataset(**args)
+        assert [s.name for s in ds.endpoint_specs] == ["flag", "surv", "score"]
+        assert [s.name for s in ds.subset([0, 2]).endpoint_specs] == ["flag", "surv", "score"]
 
 
 def _valid_args():
@@ -224,6 +235,33 @@ class TestLoadCsv:
         with pytest.raises(InvalidDataError, match="subject 'p3'"):
             load_trial_csv(path, FIXTURE_MAPPING)
 
+    @pytest.mark.parametrize(
+        "row, detail",
+        [("p3,2,150", "fewer"), ("p3,2,150,1,250,260", "fewer"),
+         ("p3,2,150,1,250,260,300,7", "more")],
+        ids=["short", "one-short", "long"],
+    )
+    def test_row_length_must_match_header(self, tmp_path, row, detail):
+        # Not a missing CD4 value, nor a row with its extra field dropped.
+        path = tmp_path / "bad.csv"
+        path.write_text(FIXTURE_CSV.replace("p3,2,150,1,250,260,300", row))
+        with pytest.raises(CsvParseError, match=f"row 3: malformed row \\({detail} fields"):
+            load_trial_csv(path, FIXTURE_MAPPING)
+
+    def test_short_row_without_its_id_is_a_parse_error(self, tmp_path):
+        # The id column lies past the row's end.
+        mapping = replace(FIXTURE_MAPPING, subject_id="cd4w96")
+        path = tmp_path / "bad.csv"
+        path.write_text(FIXTURE_CSV.replace("p3,2,150,1,250,260,300", "p3,2,150,1,250,260"))
+        with pytest.raises(CsvParseError) as err:
+            load_trial_csv(path, mapping)
+        assert (err.value.row, err.value.column) == (3, None)
+
+    @pytest.mark.parametrize("name", ["arm", "cd4_baseline"])
+    def test_covariate_may_not_shadow_arm_or_baseline(self, name):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            ColumnMapping(covariates={name: "cd420"})
+
     def test_directory_is_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_trial_csv(tmp_path, FIXTURE_MAPPING)
@@ -264,13 +302,17 @@ class TestDeriveEndpoints:
         assert specs["cd4_change_20wk"].priority == 2
         assert specs["cd4_week96"].priority == 3
 
-    def test_idempotent_and_deterministic(self, fixture_csv):
+    def test_deterministic_and_raw_only(self, fixture_csv):
         raw = load_trial_csv(fixture_csv, FIXTURE_MAPPING)
         cfg = DerivationConfig()
         once = derive_endpoints(raw, cfg)
-        want = (once.endpoint_specs, subjects_of(once))
-        for again in (derive_endpoints(raw, cfg), derive_endpoints(once, cfg)):
-            assert (again.endpoint_specs, subjects_of(again)) == want
+        again = derive_endpoints(raw, cfg)
+        assert (again.endpoint_specs, subjects_of(again)) == (
+            once.endpoint_specs, subjects_of(once)
+        )
+        # A derived dataset lacks the raw week-20 CD4 to derive from.
+        with pytest.raises(MissingColumnError, match="cd4_week20"):
+            derive_endpoints(once, cfg)
 
     def test_invalid_contrast(self, fixture_csv):
         raw = load_trial_csv(fixture_csv, FIXTURE_MAPPING)
@@ -374,3 +416,14 @@ class TestReplicaShape:
         spec.loader.exec_module(builder)
         bundled = (root / "data" / "actg175_replica.csv").read_bytes()
         assert builder.to_csv(builder.build()).encode() == bundled
+
+
+def test_only_the_dataset_reads_priorities():
+    """The dataset orders its endpoints once; every test reads them, in that
+    order, from ``endpoint_specs`` and never sorts by priority itself."""
+    readers = [
+        path.name
+        for path in sorted(Path(multiendpoint.__file__).parent.glob("*.py"))
+        if ".priority" in path.read_text()
+    ]
+    assert readers == ["trial_data.py"]
