@@ -44,7 +44,7 @@ from .global_u import endpoint_weights
 from .methods import METHOD_NAMES, run_method
 from .rank_tests import VARIANCE_ADJUSTED, VARIANCE_NAIVE
 from .report import results_text_table, write_results_csv
-from .resampling import PermutationPlan
+from .resampling import PermutationPlan, n_assignments
 from .results import InferenceMode
 from .simgen import (
     NULL_CORRELATION,
@@ -257,6 +257,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ds = derive_endpoints(
         raw, DerivationConfig(contrast=cfg["contrast"], include_week96=cfg["include_week96"])
     )
+    if plan is not None:
+        n_assignments(plan, ds.n, ds.n_treatment)  # an exact plan's cap, before any test
     summary = baseline_summary(ds)
     weights = cfg["global_u.weights"]
     with _config_errors("global_u.weights"):

@@ -8,7 +8,8 @@ class MultiEndpointError(Exception):
 
 
 class SchemaMismatchError(MultiEndpointError):
-    """A column named in the mapping is absent from the CSV header."""
+    """A column named in the mapping is absent from the CSV header, or the
+    header names a column twice."""
 
 
 class CsvParseError(MultiEndpointError):

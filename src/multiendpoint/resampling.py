@@ -15,12 +15,21 @@ is seeded per block: the PCG64 states of a whole block of replicates are
 computed at once in numpy (splitmix64, then numpy's documented
 ``SeedSequence`` mix with pool size 4), and each is loaded in turn into one
 reused generator.
+
+Stream lifetime: the tests that run on one dataset under one plan share one
+label stream. The first streams the shuffles and keeps a bit-packed copy,
+one bit per label, for as long as the dataset's read-only group codes are
+alive; the others replay it block for block. One copy is kept at a time,
+and none for writable codes or beyond ``_STREAM_CACHE_BYTES`` (the replica's
+10,000 replicates at N=2467 take 3.1 MB).
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from itertools import combinations, islice
 from typing import Callable, Iterator
 
@@ -156,12 +165,16 @@ class PermutationPlan:
 
 
 def n_assignments(plan: PermutationPlan, n: int, n1: int) -> int:
+    """How many label assignments ``plan`` draws for N = ``n`` subjects,
+    ``n1`` of them treated; ExactTooLargeError past ``EXACT_CAP``."""
     if plan.mode is InferenceMode.PERMUTATION:
         return plan.replicates
     total = math.comb(n, n1)
     if total > EXACT_CAP:
+        # Decimal formats a count too large for a float, from its digits.
+        count = str(total) if total < 10**12 else f"{Decimal(total):.3e}"
         raise ExactTooLargeError(
-            f"C({n}, {n1}) = {total} exceeds the exact-enumeration cap {EXACT_CAP}"
+            f"C({n}, {n1}) = {count} exceeds the exact-enumeration cap {EXACT_CAP}"
         )
     return total
 
@@ -297,6 +310,74 @@ def label_product(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
     )
 
 
+_STREAM_CACHE_BYTES = 1 << 25  # most bytes one bit-packed label stream may keep
+
+
+@dataclass(frozen=True)
+class _PackedStream:
+    """The label stream of ``plan`` over the codes ``codes`` refers to, one
+    bit per label; ``code_bytes`` is the codes as they were streamed."""
+
+    codes: weakref.ref
+    plan: PermutationPlan
+    code_bytes: bytes
+    packed: np.ndarray
+
+
+_stream: _PackedStream | None = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    global _stream
+    if _stream is not None and _stream.codes is ref:
+        _stream = None
+
+
+def _label_blocks(plan: PermutationPlan, codes: np.ndarray) -> Iterator[np.ndarray]:
+    """The blocks of ``iter_label_blocks(plan, codes)``, replayed from the
+    kept stream when that was drawn from this same live array, holding the
+    same bytes, under an equal plan. Otherwise the stream is drawn, and kept
+    once fully consumed if the codes are a read-only 0/1 int8 array and it
+    packs into ``_STREAM_CACHE_BYTES``."""
+    global _stream
+    kept = _stream
+    if (
+        kept is not None
+        and kept.codes() is codes
+        and kept.plan == plan
+        and kept.code_bytes == codes.tobytes()
+    ):
+        n = codes.size
+        for r in range(0, len(kept.packed), DEFAULT_BLOCK_SIZE):
+            rows = kept.packed[r : r + DEFAULT_BLOCK_SIZE]
+            yield np.unpackbits(rows, axis=1, count=n).view(np.int8)
+        return
+
+    _stream = None
+    cacheable = (
+        isinstance(codes, np.ndarray)
+        and codes.dtype == np.int8
+        and not codes.flags.writeable
+        and ((codes == 0) | (codes == 1)).all()
+    )
+    if cacheable:
+        row_bytes = (codes.size + 7) // 8
+        total = n_assignments(plan, codes.size, int(codes.sum()))
+        cacheable = total * row_bytes <= _STREAM_CACHE_BYTES
+    if not cacheable:
+        yield from iter_label_blocks(plan, codes)
+        return
+
+    packed = np.empty((total, row_bytes), dtype=np.uint8)
+    done = 0
+    for block in iter_label_blocks(plan, codes):
+        # Packed before the reducer sees the block, which it may overwrite.
+        packed[done : done + len(block)] = np.packbits(block, axis=1)
+        done += len(block)
+        yield block
+    _stream = _PackedStream(weakref.ref(codes, _forget), plan, codes.tobytes(), packed)
+
+
 def permutation_test(
     observed: float,
     reduce: Callable[[np.ndarray], np.ndarray],
@@ -308,8 +389,10 @@ def permutation_test(
     ``reduce`` maps a (b, N) label block from :func:`iter_label_blocks` to
     the b null statistics of its rows; the driver streams the blocks, joins
     the draws and applies :func:`pvalue_from_draws` against ``observed``.
+    Tests on the same dataset and plan share one stream (see the module
+    docstring).
     """
-    draws = [reduce(block) for block in iter_label_blocks(plan, group_codes)]
+    draws = [reduce(block) for block in _label_blocks(plan, group_codes)]
     return pvalue_from_draws(observed, np.concatenate(draws), plan)
 
 

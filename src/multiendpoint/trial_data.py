@@ -453,6 +453,9 @@ def load_trial_csv(
     reader = csv.DictReader(io.StringIO(text, newline=""))
     if reader.fieldnames is None:
         raise SchemaMismatchError(f"{path}: no header row")
+    repeated = [c for c, k in Counter(reader.fieldnames).items() if k > 1]
+    if repeated:
+        raise SchemaMismatchError(f"{path}: column(s) named more than once {repeated}")
     header = set(reader.fieldnames)
     absent = [c for c in mapping.named_columns() if c not in header]
     if absent:

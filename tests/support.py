@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from multiendpoint import EndpointKind, EndpointSpec, TrialDataset
+from multiendpoint import EndpointKind, EndpointSpec, TrialDataset, resampling
 
 SURV = EndpointSpec("surv", EndpointKind.TIME_TO_EVENT, priority=1)
 SCORE = EndpointSpec("score", EndpointKind.CONTINUOUS, priority=2)
@@ -165,3 +165,17 @@ def random_integer_cohort(rng: np.random.Generator, n: int, missing_prob: float 
                 complete[g] += 1
         if complete[0] >= 2 and complete[1] >= 2:
             return subs, specs
+
+
+def count_label_streams(monkeypatch) -> list:
+    """The plans of the label streams drawn from now on, one entry each; a
+    test that replays a kept stream draws none."""
+    plans = []
+    real = resampling.iter_label_blocks
+
+    def counted(plan, codes):
+        plans.append(plan)
+        return real(plan, codes)
+
+    monkeypatch.setattr(resampling, "iter_label_blocks", counted)
+    return plans

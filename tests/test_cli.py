@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 import yaml
 
+from multiendpoint import cli
 from multiendpoint.cli import (
+    EXIT_ANALYSIS,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_NOT_FOUND,
@@ -299,6 +301,33 @@ class TestBadData:
                        "--methods", method, "--out", str(tmp_path / "out"))
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: global_u.weights: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_column_named_twice_is_data_error(self, replica, tmp_path, capsys):
+        with open(replica, newline="") as fh:
+            rows = [row + row[3:4] for row in csv.reader(fh)]
+        path = tmp_path / "repeated.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert run_cli("summarize", "--input", str(path)) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {path}: column(s) named more than once ['{rows[0][3]}']\n"
+        )
+
+    def test_exact_plan_over_the_cap_fails_before_any_test(
+        self, replica, tmp_path, capsys, monkeypatch
+    ):
+        def no_test(*args, **kwargs):
+            raise AssertionError("a test ran")
+
+        monkeypatch.setattr(cli, "run_method", no_test)
+        code = run_cli("analyze", "--input", replica, "--mode", "exact",
+                       "--out", str(tmp_path / "out"))
+        assert code == EXIT_ANALYSIS
+        assert capsys.readouterr() == (
+            "", "analysis error: C(2467, 1848) = 6.719e+601 exceeds the "
+            "exact-enumeration cap 200000\n",
+        )
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edit", ["short", "long"])

@@ -55,10 +55,11 @@ def write_input(directory: Path, source: str, edits) -> str:
     rows = [dict(row) for row in ROWS]
     for i, column, token in edits:
         rows[i][column] = token
+    fields = FIELDS + FIELDS[-1:] if source == "repeated-column" else FIELDS
     text = io.StringIO()
-    writer = csv.DictWriter(text, FIELDS)
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(text)
+    writer.writerow(fields)
+    writer.writerows([row[f] for f in fields] for row in rows)
     data = text.getvalue().encode("utf-8", "surrogatepass")
     if source == "latin-1":
         data = data.replace(b",", b"\xe9,", 1)
@@ -82,7 +83,7 @@ def write_config(directory: Path, edits) -> str:
 
 @given(
     st.sampled_from(["analyze", "summarize", "simulate"]),
-    st.sampled_from(["csv", "directory", "latin-1"]),
+    st.sampled_from(["csv", "directory", "latin-1", "repeated-column"]),
     cell_edits,
     config_edits,
 )
@@ -96,6 +97,7 @@ def write_config(directory: Path, edits) -> str:
 @example("analyze", "csv", [(1, "pidnum", ROWS[0]["pidnum"])], [])
 @example("analyze", "directory", [], [])
 @example("analyze", "latin-1", [], [])
+@example("analyze", "repeated-column", [], [])
 @example("analyze", "csv", [], [("global_u.weights", dict.fromkeys(ENDPOINTS, 0.0))])
 @example("analyze", "csv", [], [("inference.mode", "asymptotic")])
 @example("simulate", "csv", [], [("sim.marker_mean_control", 1.7e308),

@@ -4,7 +4,9 @@ on every relabeled dataset through the same driver: the same p and the same
 six permutation metadata fields to the last bit, and the inference mode of
 the plan. The pairwise references reduce the stacked N x N matrices, while
 the tests themselves use the row-tiled counts (and the win ratio its tie
-pairs, or the dense |S| when they are too many)."""
+pairs, or the dense |S| when they are too many). A test that replays the
+label stream another test on the same dataset drew is bit-identical to the
+same test drawing it alone."""
 
 from __future__ import annotations
 
@@ -28,10 +30,11 @@ from multiendpoint import (
 )
 from multiendpoint import pairwise, resampling
 from multiendpoint.global_u import _combine, endpoint_weights
+from multiendpoint.methods import METHOD_NAMES, run_method
 from multiendpoint.rank_tests import _quadform_stats, rank_matrix
 import oracles
 from oracles import kernel_matrix, verdict_matrix
-from support import cont, dataset, random_integer_cohort, subjects_of
+from support import cont, count_label_streams, dataset, random_integer_cohort, subjects_of
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +241,24 @@ class TestFastPathsMatchGenericEngine:
         for d in cohorts:
             for stat in (fs_stat, wr_stat, gu_stat(d), obrien_stat, multirank_stat):
                 assert_same_null(next(fast), permutation_pvalue(stat, d, plan))
+
+
+@pytest.mark.parametrize("plan", PLANS, ids=["monte_carlo", "exact"])
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_method_after_the_others_equals_it_alone(method, plan, monkeypatch):
+    """Run on a fresh dataset, and run last of the five on another fresh
+    dataset, a test gives the same result to the last bit; the five draw
+    one label stream between them."""
+    streams = count_label_streams(monkeypatch)
+
+    def fresh():
+        return simulate_trial(SimConfig.null(7, seed=7))
+
+    alone = run_method(method, fresh(), plan)
+    shared = fresh()
+    for other in METHOD_NAMES:
+        if other != method:
+            run_method(other, shared, plan)
+    last = run_method(method, shared, plan)
+    assert len(streams) == 2
+    assert result_bits(last) == result_bits(alone)

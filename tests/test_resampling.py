@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 from pathlib import Path
 
@@ -17,15 +18,17 @@ from multiendpoint import (
     SimConfig,
 )
 import multiendpoint
+from multiendpoint import resampling
 from multiendpoint.pairwise import pair_counts
 from multiendpoint.resampling import (
     _pcg64_seed_states,
     iter_label_blocks,
     n_assignments,
+    permutation_test,
     pvalue_from_draws,
 )
 import oracles
-from support import survival_cohort
+from support import count_label_streams, survival_cohort
 
 
 def fs_stat(ds) -> float:
@@ -49,6 +52,10 @@ class TestPlans:
         cohort = survival_cohort(range(1, 23), [1] * 22, [1, 0] * 11)
         with pytest.raises(ExactTooLargeError, match=r"C\(22, 11\) = 705432"):
             permutation_pvalue(fs_stat, cohort, PermutationPlan.exact())
+
+    def test_long_assignment_count_printed_in_scientific_form(self):
+        with pytest.raises(ExactTooLargeError, match=r"^C\(2467, 1848\) = 6\.719e\+601 exceeds"):
+            n_assignments(PermutationPlan.exact(), 2467, 1848)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -184,6 +191,111 @@ class TestPermutationPvalue:
 
     def test_exact_assignment_count(self, ordered):
         assert n_assignments(PermutationPlan.exact(), 4, 2) == 6
+
+
+class TestSharedStream:
+    """Tests on one dataset under one plan share one label stream: the first
+    draws it and keeps it bit-packed, the others replay it."""
+
+    MC = PermutationPlan.monte_carlo(2_500, seed=5)  # blocks of 1024, 1024, 452
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        return count_label_streams(monkeypatch)
+
+    @staticmethod
+    def stream(plan, codes) -> list[np.ndarray]:
+        return list(resampling._label_blocks(plan, codes))
+
+    @pytest.mark.parametrize(
+        "plan, per_group", [(MC, 20), (PermutationPlan.exact(), 7)], ids=["monte_carlo", "exact"]
+    )
+    def test_replay_equals_the_label_stream(self, drawn, plan, per_group):
+        ds = simulate_trial(SimConfig.null(per_group, seed=3))
+        self.stream(plan, ds.group_codes)
+        replay = self.stream(plan, ds.group_codes)
+        assert len(drawn) == 1
+        want = list(iter_label_blocks(plan, ds.group_codes))
+        assert len(replay) == len(want) > 1
+        for got, block in zip(replay, want):
+            assert (got.shape, got.dtype, got.tobytes()) == (block.shape, np.int8, block.tobytes())
+
+    def test_other_seed_length_or_dataset_misses(self, drawn):
+        ds = simulate_trial(SimConfig.null(20, seed=3))
+        equal_codes = ds.with_groups(ds.group_codes)
+        for plan, codes in [
+            (self.MC, ds.group_codes),
+            (self.MC.with_seed(6), ds.group_codes),
+            (PermutationPlan.monte_carlo(2_499, seed=5), ds.group_codes),
+            (self.MC, equal_codes.group_codes),
+        ]:
+            self.stream(plan, codes)
+        assert len(drawn) == 4
+
+    def test_codes_changed_under_a_read_only_view_miss(self, drawn):
+        base = np.array([0, 1] * 10, dtype=np.int8)
+        view = base[:]
+        view.setflags(write=False)
+        self.stream(self.MC, view)
+        assert resampling._stream is not None
+        base[:2] = [1, 0]
+        replay = self.stream(self.MC, view)
+        assert len(drawn) == 2
+        want = list(iter_label_blocks(self.MC, view))
+        assert all(np.array_equal(a, b) for a, b in zip(replay, want))
+
+    def test_entry_dies_with_its_dataset(self):
+        ds = simulate_trial(SimConfig.null(20, seed=3))
+        self.stream(self.MC, ds.group_codes)
+        assert resampling._stream is not None
+        del ds
+        gc.collect()
+        assert resampling._stream is None
+
+    def test_writable_codes_are_never_kept(self, drawn):
+        codes = np.array([0, 1] * 10, dtype=np.int8)
+        self.stream(self.MC, codes)
+        assert resampling._stream is None
+        self.stream(self.MC, codes)
+        assert len(drawn) == 2
+
+    def test_a_reducer_that_writes_its_block_leaves_the_stream_intact(self, drawn):
+        ds = simulate_trial(SimConfig.null(20, seed=3))
+
+        def scribble(block):
+            block[:] = 1 - block
+            return np.zeros(len(block))
+
+        permutation_test(0.0, scribble, ds.group_codes, self.MC)
+        replay = self.stream(self.MC, ds.group_codes)
+        assert len(drawn) == 1
+        want = list(iter_label_blocks(self.MC, ds.group_codes))
+        assert all(np.array_equal(a, b) for a, b in zip(replay, want))
+
+    def test_a_reducer_that_raises_leaves_no_entry(self):
+        earlier = simulate_trial(SimConfig.null(20, seed=4))
+        self.stream(self.MC, earlier.group_codes)
+        ds = simulate_trial(SimConfig.null(20, seed=3))
+        seen = []
+
+        def second_block_fails(block):
+            seen.append(len(block))
+            if len(seen) == 2:
+                raise RuntimeError("reducer failed")
+            return np.zeros(len(block))
+
+        with pytest.raises(RuntimeError):
+            permutation_test(0.0, second_block_fails, ds.group_codes, self.MC)
+        assert resampling._stream is None
+
+    @pytest.mark.parametrize("spare, kept", [(0, True), (-1, False)])
+    def test_a_stream_over_the_cap_is_not_kept(self, monkeypatch, drawn, spare, kept):
+        ds = simulate_trial(SimConfig.null(20, seed=3))  # N = 40, 5 bytes a row
+        monkeypatch.setattr(resampling, "_STREAM_CACHE_BYTES", 2_500 * 5 + spare)
+        self.stream(self.MC, ds.group_codes)
+        assert (resampling._stream is not None) is kept
+        self.stream(self.MC, ds.group_codes)
+        assert len(drawn) == (1 if kept else 2)
 
 
 class TestSuperUniformity:

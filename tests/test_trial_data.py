@@ -208,6 +208,14 @@ class TestLoadCsv:
         with pytest.raises(SchemaMismatchError):
             load_trial_csv(path, FIXTURE_MAPPING)
 
+    def test_column_named_twice_is_schema_mismatch(self, tmp_path):
+        # csv.DictReader would keep the last "day" and read [7, 8].
+        path = tmp_path / "bad.csv"
+        path.write_text("pid,arm,day,evt,cd4b,cd4w20,cd4w96,day\n"
+                        "p1,0,1,1,2,3,4,7\np2,1,2,0,2,3,4,8\n")
+        with pytest.raises(SchemaMismatchError, match=r"named more than once \['day'\]"):
+            load_trial_csv(path, FIXTURE_MAPPING)
+
     def test_malformed_required_field_reports_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(FIXTURE_CSV.replace("p3,2,150", "p3,2,oops"))
