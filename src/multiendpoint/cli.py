@@ -44,7 +44,7 @@ from .global_u import endpoint_weights
 from .methods import METHOD_NAMES, run_method
 from .rank_tests import VARIANCE_ADJUSTED, VARIANCE_NAIVE
 from .report import results_text_table, write_results_csv
-from .resampling import PermutationPlan, n_assignments
+from .resampling import SEED_BOUND, PermutationPlan, n_assignments
 from .results import InferenceMode
 from .simgen import (
     NULL_CORRELATION,
@@ -105,6 +105,7 @@ def _known_methods(names: list[str]) -> bool:
 
 
 _METHODS_RULE = "a non-empty list of " + ", ".join(METHOD_NAMES)
+_SEED = (lambda s: 0 <= s < SEED_BOUND, "in [0, 2**64)")
 _COLUMNS = ColumnMapping()
 
 # Range checks that a library type makes on the value it is given
@@ -125,7 +126,7 @@ KEYS: dict[str, Key] = {
     "inference.mode": Key(ANALYZE, str, InferenceMode.PERMUTATION.value, lambda m: m in RUN_MODES,
                           f"one of {list(RUN_MODES)}"),
     "inference.replicates": Key(ANALYZE, int, 10_000),
-    "inference.seed": Key(ANALYZE, int, 0, lambda s: s >= 0, ">= 0"),
+    "inference.seed": Key(ANALYZE, int, 0, *_SEED),
     "rank_sum.variance": Key(ANALYZE, str, VARIANCE_NAIVE,
                              lambda v: v in (VARIANCE_NAIVE, VARIANCE_ADJUSTED),
                              f"{VARIANCE_NAIVE!r} or {VARIANCE_ADJUSTED!r}"),
@@ -137,7 +138,7 @@ KEYS: dict[str, Key] = {
     "sim.methods": Key(SIMULATE, list[str], list(DEFAULT_METHODS), _known_methods,
                        _METHODS_RULE),
     "sim.replicates": Key(SIMULATE, int, 199),
-    "sim.seed": Key(SIMULATE, int, 0, lambda s: s >= 0, ">= 0"),
+    "sim.seed": Key(SIMULATE, int, 0, *_SEED),
     "sim.hazard_treatment": Key(SIMULATE, float, 0.002),
     "sim.hazard_control": Key(SIMULATE, float, 0.002),
     "sim.censor_horizon": Key(SIMULATE, float, 1000.0),

@@ -117,7 +117,6 @@ def global_u_test(
     row_sums = np.column_stack([c.net for c in counts]).astype(np.float64)
     return conclude(
         "global_u", statistic, variance, z, metadata, plan,
-        lambda block: _combine(label_product(block, row_sums), w, n_pairs),
-        ds.group_codes,
+        lambda block: _combine(label_product(block, row_sums), w, n_pairs), ds,
         lambda: two_sided_p(z, sps.norm.sf),
     )

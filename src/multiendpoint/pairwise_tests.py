@@ -51,7 +51,7 @@ def fs_test(ds: TrialDataset, plan: PermutationPlan | None = None) -> TestResult
     z = z_score(statistic, math.sqrt(variance), metadata)
     return conclude(
         "fs", statistic, variance, z, metadata, plan,
-        lambda block: label_product(block, weights), ds.group_codes,
+        lambda block: label_product(block, weights), ds,
         lambda: two_sided_p(z, sps.norm.sf),
     )
 
@@ -133,7 +133,7 @@ def win_ratio_test(ds: TrialDataset, plan: PermutationPlan | None = None) -> Tes
     # in both modes.
     return conclude(
         "win_ratio", statistic, se**2, z, metadata, plan,
-        _log_wr_reducer(counts, dense), ds.group_codes,
+        _log_wr_reducer(counts, dense), ds,
         lambda: 1.0 if degenerate else two_sided_p(z, sps.norm.sf),
     )
 

@@ -163,7 +163,7 @@ def obrien_test(
         )
     z = z_score(statistic, math.sqrt(var_stat), metadata)
     return conclude(
-        "rank_sum", statistic, var_stat, z, metadata, plan, reduce, ds.group_codes,
+        "rank_sum", statistic, var_stat, z, metadata, plan, reduce, ds,
         lambda: two_sided_p(z, sps.t.sf, df),
     )
 
@@ -260,6 +260,6 @@ def multirank_test(ds: TrialDataset, plan: PermutationPlan | None = None) -> Tes
         metadata["degenerate_variance"] = True
     return conclude(
         "multirank", statistic, 0.0, math.nan, metadata, plan,
-        lambda block: reduce(block)[0], ds.group_codes,
+        lambda block: reduce(block)[0], ds,
         lambda: 1.0 if rank == 0 else clamp_p(float(sps.chi2.sf(statistic, rank))),
     )

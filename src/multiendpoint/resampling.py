@@ -18,9 +18,10 @@ reused generator.
 
 Stream lifetime: the tests that run on one dataset under one plan share one
 label stream. The first streams the shuffles and keeps a bit-packed copy,
-one bit per label, for as long as the dataset's read-only group codes are
-alive; the others replay it block for block. One copy is kept at a time,
-and none for writable codes or beyond ``_STREAM_CACHE_BYTES`` (the replica's
+one bit per label, keyed by the dataset, whose group codes cannot change;
+the others replay it block for block. The copy lives as long as its
+dataset, or until a stream is drawn for another dataset or plan: one copy
+is kept at a time, and none beyond ``_STREAM_CACHE_BYTES`` (the replica's
 10,000 replicates at N=2467 take 3.1 MB).
 """
 
@@ -39,7 +40,8 @@ from .errors import ExactTooLargeError
 from .results import InferenceMode, TestResult
 from .trial_data import TrialDataset
 
-_MASK64 = (1 << 64) - 1
+SEED_BOUND = 1 << 64  # master seeds lie in [0, SEED_BOUND); larger ones would alias
+_MASK64 = SEED_BOUND - 1
 _MASK128 = (1 << 128) - 1
 
 DEFAULT_REPLICATES = 10_000
@@ -151,6 +153,8 @@ class PermutationPlan:
             raise ValueError(f"unknown permutation mode {self.mode!r}")
         if self.mode is InferenceMode.PERMUTATION and self.replicates < 1:
             raise ValueError("replicate count must be >= 1")
+        if not 0 <= self.master_seed < SEED_BOUND:
+            raise ValueError(f"master seed must be in [0, 2**64), got {self.master_seed}")
 
     @classmethod
     def monte_carlo(cls, replicates: int = DEFAULT_REPLICATES, seed: int = 0) -> "PermutationPlan":
@@ -312,87 +316,56 @@ def label_product(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 _STREAM_CACHE_BYTES = 1 << 25  # most bytes one bit-packed label stream may keep
 
-
-@dataclass(frozen=True)
-class _PackedStream:
-    """The label stream of ``plan`` over the codes ``codes`` refers to, one
-    bit per label; ``code_bytes`` is the codes as they were streamed."""
-
-    codes: weakref.ref
-    plan: PermutationPlan
-    code_bytes: bytes
-    packed: np.ndarray
+# The one kept label stream, {dataset: (plan, packed rows)}: one bit per
+# label, at most one entry, gone when its dataset is.
+_kept: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-_stream: _PackedStream | None = None
-
-
-def _forget(ref: weakref.ref) -> None:
-    global _stream
-    if _stream is not None and _stream.codes is ref:
-        _stream = None
-
-
-def _label_blocks(plan: PermutationPlan, codes: np.ndarray) -> Iterator[np.ndarray]:
-    """The blocks of ``iter_label_blocks(plan, codes)``, replayed from the
-    kept stream when that was drawn from this same live array, holding the
-    same bytes, under an equal plan. Otherwise the stream is drawn, and kept
-    once fully consumed if the codes are a read-only 0/1 int8 array and it
+def _label_blocks(plan: PermutationPlan, ds: TrialDataset) -> Iterator[np.ndarray]:
+    """The blocks of ``iter_label_blocks(plan, ds.group_codes)``, replayed
+    from the kept stream when it was drawn for this dataset under an equal
+    plan. Otherwise the stream is drawn, and kept once fully consumed if it
     packs into ``_STREAM_CACHE_BYTES``."""
-    global _stream
-    kept = _stream
-    if (
-        kept is not None
-        and kept.codes() is codes
-        and kept.plan == plan
-        and kept.code_bytes == codes.tobytes()
-    ):
-        n = codes.size
-        for r in range(0, len(kept.packed), DEFAULT_BLOCK_SIZE):
-            rows = kept.packed[r : r + DEFAULT_BLOCK_SIZE]
-            yield np.unpackbits(rows, axis=1, count=n).view(np.int8)
+    kept_plan, packed = _kept.get(ds, (None, None))
+    if kept_plan == plan:
+        for r in range(0, len(packed), DEFAULT_BLOCK_SIZE):
+            rows = packed[r : r + DEFAULT_BLOCK_SIZE]
+            yield np.unpackbits(rows, axis=1, count=ds.n).view(np.int8)
         return
 
-    _stream = None
-    cacheable = (
-        isinstance(codes, np.ndarray)
-        and codes.dtype == np.int8
-        and not codes.flags.writeable
-        and ((codes == 0) | (codes == 1)).all()
-    )
-    if cacheable:
-        row_bytes = (codes.size + 7) // 8
-        total = n_assignments(plan, codes.size, int(codes.sum()))
-        cacheable = total * row_bytes <= _STREAM_CACHE_BYTES
-    if not cacheable:
-        yield from iter_label_blocks(plan, codes)
+    _kept.clear()
+    row_bytes = (ds.n + 7) // 8
+    total = n_assignments(plan, ds.n, ds.n_treatment)
+    if total * row_bytes > _STREAM_CACHE_BYTES:
+        yield from iter_label_blocks(plan, ds.group_codes)
         return
 
     packed = np.empty((total, row_bytes), dtype=np.uint8)
     done = 0
-    for block in iter_label_blocks(plan, codes):
+    for block in iter_label_blocks(plan, ds.group_codes):
         # Packed before the reducer sees the block, which it may overwrite.
         packed[done : done + len(block)] = np.packbits(block, axis=1)
         done += len(block)
         yield block
-    _stream = _PackedStream(weakref.ref(codes, _forget), plan, codes.tobytes(), packed)
+    _kept[ds] = (plan, packed)
 
 
 def permutation_test(
     observed: float,
     reduce: Callable[[np.ndarray], np.ndarray],
-    group_codes: np.ndarray,
+    ds: TrialDataset,
     plan: PermutationPlan,
 ) -> PermutationResult:
     """The one permutation driver every test runs through.
 
-    ``reduce`` maps a (b, N) label block from :func:`iter_label_blocks` to
-    the b null statistics of its rows; the driver streams the blocks, joins
-    the draws and applies :func:`pvalue_from_draws` against ``observed``.
-    Tests on the same dataset and plan share one stream (see the module
-    docstring).
+    ``reduce`` maps a (b, N) label block from :func:`iter_label_blocks`
+    over ``ds.group_codes`` to the b null statistics of its rows; the
+    driver streams the blocks, joins the draws and applies
+    :func:`pvalue_from_draws` against ``observed``. Tests on the same
+    dataset and plan share one stream, kept for as long as ``ds`` lives
+    (see the module docstring).
     """
-    draws = [reduce(block) for block in _label_blocks(plan, group_codes)]
+    draws = [reduce(block) for block in _label_blocks(plan, ds)]
     return pvalue_from_draws(observed, np.concatenate(draws), plan)
 
 
@@ -412,7 +385,7 @@ def permutation_pvalue(
     def reduce(block: np.ndarray) -> np.ndarray:
         return np.array([float(stat(ds.with_groups(labels))) for labels in block])
 
-    return permutation_test(float(stat(ds)), reduce, ds.group_codes, plan)
+    return permutation_test(float(stat(ds)), reduce, ds, plan)
 
 
 def conclude(
@@ -423,17 +396,19 @@ def conclude(
     metadata: dict,
     plan: PermutationPlan | None,
     reduce: Callable[[np.ndarray], np.ndarray],
-    group_codes: np.ndarray,
+    ds: TrialDataset,
     asymptotic_p: Callable[[], float],
 ) -> TestResult:
     """The one way a test ends. Without a plan the p-value is
-    ``asymptotic_p()``, called only then; with one it comes from
-    :func:`permutation_test` of ``reduce`` against ``statistic``, and the
-    six driver fields join ``metadata``."""
+    ``asymptotic_p()``, called only then. With one it comes from
+    :func:`permutation_test` of ``reduce`` over the labels of ``ds`` against
+    ``statistic``, and the six driver fields join ``metadata``; the label
+    stream is kept for the next test on ``ds`` under the same plan for as
+    long as ``ds`` lives."""
     if plan is None:
         return TestResult(
             method, statistic, variance, z, asymptotic_p(), InferenceMode.ASYMPTOTIC, metadata
         )
-    res = permutation_test(statistic, reduce, group_codes, plan)
+    res = permutation_test(statistic, reduce, ds, plan)
     metadata.update(res.metadata())
     return TestResult(method, statistic, variance, z, res.p, plan.mode, metadata)

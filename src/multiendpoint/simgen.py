@@ -18,7 +18,7 @@ import numpy as np
 from scipy import stats as sps
 
 from .errors import InvalidCorrelationError
-from .resampling import PermutationPlan, derive_replicate_seed
+from .resampling import SEED_BOUND, PermutationPlan, derive_replicate_seed
 from .trial_data import EndpointKind, EndpointSpec, TrialDataset
 
 SIM_EVENT = "event"
@@ -123,6 +123,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_per_group < 1:
             raise ValueError("n_per_group must be >= 1")
+        if not 0 <= self.seed < SEED_BOUND:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         _check_correlation(np.asarray(self.correlation))
 
     @classmethod

@@ -118,10 +118,12 @@ class TrialDataset:
     and presence flags otherwise. ``group`` holds 1 for treatment and 0 for
     control, and ``covariates`` maps names to float columns, NaN where
     missing. The constructor checks every value, raising
-    ``InvalidDataError`` (``EmptyGroupError`` for an empty group), and
-    freezes the arrays it keeps rather than copying them. ``with_groups``
-    and ``subset`` return new datasets; the first shares outcome storage,
-    which keeps relabeling cheap.
+    ``InvalidDataError`` (``EmptyGroupError`` for an empty group). It copies
+    the group codes (N bytes), so a dataset's codes never change and the
+    label stream kept for it stays valid for as long as it lives; the other
+    columns it freezes rather than copies. ``with_groups`` and ``subset``
+    return new datasets; the first shares outcome storage, which keeps
+    relabeling cheap.
     """
 
     def __init__(
@@ -150,7 +152,7 @@ class TrialDataset:
                 f"columns {sorted(columns)} do not match endpoints {sorted(self._spec_by_name)}"
             )
 
-        self._group = _column(self._ids, "group code", group, np.int8,
+        self._group = _column(self._ids, "group code", np.array(group), np.int8,
                               lambda g: (g == 0) | (g == 1), "0 or 1")
         self._n_treatment = int(self._group.sum())
         self._n_control = len(self._group) - self._n_treatment
@@ -259,7 +261,7 @@ class TrialDataset:
     def with_groups(self, group_codes: np.ndarray) -> "TrialDataset":
         """Same cohort with new group labels (shares outcome storage)."""
         return TrialDataset(
-            self._specs, self._ids, np.array(group_codes), self._columns, self._covariates
+            self._specs, self._ids, group_codes, self._columns, self._covariates
         )
 
     def subset(self, indices: np.ndarray) -> "TrialDataset":

@@ -9,12 +9,13 @@ alone; ``subjects_of`` turns a dataset back into records for the oracles.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from multiendpoint import EndpointKind, EndpointSpec, TrialDataset, resampling
+from multiendpoint import EndpointKind, EndpointSpec, TrialDataset, multirank_test, resampling
 
 SURV = EndpointSpec("surv", EndpointKind.TIME_TO_EVENT, priority=1)
 SCORE = EndpointSpec("score", EndpointKind.CONTINUOUS, priority=2)
@@ -135,6 +136,19 @@ def results_equal(a, b) -> bool:
 def win_tallies(result) -> tuple[int, int, int]:
     """(wins, losses, ties) from a win-ratio result's metadata."""
     return tuple(result.metadata[k] for k in ("n_wins", "n_losses", "n_ties"))
+
+
+def multirank_checked(ds: TrialDataset, **kwargs):
+    """``multirank_test(ds, **kwargs)`` with its warnings recorded: the
+    singular-covariance warning fires, once, exactly when the result flags
+    ``singular_covariance``, and nothing else is warned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = multirank_test(ds, **kwargs)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == int(result.metadata["singular_covariance"]), messages
+    assert all(m.startswith("rank covariance is singular") for m in messages), messages
+    return result
 
 
 def random_integer_cohort(rng: np.random.Generator, n: int, missing_prob: float = 0.15):

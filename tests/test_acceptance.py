@@ -23,7 +23,6 @@ from multiendpoint import (
     error_rate_study,
     fs_test,
     global_u_test,
-    multirank_test,
     obrien_test,
     rank_matrix,
     run_method,
@@ -36,7 +35,7 @@ from multiendpoint.resampling import iter_label_blocks
 from multiendpoint.simgen import binomial_band
 import oracles
 from oracles import kernel_matrix, verdict_matrix
-from support import dataset, random_integer_cohort, subjects_of, win_tallies
+from support import dataset, multirank_checked, random_integer_cohort, subjects_of, win_tallies
 
 TABLE2_THRESHOLDS = {
     "rank_sum": 1e-3,
@@ -144,12 +143,12 @@ def test_criterion_3_oracle_equivalence():
         )
 
         # Multirank: statistic and exact p.
-        r_m = multirank_test(ds)
+        r_m = multirank_checked(ds)
         assert r_m.statistic == pytest.approx(
             oracles.multirank_statistic(subjects, specs), rel=1e-12
         )
         assert (
-            multirank_test(ds, plan=exact).p_two_sided
+            multirank_checked(ds, plan=exact).p_two_sided
             == oracles.exact_pvalue(
                 lambda ss: oracles.multirank_statistic(ss, specs), subjects
             )
@@ -294,8 +293,8 @@ def test_criterion_6_property_bundle():
         wr_t = win_ratio_test(ds_t)
         assert win_tallies(wr_t)[:2] == win_tallies(wr)[:2]
         assert obrien_test(ds_t).statistic == obrien_test(ds).statistic
-        assert multirank_test(ds_t).statistic == pytest.approx(
-            multirank_test(ds).statistic, rel=1e-12
+        assert multirank_checked(ds_t).statistic == pytest.approx(
+            multirank_checked(ds).statistic, rel=1e-12
         )
 
     # Determinism: same seed -> identical p; chunk size (the worker-count

@@ -381,6 +381,7 @@ class TestMistypedConfig:
             ("analyze", {"global_u": {"weights": {"composite_event": True}}}),
             ("analyze", {"columns": {"subject_id": 5}}),
             ("simulate", {"sim": {"seed": -1, **TINY_STUDY}}),
+            ("analyze", {"inference": {"seed": 2**64}}),
             ("simulate", {"sim": {"correlation": [[1, 0], [0, 1]]}}),
             ("simulate", {"sim": {"correlation": [[1, 0.9, -0.9], [0.9, 1, 0.9], [-0.9, 0.9, 1]]}}),
             ("simulate", {"sim": {"hazard_control": 10**400}}),
@@ -393,8 +394,8 @@ class TestMistypedConfig:
             "columns_int", "section_int", "sim_methods_int", "unknown_top_key",
             "unknown_inference_key", "dotted_key", "unknown_sim_key", "contrast_int",
             "summarize_contrast_int", "input_int", "out_int", "simulate_out_int", "weight_bool",
-            "subject_id_int", "sim_seed_negative", "correlation_2x2", "correlation_not_psd",
-            "hazard_past_float_range", "covariate_shadows_baseline", "covariate_shadows_arm",
+            "subject_id_int", "sim_seed_negative", "seed_past_64_bits", "correlation_2x2",
+            "correlation_not_psd", "hazard_past_float_range", "covariate_shadows_baseline", "covariate_shadows_arm",
         ],
     )
     def test_wrong_yaml_type_is_config_error(self, replica, tmp_path, capsys, command, cfg):
@@ -423,6 +424,34 @@ class TestMistypedConfig:
         code = run_cli("simulate", "--seed", "-1", "--out", str(tmp_path / "out"))
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: sim.seed")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command, key", [("analyze", "inference"), ("simulate", "sim")])
+    def test_seed_outside_64_bits_is_config_error(
+        self, replica, tmp_path, capsys, command, key, seed
+    ):
+        # 2**64 would alias seed 0: the same p-values under another seed.
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"input": replica, "sim": TINY_STUDY}))
+        code = run_cli(command, "--config", str(path), "--seed", str(seed),
+                       "--out", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {key}.seed: must be in [0, 2**64), got {seed}\n"
+        )
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_largest_seed_runs(self, replica, tmp_path, command):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({
+            "input": replica, "methods": ["fs"], "inference": {"replicates": 9},
+            "sim": TINY_STUDY,
+        }))
+        out = tmp_path / "out"
+        code = run_cli(command, "--config", str(path), "--seed", str(2**64 - 1), "--out", str(out))
+        assert code == EXIT_OK
+        table = "results.csv" if command == "analyze" else "rejection_fs.csv"
+        assert str(2**64 - 1) in (out / table).read_text()
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)

@@ -100,6 +100,7 @@ def write_config(directory: Path, edits) -> str:
 @example("analyze", "repeated-column", [], [])
 @example("analyze", "csv", [], [("global_u.weights", dict.fromkeys(ENDPOINTS, 0.0))])
 @example("analyze", "csv", [], [("inference.mode", "asymptotic")])
+@example("analyze", "csv", [], [("inference.seed", 2**64)])
 @example("simulate", "csv", [], [("sim.marker_mean_control", 1.7e308),
                                  ("sim.marker_sd_control", 1.7e308)])
 def test_cli_exits_with_a_documented_code(command, source, cells, config):

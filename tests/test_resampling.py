@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import gc
 import math
 from pathlib import Path
@@ -60,6 +61,18 @@ class TestPlans:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             PermutationPlan("bootstrap")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # 2**64 would alias seed 0 and -1 seed 2**64 - 1.
+        with pytest.raises(ValueError, match=r"master seed must be in \[0, 2\*\*64\)"):
+            PermutationPlan.monte_carlo(9, seed=seed)
+        with pytest.raises(ValueError, match="master seed"):
+            PermutationPlan.monte_carlo(9).with_seed(seed)
+
+    def test_largest_seed_accepted(self, ordered):
+        plan = PermutationPlan.monte_carlo(9, seed=2**64 - 1)
+        assert permutation_pvalue(fs_stat, ordered, plan).master_seed == 2**64 - 1
 
 
 class TestSeeds:
@@ -195,7 +208,8 @@ class TestPermutationPvalue:
 
 class TestSharedStream:
     """Tests on one dataset under one plan share one label stream: the first
-    draws it and keeps it bit-packed, the others replay it."""
+    draws it and keeps it bit-packed, keyed by the dataset, and the others
+    replay it."""
 
     MC = PermutationPlan.monte_carlo(2_500, seed=5)  # blocks of 1024, 1024, 452
 
@@ -204,16 +218,16 @@ class TestSharedStream:
         return count_label_streams(monkeypatch)
 
     @staticmethod
-    def stream(plan, codes) -> list[np.ndarray]:
-        return list(resampling._label_blocks(plan, codes))
+    def stream(plan, ds) -> list[np.ndarray]:
+        return list(resampling._label_blocks(plan, ds))
 
     @pytest.mark.parametrize(
         "plan, per_group", [(MC, 20), (PermutationPlan.exact(), 7)], ids=["monte_carlo", "exact"]
     )
     def test_replay_equals_the_label_stream(self, drawn, plan, per_group):
         ds = simulate_trial(SimConfig.null(per_group, seed=3))
-        self.stream(plan, ds.group_codes)
-        replay = self.stream(plan, ds.group_codes)
+        self.stream(plan, ds)
+        replay = self.stream(plan, ds)
         assert len(drawn) == 1
         want = list(iter_label_blocks(plan, ds.group_codes))
         assert len(replay) == len(want) > 1
@@ -223,41 +237,22 @@ class TestSharedStream:
     def test_other_seed_length_or_dataset_misses(self, drawn):
         ds = simulate_trial(SimConfig.null(20, seed=3))
         equal_codes = ds.with_groups(ds.group_codes)
-        for plan, codes in [
-            (self.MC, ds.group_codes),
-            (self.MC.with_seed(6), ds.group_codes),
-            (PermutationPlan.monte_carlo(2_499, seed=5), ds.group_codes),
-            (self.MC, equal_codes.group_codes),
+        for plan, data in [
+            (self.MC, ds),
+            (self.MC.with_seed(6), ds),
+            (PermutationPlan.monte_carlo(2_499, seed=5), ds),
+            (self.MC, equal_codes),
         ]:
-            self.stream(plan, codes)
+            self.stream(plan, data)
         assert len(drawn) == 4
-
-    def test_codes_changed_under_a_read_only_view_miss(self, drawn):
-        base = np.array([0, 1] * 10, dtype=np.int8)
-        view = base[:]
-        view.setflags(write=False)
-        self.stream(self.MC, view)
-        assert resampling._stream is not None
-        base[:2] = [1, 0]
-        replay = self.stream(self.MC, view)
-        assert len(drawn) == 2
-        want = list(iter_label_blocks(self.MC, view))
-        assert all(np.array_equal(a, b) for a, b in zip(replay, want))
 
     def test_entry_dies_with_its_dataset(self):
         ds = simulate_trial(SimConfig.null(20, seed=3))
-        self.stream(self.MC, ds.group_codes)
-        assert resampling._stream is not None
+        self.stream(self.MC, ds)
+        assert list(resampling._kept) == [ds]
         del ds
         gc.collect()
-        assert resampling._stream is None
-
-    def test_writable_codes_are_never_kept(self, drawn):
-        codes = np.array([0, 1] * 10, dtype=np.int8)
-        self.stream(self.MC, codes)
-        assert resampling._stream is None
-        self.stream(self.MC, codes)
-        assert len(drawn) == 2
+        assert len(resampling._kept) == 0
 
     def test_a_reducer_that_writes_its_block_leaves_the_stream_intact(self, drawn):
         ds = simulate_trial(SimConfig.null(20, seed=3))
@@ -266,15 +261,15 @@ class TestSharedStream:
             block[:] = 1 - block
             return np.zeros(len(block))
 
-        permutation_test(0.0, scribble, ds.group_codes, self.MC)
-        replay = self.stream(self.MC, ds.group_codes)
+        permutation_test(0.0, scribble, ds, self.MC)
+        replay = self.stream(self.MC, ds)
         assert len(drawn) == 1
         want = list(iter_label_blocks(self.MC, ds.group_codes))
         assert all(np.array_equal(a, b) for a, b in zip(replay, want))
 
     def test_a_reducer_that_raises_leaves_no_entry(self):
         earlier = simulate_trial(SimConfig.null(20, seed=4))
-        self.stream(self.MC, earlier.group_codes)
+        self.stream(self.MC, earlier)
         ds = simulate_trial(SimConfig.null(20, seed=3))
         seen = []
 
@@ -285,16 +280,16 @@ class TestSharedStream:
             return np.zeros(len(block))
 
         with pytest.raises(RuntimeError):
-            permutation_test(0.0, second_block_fails, ds.group_codes, self.MC)
-        assert resampling._stream is None
+            permutation_test(0.0, second_block_fails, ds, self.MC)
+        assert len(resampling._kept) == 0
 
-    @pytest.mark.parametrize("spare, kept", [(0, True), (-1, False)])
+    @pytest.mark.parametrize("spare, kept", [(1, True), (0, True), (-1, False)])
     def test_a_stream_over_the_cap_is_not_kept(self, monkeypatch, drawn, spare, kept):
         ds = simulate_trial(SimConfig.null(20, seed=3))  # N = 40, 5 bytes a row
         monkeypatch.setattr(resampling, "_STREAM_CACHE_BYTES", 2_500 * 5 + spare)
-        self.stream(self.MC, ds.group_codes)
-        assert (resampling._stream is not None) is kept
-        self.stream(self.MC, ds.group_codes)
+        self.stream(self.MC, ds)
+        assert (ds in resampling._kept) is kept
+        self.stream(self.MC, ds)
         assert len(drawn) == (1 if kept else 2)
 
 
@@ -336,3 +331,11 @@ def test_only_the_shared_tail_builds_results():
     """Every test's result is built in ``resampling.conclude``; ``report``
     builds them only to read a results CSV back."""
     assert _modules_calling("TestResult(") == ["report.py", "resampling.py"]
+
+
+def test_no_module_has_a_global_statement():
+    """No function rebinds module state; the kept label stream lives in a
+    mapping keyed by its dataset."""
+    for path in sorted(Path(multiendpoint.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), path.name

@@ -134,6 +134,13 @@ class TestSimulateTrial:
         with pytest.raises(ValueError):
             ContinuousModel(math.inf, 0.0)
 
+    @pytest.mark.parametrize("seed, ok", [(-1, False), (2**64 - 1, True), (2**64, False)])
+    def test_seed_range(self, seed, ok):
+        if ok:
+            assert simulate_trial(SimConfig.null(5, seed=seed)).n == 10
+        else:
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+                SimConfig.null(5, seed=seed)
 
     def test_marker_overflow_rejected(self):
         # A finite mean + SD x z past float range is an infinite marker.

@@ -173,6 +173,14 @@ class TestDatasetConstruction:
         )
         assert dataset_of_arrays.times("surv") is times and not times.flags.writeable
 
+    def test_group_codes_are_the_datasets_own(self):
+        group = np.array([1, 1, 0, 0], dtype=np.int8)
+        ds = TrialDataset(**{**_valid_args(), "group": group})
+        group[:] = [0, 0, 1, 1]
+        assert ds.group_codes.tolist() == [1, 1, 0, 0]
+        assert (ds.n_treatment, ds.n_control) == (2, 2)
+        assert group.flags.writeable and not ds.group_codes.flags.writeable
+
 
 class TestLoadCsv:
     def test_fixture_loads_field_by_field(self, fixture_csv):
