@@ -2,12 +2,19 @@
 
 The hierarchy is the dataset's endpoints in priority order
 (``TrialDataset.endpoint_specs``). Each level is written as two per-subject
-keys (``Level``), and the N x N verdict matrix S is swept in row tiles of
-about 2M entries, which applies the level rule and the hierarchy in one
-place, ``_tiles``.
-``sweep_counts`` reduces every tile at once to per-subject counts (net
-score, determinate pairs, wins and losses against the other group) and, on
-request, the list of pairs tied at every level, so no test holds S itself.
+keys (``Level``). ``sweep_counts`` reduces the N x N verdict matrix S to
+per-subject counts (net score, determinate pairs, wins and losses against
+the other group) and, on request, the list of pairs tied at every level, so
+no test holds S itself. It counts one of two ways:
+
+- one level (global U's kernels, the Gehan scores) by sorting: a subject's
+  wins and losses against a group are ``searchsorted`` counts in that
+  group's sorted keys, in O(N log N) time and O(N) memory;
+- a hierarchy (fs, the win ratio) or a tie list by row tiles of S of about
+  2M entries, built in one place, ``_tiles``, which applies the level rule
+  and the hierarchy; a lexicographic hierarchy with censoring is not one
+  sort order.
+
 The one N x N array left in ``src`` is ``determinacy_matrix``, the win
 ratio's permutation path for cohorts with more tie pairs than the sweep
 keeps. The scalar reference rule, one pair at a time, is ``compare`` in
@@ -34,7 +41,12 @@ class Level(NamedTuple):
     """One comparison level as two per-subject keys: subject i beats subject
     j at this level exactly when ``hi[i] > lo[j]``, so the level's verdict is
     ``[hi_i > lo_j] - [hi_j > lo_i]``. A NaN key compares false and leaves
-    the pair tied."""
+    the pair tied.
+
+    Both constructors, ``survival_level`` and ``endpoint_level``, give
+    ``hi <= lo`` on every subject, so no pair is won both ways and a
+    subject never beats itself; ``sweep_counts`` counts such a level by
+    sorting, and any other level by row tiles."""
 
     hi: np.ndarray
     lo: np.ndarray
@@ -96,7 +108,7 @@ _TIE_CAP_DIVISOR = 64
 
 @dataclass(frozen=True)
 class PairCounts:
-    """Per-subject tallies of the verdict matrix S, from one row-tiled sweep."""
+    """Per-subject tallies of the verdict matrix S, from ``sweep_counts``."""
 
     net: np.ndarray  # row sum of S: wins minus losses against everyone
     determinate: np.ndarray  # row sum of |S|: pairs decided at some level
@@ -107,11 +119,42 @@ class PairCounts:
     ties: np.ndarray | None = None
 
 
+def _sorted_counts(level: Level, treat: np.ndarray) -> PairCounts:
+    """One level's counts from each group's sorted keys, in O(N log N) time
+    and O(N) memory: subject i beats ``searchsorted(lo, hi[i])`` members of a
+    group and is beaten by those whose ``hi`` exceeds ``lo[i]``. Needs
+    ``hi <= lo`` on every subject, so that no pair is won both ways and the
+    self pair counts nothing."""
+    hi, lo = level
+    nan_hi = np.isnan(hi)
+    beats = np.empty((2, hi.size), dtype=np.int64)  # vs treatment, vs control
+    beaten = np.empty_like(beats)
+    for k, group in enumerate((treat, ~treat)):
+        # NaN sorts past every key, so no hi beats a NaN lo and no hi is
+        # found above a NaN lo[i]; a NaN hi beats nothing, so it is masked
+        # and kept out of g_hi.
+        g_lo = np.sort(lo[group])
+        g_hi = np.sort(hi[group & ~nan_hi])
+        beats[k] = np.where(nan_hi, 0, np.searchsorted(g_lo, hi, side="left"))
+        beaten[k] = g_hi.size - np.searchsorted(g_hi, lo, side="right")
+    return PairCounts(
+        net=(beats - beaten).sum(axis=0),
+        determinate=(beats + beaten).sum(axis=0),
+        wins=np.where(treat, beats[1], beats[0]),
+        losses=np.where(treat, beaten[1], beaten[0]),
+    )
+
+
 def sweep_counts(
     levels: Sequence[Level], treatment_mask: np.ndarray, collect_ties: bool = False
 ) -> PairCounts:
-    """Reduce each row tile to int64 counts as soon as it is built, so memory
-    is O(tile * N) rather than N x N. Columns are swept treatment-first, which
+    """Per-subject counts of the verdict matrix S, counted one of two ways.
+
+    One level without tie pairs is counted by sorting (``_sorted_counts``),
+    in O(N log N) time and O(N) memory. A hierarchy, a tie list, or a level
+    with ``hi > lo`` on some subject is counted from row tiles: each tile is
+    reduced to int64 counts as soon as it is built, so memory is
+    O(tile * N) rather than N x N. Columns are swept treatment-first, which
     makes each group's part of a tile a contiguous slice.
 
     With ``collect_ties`` the same tiles also give the tie pairs. A tile's
@@ -120,6 +163,8 @@ def sweep_counts(
     ties costs nothing more, and collecting stops for good once the zeros
     seen so far prove the list will pass its cap."""
     treat = np.asarray(treatment_mask, dtype=bool)
+    if len(levels) == 1 and not collect_ties and not np.any(levels[0].hi > levels[0].lo):
+        return _sorted_counts(levels[0], treat)
     n = treat.size
     n1 = int(treat.sum())
     order = np.argsort(~treat, kind="stable")

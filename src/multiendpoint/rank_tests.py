@@ -6,7 +6,8 @@ Ranking is complete-case by construction: subjects missing any endpoint of
 the dataset are excluded and the exclusion count reported, since midranks over
 partially missing columns would silently change N per column. Time-to-event
 endpoints are first converted to censoring-aware net survival scores
-(Gehan scores), so one endpoint's censoring never leaks into the others.
+(Gehan scores, counted by sorting in O(N log N) time), so one endpoint's
+censoring never leaks into the others.
 """
 
 from __future__ import annotations

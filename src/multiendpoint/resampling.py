@@ -70,11 +70,14 @@ def derive_replicate_seed(master_seed: int, replicate_index: int) -> int:
 
     Injective in ``replicate_index`` for a fixed master seed: the index is
     added to a mixed master (a 64-bit bijection) and passed through another
-    bijective mix.
+    bijective mix. Raises ValueError for a master seed outside
+    [0, ``SEED_BOUND``), which would alias one inside it.
     """
+    if not 0 <= master_seed < SEED_BOUND:
+        raise ValueError(f"master seed must be in [0, 2**64), got {master_seed}")
     if replicate_index < 0:
         raise ValueError("replicate_index must be >= 0")
-    inner = (_splitmix64(master_seed & _MASK64) + replicate_index) & _MASK64
+    inner = (_splitmix64(master_seed) + replicate_index) & _MASK64
     return _splitmix64(inner)
 
 

@@ -6,11 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiendpoint import (
     Direction,
+    EndpointKind,
     PermutationPlan,
     SimConfig,
     TrialDataset,
@@ -20,7 +21,7 @@ from multiendpoint import (
     simulate_trial,
 )
 from multiendpoint import pairwise
-from multiendpoint.pairwise import endpoint_level, pair_counts, sweep_counts
+from multiendpoint.pairwise import Level, endpoint_level, pair_counts, survival_level, sweep_counts
 import oracles
 from oracles import kernel_matrix, verdict_matrix
 from support import (
@@ -339,6 +340,105 @@ class TestRowTiles:
         assert gu.variance == pytest.approx(want_var, rel=1e-12)
 
 
+COUNT_FIELDS = ("net", "determinate", "wins", "losses")
+
+
+def assert_sorted_counts_match_tiles(monkeypatch, level, treat, sorted_path=True):
+    """One level's counts without a tie list equal the row-tile sweep's (a
+    tie list always takes the tiles), value and dtype, and are counted by
+    sorting exactly when ``sorted_path``."""
+    treat = np.asarray(treat, dtype=bool)
+    tiled = sweep_counts([level], treat, collect_ties=True)
+    with monkeypatch.context() as m:
+        if sorted_path:
+            m.setattr(pairwise, "_tiles", None)  # any tile sweep would raise
+        got = sweep_counts([level], treat)
+    assert got.ties is None
+    for field in COUNT_FIELDS:
+        a, b = getattr(got, field), getattr(tiled, field)
+        assert a.dtype == b.dtype == np.int64, field
+        assert a.tolist() == b.tolist(), field
+
+
+def _values(*vs) -> Level:
+    v = np.array([np.nan if x is None else x for x in vs], dtype=np.float64)
+    return Level(v, v)
+
+
+class TestSortedCounts:
+    """One level is counted by sorting; it must give the sweep's counts."""
+
+    def test_tied_keys_straddle_the_group_boundary(self, monkeypatch):
+        treat = [1, 0, 1, 0, 0, 1, 1, 0]
+        times = np.array([3, 3, 3, 5, 5, 5, 7, 7], dtype=float)
+        events = np.array([1, 1, 0, 1, 0, 1, 1, 1], dtype=bool)
+        assert_sorted_counts_match_tiles(monkeypatch, survival_level(times, events), treat)
+        level = _values(2, 2, 2, 1, 1, None, 1, 2)
+        assert_sorted_counts_match_tiles(monkeypatch, level, treat)
+
+    @pytest.mark.parametrize("event", [False, True])
+    def test_all_censored_and_all_event_survival(self, monkeypatch, event):
+        times = np.array([4, 1, 4, 9, 2, 9, 4], dtype=float)
+        level = survival_level(times, np.full(times.size, event))
+        assert_sorted_counts_match_tiles(monkeypatch, level, [1, 1, 0, 0, 1, 0, 0])
+        counts = sweep_counts([level], np.ones(times.size, dtype=bool))
+        assert counts.determinate.any() == event
+
+    def test_all_missing_values_decide_nothing(self, monkeypatch):
+        level = _values(None, None, None, None)
+        assert_sorted_counts_match_tiles(monkeypatch, level, [1, 0, 1, 0])
+        assert sweep_counts([level], np.array([1, 0, 1, 0], dtype=bool)).determinate.tolist() == [0] * 4
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lower_is_better_mirror(self, monkeypatch, seed):
+        ds = _interleaved_dataset(700 + seed, 12)
+        for spec in (SCORE, replace(SCORE, direction=Direction.LOWER_IS_BETTER)):
+            level = endpoint_level(ds, spec)
+            assert_sorted_counts_match_tiles(monkeypatch, level, ds.treatment_mask)
+
+    @pytest.mark.parametrize("treat", [[1], [0], [1, 0, 0, 0], [0, 1, 1, 1], [1, 0], [1, 1]])
+    def test_one_subject_groups_and_two_subjects(self, monkeypatch, treat):
+        n = len(treat)
+        times = np.arange(n, 0, -1, dtype=float)
+        assert_sorted_counts_match_tiles(monkeypatch, survival_level(times, np.ones(n, bool)), treat)
+        assert_sorted_counts_match_tiles(monkeypatch, _values(*range(n)), treat)
+
+    def test_level_with_hi_above_lo_is_counted_by_tiles(self, monkeypatch):
+        # Subjects 0 and 1 win each of their pairs one way and lose it the
+        # other, so every one of their pairs is tied, the self pair too;
+        # sorting would count those pairs as decided.
+        level = Level(np.array([5.0, 5.0, 3.0, 1.0]), np.array([0.0, 0.0, 3.0, 1.0]))
+        treat = np.array([1, 0, 1, 0], dtype=bool)
+        assert_sorted_counts_match_tiles(monkeypatch, level, treat, sorted_path=False)
+        s = (level.hi[:, None] > level.lo).astype(int) - (level.hi > level.lo[:, None])
+        counts = sweep_counts([level], treat)
+        assert counts.net.tolist() == s.sum(axis=1).tolist()
+        assert counts.determinate.tolist() == np.abs(s).sum(axis=1).tolist()
+        assert counts.determinate.tolist() == [0, 0, 1, 1]
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(0, 5),
+                st.booleans(),
+                st.one_of(st.none(), st.integers(-3, 3)),
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        st.booleans(),
+    )
+    def test_random_cohorts_match_tiles(self, rows, mirror):
+        treat, times, events, values = (list(c) for c in zip(*rows))
+        survival = survival_level(np.array(times, dtype=float), np.array(events))
+        value = _values(*[v if v is None or not mirror else -v for v in values])
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for level in (survival, value):
+                assert_sorted_counts_match_tiles(monkeypatch, level, treat)
+
+
 @pytest.fixture(scope="module")
 def cohort_6k():
     return simulate_trial(SimConfig.null(3000, seed=0))
@@ -355,6 +455,24 @@ def test_asymptotic_memory_stays_below_n_squared(cohort_6k, method):
     finally:
         tracemalloc.stop()
     assert peak < cohort_6k.n ** 2
+
+
+@pytest.mark.parametrize("kernel", ["global_u", "gehan_score_vector"])
+def test_one_level_counts_take_linear_memory(cohort_6k, kernel):
+    """global U and the Gehan scores count each level by sorting, with no
+    tile: their peak traced allocation stays below 512 bytes per subject
+    (a row-tile sweep peaks near 1,500)."""
+    name = next(s.name for s in cohort_6k.endpoint_specs if s.kind is EndpointKind.TIME_TO_EVENT)
+    tracemalloc.start()
+    try:
+        if kernel == "global_u":
+            run_method("global_u", cohort_6k)
+        else:
+            gehan_score_vector(cohort_6k.times(name), cohort_6k.events_observed(name))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * cohort_6k.n
 
 
 def test_permutation_win_ratio_memory_stays_below_n_squared():

@@ -91,6 +91,15 @@ class TestSeeds:
         with pytest.raises(ValueError):
             derive_replicate_seed(1, -1)
 
+    @pytest.mark.parametrize("master", [-1, 2**64])
+    def test_master_seed_outside_64_bits_rejected(self, master):
+        with pytest.raises(ValueError, match=r"master seed must be in \[0, 2\*\*64\)"):
+            derive_replicate_seed(master, 5)
+
+    def test_largest_master_seed_accepted(self):
+        assert 0 <= derive_replicate_seed(2**64 - 1, 5) < 2**64
+        assert derive_replicate_seed(2**64 - 1, 5) != derive_replicate_seed(0, 5)
+
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
