@@ -7,9 +7,10 @@ per-subject counts (net score, determinate pairs, wins and losses against
 the other group) and, on request, the list of pairs tied at every level, so
 no test holds S itself. It counts one of two ways:
 
-- one level (global U's kernels, the Gehan scores) by sorting: a subject's
-  wins and losses against a group are ``searchsorted`` counts in that
-  group's sorted keys, in O(N log N) time and O(N) memory;
+- one level (global U's kernels, the rank tests' scores and midranks) by
+  sorting: a subject's wins and losses against a group are
+  ``searchsorted`` counts in that group's sorted keys, in O(N log N) time
+  and O(N) memory;
 - a hierarchy (fs, the win ratio) or a tie list by row tiles of S of about
   2M entries, built in one place, ``_tiles``, which applies the level rule
   and the hierarchy; a lexicographic hierarchy with censoring is not one
@@ -226,9 +227,3 @@ def pair_counts(ds: TrialDataset, collect_ties: bool = False) -> PairCounts:
     endpoints in priority order, without the N x N matrix."""
     return sweep_counts(_hierarchy_levels(ds), ds.treatment_mask, collect_ties)
 
-
-def gehan_score_vector(times: np.ndarray, events: np.ndarray) -> np.ndarray:
-    """Censoring-aware survival score: (# subjects determinately outlived)
-    minus (# subjects who determinately outlive this one)."""
-    level = survival_level(times, events)
-    return sweep_counts([level], np.zeros(len(level.hi), dtype=bool)).net

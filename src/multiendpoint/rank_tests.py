@@ -4,10 +4,12 @@ test.
 
 Ranking is complete-case by construction: subjects missing any endpoint of
 the dataset are excluded and the exclusion count reported, since midranks over
-partially missing columns would silently change N per column. Time-to-event
-endpoints are first converted to censoring-aware net survival scores
-(Gehan scores, counted by sorting in O(N log N) time), so one endpoint's
-censoring never leaks into the others.
+partially missing columns would silently change N per column. Each endpoint is
+read as its pairwise level (``pairwise.endpoint_level``) and scored by its
+one-level net count, wins minus losses against every kept subject: the Gehan
+score for a time-to-event endpoint, so one endpoint's censoring never leaks
+into the others. The midranks of the scores are counted the same way, by
+sorting in O(N log N) time.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 from .errors import EmptyAfterExclusionError, EmptyGroupError
-from .pairwise import gehan_score_vector
+from .pairwise import Level, endpoint_level, sweep_counts
 from .resampling import PermutationPlan, conclude, label_product
 from .results import TestResult, clamp_p, two_sided_p, z_score
-from .trial_data import Direction, EndpointKind, TrialDataset
+from .trial_data import TrialDataset
 
 VARIANCE_NAIVE = "naive"
 VARIANCE_ADJUSTED = "adjusted"
@@ -55,32 +57,36 @@ class RankMatrix:
 
 def rank_matrix(ds: TrialDataset) -> RankMatrix:
     """Column-wise pooled midranks over the complete-case subset, one column
-    per endpoint in priority order."""
-    specs = ds.endpoint_specs
+    per endpoint in priority order.
+
+    A subject is kept when no level key is NaN, that is, when every endpoint
+    is present. A column ranks the kept subjects' one-level net scores: on
+    the level ``hi = lo = s`` of the scores, subject i's net count is
+    #{s_j < s_i} - #{s_j > s_i} = 2 midrank_i - (n + 1), an exact integer,
+    so ``(n + 1 + net) / 2`` is the midrank to the last bit."""
+    levels = [endpoint_level(ds, spec) for spec in ds.endpoint_specs]
     keep = np.ones(ds.n, dtype=bool)
-    for spec in specs:
-        keep &= ds.present(spec.name)
+    for lv in levels:
+        keep &= ~(np.isnan(lv.hi) | np.isnan(lv.lo))
     kept = np.flatnonzero(keep)
     if kept.size == 0:
         raise EmptyAfterExclusionError(
             f"complete-case filtering removed all {ds.n} subjects"
         )
 
+    nobody = np.zeros(kept.size, dtype=bool)
+
+    def net(level: Level) -> np.ndarray:
+        return sweep_counts([level], nobody).net
+
     cols = []
-    for spec in specs:
-        name = spec.name
-        if spec.kind is EndpointKind.TIME_TO_EVENT:
-            score = gehan_score_vector(ds.times(name)[kept], ds.events_observed(name)[kept])
-            score = score.astype(np.float64)
-        else:
-            score = ds.values(name)[kept].astype(np.float64)
-            if spec.direction is Direction.LOWER_IS_BETTER:
-                score = -score
-        cols.append(sps.rankdata(score, method="average"))
+    for lv in levels:
+        score = net(Level(lv.hi[kept], lv.lo[kept])).astype(np.float64)
+        cols.append((kept.size + 1 + net(Level(score, score))) / 2)
 
     return RankMatrix(
         ranks=np.column_stack(cols),
-        endpoint_names=tuple(s.name for s in specs),
+        endpoint_names=tuple(s.name for s in ds.endpoint_specs),
         kept_indices=kept,
         treatment_mask=ds.treatment_mask[kept],
         n_excluded=ds.n - kept.size,
@@ -165,7 +171,7 @@ def obrien_test(
     z = z_score(statistic, math.sqrt(var_stat), metadata)
     return conclude(
         "rank_sum", statistic, var_stat, z, metadata, plan, reduce, ds,
-        lambda: two_sided_p(z, sps.t.sf, df),
+        lambda: two_sided_p(z, lambda x: special.stdtr(df, -x)),
     )
 
 
@@ -259,8 +265,10 @@ def multirank_test(ds: TrialDataset, plan: PermutationPlan | None = None) -> Tes
 
     if rank == 0:  # zero covariance: the statistic is 0 and p is 1
         metadata["degenerate_variance"] = True
+    # Rounding can leave a near-singular form slightly negative; the
+    # chi-square tail is 1 there, where chdtrc gives NaN.
     return conclude(
         "multirank", statistic, 0.0, math.nan, metadata, plan,
         lambda block: reduce(block)[0], ds,
-        lambda: 1.0 if rank == 0 else clamp_p(float(sps.chi2.sf(statistic, rank))),
+        lambda: 1.0 if rank == 0 else clamp_p(float(special.chdtrc(rank, max(statistic, 0.0)))),
     )

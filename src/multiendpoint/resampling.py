@@ -372,25 +372,6 @@ def permutation_test(
     return pvalue_from_draws(observed, np.concatenate(draws), plan)
 
 
-def permutation_pvalue(
-    stat: Callable[[TrialDataset], float],
-    ds: TrialDataset,
-    plan: PermutationPlan,
-) -> PermutationResult:
-    """Permutation p-value of an arbitrary dataset statistic.
-
-    The statistic must be deterministic given a dataset. This is the
-    reference the tests' block reducers are pinned against: its reducer
-    reruns ``stat`` on the relabeled dataset row by row, through the same
-    driver and so over the same label sequence.
-    """
-
-    def reduce(block: np.ndarray) -> np.ndarray:
-        return np.array([float(stat(ds.with_groups(labels))) for labels in block])
-
-    return permutation_test(float(stat(ds)), reduce, ds, plan)
-
-
 def conclude(
     method: str,
     statistic: float,

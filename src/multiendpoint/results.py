@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
+from scipy import special
+
 # Smallest p-value we report; keeps p strictly positive when a normal tail
 # underflows to 0.0 at extreme z.
 MIN_P = 1e-300
@@ -38,16 +40,21 @@ def z_score(statistic: float, sd: float, metadata: dict) -> float:
     return statistic / sd
 
 
-def two_sided_p(z: float, sf: Callable[..., float], *shape: float) -> float:
-    """``clamp_p(2 sf(|z|))`` for a reference survival function ``sf`` with
-    ``shape`` parameters. z = 0 gives 1 and z = +-inf gives ``MIN_P`` under
-    any reference, also one whose shape is undefined (the Welch df of a zero
-    variance)."""
+def normal_sf(x: float) -> float:
+    """Upper tail of the standard normal distribution."""
+    return special.ndtr(-x)
+
+
+def two_sided_p(z: float, sf: Callable[[float], float] = normal_sf) -> float:
+    """``clamp_p(2 sf(|z|))`` for a reference survival function ``sf``, the
+    standard normal unless given. z = 0 gives 1 and z = +-inf gives
+    ``MIN_P`` under any reference, also one whose shape is undefined (the
+    Welch df of a zero variance)."""
     if z == 0.0:
         return 1.0
     if math.isinf(z):
         return MIN_P
-    return clamp_p(2.0 * float(sf(abs(z), *shape)))
+    return clamp_p(2.0 * float(sf(abs(z))))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 from .errors import InvalidCorrelationError
 from .resampling import SEED_BOUND, PermutationPlan, derive_replicate_seed
@@ -161,7 +161,7 @@ def simulate_trial(cfg: SimConfig) -> TrialDataset:
     treat[: cfg.n_per_group] = True
 
     z = rng.standard_normal((n, 3)) @ factor.T
-    u_event = sps.norm.cdf(z[:, 0])
+    u_event = special.ndtr(z[:, 0])
     censor = rng.uniform(0.0, cfg.survival.censor_horizon, size=n)
 
     hazard = np.where(treat, cfg.survival.hazard_treatment, cfg.survival.hazard_control)
@@ -177,7 +177,7 @@ def simulate_trial(cfg: SimConfig) -> TrialDataset:
         marker = mean + sd * z[:, 1]
 
     p_bin = np.where(treat, cfg.binary.p_treatment, cfg.binary.p_control)
-    response = (sps.norm.cdf(z[:, 2]) < p_bin).astype(np.float64)
+    response = (special.ndtr(z[:, 2]) < p_bin).astype(np.float64)
 
     present = np.ones(n, dtype=bool)
     return TrialDataset(
@@ -210,19 +210,21 @@ def binomial_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float
     if trials < 1:
         raise ValueError("trials must be >= 1")
     a = (1.0 - level) / 2.0
-    low = 0.0 if successes == 0 else float(sps.beta.ppf(a, successes, trials - successes + 1))
-    high = 1.0 if successes == trials else float(sps.beta.ppf(1 - a, successes + 1, trials - successes))
+    failures = trials - successes
+    low = 0.0 if successes == 0 else float(special.betaincinv(successes, failures + 1, a))
+    high = 1.0 if failures == 0 else float(special.betaincinv(successes + 1, failures, 1 - a))
     return low, high
 
 
 def binomial_band(p: float, trials: int, level: float = 0.95) -> tuple[float, float]:
     """Exact binomial acceptance band for an observed rate around a nominal
     probability: the central ``level`` quantile range of Binomial(trials, p),
-    expressed as rates."""
+    each end the smallest count whose CDF reaches its tail, expressed as
+    rates."""
     a = (1.0 - level) / 2.0
-    low = float(sps.binom.ppf(a, trials, p)) / trials
-    high = float(sps.binom.ppf(1.0 - a, trials, p)) / trials
-    return low, high
+    cdf = special.bdtr(np.arange(trials + 1), trials, p)
+    low, high = np.searchsorted(cdf, [a, 1.0 - a]) / trials
+    return float(low), float(high)
 
 
 def error_rate_study(

@@ -121,9 +121,8 @@ class TrialDataset:
     ``InvalidDataError`` (``EmptyGroupError`` for an empty group). It copies
     the group codes (N bytes), so a dataset's codes never change and the
     label stream kept for it stays valid for as long as it lives; the other
-    columns it freezes rather than copies. ``with_groups`` and ``subset``
-    return new datasets; the first shares outcome storage, which keeps
-    relabeling cheap.
+    columns it freezes rather than copies. ``subset`` returns a new
+    dataset.
     """
 
     def __init__(
@@ -257,12 +256,6 @@ class TrialDataset:
             raise KeyError(f"no covariate named {name!r}") from None
 
     # -- derived datasets ------------------------------------------------------
-
-    def with_groups(self, group_codes: np.ndarray) -> "TrialDataset":
-        """Same cohort with new group labels (shares outcome storage)."""
-        return TrialDataset(
-            self._specs, self._ids, group_codes, self._columns, self._covariates
-        )
 
     def subset(self, indices: np.ndarray) -> "TrialDataset":
         idx = np.asarray(indices)
@@ -447,7 +440,9 @@ def load_trial_csv(
         raise FileNotFoundError(str(path))
     con = parse_contrast(contrast)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports
+        # prepend, which would otherwise stick to the first column's name.
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise InvalidDataError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -20,8 +20,9 @@ from typing import Sequence
 import numpy as np
 from scipy import stats as sps
 
-from multiendpoint import Direction, EndpointKind, TrialDataset
+from multiendpoint import Direction, EndpointKind, PermutationPlan, PermutationResult, TrialDataset
 from multiendpoint.pairwise import Level, _hierarchy_levels, _tiles, endpoint_level
+from multiendpoint.resampling import permutation_test
 from support import Subject, Tte, Value
 
 # ---------------------------------------------------------------------------
@@ -276,6 +277,31 @@ def relabel(subjects, treatment_indices) -> list[Subject]:
         replace(s, group=1 if i in tset else 0)
         for i, s in enumerate(subjects)
     ]
+
+
+def with_groups(ds: TrialDataset, group_codes) -> TrialDataset:
+    """The cohort of ``ds`` under new group labels, rebuilt through the
+    public constructor from its accessors."""
+    columns = {
+        spec.name: (ds.times(spec.name), ds.events_observed(spec.name))
+        if spec.kind is EndpointKind.TIME_TO_EVENT
+        else (ds.values(spec.name), ds.present(spec.name))
+        for spec in ds.endpoint_specs
+    }
+    covariates = {name: ds.covariate(name) for name in ds.covariate_names}
+    return TrialDataset(ds.endpoint_specs, ds.ids, group_codes, columns, covariates)
+
+
+def permutation_pvalue(stat, ds: TrialDataset, plan: PermutationPlan) -> PermutationResult:
+    """Permutation p-value of an arbitrary deterministic dataset statistic:
+    the reference every test's block reducer is pinned against. Its reducer
+    reruns ``stat`` on the relabeled dataset row by row, through the same
+    driver and so over the same label sequence."""
+
+    def reduce(block: np.ndarray) -> np.ndarray:
+        return np.array([float(stat(with_groups(ds, labels))) for labels in block])
+
+    return permutation_test(float(stat(ds)), reduce, ds, plan)
 
 
 def exact_pvalue(stat_fn, subjects) -> float:

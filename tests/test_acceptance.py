@@ -254,7 +254,7 @@ def test_criterion_6_property_bundle():
         assert sum(win_tallies(wr)) == ds.n_treatment * ds.n_control
 
         # Label swap: FS negates, WR inverts, p values unchanged.
-        swapped = ds.with_groups(1 - ds.group_codes)
+        swapped = oracles.with_groups(ds, 1 - ds.group_codes)
         plan = PermutationPlan.monte_carlo(150, seed=trial)
         f1, f2 = fs_test(ds, plan=plan), fs_test(swapped, plan=plan)
         assert f1.statistic == -f2.statistic

@@ -24,7 +24,6 @@ from multiendpoint import (
     global_u_test,
     multirank_test,
     obrien_test,
-    permutation_pvalue,
     simulate_trial,
     win_ratio_test,
 )
@@ -33,7 +32,7 @@ from multiendpoint.global_u import _combine, endpoint_weights
 from multiendpoint.methods import METHOD_NAMES, run_method
 from multiendpoint.rank_tests import _quadform_stats, rank_matrix
 import oracles
-from oracles import kernel_matrix, verdict_matrix
+from oracles import kernel_matrix, permutation_pvalue, verdict_matrix
 from support import cont, count_label_streams, dataset, random_integer_cohort, subjects_of
 
 

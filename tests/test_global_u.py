@@ -14,12 +14,11 @@ from multiendpoint import (
     TrialDataset,
     endpoint_weights,
     global_u_test,
-    permutation_pvalue,
     simulate_trial,
 )
 from multiendpoint.pairwise import endpoint_level, sweep_counts
 import oracles
-from oracles import kernel_matrix, verdict_matrix
+from oracles import kernel_matrix, permutation_pvalue, verdict_matrix
 from support import SURV, cont, dataset, random_integer_cohort, subject, subjects_of
 
 
@@ -128,7 +127,7 @@ class TestGlobalU:
 
     def test_label_swap_negates_u(self):
         ds = simulate_trial(SimConfig.null(14, seed=8))
-        swapped = ds.with_groups(1 - ds.group_codes)
+        swapped = oracles.with_groups(ds, 1 - ds.group_codes)
         r1, r2 = global_u_test(ds), global_u_test(swapped)
         assert r1.statistic == -r2.statistic
         assert r1.p_two_sided == pytest.approx(r2.p_two_sided, rel=1e-12)

@@ -15,7 +15,6 @@ from multiendpoint import (
     PermutationPlan,
     SimConfig,
     TrialDataset,
-    gehan_score_vector,
     global_u_test,
     run_method,
     simulate_trial,
@@ -37,6 +36,13 @@ from support import (
     survival_cohort,
     tte,
 )
+
+
+def gehan_scores(times, events) -> np.ndarray:
+    """Gehan scores: the net counts of one survival level against everyone."""
+    level = survival_level(times, events)
+    return sweep_counts([level], np.zeros(len(level.hi), dtype=bool)).net
+
 
 HIERARCHY = [SURV, SCORE, FLAG]
 
@@ -224,7 +230,7 @@ class TestScoreVector:
         rng = np.random.default_rng(3)
         times = rng.integers(1, 15, size=10).astype(float)
         events = rng.integers(0, 2, size=10).astype(bool)
-        got = gehan_score_vector(times, events)
+        got = gehan_scores(times, events)
         want = oracles.gehan_scores(list(zip(times, events)))
         assert got.tolist() == want
 
@@ -312,7 +318,7 @@ class TestRowTiles:
             assert (ties is None) == (n_ties > n * n // divisor)
 
     def test_single_level_sweeps_match_oracles(self, ds):
-        got = gehan_score_vector(ds.times("surv"), ds.events_observed("surv"))
+        got = gehan_scores(ds.times("surv"), ds.events_observed("surv"))
         subs = subjects_of(ds)
         pairs = [(s.outcomes["surv"].time, s.outcomes["surv"].event_observed) for s in subs]
         assert got.tolist() == oracles.gehan_scores(pairs)
@@ -457,7 +463,7 @@ def test_asymptotic_memory_stays_below_n_squared(cohort_6k, method):
     assert peak < cohort_6k.n ** 2
 
 
-@pytest.mark.parametrize("kernel", ["global_u", "gehan_score_vector"])
+@pytest.mark.parametrize("kernel", ["global_u", "gehan_scores"])
 def test_one_level_counts_take_linear_memory(cohort_6k, kernel):
     """global U and the Gehan scores count each level by sorting, with no
     tile: their peak traced allocation stays below 512 bytes per subject
@@ -468,7 +474,7 @@ def test_one_level_counts_take_linear_memory(cohort_6k, kernel):
         if kernel == "global_u":
             run_method("global_u", cohort_6k)
         else:
-            gehan_score_vector(cohort_6k.times(name), cohort_6k.events_observed(name))
+            gehan_scores(cohort_6k.times(name), cohort_6k.events_observed(name))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

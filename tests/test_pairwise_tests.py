@@ -83,7 +83,7 @@ class TestFsTest:
 
     def test_label_swap_negates_statistic_keeps_p(self):
         ds = simulate_trial(SimConfig.null(15, seed=9))
-        swapped = ds.with_groups(1 - ds.group_codes)
+        swapped = oracles.with_groups(ds, 1 - ds.group_codes)
         plan = PermutationPlan.monte_carlo(400, seed=5)
         r1, r2 = fs_test(ds, plan=plan), fs_test(swapped, plan=plan)
         assert r1.statistic == -r2.statistic
@@ -182,7 +182,7 @@ class TestWinRatio:
 
     def test_label_swap_inverts_ratio_keeps_p(self):
         ds = simulate_trial(SimConfig.null(15, seed=31))
-        swapped = ds.with_groups(1 - ds.group_codes)
+        swapped = oracles.with_groups(ds, 1 - ds.group_codes)
         r1, r2 = win_ratio_test(ds), win_ratio_test(swapped)
         assert r1.metadata["win_ratio"] == pytest.approx(1.0 / r2.metadata["win_ratio"], rel=1e-12)
         assert r1.p_two_sided == pytest.approx(r2.p_two_sided, rel=1e-12)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiendpoint import (
     Direction,
@@ -20,10 +23,22 @@ from multiendpoint import (
 )
 from multiendpoint.results import MIN_P
 import oracles
-from support import cont, dataset, random_integer_cohort, subject, subjects_of
+from support import (
+    FLAG,
+    SCORE,
+    SURV,
+    binary,
+    cont,
+    dataset,
+    random_integer_cohort,
+    subject,
+    subjects_of,
+    tte,
+)
 
 C1 = EndpointSpec("c1", EndpointKind.CONTINUOUS, priority=1)
 C2 = EndpointSpec("c2", EndpointKind.CONTINUOUS, priority=2)
+LOW_SCORE = replace(SCORE, direction=Direction.LOWER_IS_BETTER)
 
 
 def two_endpoint_fixture() -> TrialDataset:
@@ -96,6 +111,43 @@ class TestRankMatrix:
         assert np.allclose(rm.ranks, np.asarray(rows))
         assert len(kept) == rm.n
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.tuples(st.integers(0, 4), st.booleans()),
+                st.one_of(st.none(), st.integers(-3, 3)),
+                st.one_of(st.none(), st.integers(0, 1)),
+            ),
+            min_size=0,
+            max_size=14,
+        ),
+        censor_all=st.booleans(),
+    )
+    def test_ranks_match_oracle_to_the_bit(self, rows, censor_all):
+        """Tied and all-censored survival times, a lower-is-better score and
+        missing values: the kept subjects and every midrank agree with the
+        brute-force ranking by ``float.hex``."""
+        specs = [SURV, LOW_SCORE, FLAG]
+        rows = [((1, True), 0, 0), ((1, True), 0, 0), *rows]
+        subs = [
+            subject(
+                f"s{i}",
+                int(i == 0 or (i > 1 and i % 2 == 0)),
+                surv=tte(t, e and not censor_all),
+                score=cont(score),
+                flag=binary(flag),
+            )
+            for i, ((t, e), score, flag) in enumerate(rows)
+        ]
+        ds = dataset(subs, specs)
+        want, kept = oracles.rank_rows(subjects_of(ds), specs)
+        rm = rank_matrix(ds)
+        assert [ds.ids[i] for i in rm.kept_indices] == [s.id for s in kept]
+        assert [[float.hex(x) for x in row] for row in rm.ranks.tolist()] == [
+            [float.hex(x) for x in row] for row in want
+        ]
+
     def test_direction_alignment(self):
         low = EndpointSpec("c1", EndpointKind.CONTINUOUS, priority=1,
                            direction=Direction.LOWER_IS_BETTER)
@@ -157,7 +209,7 @@ class TestObrien:
 
     def test_label_swap_negates_statistic(self):
         ds = simulate_trial(SimConfig.null(12, seed=44))
-        swapped = ds.with_groups(1 - ds.group_codes)
+        swapped = oracles.with_groups(ds, 1 - ds.group_codes)
         r1, r2 = obrien_test(ds), obrien_test(swapped)
         assert r1.statistic == -r2.statistic
         assert r1.p_two_sided == pytest.approx(r2.p_two_sided, rel=1e-12)
@@ -227,7 +279,7 @@ class TestMultirank:
 
     def test_label_swap_leaves_statistic(self):
         ds = simulate_trial(SimConfig.null(12, seed=60))
-        swapped = ds.with_groups(1 - ds.group_codes)
+        swapped = oracles.with_groups(ds, 1 - ds.group_codes)
         r1, r2 = multirank_test(ds), multirank_test(swapped)
         assert r1.statistic == pytest.approx(r2.statistic, rel=1e-12)
         assert r1.p_two_sided == pytest.approx(r2.p_two_sided, rel=1e-12)
@@ -244,6 +296,17 @@ class TestMultirank:
         assert r.metadata["df"] == 1
         assert r.metadata["singular_covariance"]
         assert 0 < r.p_two_sided <= 1
+
+    def test_p_is_one_when_rounding_leaves_the_form_negative(self):
+        """Rounding leaves this cohort's pseudo-inverse form about -1.6e-17;
+        the chi-square tail is 1 at and below 0, not NaN."""
+        rows = [(0, 0, 1), (0, 1, 0), (1, 1, 1)]
+        subs = [subject(f"s{i}", g, c1=cont(a), c2=cont(b)) for i, (a, b, g) in enumerate(rows)]
+        with pytest.warns(RuntimeWarning, match="singular"):
+            r = multirank_test(dataset(subs, [C1, C2]))
+        from scipy.stats import chi2
+
+        assert r.p_two_sided == float(chi2.sf(r.statistic, r.metadata["df"])) == 1.0
 
     def test_too_few_complete_cases_rejected(self):
         ds = one_endpoint_dataset([1, 2], [1, 0])

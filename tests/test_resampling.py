@@ -3,6 +3,9 @@ from __future__ import annotations
 import ast
 import gc
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,6 @@ from multiendpoint import (
     ExactTooLargeError,
     PermutationPlan,
     derive_replicate_seed,
-    permutation_pvalue,
     simulate_trial,
     SimConfig,
 )
@@ -29,6 +31,7 @@ from multiendpoint.resampling import (
     pvalue_from_draws,
 )
 import oracles
+from oracles import permutation_pvalue
 from support import count_label_streams, survival_cohort
 
 
@@ -245,7 +248,7 @@ class TestSharedStream:
 
     def test_other_seed_length_or_dataset_misses(self, drawn):
         ds = simulate_trial(SimConfig.null(20, seed=3))
-        equal_codes = ds.with_groups(ds.group_codes)
+        equal_codes = oracles.with_groups(ds, ds.group_codes)
         for plan, data in [
             (self.MC, ds),
             (self.MC.with_seed(6), ds),
@@ -348,3 +351,28 @@ def test_no_module_has_a_global_statement():
     for path in sorted(Path(multiendpoint.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), path.name
+
+
+def _imports_scipy_stats(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("scipy.stats") for a in node.names)
+    if isinstance(node, ast.ImportFrom) and node.module:
+        if node.module.startswith("scipy.stats"):
+            return True
+        return node.module == "scipy" and any(a.name == "stats" for a in node.names)
+    return False
+
+
+def test_no_module_imports_scipy_stats():
+    """The tails are ``scipy.special`` functions; ``scipy.stats`` alone
+    would take most of the package's import time and memory."""
+    for path in sorted(Path(multiendpoint.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not any(_imports_scipy_stats(node) for node in ast.walk(tree)), path.name
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    src = str(Path(multiendpoint.__file__).parents[1])
+    code = "import multiendpoint, sys; assert 'scipy.stats' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

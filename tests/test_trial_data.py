@@ -288,6 +288,12 @@ class TestLoadCsv:
         with pytest.raises(InvalidDataError, match="not UTF-8"):
             load_trial_csv(path, FIXTURE_MAPPING)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, fixture_csv):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + fixture_csv.read_bytes())
+        want = subjects_of(load_trial_csv(fixture_csv, FIXTURE_MAPPING))
+        assert subjects_of(load_trial_csv(path, FIXTURE_MAPPING)) == want
+
     def test_single_arm_contrast_drops_other_arms(self, fixture_csv):
         ds = load_trial_csv(fixture_csv, FIXTURE_MAPPING, contrast="1_vs_0")
         assert ds.n == 2
