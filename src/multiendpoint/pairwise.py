@@ -7,14 +7,15 @@ per-subject counts (net score, determinate pairs, wins and losses against
 the other group) and, on request, the list of pairs tied at every level, so
 no test holds S itself. It counts one of two ways:
 
-- one level (global U's kernels, the rank tests' scores and midranks) by
-  sorting: a subject's wins and losses against a group are
-  ``searchsorted`` counts in that group's sorted keys, in O(N log N) time
-  and O(N) memory;
+- one level (global U's kernels, and through ``net_counts`` the rank
+  tests' scores and midranks) by sorting: a subject's wins and losses
+  against a group are ``searchsorted`` counts in that group's sorted keys,
+  in O(N log N) time and O(N) memory;
 - a hierarchy (fs, the win ratio) or a tie list by row tiles of S of about
-  2M entries, built in one place, ``_tiles``, which applies the level rule
-  and the hierarchy; a lexicographic hierarchy with censoring is not one
-  sort order.
+  256K entries, built in one place, ``_tiles``, which applies the level
+  rule and the hierarchy; a lexicographic hierarchy with censoring is not
+  one sort order. A sweep allocates its few tile-sized buffers once, sized
+  to stay in a core's L2 cache, and writes every step into them.
 
 The one N x N array left in ``src`` is ``determinacy_matrix``, the win
 ratio's permutation path for cohorts with more tie pairs than the sweep
@@ -72,9 +73,10 @@ def endpoint_level(ds: TrialDataset, spec: EndpointSpec) -> Level:
     return Level(v, v)
 
 
-# Entries per row tile; the tile height follows from N so that each tile and
-# its few same-shaped temporaries stay a few MB at any cohort size.
-_TILE_ENTRIES = 1 << 21
+# Entries per row tile. A sweep holds four tile-sized buffers (the int8
+# tile, an int8 level and two bool comparisons), so 2^18 entries keep them
+# near 1 MB, inside a core's L2 cache, at any cohort size.
+_TILE_ENTRIES = 1 << 18
 
 
 def _tiles(
@@ -82,21 +84,29 @@ def _tiles(
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Row tiles of the int8 verdict matrix, top to bottom: rows ``rows`` of
     S with columns taken in ``order`` (all of them, in index order, when
-    None). The first level that is not tied decides each pair."""
+    None). The first level that is not tied decides each pair.
+
+    The buffers are allocated once per call and every step writes into
+    them, so a yielded tile is a view that the next step overwrites: a
+    consumer reduces or copies it before advancing, and may overwrite it."""
     n = len(levels[0].hi)
     cols = [lv if order is None else Level(lv.hi[order], lv.lo[order]) for lv in levels]
-    step = max(1, _TILE_ENTRIES // max(n, 1))
+    step = max(1, min(n, _TILE_ENTRIES // max(n, 1)))
+    tile_buf, level_buf = np.empty((2, step, n), dtype=np.int8)
+    beats_buf, beaten_buf = np.empty((2, step, n), dtype=bool)
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
-        tile = None
-        for lv, col in zip(levels, cols):
-            level = (lv.hi[rows, None] > col.lo).view(np.int8) - (
-                lv.lo[rows, None] < col.hi
-            ).view(np.int8)
-            if tile is None:
-                tile = level
-            else:
-                level *= tile == 0  # branch-free; a masked copy is ~15x slower
+        height = rows.stop - start
+        tile, beats, beaten = tile_buf[:height], beats_buf[:height], beaten_buf[:height]
+        for depth, (lv, col) in enumerate(zip(levels, cols)):
+            level = tile if depth == 0 else level_buf[:height]
+            np.greater(lv.hi[rows, None], col.lo, out=beats)
+            np.less(lv.lo[rows, None], col.hi, out=beaten)
+            np.subtract(beats.view(np.int8), beaten.view(np.int8), out=level)
+            if depth:
+                # branch-free; a masked copy is ~15x slower
+                undecided = np.equal(tile, 0, out=beats)
+                level *= undecided.view(np.int8)
                 tile += level
         yield rows, tile
 
@@ -120,24 +130,50 @@ class PairCounts:
     ties: np.ndarray | None = None
 
 
-def _sorted_counts(level: Level, treat: np.ndarray) -> PairCounts:
-    """One level's counts from each group's sorted keys, in O(N log N) time
-    and O(N) memory: subject i beats ``searchsorted(lo, hi[i])`` members of a
-    group and is beaten by those whose ``hi`` exceeds ``lo[i]``. Needs
-    ``hi <= lo`` on every subject, so that no pair is won both ways and the
-    self pair counts nothing."""
+def _group_counts(
+    level: Level, groups: Sequence[np.ndarray | None]
+) -> tuple[np.ndarray, np.ndarray]:
+    """How many members of each group (every subject for None) each subject
+    beats, and how many beat it, as (groups, N) arrays, from each group's
+    sorted keys in O(N log N) time and O(N) memory: subject i beats
+    ``searchsorted(lo, hi[i])`` members and is beaten by those whose ``hi``
+    exceeds ``lo[i]``. Needs ``hi <= lo`` on every subject, so that no pair
+    is won both ways and the self pair counts nothing."""
     hi, lo = level
     nan_hi = np.isnan(hi)
-    beats = np.empty((2, hi.size), dtype=np.int64)  # vs treatment, vs control
+    # searchsorted is about 4x faster on ascending keys, so each key array
+    # is searched in its sorted order and the counts are put back; a level
+    # whose two keys are one array is sorted once.
+    by_hi = np.argsort(hi)
+    by_lo = by_hi if hi is lo else np.argsort(lo)
+    hi_up, lo_up = hi[by_hi], lo[by_lo]
+    beats = np.empty((len(groups), hi.size), dtype=np.int64)
     beaten = np.empty_like(beats)
-    for k, group in enumerate((treat, ~treat)):
+    for k, members in enumerate(groups):
         # NaN sorts past every key, so no hi beats a NaN lo and no hi is
         # found above a NaN lo[i]; a NaN hi beats nothing, so it is masked
         # and kept out of g_hi.
-        g_lo = np.sort(lo[group])
-        g_hi = np.sort(hi[group & ~nan_hi])
-        beats[k] = np.where(nan_hi, 0, np.searchsorted(g_lo, hi, side="left"))
-        beaten[k] = g_hi.size - np.searchsorted(g_hi, lo, side="right")
+        if members is None:
+            g_lo, g_hi = lo_up, hi_up[: hi.size - np.count_nonzero(nan_hi)]
+        else:
+            g_lo, g_hi = np.sort(lo[members]), np.sort(hi[members & ~nan_hi])
+        beats[k, by_hi] = np.searchsorted(g_lo, hi_up, side="left")
+        beaten[k, by_lo] = g_hi.size - np.searchsorted(g_hi, lo_up, side="right")
+    beats[:, nan_hi] = 0
+    return beats, beaten
+
+
+def net_counts(level: Level) -> np.ndarray:
+    """Each subject's net count on one level, wins minus losses against
+    every subject: the ``net`` of ``sweep_counts([level], ...)``, counted
+    in one group."""
+    beats, beaten = _group_counts(level, [None])
+    return beats[0] - beaten[0]
+
+
+def _sorted_counts(level: Level, treat: np.ndarray) -> PairCounts:
+    """One level's counts against each group, by ``_group_counts``."""
+    beats, beaten = _group_counts(level, [treat, ~treat])  # vs treatment, vs control
     return PairCounts(
         net=(beats - beaten).sum(axis=0),
         determinate=(beats + beaten).sum(axis=0),
@@ -178,7 +214,7 @@ def sweep_counts(
             # A row sum of at most N entries in {-1, 0, 1} fits int32, which
             # numpy reduces about twice as fast as int64.
             net[k, rows] = part.sum(axis=1, dtype=np.int32)
-            det[k, rows] = np.abs(part).sum(axis=1, dtype=np.int32)
+            det[k, rows] = np.abs(part, out=part).sum(axis=1, dtype=np.int32)
         if tie_parts is None:
             continue
         zeros = tile.size - tile.shape[0] - int(det[:, rows].sum())
@@ -186,8 +222,10 @@ def sweep_counts(
         if tie_entries > 2 * (n * n // _TIE_CAP_DIVISOR):
             tie_parts = None
         elif zeros:
-            # flatnonzero: 2-D nonzero is ~10x slower on a sparse tile
-            i, c = np.divmod(np.flatnonzero(tile == 0), n)
+            # The tile holds |S| now: mark its zeros in place. flatnonzero:
+            # 2-D nonzero is ~10x slower on a sparse tile.
+            tied = np.equal(tile, 0, out=tile.view(bool))
+            i, c = np.divmod(np.flatnonzero(tied), n)
             i += rows.start
             j = order[c]
             upper = i < j
@@ -218,7 +256,7 @@ def determinacy_matrix(ds: TrialDataset) -> np.ndarray:
     """
     out = np.empty((ds.n, ds.n), dtype=np.float32)
     for rows, tile in _tiles(_hierarchy_levels(ds)):
-        out[rows] = tile != 0
+        np.not_equal(tile, 0, out=out[rows])
     return out
 
 

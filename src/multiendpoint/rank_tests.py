@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from .errors import EmptyAfterExclusionError, EmptyGroupError
-from .pairwise import Level, endpoint_level, sweep_counts
+from .pairwise import Level, endpoint_level, net_counts
 from .resampling import PermutationPlan, conclude, label_product
 from .results import TestResult, clamp_p, two_sided_p, z_score
 from .trial_data import TrialDataset
@@ -74,15 +74,12 @@ def rank_matrix(ds: TrialDataset) -> RankMatrix:
             f"complete-case filtering removed all {ds.n} subjects"
         )
 
-    nobody = np.zeros(kept.size, dtype=bool)
-
-    def net(level: Level) -> np.ndarray:
-        return sweep_counts([level], nobody).net
-
     cols = []
     for lv in levels:
-        score = net(Level(lv.hi[kept], lv.lo[kept])).astype(np.float64)
-        cols.append((kept.size + 1 + net(Level(score, score))) / 2)
+        hi = lv.hi[kept]
+        score = net_counts(Level(hi, hi if lv.lo is lv.hi else lv.lo[kept]))
+        score = score.astype(np.float64)
+        cols.append((kept.size + 1 + net_counts(Level(score, score))) / 2)
 
     return RankMatrix(
         ranks=np.column_stack(cols),
@@ -214,14 +211,23 @@ def _quadform_stats(
         - n0[:, :, None] * (m0[:, :, None] * m0[:, None, :])
     )
     sigma = scatter / (n - 2) * (1.0 / n1 + 1.0 / n0)[:, :, None]
-    rank = np.linalg.matrix_rank(sigma)
+    # The scatter is X'X minus the group-mean products, so its rounding is
+    # relative to X'X, not to sigma: an exactly singular sigma can keep an
+    # eigenvalue of about -eps |X'X| that a tolerance taken from sigma would
+    # count. The rank and the pseudo-inverse both cut singular values at
+    # the tolerance of X'X, scaled as sigma is.
+    scale = (1.0 / n1[:, 0] + 1.0 / n0[:, 0]) / (n - 2)
+    tol = np.linalg.norm(xtx, 2) * k * np.finfo(np.float64).eps * scale
+    sv = np.linalg.svd(sigma, compute_uv=False)
+    rank = np.count_nonzero(sv > tol[:, None], axis=-1)
     t = np.zeros(rank.shape)
     full = rank == k
     x = np.linalg.solve(sigma[full], d[full][:, :, None])
     t[full] = (d[full][:, None, :] @ x)[:, 0, 0]
     deficient = (rank > 0) & ~full
     dd = d[deficient][:, None, :]
-    t[deficient] = (dd @ np.linalg.pinv(sigma[deficient]) @ dd.transpose(0, 2, 1))[:, 0, 0]
+    pinv = np.linalg.pinv(sigma[deficient], rcond=tol[deficient] / sv[deficient, 0])
+    t[deficient] = (dd @ pinv @ dd.transpose(0, 2, 1))[:, 0, 0]
     stats[ok] = t
     ranks[ok] = rank
     return stats, ranks

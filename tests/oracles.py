@@ -214,11 +214,15 @@ def multirank_statistic(subjects, specs) -> float:
     m0 = (x.sum(axis=0) - s1) / n0
     d = m1 - m0
     sigma = (xtx - n1 * np.outer(m1, m1) - n0 * np.outer(m0, m0)) / (n - 2) * (1 / n1 + 1 / n0)
-    rank = int(np.linalg.matrix_rank(sigma))
+    # Singular values are cut at the rounding scale of X'X, the matrix that
+    # sigma is a difference from, not at sigma's own.
+    tol = np.linalg.norm(xtx, 2) * k * np.finfo(float).eps * (1 / n1 + 1 / n0) / (n - 2)
+    sv = np.linalg.svd(sigma, compute_uv=False)
+    rank = int(np.count_nonzero(sv > tol))
     if rank == 0:
         return 0.0
     if rank < k:
-        return float(d @ np.linalg.pinv(sigma) @ d)
+        return float(d @ np.linalg.pinv(sigma, rcond=tol / sv[0]) @ d)
     return float(d @ np.linalg.solve(sigma, d))
 
 

@@ -20,7 +20,14 @@ from multiendpoint import (
     simulate_trial,
 )
 from multiendpoint import pairwise
-from multiendpoint.pairwise import Level, endpoint_level, pair_counts, survival_level, sweep_counts
+from multiendpoint.pairwise import (
+    Level,
+    endpoint_level,
+    net_counts,
+    pair_counts,
+    survival_level,
+    sweep_counts,
+)
 import oracles
 from oracles import kernel_matrix, verdict_matrix
 from support import (
@@ -40,8 +47,7 @@ from support import (
 
 def gehan_scores(times, events) -> np.ndarray:
     """Gehan scores: the net counts of one survival level against everyone."""
-    level = survival_level(times, events)
-    return sweep_counts([level], np.zeros(len(level.hi), dtype=bool)).net
+    return net_counts(survival_level(times, events))
 
 
 HIERARCHY = [SURV, SCORE, FLAG]
@@ -292,6 +298,12 @@ class TestRowTiles:
         wins, losses, _ = oracles.win_counts(subs, TILE_HIERARCHY)
         assert (counts.wins[treat].sum(), counts.losses[treat].sum()) == (wins, losses)
 
+    def test_determinacy_matrix_is_the_nonzero_verdicts(self, ds):
+        want = np.abs(verdict_matrix(ds)) != 0
+        got = pairwise.determinacy_matrix(ds)
+        assert got.dtype == np.float32
+        assert got.tolist() == want.astype(np.float32).tolist()
+
     def test_tie_pairs_match_compare_pair(self, ds, monkeypatch):
         monkeypatch.setattr(pairwise, "_TIE_CAP_DIVISOR", 1)  # a cap of N^2 keeps them all
         subs = subjects_of(ds)
@@ -352,12 +364,17 @@ COUNT_FIELDS = ("net", "determinate", "wins", "losses")
 def assert_sorted_counts_match_tiles(monkeypatch, level, treat, sorted_path=True):
     """One level's counts without a tie list equal the row-tile sweep's (a
     tie list always takes the tiles), value and dtype, and are counted by
-    sorting exactly when ``sorted_path``."""
+    sorting exactly when ``sorted_path``; so is its one-group net count,
+    whether its keys are one array or two."""
     treat = np.asarray(treat, dtype=bool)
     tiled = sweep_counts([level], treat, collect_ties=True)
     with monkeypatch.context() as m:
         if sorted_path:
             m.setattr(pairwise, "_tiles", None)  # any tile sweep would raise
+            for keys in (level, Level(level.hi, level.lo.copy())):
+                net = net_counts(keys)
+                assert net.dtype == np.int64
+                assert net.tolist() == tiled.net.tolist()
         got = sweep_counts([level], treat)
     assert got.ties is None
     for field in COUNT_FIELDS:
@@ -466,8 +483,10 @@ def test_asymptotic_memory_stays_below_n_squared(cohort_6k, method):
 @pytest.mark.parametrize("kernel", ["global_u", "gehan_scores"])
 def test_one_level_counts_take_linear_memory(cohort_6k, kernel):
     """global U and the Gehan scores count each level by sorting, with no
-    tile: their peak traced allocation stays below 512 bytes per subject
-    (a row-tile sweep peaks near 1,500)."""
+    tile: their peak traced allocation stays below 512 bytes per subject.
+    (A row-tile sweep holds about 1 MB of tile buffers at any N, so at this
+    N the bound alone does not tell the paths apart; ``TestSortedCounts``
+    runs the sorted path with ``_tiles`` removed.)"""
     name = next(s.name for s in cohort_6k.endpoint_specs if s.kind is EndpointKind.TIME_TO_EVENT)
     tracemalloc.start()
     try:
@@ -479,6 +498,19 @@ def test_one_level_counts_take_linear_memory(cohort_6k, kernel):
     finally:
         tracemalloc.stop()
     assert peak < 512 * cohort_6k.n
+
+
+def test_hierarchy_sweep_reuses_its_tile_buffers(cohort_6k):
+    """A hierarchical sweep allocates its cache-sized tile buffers once and
+    writes every step into them: its peak traced allocation stays under
+    4 MB (fresh temporaries for every tile peaked near 12.6 MB)."""
+    tracemalloc.start()
+    try:
+        pair_counts(cohort_6k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_permutation_win_ratio_memory_stays_below_n_squared():

@@ -308,6 +308,61 @@ class TestMultirank:
 
         assert r.p_two_sided == float(chi2.sf(r.statistic, r.metadata["df"])) == 1.0
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_exactly_singular_covariance_is_found_at_the_scale_of_xtx(self, exact):
+        """The control group's two rank columns are collinear and the
+        treatment group's are constant, so sigma is exactly singular. Its
+        scatter is X'X minus the group-mean products, and rounding there
+        leaves an eigenvalue of about -1.1e-15 beside 2.07; a rank tolerance
+        taken from sigma itself counted it, and the statistic read -5.4e15
+        with df 2 and no flag, an exact p of 1/21."""
+        c1, c2 = [0, 0, 0, 1, 0, 0, 0], [1, 1, 1, 0, 2, 2, 1]
+        groups = [0, 0, 0, 0, 1, 1, 0]
+        subs = [
+            subject(f"s{i}", g, c1=cont(a), c2=cont(b))
+            for i, (a, b, g) in enumerate(zip(c1, c2, groups))
+        ]
+        plan = PermutationPlan.exact() if exact else None
+        with pytest.warns(RuntimeWarning, match=r"singular \(rank 1 < 2\)"):
+            r = multirank_test(dataset(subs, [C1, C2]), plan=plan)
+        assert r.metadata["df"] == 1
+        assert r.metadata["singular_covariance"]
+        # The scatter is w w' with w = (sqrt 9.8, -sqrt 5), sigma = 0.14 w w'
+        # and d = (-0.7, 3.5), so the form is (d . w)^2 / |w|^4 / 0.14.
+        d_dot_w_sq = 0.49 * 9.8 + 12.25 * 5 + 2 * 0.7 * 3.5 * 7
+        assert r.statistic == pytest.approx(d_dot_w_sq / 14.8**2 / 0.14, rel=1e-12)
+        assert r.statistic == pytest.approx(oracles.multirank_statistic(subs, [C1, C2]), rel=1e-12)
+        if exact:
+            want = oracles.exact_pvalue(lambda ss: oracles.multirank_statistic(ss, [C1, C2]), subs)
+            assert r.p_two_sided == want == 7 / 21
+        else:
+            from scipy.stats import chi2
+
+            assert r.p_two_sided == pytest.approx(float(chi2.sf(r.statistic, 1)), rel=1e-12)
+
+    def test_pseudo_inverse_cuts_where_the_rank_does(self):
+        """Four subjects leave at most two scatter dimensions for three
+        endpoints. Rounding gives sigma a third singular value of 4.6e-15:
+        under the rank tolerance (3.5e-14), but above the pseudo-inverse's
+        default cutoff (1e-15 of the largest, 3.6e-15), and inverting it
+        read -1.1e15 at df 2."""
+        specs = [C1, C2, EndpointSpec("c3", EndpointKind.CONTINUOUS, priority=3)]
+        rows = [(2, 2, 0, 0), (0, 0, 0, 1), (2, 0, 2, 0), (0, 2, 1, 0)]
+        subs = [
+            subject(f"s{i}", g, c1=cont(a), c2=cont(b), c3=cont(c))
+            for i, (a, b, c, g) in enumerate(rows)
+        ]
+        ds = dataset(subs, specs)
+        with pytest.warns(RuntimeWarning, match=r"singular \(rank 2 < 3\)"):
+            r = multirank_test(ds)
+        assert r.metadata["df"] == 2
+        assert 0 < r.statistic < 1
+        assert r.statistic == pytest.approx(oracles.multirank_statistic(subs, specs), rel=1e-12)
+        with pytest.warns(RuntimeWarning, match="singular"):
+            exact = multirank_test(ds, plan=PermutationPlan.exact())
+        want = oracles.exact_pvalue(lambda ss: oracles.multirank_statistic(ss, specs), subs)
+        assert exact.p_two_sided == want == 0.5
+
     def test_too_few_complete_cases_rejected(self):
         ds = one_endpoint_dataset([1, 2], [1, 0])
         with pytest.raises(EmptyAfterExclusionError, match="at least 3"):
