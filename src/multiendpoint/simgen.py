@@ -4,12 +4,18 @@ Dependence is imposed through a Gaussian copula: one latent multivariate
 normal row per subject, mapped through marginal inverse CDFs to an
 exponential event time (uniform administrative censoring), a normal
 continuous value and a Bernoulli response. Used by the type-I-error and
-power studies; everything is deterministic under the config seed.
+power studies, which fan their trials out over forked worker processes;
+everything is deterministic under the config seed, at any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
+import time
+import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
@@ -152,6 +158,11 @@ class SimConfig:
         )
 
 
+@lru_cache(maxsize=8)
+def _subject_ids(n: int) -> tuple[str, ...]:
+    return tuple(f"sim{i:05d}" for i in range(n))
+
+
 def simulate_trial(cfg: SimConfig) -> TrialDataset:
     """Draw one trial; deterministic under ``cfg.seed``."""
     factor = _check_correlation(np.asarray(cfg.correlation))
@@ -182,7 +193,7 @@ def simulate_trial(cfg: SimConfig) -> TrialDataset:
     present = np.ones(n, dtype=bool)
     return TrialDataset(
         SIM_ENDPOINT_SPECS,
-        [f"sim{i:05d}" for i in range(n)],
+        _subject_ids(n),
         treat.astype(np.int8),
         {
             SIM_EVENT: (time, observed),
@@ -239,23 +250,53 @@ def error_rate_study(
     Trial t draws its data from a seed derived from ``cfg.seed`` and its
     permutation stream from one derived from ``plan.master_seed``; the two
     streams are tagged so they never coincide.
-    """
-    from .methods import run_method  # local import: methods depends on the test modules
 
+    The trials are split into contiguous shares over one worker process
+    per usable core, at most ``n_trials`` of them. The study runs in the
+    caller instead when that leaves one worker, when the ``fork`` start
+    method is missing, when the caller is a daemonic process or when other
+    Python threads are alive. Workers are forked, so they start without
+    importing the package again. None is left when the call returns or
+    raises, and none outlives a caller that is killed. A trial's seeds come
+    from its index alone, so the report is identical at any worker count.
+    Warnings a worker records are issued again here in trial order, and an
+    exception is the one the lowest-numbered failing trial raised.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
 
-    sim_stream = derive_replicate_seed(cfg.seed, 0)
-    plan_stream = derive_replicate_seed(plan.master_seed, 1)
-    n_rejected = 0
-    for t in range(n_trials):
-        ds = simulate_trial(replace(cfg, seed=derive_replicate_seed(sim_stream, t)))
-        plan_t = plan.with_seed(derive_replicate_seed(plan_stream, t))
-        result = run_method(method, ds, plan_t)
-        if result.p_two_sided <= alpha:
-            n_rejected += 1
+    import multiprocessing
+
+    n_workers = _worker_count(
+        n_trials, cores=_usable_cores(),
+        start_methods=multiprocessing.get_all_start_methods(),
+        daemon=multiprocessing.current_process().daemon,
+        threads=threading.active_count(),
+    )
+    if n_workers == 1:
+        n_rejected = _count_rejections(cfg, method, alpha, plan, 0, n_trials)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        bounds = [n_trials * k // n_workers for k in range(n_workers + 1)]
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(
+            n_workers, mp_context=context, initializer=_exit_with, initargs=(os.getpid(),)
+        ) as pool:
+            shares = [
+                pool.submit(_run_share, cfg, method, alpha, plan, start, stop)
+                for start, stop in zip(bounds, bounds[1:])
+            ]
+            outcomes = [share.result() for share in shares]
+        n_rejected = 0
+        for count, caught, error in outcomes:
+            n_rejected += count
+            _reissue(caught)
+            if error is not None:
+                raise error
+
     rate = n_rejected / n_trials
     low, high = binomial_ci(n_rejected, n_trials)
     return RejectionReport(
@@ -270,3 +311,81 @@ def error_rate_study(
         metadata={"plan_seed": plan.master_seed, "replicates": plan.replicates,
                   "n_per_group": cfg.n_per_group},
     )
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(
+    n_trials: int, *, cores: int, start_methods: Sequence[str], daemon: bool, threads: int
+) -> int:
+    """How many processes run a study's trials; 1 means the caller alone.
+    Pure: the caller passes the host's usable cores, start methods, whether
+    it is daemonic and how many Python threads are alive."""
+    if "fork" not in start_methods or daemon or threads > 1:
+        return 1
+    return min(cores, n_trials)
+
+
+def _count_rejections(
+    cfg: SimConfig, method: str, alpha: float, plan: PermutationPlan, start: int, stop: int
+) -> int:
+    """How many of trials ``start`` to ``stop - 1`` reject at ``alpha``."""
+    from .methods import run_method  # local import: methods depends on the test modules
+
+    sim_stream = derive_replicate_seed(cfg.seed, 0)
+    plan_stream = derive_replicate_seed(plan.master_seed, 1)
+    n_rejected = 0
+    for t in range(start, stop):
+        ds = simulate_trial(replace(cfg, seed=derive_replicate_seed(sim_stream, t)))
+        plan_t = plan.with_seed(derive_replicate_seed(plan_stream, t))
+        result = run_method(method, ds, plan_t)
+        if result.p_two_sided <= alpha:
+            n_rejected += 1
+    return n_rejected
+
+
+def _exit_with(parent: int) -> None:
+    """Worker initializer: end the worker as soon as ``parent`` is gone. A
+    worker whose caller was killed would otherwise run its share to the
+    end and then wait for work forever."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _run_share(*share) -> tuple[int, list[tuple], Exception | None]:
+    """A worker's share of a study: its rejection count, the warnings its
+    trials issued (message, category, file, line) and the exception that
+    stopped it, if any. The caller's filters, inherited at the fork, apply."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            count, error = _count_rejections(*share), None
+        except Exception as exc:  # shipped to the caller, which raises it in trial order
+            count, error = 0, exc
+    return count, [(w.message, w.category, w.filename, w.lineno) for w in caught], error
+
+
+def _reissue(caught: list[tuple]) -> None:
+    """Issue warnings a worker recorded as a call in this process would
+    have: under the issuing module's name and once-registry."""
+    if not caught:
+        return
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        module = modules.get(filename)
+        if module is None:
+            warnings.warn_explicit(message, category, filename, lineno)
+        else:
+            warnings.warn_explicit(
+                message, category, filename, lineno, module=module.__name__,
+                registry=vars(module).setdefault("__warningregistry__", {}),
+            )

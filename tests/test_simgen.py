@@ -1,12 +1,21 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+import multiendpoint
 import oracles
 from multiendpoint import (
     BinaryModel,
@@ -19,7 +28,8 @@ from multiendpoint import (
     error_rate_study,
     simulate_trial,
 )
-from multiendpoint.simgen import binomial_band, binomial_ci
+from multiendpoint import simgen
+from multiendpoint.simgen import _usable_cores, _worker_count, binomial_band, binomial_ci
 from support import subjects_of
 
 
@@ -182,6 +192,136 @@ class TestErrorRateStudy:
         assert rates[1] >= rates[0] - slack
         assert rates[2] >= rates[1] - slack
         assert rates[2] > rates[0]
+
+
+class TestStudyWorkers:
+    """The trials of a study fan out over forked workers; the report, the
+    warnings and the errors are those of a run in the caller."""
+
+    plan = PermutationPlan.monte_carlo(59, seed=8)
+
+    @staticmethod
+    def study(monkeypatch, cores, *args):
+        """``error_rate_study(*args)`` on a host with ``cores`` usable cores."""
+        monkeypatch.setattr(simgen, "_usable_cores", lambda: cores)
+        return error_rate_study(*args)
+
+    @pytest.mark.parametrize("n_trials", [1, 7, 24])
+    def test_reports_equal_at_any_worker_count(self, monkeypatch, n_trials):
+        # 7 trials do not split evenly over 2 workers; 1 trial is fewer
+        # than the cores.
+        cfg = alt_config(0.8, n=10, seed=4)
+        reports = [
+            self.study(monkeypatch, cores, cfg, "global_u", 0.05, n_trials, self.plan)
+            for cores in (1, 2, _usable_cores())
+        ]
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0].n_trials == n_trials
+        if n_trials == 24:
+            assert 0 < reports[0].n_rejected < n_trials
+
+    def test_error_of_the_first_failing_trial_reaches_the_caller(self, monkeypatch):
+        # Every trial overflows, each at its own first subject: trial 0 at
+        # sim00001, trial 3 (the second worker's first) at sim00003.
+        huge = ContinuousModel(1e308, 1e308, 1e308, 1e308)
+        cfg = replace(SimConfig.null(10, seed=1), continuous=huge)
+        messages = []
+        for cores in (1, 2):
+            with pytest.raises(InvalidDataError, match="'marker'") as info:
+                self.study(monkeypatch, cores, cfg, "fs", 0.05, 6, self.plan)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "'sim00001'" in messages[0]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_warnings_reach_the_caller(self, monkeypatch):
+        # Constant responses: every trial's rank covariance is singular.
+        # Only the RuntimeWarnings are checked: from Python 3.12 on, the
+        # record may also hold a DeprecationWarning about forking a process
+        # whose BLAS threads are alive.
+        cfg = replace(SimConfig.null(10, seed=3), binary=BinaryModel(0.0, 0.0))
+        counts = []
+        for cores in (1, 2):
+            with pytest.warns(RuntimeWarning, match="singular") as record:
+                self.study(monkeypatch, cores, cfg, "multirank", 0.05, 6, self.plan)
+            singular = [w for w in record if issubclass(w.category, RuntimeWarning)]
+            counts.append(sum("singular" in str(w.message) for w in singular))
+            assert all(w.filename.endswith("rank_tests.py") for w in singular)
+        assert counts == [6, 6]
+
+    def test_warning_filter_error_raises_at_any_worker_count(self, monkeypatch):
+        cfg = replace(SimConfig.null(10, seed=3), binary=BinaryModel(0.0, 0.0))
+        for cores in (1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(RuntimeWarning, match="singular"):
+                    self.study(monkeypatch, cores, cfg, "multirank", 0.05, 6, self.plan)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists()
+        or _usable_cores() < 2,
+        reason="needs /proc child lists and two usable cores",
+    )
+    def test_workers_end_with_a_killed_caller(self):
+        code = (
+            "from multiendpoint import PermutationPlan, SimConfig, error_rate_study, simgen\n"
+            "simgen._usable_cores = lambda: 2\n"
+            "print(flush=True)\n"
+            "error_rate_study(SimConfig.null(20, seed=1), 'fs', 0.05, 10**6,\n"
+            "                 PermutationPlan.monte_carlo(199, seed=1))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(multiendpoint.__file__).parents[1])}
+        caller = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE)
+
+        def alive(pid: int) -> bool:
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        try:
+            caller.stdout.readline()
+            children = Path(f"/proc/{caller.pid}/task/{caller.pid}/children")
+            deadline = time.monotonic() + 30
+            while len(workers := [int(pid) for pid in children.read_text().split()]) < 2:
+                assert time.monotonic() < deadline, "the workers never started"
+                time.sleep(0.05)
+        finally:
+            caller.kill()
+            caller.wait(timeout=10)
+            caller.stdout.close()
+        deadline = time.monotonic() + 10
+        while (left := [pid for pid in workers if alive(pid)]) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        for pid in left:  # a failing run leaves no worker behind
+            os.kill(pid, signal.SIGKILL)
+        assert not left, "workers outlived their killed caller"
+
+    # The rule is checked on the pure helper: no process is started.
+    host = dict(cores=4, start_methods=("fork", "spawn", "forkserver"), daemon=False, threads=1)
+
+    @pytest.mark.parametrize(
+        "cores, n_trials, expected", [(4, 100, 4), (4, 3, 3), (2, 1, 1), (1, 100, 1)]
+    )
+    def test_worker_count_rule(self, cores, n_trials, expected):
+        assert _worker_count(n_trials, **{**self.host, "cores": cores}) == expected
+
+    @pytest.mark.parametrize(
+        "change", [dict(start_methods=("spawn",)), dict(daemon=True), dict(threads=2)]
+    )
+    def test_serial_fallbacks(self, change):
+        assert _worker_count(100, **{**self.host, **change}) == 1
+
+    def test_usable_cores_without_affinity(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert _usable_cores() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _usable_cores() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _usable_cores() == 1
 
 
 class TestBinomialHelpers:
