@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import EmptyAfterExclusionError, EmptyGroupError
 from .pairwise import Level, endpoint_level, net_counts
@@ -166,10 +165,13 @@ def obrien_test(
             "asymptotic rank-sum inference needs at least 2 subjects per group"
         )
     z = z_score(statistic, math.sqrt(var_stat), metadata)
-    return conclude(
-        "rank_sum", statistic, var_stat, z, metadata, plan, reduce, ds,
-        lambda: two_sided_p(z, lambda x: special.stdtr(df, -x)),
-    )
+
+    def asymptotic_p() -> float:
+        from scipy.special import stdtr
+
+        return two_sided_p(z, lambda x: stdtr(df, -x))
+
+    return conclude("rank_sum", statistic, var_stat, z, metadata, plan, reduce, ds, asymptotic_p)
 
 
 def _quadform_stats(
@@ -271,10 +273,15 @@ def multirank_test(ds: TrialDataset, plan: PermutationPlan | None = None) -> Tes
 
     if rank == 0:  # zero covariance: the statistic is 0 and p is 1
         metadata["degenerate_variance"] = True
-    # Rounding can leave a near-singular form slightly negative; the
-    # chi-square tail is 1 there, where chdtrc gives NaN.
+
+    def asymptotic_p() -> float:
+        from scipy.special import chdtrc
+
+        # Rounding can leave a near-singular form slightly negative; the
+        # chi-square tail is 1 there, where chdtrc gives NaN.
+        return 1.0 if rank == 0 else clamp_p(float(chdtrc(rank, max(statistic, 0.0))))
+
     return conclude(
         "multirank", statistic, 0.0, math.nan, metadata, plan,
-        lambda block: reduce(block)[0], ds,
-        lambda: 1.0 if rank == 0 else clamp_p(float(special.chdtrc(rank, max(statistic, 0.0)))),
+        lambda block: reduce(block)[0], ds, asymptotic_p,
     )

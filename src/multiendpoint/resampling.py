@@ -17,17 +17,22 @@ computed at once in numpy (splitmix64, then numpy's documented
 reused generator.
 
 Stream lifetime: the tests that run on one dataset under one plan share one
-label stream. The first streams the shuffles and keeps a bit-packed copy,
-one bit per label, keyed by the dataset, whose group codes cannot change;
-the others replay it block for block. The copy lives as long as its
-dataset, or until a stream is drawn for another dataset or plan: one copy
-is kept at a time, and none beyond ``_STREAM_CACHE_BYTES`` (the replica's
-10,000 replicates at N=2467 take 3.1 MB).
+label stream. The first draws it whole into a bit-packed copy, one bit per
+label, keyed by the dataset, whose group codes cannot change; every test,
+the first too, replays the copy block for block. A long Monte Carlo stream
+is drawn in contiguous shares of its replicate range: the caller draws the
+first, and forked workers write the others in place into the copy, which
+lives in shared memory (see ``_packed_stream``). The copy lives as long as
+its dataset, or until a stream is drawn for another dataset or plan: one
+copy is kept at a time, and none beyond ``_STREAM_CACHE_BYTES`` (the
+replica's 10,000 replicates at N=2467 take 3.1 MB). A stream over that cap
+is streamed in the caller as it is drawn.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import weakref
 from dataclasses import dataclass, replace
 from decimal import Decimal
@@ -36,6 +41,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import forking
 from .errors import ExactTooLargeError
 from .results import InferenceMode, TestResult
 from .trial_data import TrialDataset
@@ -190,8 +196,12 @@ def iter_label_blocks(
     plan: PermutationPlan,
     group_codes: np.ndarray,
     block_size: int = DEFAULT_BLOCK_SIZE,
+    start: int = 0,
+    stop: int | None = None,
 ) -> Iterator[np.ndarray]:
-    """Yield (b, N) int8 blocks of group-size-preserving label assignments.
+    """Yield (b, N) int8 blocks of group-size-preserving label assignments:
+    rows ``start`` to ``stop - 1`` of the stream (``stop`` None: to its
+    end), so any split of the range yields the rows of the whole.
 
     Monte Carlo: replicate b's labels are
     ``np.random.default_rng(derive_replicate_seed(master_seed, b)).permutation``
@@ -202,6 +212,9 @@ def iter_label_blocks(
     n = base.size
     n1 = int(base.sum())
     total = n_assignments(plan, n, n1)
+    stop = total if stop is None else stop
+    if not 0 <= start <= stop <= total:
+        raise ValueError(f"replicate range [{start}, {stop}) is not within [0, {total})")
 
     if plan.mode is InferenceMode.PERMUTATION:
         bitgen = np.random.PCG64(0)
@@ -210,9 +223,9 @@ def iter_label_blocks(
         # fast path.
         codes = base.astype(np.intp)
         work = np.empty_like(codes)
-        done = 0
-        while done < total:
-            b = min(block_size, total - done)
+        done = start
+        while done < stop:
+            b = min(block_size, stop - done)
             block = np.empty((b, n), dtype=np.int8)
             seeds = _replicate_seeds(plan.master_seed, done, b)
             for k, (state, inc) in enumerate(_pcg64_seed_states(seeds)):
@@ -228,7 +241,7 @@ def iter_label_blocks(
             yield block
             done += b
     else:
-        combos = combinations(range(n), n1)
+        combos = islice(combinations(range(n), n1), start, stop)
         while True:
             chunk = list(islice(combos, block_size))
             if not chunk:
@@ -319,6 +332,13 @@ def label_product(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 _STREAM_CACHE_BYTES = 1 << 25  # most bytes one bit-packed label stream may keep
 
+# Fewest labels (replicates x N) in one share of a kept Monte Carlo stream
+# drawn over forked workers: a smaller share saves less shuffling than
+# forking and joining its worker costs (about 6 ms). On 2 cores, two
+# workers broke even at 0.2-0.6M labels in all (N = 40, 200 and 2467) and
+# took 0.59-0.70 of the serial time from 1M labels on.
+_SHARE_ENTRIES = 1 << 19
+
 # The one kept label stream, {dataset: (plan, packed rows)}: one bit per
 # label, at most one entry, gone when its dataset is.
 _kept: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -327,30 +347,82 @@ _kept: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _label_blocks(plan: PermutationPlan, ds: TrialDataset) -> Iterator[np.ndarray]:
     """The blocks of ``iter_label_blocks(plan, ds.group_codes)``, replayed
     from the kept stream when it was drawn for this dataset under an equal
-    plan. Otherwise the stream is drawn, and kept once fully consumed if it
-    packs into ``_STREAM_CACHE_BYTES``."""
+    plan. Otherwise a stream that packs into ``_STREAM_CACHE_BYTES`` is
+    drawn whole by :func:`_packed_stream`, replayed, and kept once fully
+    consumed; a larger one is streamed as it is drawn."""
     kept_plan, packed = _kept.get(ds, (None, None))
-    if kept_plan == plan:
-        for r in range(0, len(packed), DEFAULT_BLOCK_SIZE):
-            rows = packed[r : r + DEFAULT_BLOCK_SIZE]
-            yield np.unpackbits(rows, axis=1, count=ds.n).view(np.int8)
-        return
-
-    _kept.clear()
-    row_bytes = (ds.n + 7) // 8
-    total = n_assignments(plan, ds.n, ds.n_treatment)
-    if total * row_bytes > _STREAM_CACHE_BYTES:
-        yield from iter_label_blocks(plan, ds.group_codes)
-        return
-
-    packed = np.empty((total, row_bytes), dtype=np.uint8)
-    done = 0
-    for block in iter_label_blocks(plan, ds.group_codes):
-        # Packed before the reducer sees the block, which it may overwrite.
-        packed[done : done + len(block)] = np.packbits(block, axis=1)
-        done += len(block)
-        yield block
+    if kept_plan != plan:
+        _kept.clear()
+        total = n_assignments(plan, ds.n, ds.n_treatment)
+        if total * ((ds.n + 7) // 8) > _STREAM_CACHE_BYTES:
+            yield from iter_label_blocks(plan, ds.group_codes)
+            return
+        packed = _packed_stream(plan, ds.group_codes, total)
+    for r in range(0, len(packed), DEFAULT_BLOCK_SIZE):
+        rows = packed[r : r + DEFAULT_BLOCK_SIZE]
+        yield np.unpackbits(rows, axis=1, count=ds.n).view(np.int8)
     _kept[ds] = (plan, packed)
+
+
+def _packed_stream(plan: PermutationPlan, group_codes: np.ndarray, total: int) -> np.ndarray:
+    """The ``total`` rows of ``iter_label_blocks(plan, group_codes)``,
+    bit-packed, one bit per label.
+
+    The replicate range is split into ``_stream_workers`` contiguous
+    shares: the caller draws the first, and one forked worker per further
+    share writes its rows in place into shared anonymous memory, so nothing
+    is pickled or concatenated. A worker exits when its share is drawn.
+    Every worker is joined before this returns or raises, and one that
+    failed raises here.
+    """
+    row_bytes = (len(group_codes) + 7) // 8
+    n_workers = _stream_workers(plan, len(group_codes), total)
+    if n_workers == 1:
+        packed = np.empty((total, row_bytes), dtype=np.uint8)
+        _pack_rows(plan, group_codes, packed, 0, total)
+        return packed
+
+    import multiprocessing
+
+    shared = mmap.mmap(-1, total * row_bytes)
+    packed = np.frombuffer(shared, dtype=np.uint8).reshape(total, row_bytes)
+    first, *rest = forking.shares(total, n_workers)
+    context = multiprocessing.get_context("fork")  # the workers inherit ``shared``
+    workers = []
+    try:
+        for start, stop in rest:
+            share = (plan, group_codes, packed, start, stop)
+            worker = context.Process(target=_pack_rows, args=share)
+            worker.start()
+            workers.append(worker)
+        _pack_rows(plan, group_codes, packed, *first)
+    finally:
+        for worker in workers:
+            worker.join()
+    failed = [worker.exitcode for worker in workers if worker.exitcode != 0]
+    if failed:
+        raise RuntimeError(f"a label-stream worker exited with code {failed[0]}")
+    return packed
+
+
+def _stream_workers(plan: PermutationPlan, n: int, total: int) -> int:
+    """How many processes draw a kept stream of ``total`` replicates at N =
+    ``n``: ``forking.host_worker_count`` of its ``_SHARE_ENTRIES``-label
+    shares, so 1 below two shares and for an exact plan."""
+    shares = total * n // _SHARE_ENTRIES
+    if plan.mode is not InferenceMode.PERMUTATION or shares < 2:
+        return 1
+    return forking.host_worker_count(shares)
+
+
+def _pack_rows(
+    plan: PermutationPlan, group_codes: np.ndarray, packed: np.ndarray, start: int, stop: int
+) -> None:
+    """Write rows ``start`` to ``stop - 1`` of the stream into ``packed``."""
+    row = start
+    for block in iter_label_blocks(plan, group_codes, start=start, stop=stop):
+        packed[row : row + len(block)] = np.packbits(block, axis=1)
+        row += len(block)
 
 
 def permutation_test(

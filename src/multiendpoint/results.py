@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
-from scipy import special
-
 # Smallest p-value we report; keeps p strictly positive when a normal tail
 # underflows to 0.0 at extreme z.
 MIN_P = 1e-300
@@ -42,7 +40,9 @@ def z_score(statistic: float, sd: float, metadata: dict) -> float:
 
 def normal_sf(x: float) -> float:
     """Upper tail of the standard normal distribution."""
-    return special.ndtr(-x)
+    from scipy.special import ndtr  # loaded on first use: permutation runs need no tail
+
+    return ndtr(-x)
 
 
 def two_sided_p(z: float, sf: Callable[[float], float] = normal_sf) -> float:

@@ -13,16 +13,14 @@ from __future__ import annotations
 import math
 import os
 import sys
-import threading
-import time
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
+from . import forking
 from .errors import InvalidCorrelationError
 from .resampling import SEED_BOUND, PermutationPlan, derive_replicate_seed
 from .trial_data import EndpointKind, EndpointSpec, TrialDataset
@@ -165,6 +163,8 @@ def _subject_ids(n: int) -> tuple[str, ...]:
 
 def simulate_trial(cfg: SimConfig) -> TrialDataset:
     """Draw one trial; deterministic under ``cfg.seed``."""
+    from scipy import special
+
     factor = _check_correlation(np.asarray(cfg.correlation))
     rng = np.random.default_rng(cfg.seed)
     n = 2 * cfg.n_per_group
@@ -220,6 +220,8 @@ def binomial_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float
     """Exact (Clopper-Pearson) binomial confidence interval."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    from scipy import special
+
     a = (1.0 - level) / 2.0
     failures = trials - successes
     low = 0.0 if successes == 0 else float(special.betaincinv(successes, failures + 1, a))
@@ -232,6 +234,8 @@ def binomial_band(p: float, trials: int, level: float = 0.95) -> tuple[float, fl
     probability: the central ``level`` quantile range of Binomial(trials, p),
     each end the smallest count whose CDF reaches its tail, expressed as
     rates."""
+    from scipy import special
+
     a = (1.0 - level) / 2.0
     cdf = special.bdtr(np.arange(trials + 1), trials, p)
     low, high = np.searchsorted(cdf, [a, 1.0 - a]) / trials
@@ -266,28 +270,22 @@ def error_rate_study(
         raise ValueError("alpha must lie in (0, 1)")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    import scipy.special  # noqa: F401  loaded once here, not once per forked worker
 
-    import multiprocessing
-
-    n_workers = _worker_count(
-        n_trials, cores=_usable_cores(),
-        start_methods=multiprocessing.get_all_start_methods(),
-        daemon=multiprocessing.current_process().daemon,
-        threads=threading.active_count(),
-    )
+    n_workers = forking.host_worker_count(n_trials)
     if n_workers == 1:
         n_rejected = _count_rejections(cfg, method, alpha, plan, 0, n_trials)
     else:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds = [n_trials * k // n_workers for k in range(n_workers + 1)]
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(
-            n_workers, mp_context=context, initializer=_exit_with, initargs=(os.getpid(),)
+            n_workers, mp_context=context, initializer=forking.exit_with, initargs=(os.getpid(),)
         ) as pool:
             shares = [
                 pool.submit(_run_share, cfg, method, alpha, plan, start, stop)
-                for start, stop in zip(bounds, bounds[1:])
+                for start, stop in forking.shares(n_trials, n_workers)
             ]
             outcomes = [share.result() for share in shares]
         n_rejected = 0
@@ -313,24 +311,6 @@ def error_rate_study(
     )
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _worker_count(
-    n_trials: int, *, cores: int, start_methods: Sequence[str], daemon: bool, threads: int
-) -> int:
-    """How many processes run a study's trials; 1 means the caller alone.
-    Pure: the caller passes the host's usable cores, start methods, whether
-    it is daemonic and how many Python threads are alive."""
-    if "fork" not in start_methods or daemon or threads > 1:
-        return 1
-    return min(cores, n_trials)
-
-
 def _count_rejections(
     cfg: SimConfig, method: str, alpha: float, plan: PermutationPlan, start: int, stop: int
 ) -> int:
@@ -347,19 +327,6 @@ def _count_rejections(
         if result.p_two_sided <= alpha:
             n_rejected += 1
     return n_rejected
-
-
-def _exit_with(parent: int) -> None:
-    """Worker initializer: end the worker as soon as ``parent`` is gone. A
-    worker whose caller was killed would otherwise run its share to the
-    end and then wait for work forever."""
-
-    def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(0.2)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
 
 
 def _run_share(*share) -> tuple[int, list[tuple], Exception | None]:

@@ -183,13 +183,15 @@ def random_integer_cohort(rng: np.random.Generator, n: int, missing_prob: float 
 
 def count_label_streams(monkeypatch) -> list:
     """The plans of the label streams drawn from now on, one entry each; a
-    test that replays a kept stream draws none."""
+    test that replays a kept stream draws none. A stream drawn in shares
+    counts once, at its first share: the caller draws that one itself."""
     plans = []
     real = resampling.iter_label_blocks
 
-    def counted(plan, codes):
-        plans.append(plan)
-        return real(plan, codes)
+    def counted(plan, codes, block_size=resampling.DEFAULT_BLOCK_SIZE, start=0, stop=None):
+        if start == 0:
+            plans.append(plan)
+        return real(plan, codes, block_size, start, stop)
 
     monkeypatch.setattr(resampling, "iter_label_blocks", counted)
     return plans

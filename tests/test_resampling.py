@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import ast
 import gc
+import hashlib
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -16,12 +18,14 @@ from hypothesis import strategies as st
 from multiendpoint import (
     ExactTooLargeError,
     PermutationPlan,
+    derive_endpoints,
     derive_replicate_seed,
+    load_trial_csv,
     simulate_trial,
     SimConfig,
 )
 import multiendpoint
-from multiendpoint import resampling
+from multiendpoint import forking, resampling
 from multiendpoint.pairwise import pair_counts
 from multiendpoint.resampling import (
     _pcg64_seed_states,
@@ -33,6 +37,8 @@ from multiendpoint.resampling import (
 import oracles
 from oracles import permutation_pvalue
 from support import count_label_streams, survival_cohort
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def fs_stat(ds) -> float:
@@ -305,6 +311,115 @@ class TestSharedStream:
         assert len(drawn) == (1 if kept else 2)
 
 
+def rows_of(blocks, n: int) -> np.ndarray:
+    return np.concatenate([np.empty((0, n), dtype=np.int8), *blocks])
+
+
+class TestFannedStream:
+    """A kept Monte Carlo stream of at least two ``_SHARE_ENTRIES``-label
+    shares is drawn in contiguous shares of its replicate range, all but the
+    caller's by forked workers writing into shared memory; its packed rows
+    are those of the serial stream."""
+
+    MC = PermutationPlan.monte_carlo(2_500, seed=5)  # shares not aligned to 1,024-row blocks
+
+    @pytest.fixture
+    def fanned(self, monkeypatch):
+        """Two workers for any stream of two labels or more."""
+        monkeypatch.setattr(resampling, "_SHARE_ENTRIES", 1)
+        monkeypatch.setattr(forking, "usable_cores", lambda: 2)
+
+    @staticmethod
+    def serial_packed(plan, codes) -> np.ndarray:
+        return np.packbits(rows_of(iter_label_blocks(plan, codes), codes.size), axis=1)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, "all"])  # 3: uneven shares, maybe more than cores
+    def test_packed_copy_equals_the_serial_stream(self, monkeypatch, cores):
+        cores = forking.usable_cores() if cores == "all" else cores
+        monkeypatch.setattr(resampling, "_SHARE_ENTRIES", 1)
+        monkeypatch.setattr(forking, "usable_cores", lambda: cores)
+        codes = simulate_trial(SimConfig.null(20, seed=3)).group_codes
+        assert resampling._stream_workers(self.MC, codes.size, 2_500) == cores
+        packed = resampling._packed_stream(self.MC, codes, 2_500)
+        assert multiprocessing.active_children() == []
+        assert np.array_equal(packed, self.serial_packed(self.MC, codes))
+
+    def test_worker_count_is_bounded_without_starting_one(self, monkeypatch):
+        monkeypatch.setattr(forking, "usable_cores", lambda: 10**6)
+        plan, share = PermutationPlan.monte_carlo(10_000), resampling._SHARE_ENTRIES
+        assert resampling._stream_workers(plan, 2_467, 10_000) == 2_467 * 10_000 // share
+        assert resampling._stream_workers(plan, 1, 2 * share - 1) == 1
+        assert resampling._stream_workers(plan, 1, 2 * share) == 2
+        assert resampling._stream_workers(PermutationPlan.exact(), 2_467, 10**6) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "plan, per_group", [(MC, 20), (PermutationPlan.exact(), 7)], ids=["monte_carlo", "exact"]
+    )
+    def test_sub_ranges_equal_slices_of_the_stream(self, plan, per_group):
+        codes = simulate_trial(SimConfig.null(per_group, seed=3)).group_codes
+        rows = rows_of(iter_label_blocks(plan, codes), codes.size)
+        total = len(rows)  # 2,500, or C(14, 7) = 3,432
+        for start, stop in [(0, 1), (1, 1_500), (1_023, 1_025), (1_700, total), (total, total)]:
+            got = rows_of(iter_label_blocks(plan, codes, start=start, stop=stop), codes.size)
+            assert np.array_equal(got, rows[start:stop]), (start, stop)
+        for start, stop in [(-1, 5), (6, 5), (0, total + 1)]:
+            with pytest.raises(ValueError, match="replicate range"):
+                list(iter_label_blocks(plan, codes, start=start, stop=stop))
+
+    def test_fanned_replica_copy_hashes_to_the_recorded_digest(self, monkeypatch):
+        # The digest of test_stream_digests.py::test_replica_stream.
+        monkeypatch.setattr(forking, "usable_cores", lambda: 2)
+        ds = derive_endpoints(load_trial_csv(ROOT / "data" / "actg175_replica.csv"))
+        plan = PermutationPlan.monte_carlo(10_000, seed=20240201)
+        assert resampling._stream_workers(plan, ds.n, 10_000) == 2
+        packed = resampling._packed_stream(plan, ds.group_codes, 10_000)
+        assert multiprocessing.active_children() == []
+        assert hashlib.sha256(packed.tobytes()).hexdigest() == (
+            "c243f59de34beb4e618a02c64644bd186ea2c323634d3959d947023f6be0982d"
+        )
+
+    def test_a_reducer_that_writes_its_block_leaves_the_stream_intact(self, fanned, monkeypatch):
+        drawn = count_label_streams(monkeypatch)
+        ds = simulate_trial(SimConfig.null(20, seed=3))
+
+        def scribble(block):
+            block[:] = 1 - block
+            return np.zeros(len(block))
+
+        permutation_test(0.0, scribble, ds, self.MC)
+        replay = rows_of(resampling._label_blocks(self.MC, ds), ds.n)
+        assert len(drawn) == 1
+        want = self.serial_packed(self.MC, ds.group_codes)
+        assert np.array_equal(np.packbits(replay, axis=1), want)
+
+    def test_a_reducer_that_raises_leaves_no_entry(self, fanned):
+        ds = simulate_trial(SimConfig.null(20, seed=3))
+
+        def fails(block):
+            raise RuntimeError("reducer failed")
+
+        with pytest.raises(RuntimeError, match="reducer failed"):
+            permutation_test(0.0, fails, ds, self.MC)
+        assert len(resampling._kept) == 0
+        assert multiprocessing.active_children() == []
+
+    def test_a_failed_worker_raises_in_the_caller(self, fanned, monkeypatch):
+        real = resampling._pack_rows
+
+        def worker_dies(plan, codes, packed, start, stop):
+            if start > 0:  # a worker's share, never the caller's
+                os._exit(3)
+            real(plan, codes, packed, start, stop)
+
+        monkeypatch.setattr(resampling, "_pack_rows", worker_dies)
+        ds = simulate_trial(SimConfig.null(20, seed=3))
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            permutation_test(0.0, lambda block: np.zeros(len(block)), ds, self.MC)
+        assert len(resampling._kept) == 0
+        assert multiprocessing.active_children() == []
+
+
 class TestSuperUniformity:
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10])
     def test_null_p_super_uniform(self, alpha):
@@ -376,3 +491,20 @@ def test_importing_the_package_leaves_scipy_stats_unloaded():
     code = "import multiendpoint, sys; assert 'scipy.stats' not in sys.modules"
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_a_permutation_analysis_leaves_scipy_special_unloaded(tmp_path):
+    """A permutation run computes no tail, so it never pays the import."""
+    argv = ["analyze", "--config", "configs/actg175.yaml", "--out", str(tmp_path)]
+    code = (
+        "import sys\n"
+        "from multiendpoint.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "assert 'scipy.special' not in sys.modules, 'scipy.special was loaded'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(multiendpoint.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "results.csv").exists()

@@ -28,8 +28,9 @@ from multiendpoint import (
     error_rate_study,
     simulate_trial,
 )
-from multiendpoint import simgen
-from multiendpoint.simgen import _usable_cores, _worker_count, binomial_band, binomial_ci
+from multiendpoint import forking
+from multiendpoint.forking import usable_cores, worker_count
+from multiendpoint.simgen import binomial_band, binomial_ci
 from support import subjects_of
 
 
@@ -203,7 +204,7 @@ class TestStudyWorkers:
     @staticmethod
     def study(monkeypatch, cores, *args):
         """``error_rate_study(*args)`` on a host with ``cores`` usable cores."""
-        monkeypatch.setattr(simgen, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(forking, "usable_cores", lambda: cores)
         return error_rate_study(*args)
 
     @pytest.mark.parametrize("n_trials", [1, 7, 24])
@@ -213,7 +214,7 @@ class TestStudyWorkers:
         cfg = alt_config(0.8, n=10, seed=4)
         reports = [
             self.study(monkeypatch, cores, cfg, "global_u", 0.05, n_trials, self.plan)
-            for cores in (1, 2, _usable_cores())
+            for cores in (1, 2, usable_cores())
         ]
         assert reports[0] == reports[1] == reports[2]
         assert reports[0].n_trials == n_trials
@@ -260,13 +261,13 @@ class TestStudyWorkers:
 
     @pytest.mark.skipif(
         not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists()
-        or _usable_cores() < 2,
+        or usable_cores() < 2,
         reason="needs /proc child lists and two usable cores",
     )
     def test_workers_end_with_a_killed_caller(self):
         code = (
-            "from multiendpoint import PermutationPlan, SimConfig, error_rate_study, simgen\n"
-            "simgen._usable_cores = lambda: 2\n"
+            "from multiendpoint import PermutationPlan, SimConfig, error_rate_study, forking\n"
+            "forking.usable_cores = lambda: 2\n"
             "print(flush=True)\n"
             "error_rate_study(SimConfig.null(20, seed=1), 'fs', 0.05, 10**6,\n"
             "                 PermutationPlan.monte_carlo(199, seed=1))\n"
@@ -306,22 +307,22 @@ class TestStudyWorkers:
         "cores, n_trials, expected", [(4, 100, 4), (4, 3, 3), (2, 1, 1), (1, 100, 1)]
     )
     def test_worker_count_rule(self, cores, n_trials, expected):
-        assert _worker_count(n_trials, **{**self.host, "cores": cores}) == expected
+        assert worker_count(n_trials, **{**self.host, "cores": cores}) == expected
 
     @pytest.mark.parametrize(
         "change", [dict(start_methods=("spawn",)), dict(daemon=True), dict(threads=2)]
     )
     def test_serial_fallbacks(self, change):
-        assert _worker_count(100, **{**self.host, **change}) == 1
+        assert worker_count(100, **{**self.host, **change}) == 1
 
     def test_usable_cores_without_affinity(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
-            assert _usable_cores() == len(os.sched_getaffinity(0))
+            assert usable_cores() == len(os.sched_getaffinity(0))
             monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert _usable_cores() == 3
+        assert usable_cores() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _usable_cores() == 1
+        assert usable_cores() == 1
 
 
 class TestBinomialHelpers:
