@@ -20,9 +20,9 @@ Stream lifetime: the tests that run on one dataset under one plan share one
 label stream. The first draws it whole into a bit-packed copy, one bit per
 label, keyed by the dataset, whose group codes cannot change; every test,
 the first too, replays the copy block for block. A long Monte Carlo stream
-is drawn in contiguous shares of its replicate range: the caller draws the
-first, and forked workers write the others in place into the copy, which
-lives in shared memory (see ``_packed_stream``). The copy lives as long as
+is drawn in contiguous shares of its replicate range by forked workers,
+which write their rows in place into the copy, held in shared memory (see
+``_packed_stream`` and the ``forking`` module). The copy lives as long as
 its dataset, or until a stream is drawn for another dataset or plan: one
 copy is kept at a time, and none beyond ``_STREAM_CACHE_BYTES`` (the
 replica's 10,000 replicates at N=2467 take 3.1 MB). A stream over that cap
@@ -36,6 +36,7 @@ import mmap
 import weakref
 from dataclasses import dataclass, replace
 from decimal import Decimal
+from functools import partial
 from itertools import combinations, islice
 from typing import Callable, Iterator
 
@@ -369,39 +370,13 @@ def _packed_stream(plan: PermutationPlan, group_codes: np.ndarray, total: int) -
     bit-packed, one bit per label.
 
     The replicate range is split into ``_stream_workers`` contiguous
-    shares: the caller draws the first, and one forked worker per further
-    share writes its rows in place into shared anonymous memory, so nothing
-    is pickled or concatenated. A worker exits when its share is drawn.
-    Every worker is joined before this returns or raises, and one that
-    failed raises here.
+    shares, run by ``forking.run_shares``. Each writes its rows in place
+    into shared anonymous memory, so nothing is pickled or concatenated.
     """
-    row_bytes = (len(group_codes) + 7) // 8
+    shared = mmap.mmap(-1, total * ((len(group_codes) + 7) // 8))
+    packed = np.frombuffer(shared, dtype=np.uint8).reshape(total, -1)
     n_workers = _stream_workers(plan, len(group_codes), total)
-    if n_workers == 1:
-        packed = np.empty((total, row_bytes), dtype=np.uint8)
-        _pack_rows(plan, group_codes, packed, 0, total)
-        return packed
-
-    import multiprocessing
-
-    shared = mmap.mmap(-1, total * row_bytes)
-    packed = np.frombuffer(shared, dtype=np.uint8).reshape(total, row_bytes)
-    first, *rest = forking.shares(total, n_workers)
-    context = multiprocessing.get_context("fork")  # the workers inherit ``shared``
-    workers = []
-    try:
-        for start, stop in rest:
-            share = (plan, group_codes, packed, start, stop)
-            worker = context.Process(target=_pack_rows, args=share)
-            worker.start()
-            workers.append(worker)
-        _pack_rows(plan, group_codes, packed, *first)
-    finally:
-        for worker in workers:
-            worker.join()
-    failed = [worker.exitcode for worker in workers if worker.exitcode != 0]
-    if failed:
-        raise RuntimeError(f"a label-stream worker exited with code {failed[0]}")
+    forking.run_shares(partial(_pack_rows, plan, group_codes, packed), total, n_workers)
     return packed
 
 

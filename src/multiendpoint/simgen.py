@@ -11,11 +11,8 @@ everything is deterministic under the config seed, at any worker count.
 from __future__ import annotations
 
 import math
-import os
-import sys
-import warnings
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -255,16 +252,12 @@ def error_rate_study(
     permutation stream from one derived from ``plan.master_seed``; the two
     streams are tagged so they never coincide.
 
-    The trials are split into contiguous shares over one worker process
-    per usable core, at most ``n_trials`` of them. The study runs in the
-    caller instead when that leaves one worker, when the ``fork`` start
-    method is missing, when the caller is a daemonic process or when other
-    Python threads are alive. Workers are forked, so they start without
-    importing the package again. None is left when the call returns or
-    raises, and none outlives a caller that is killed. A trial's seeds come
-    from its index alone, so the report is identical at any worker count.
-    Warnings a worker records are issued again here in trial order, and an
-    exception is the one the lowest-numbered failing trial raised.
+    The trials are split into contiguous shares, one per usable core and
+    at most ``n_trials`` of them, run by ``forking.run_shares``; the
+    ``forking`` module docstring states how workers start, report and end.
+    A trial's seeds come from its index alone, so the report is identical
+    at any worker count, and an exception is the one the lowest-numbered
+    failing trial raised.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -272,29 +265,8 @@ def error_rate_study(
         raise ValueError("n_trials must be >= 1")
     import scipy.special  # noqa: F401  loaded once here, not once per forked worker
 
-    n_workers = forking.host_worker_count(n_trials)
-    if n_workers == 1:
-        n_rejected = _count_rejections(cfg, method, alpha, plan, 0, n_trials)
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            n_workers, mp_context=context, initializer=forking.exit_with, initargs=(os.getpid(),)
-        ) as pool:
-            shares = [
-                pool.submit(_run_share, cfg, method, alpha, plan, start, stop)
-                for start, stop in forking.shares(n_trials, n_workers)
-            ]
-            outcomes = [share.result() for share in shares]
-        n_rejected = 0
-        for count, caught, error in outcomes:
-            n_rejected += count
-            _reissue(caught)
-            if error is not None:
-                raise error
-
+    count = partial(_count_rejections, cfg, method, alpha, plan)
+    n_rejected = sum(forking.run_shares(count, n_trials, forking.host_worker_count(n_trials)))
     rate = n_rejected / n_trials
     low, high = binomial_ci(n_rejected, n_trials)
     return RejectionReport(
@@ -327,32 +299,3 @@ def _count_rejections(
         if result.p_two_sided <= alpha:
             n_rejected += 1
     return n_rejected
-
-
-def _run_share(*share) -> tuple[int, list[tuple], Exception | None]:
-    """A worker's share of a study: its rejection count, the warnings its
-    trials issued (message, category, file, line) and the exception that
-    stopped it, if any. The caller's filters, inherited at the fork, apply."""
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            count, error = _count_rejections(*share), None
-        except Exception as exc:  # shipped to the caller, which raises it in trial order
-            count, error = 0, exc
-    return count, [(w.message, w.category, w.filename, w.lineno) for w in caught], error
-
-
-def _reissue(caught: list[tuple]) -> None:
-    """Issue warnings a worker recorded as a call in this process would
-    have: under the issuing module's name and once-registry."""
-    if not caught:
-        return
-    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-    for message, category, filename, lineno in caught:
-        module = modules.get(filename)
-        if module is None:
-            warnings.warn_explicit(message, category, filename, lineno)
-        else:
-            warnings.warn_explicit(
-                message, category, filename, lineno, module=module.__name__,
-                registry=vars(module).setdefault("__warningregistry__", {}),
-            )

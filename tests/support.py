@@ -183,15 +183,22 @@ def random_integer_cohort(rng: np.random.Generator, n: int, missing_prob: float 
 
 def count_label_streams(monkeypatch) -> list:
     """The plans of the label streams drawn from now on, one entry each; a
-    test that replays a kept stream draws none. A stream drawn in shares
-    counts once, at its first share: the caller draws that one itself."""
+    test that replays a kept stream draws none. A stream to be kept counts
+    once, in the caller, when ``_packed_stream`` draws it, whether its
+    shares then run in the caller or in workers; a stream too large to
+    keep counts when it is drawn whole."""
     plans = []
-    real = resampling.iter_label_blocks
+    packed_stream, iter_label_blocks = resampling._packed_stream, resampling.iter_label_blocks
 
-    def counted(plan, codes, block_size=resampling.DEFAULT_BLOCK_SIZE, start=0, stop=None):
-        if start == 0:
+    def counted_packed(plan, codes, total):
+        plans.append(plan)
+        return packed_stream(plan, codes, total)
+
+    def counted_blocks(plan, codes, block_size=resampling.DEFAULT_BLOCK_SIZE, start=0, stop=None):
+        if stop is None:
             plans.append(plan)
-        return real(plan, codes, block_size, start, stop)
+        return iter_label_blocks(plan, codes, block_size, start, stop)
 
-    monkeypatch.setattr(resampling, "iter_label_blocks", counted)
+    monkeypatch.setattr(resampling, "_packed_stream", counted_packed)
+    monkeypatch.setattr(resampling, "iter_label_blocks", counted_blocks)
     return plans

@@ -317,9 +317,9 @@ def rows_of(blocks, n: int) -> np.ndarray:
 
 class TestFannedStream:
     """A kept Monte Carlo stream of at least two ``_SHARE_ENTRIES``-label
-    shares is drawn in contiguous shares of its replicate range, all but the
-    caller's by forked workers writing into shared memory; its packed rows
-    are those of the serial stream."""
+    shares is drawn in contiguous shares of its replicate range by forked
+    workers writing into shared memory, while the caller draws none; its
+    packed rows are those of the serial stream."""
 
     MC = PermutationPlan.monte_carlo(2_500, seed=5)  # shares not aligned to 1,024-row blocks
 
@@ -404,17 +404,24 @@ class TestFannedStream:
         assert len(resampling._kept) == 0
         assert multiprocessing.active_children() == []
 
-    def test_a_failed_worker_raises_in_the_caller(self, fanned, monkeypatch):
+    @pytest.mark.parametrize(
+        "failure, error, match",
+        [("exits", RuntimeError, "exited with code 3"), ("raises", ValueError, "share failed")],
+        ids=["exits", "raises"],
+    )
+    def test_a_failed_worker_raises_in_the_caller(self, fanned, monkeypatch, failure, error, match):
         real = resampling._pack_rows
 
-        def worker_dies(plan, codes, packed, start, stop):
-            if start > 0:  # a worker's share, never the caller's
-                os._exit(3)
+        def second_share_fails(plan, codes, packed, start, stop):
+            if start > 0:  # the second worker's share; the caller draws none
+                if failure == "exits":
+                    os._exit(3)
+                raise ValueError("share failed")
             real(plan, codes, packed, start, stop)
 
-        monkeypatch.setattr(resampling, "_pack_rows", worker_dies)
+        monkeypatch.setattr(resampling, "_pack_rows", second_share_fails)
         ds = simulate_trial(SimConfig.null(20, seed=3))
-        with pytest.raises(RuntimeError, match="exited with code 3"):
+        with pytest.raises(error, match=match):
             permutation_test(0.0, lambda block: np.zeros(len(block)), ds, self.MC)
         assert len(resampling._kept) == 0
         assert multiprocessing.active_children() == []

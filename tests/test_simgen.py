@@ -28,7 +28,7 @@ from multiendpoint import (
     error_rate_study,
     simulate_trial,
 )
-from multiendpoint import forking
+from multiendpoint import forking, simgen
 from multiendpoint.forking import usable_cores, worker_count
 from multiendpoint.simgen import binomial_band, binomial_ci
 from support import subjects_of
@@ -257,6 +257,55 @@ class TestStudyWorkers:
                 warnings.simplefilter("error", RuntimeWarning)
                 with pytest.raises(RuntimeWarning, match="singular"):
                     self.study(monkeypatch, cores, cfg, "multirank", 0.05, 6, self.plan)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_workers", [1, 3])
+    def test_run_shares_returns_the_shares_in_order(self, n_workers):
+        # One worker runs in the caller; more fork one process per share,
+        # and the caller runs none of them.
+        ran = forking.run_shares(lambda start, stop: (start, stop, os.getpid()), 7, n_workers)
+        assert [(start, stop) for start, stop, _ in ran] == forking.shares(7, n_workers)
+        pids = [pid for _, _, pid in ran]
+        if n_workers == 1:
+            assert pids == [os.getpid()]
+        else:
+            assert len(set(pids)) == 3 and os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_raises_in_the_caller(self, monkeypatch):
+        def second_share_dies(cfg, method, alpha, plan, start, stop):
+            if start > 0:
+                os._exit(3)
+            return 0
+
+        monkeypatch.setattr(simgen, "_count_rejections", second_share_dies)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            self.study(monkeypatch, 2, SimConfig.null(10, seed=1), "fs", 0.05, 6, self.plan)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("pending", ["sending", "sleeping"])
+    def test_an_error_ends_the_pending_shares(self, monkeypatch, pending):
+        # The second share is either blocked sending far more recorded
+        # warnings than a pipe holds, or asleep, when the first share's
+        # error reaches the caller.
+        def first_share_fails(cfg, method, alpha, plan, start, stop):
+            if start == 0:
+                time.sleep(1)
+                raise ValueError("first share failed")
+            if pending == "sending":
+                for k in range(20_000):
+                    warnings.warn(f"warning {k}")
+            else:
+                time.sleep(60)
+            return 0
+
+        monkeypatch.setattr(simgen, "_count_rejections", first_share_fails)
+        began = time.monotonic()
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="first share failed"):
+                self.study(monkeypatch, 2, SimConfig.null(10, seed=1), "fs", 0.05, 6, self.plan)
+        assert time.monotonic() - began < 10
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(
