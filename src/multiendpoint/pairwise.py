@@ -15,7 +15,17 @@ no test holds S itself. It counts one of two ways:
   256K entries, built in one place, ``_tiles``, which applies the level
   rule and the hierarchy; a lexicographic hierarchy with censoring is not
   one sort order. A sweep allocates its few tile-sized buffers once, sized
-  to stay in a core's L2 cache, and writes every step into them.
+  to stay in a core's L2 cache, and writes every step into them. Three
+  exact steps make it cheap. Each level's keys become their float32 ranks
+  among the level's keys, which compare faster than float64 ones
+  (``_rank_keys``). A run of NaN-free value levels, which compares as a
+  lexicographic order, becomes one level of that order's ranks
+  (``_compact``): the simulator's marker and response are one level. A
+  matrix of one tile keeps its own keys, as compacting them costs more
+  than one tile saves (``_sweep_keys``). And as S is antisymmetric, the
+  int8 column sums of one group's rows give every subject's counts
+  against that group, which numpy sums several times faster than rows;
+  127 rows, the most whose sum fits int8, is the tallest tile.
 
 The one N x N array left in ``src`` is ``determinacy_matrix``, the win
 ratio's permutation path for cohorts with more tie pairs than the sweep
@@ -77,31 +87,87 @@ def endpoint_level(ds: TrialDataset, spec: EndpointSpec) -> Level:
 # tile, an int8 level and two bool comparisons), so 2^18 entries keep them
 # near 1 MB, inside a core's L2 cache, at any cohort size.
 _TILE_ENTRIES = 1 << 18
+# Rows per tile at most: a column sum of this many entries in {-1, 0, 1}
+# is the largest that fits int8, the type ``sweep_counts`` sums in.
+_MAX_TILE_ROWS = np.iinfo(np.int8).max
+
+
+def _tile_height(n: int) -> int:
+    return max(1, min(n, _TILE_ENTRIES // max(n, 1), _MAX_TILE_ROWS))
+
+
+def _rank_keys(level: Level) -> Level:
+    """``level`` with each key replaced by its float32 rank among the
+    level's ``hi`` and ``lo``, so that ``hi_i > lo_j`` keeps its truth
+    value for every pair; float32 compares about 1.6x faster than float64.
+    A NaN ``hi`` ranks -1, and a NaN ``lo`` past every key, where
+    ``np.unique`` sorts NaN; so neither beats nor is beaten. Ranks stay
+    below 2N, exact in float32 below 2^24."""
+    hi, lo = level
+    n = hi.size
+    _, rank = np.unique(hi if hi is lo else np.concatenate([hi, lo]), return_inverse=True)
+    return Level(
+        np.where(np.isnan(hi), -1, rank[:n]).astype(np.float32),
+        rank[-n:].astype(np.float32),
+    )
+
+
+def _compact(levels: Sequence[Level]) -> list[Level]:
+    """Keys for a row-tile sweep that give the same verdict matrix as
+    ``levels`` from fewer levels, each keyed by float32 ranks as in
+    ``_rank_keys``. A run of consecutive levels that each have one key
+    array and no NaN compares as a lexicographic order, so it becomes one
+    level keyed by that order's rank."""
+    out: list[Level] = []
+    run = None  # the lexicographic ranks of the run the last level ends
+    for lv in levels:
+        if lv.hi is lv.lo and not np.isnan(lv.hi).any():
+            _, rank = np.unique(lv.hi, return_inverse=True)
+            if run is not None:
+                _, rank = np.unique(run * (rank.max() + 1) + rank, return_inverse=True)
+                out.pop()
+            run = rank
+            keys = rank.astype(np.float32)
+            out.append(Level(keys, keys))
+        else:
+            run = None
+            out.append(_rank_keys(lv))
+    return out
+
+
+def _sweep_keys(levels: Sequence[Level]) -> Sequence[Level]:
+    """The keys a sweep builds its tiles from: ``_compact(levels)``, or
+    ``levels`` themselves when the whole matrix is one tile, which is built
+    once, so that compacting costs more than it saves (at N=40 it nearly
+    doubled the sweep)."""
+    n = len(levels[0].hi)
+    return levels if _tile_height(n) >= n else _compact(levels)
 
 
 def _tiles(
     levels: Sequence[Level], order: np.ndarray | None = None
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """Row tiles of the int8 verdict matrix, top to bottom: rows ``rows`` of
-    S with columns taken in ``order`` (all of them, in index order, when
-    None). The first level that is not tied decides each pair.
+    """Row tiles of the int8 verdict matrix, top to bottom: with rows taken
+    in ``order`` (index order when None) and all columns in index order,
+    positions ``rows`` of that order. The first level that is not tied
+    decides each pair. A tile has at most ``_MAX_TILE_ROWS`` rows.
 
     The buffers are allocated once per call and every step writes into
     them, so a yielded tile is a view that the next step overwrites: a
     consumer reduces or copies it before advancing, and may overwrite it."""
     n = len(levels[0].hi)
-    cols = [lv if order is None else Level(lv.hi[order], lv.lo[order]) for lv in levels]
-    step = max(1, min(n, _TILE_ENTRIES // max(n, 1)))
+    row_keys = [lv if order is None else Level(lv.hi[order], lv.lo[order]) for lv in levels]
+    step = _tile_height(n)
     tile_buf, level_buf = np.empty((2, step, n), dtype=np.int8)
     beats_buf, beaten_buf = np.empty((2, step, n), dtype=bool)
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
         height = rows.stop - start
         tile, beats, beaten = tile_buf[:height], beats_buf[:height], beaten_buf[:height]
-        for depth, (lv, col) in enumerate(zip(levels, cols)):
+        for depth, (lv, row) in enumerate(zip(levels, row_keys)):
             level = tile if depth == 0 else level_buf[:height]
-            np.greater(lv.hi[rows, None], col.lo, out=beats)
-            np.less(lv.lo[rows, None], col.hi, out=beaten)
+            np.greater(row.hi[rows, None], lv.lo, out=beats)
+            np.less(row.lo[rows, None], lv.hi, out=beaten)
             np.subtract(beats.view(np.int8), beaten.view(np.int8), out=level)
             if depth:
                 # branch-free; a masked copy is ~15x slower
@@ -119,14 +185,17 @@ _TIE_CAP_DIVISOR = 64
 
 @dataclass(frozen=True)
 class PairCounts:
-    """Per-subject tallies of the verdict matrix S, from ``sweep_counts``."""
+    """Per-subject tallies of the verdict matrix S, from ``sweep_counts``.
+
+    ``ties`` lists its pairs in ascending ``i``, and each ``i``'s pairs in
+    ascending ``j``, whatever order the sweep visits the rows in."""
 
     net: np.ndarray  # row sum of S: wins minus losses against everyone
     determinate: np.ndarray  # row sum of |S|: pairs decided at some level
     wins: np.ndarray  # subjects of the other group this subject beats
     losses: np.ndarray  # subjects of the other group that beat this subject
-    # (2, P) int32 pairs (i, j), i < j, tied at every level, in ascending i;
-    # None unless asked for and at most N^2 / _TIE_CAP_DIVISOR pairs.
+    # (2, P) int32 pairs (i, j), i < j, tied at every level, sorted by i
+    # then j; None unless asked for and at most N^2 / _TIE_CAP_DIVISOR pairs.
     ties: np.ndarray | None = None
 
 
@@ -189,35 +258,45 @@ def sweep_counts(
 
     One level without tie pairs is counted by sorting (``_sorted_counts``),
     in O(N log N) time and O(N) memory. A hierarchy, a tie list, or a level
-    with ``hi > lo`` on some subject is counted from row tiles: each tile is
-    reduced to int64 counts as soon as it is built, so memory is
-    O(tile * N) rather than N x N. Columns are swept treatment-first, which
-    makes each group's part of a tile a contiguous slice.
+    with ``hi > lo`` on some subject is counted from row tiles of the
+    ``_sweep_keys``: each tile is reduced as soon as it is built, so memory
+    is O(tile * N) rather than N x N. Rows are swept treatment-first and
+    columns in index order. S is antisymmetric, so the int8 column sums of
+    a tile's treatment rows (then of its control rows) give each subject's
+    net and determinate counts against that group, with the net's sign
+    flipped; numpy sums a tile's columns several times faster than its
+    rows.
 
     With ``collect_ties`` the same tiles also give the tie pairs. A tile's
-    off-diagonal zeros are counted from its determinate counts, and every
-    tie pair is an off-diagonal zero twice over the sweep; so a tile without
-    ties costs nothing more, and collecting stops for good once the zeros
-    seen so far prove the list will pass its cap."""
+    off-diagonal zeros are counted first, and every tie pair is an
+    off-diagonal zero twice over the sweep; so a tile without ties costs
+    one count, and collecting stops for good once the zeros seen so far
+    prove the list will pass its cap."""
     treat = np.asarray(treatment_mask, dtype=bool)
     if len(levels) == 1 and not collect_ties and not np.any(levels[0].hi > levels[0].lo):
         return _sorted_counts(levels[0], treat)
     n = treat.size
     n1 = int(treat.sum())
     order = np.argsort(~treat, kind="stable")
-    net = np.zeros((2, n), dtype=np.int64)  # vs treatment, vs control
-    det = np.zeros((2, n), dtype=np.int64)
+    # Each subject's counts against the treatment group and against the
+    # control group. S is antisymmetric, so a column sum over one group's
+    # rows is minus each subject's row sum against that group. A sum of at
+    # most N entries in {-1, 0, 1} fits int32, which adds up faster.
+    net = np.zeros((2, n), dtype=np.int32)
+    det = np.zeros((2, n), dtype=np.int32)
     tie_parts: list[np.ndarray] | None = [] if collect_ties else None
     tie_entries = 0
-    for rows, tile in _tiles(levels, order):
-        for k, part in enumerate((tile[:, :n1], tile[:, n1:])):
-            # A row sum of at most N entries in {-1, 0, 1} fits int32, which
-            # numpy reduces about twice as fast as int64.
-            net[k, rows] = part.sum(axis=1, dtype=np.int32)
-            det[k, rows] = np.abs(part, out=part).sum(axis=1, dtype=np.int32)
+    for rows, tile in _tiles(_sweep_keys(levels), order):
+        cut = min(max(n1 - rows.start, 0), tile.shape[0])  # treatment rows come first
+        parts = [(k, part) for k, part in enumerate((tile[:cut], tile[cut:])) if part.size]
+        for k, part in parts:
+            net[k] -= part.sum(axis=0, dtype=np.int8)
+        np.abs(tile, out=tile)
+        for k, part in parts:
+            det[k] += part.sum(axis=0, dtype=np.int8)
         if tie_parts is None:
             continue
-        zeros = tile.size - tile.shape[0] - int(det[:, rows].sum())
+        zeros = tile.size - tile.shape[0] - np.count_nonzero(tile)  # off the diagonal
         tie_entries += zeros
         if tie_entries > 2 * (n * n // _TIE_CAP_DIVISOR):
             tie_parts = None
@@ -225,14 +304,16 @@ def sweep_counts(
             # The tile holds |S| now: mark its zeros in place. flatnonzero:
             # 2-D nonzero is ~10x slower on a sparse tile.
             tied = np.equal(tile, 0, out=tile.view(bool))
-            i, c = np.divmod(np.flatnonzero(tied), n)
-            i += rows.start
-            j = order[c]
+            r, j = np.divmod(np.flatnonzero(tied), n)
+            i = order[r + rows.start]
             upper = i < j
             tie_parts.append(np.stack([i[upper], j[upper]]).astype(np.int32))
     ties = None
     if tie_parts is not None:
         ties = np.concatenate([np.zeros((2, 0), dtype=np.int32), *tie_parts], axis=1)
+        # Each row's pairs come in ascending j, and each row is one tile's.
+        ties = ties[:, np.argsort(ties[0], kind="stable")]
+    net, det = net.astype(np.int64), det.astype(np.int64)
     net_other = np.where(treat, net[1], net[0])
     det_other = np.where(treat, det[1], det[0])
     return PairCounts(
@@ -255,7 +336,7 @@ def determinacy_matrix(ds: TrialDataset) -> np.ndarray:
     for ``sweep_counts`` to list.
     """
     out = np.empty((ds.n, ds.n), dtype=np.float32)
-    for rows, tile in _tiles(_hierarchy_levels(ds)):
+    for rows, tile in _tiles(_sweep_keys(_hierarchy_levels(ds))):
         np.not_equal(tile, 0, out=out[rows])
     return out
 

@@ -1,8 +1,11 @@
 """Inference built on the pairwise kernel: the hierarchical sum-of-scores
 test (generalized Gehan-Wilcoxon) and the win ratio.
 
-Both tests read per-subject counts from one row-tiled sweep of every subject
-pair (``pairwise.pair_counts``), so they hold no N x N matrix. A permutation
+Both tests read per-subject counts from one sweep of every subject pair
+(``pairwise.pair_counts``), so they hold no N x N matrix. The sweep builds
+S in row tiles from float32 rank keys, with a run of complete value
+endpoints merged into one level, and reduces each tile by int8 column sums,
+which S's antisymmetry turns into each subject's counts. A permutation
 replicate of fs needs only the net scores: a float64 product with each
 label block. The win ratio's wins + losses under relabeling is g'|S|(1 - g) for
 labels g; with |S| = J - I - T, T the pairs tied at every level, that is

@@ -315,8 +315,9 @@ class TestRowTiles:
         ]
         ties = pair_counts(ds, collect_ties=True).ties
         assert ties.dtype == np.int32
-        assert sorted(ties.T.tolist()) == want
-        assert np.all(np.diff(ties[0]) >= 0)  # ascending i
+        # The rows are swept treatment-first, yet the list is in ascending
+        # i, then ascending j.
+        np.testing.assert_array_equal(ties, np.array(want, dtype=np.int32).reshape(-1, 2).T)
         assert pair_counts(ds).ties is None  # only when asked for
 
     def test_tie_list_is_dropped_past_its_cap(self, ds, monkeypatch):
@@ -359,6 +360,126 @@ class TestRowTiles:
 
 
 COUNT_FIELDS = ("net", "determinate", "wins", "losses")
+
+
+def _matrix_counts(s: np.ndarray, treat: np.ndarray) -> dict:
+    """``sweep_counts``'s fields read off a whole verdict matrix ``s``."""
+    other = treat[:, None] != treat[None, :]
+    i, j = np.nonzero(np.triu(s == 0, 1))  # row-major: ascending i, then j
+    return {
+        "net": s.sum(axis=1, dtype=np.int64),
+        "determinate": np.abs(s).sum(axis=1, dtype=np.int64),
+        "wins": ((s == 1) & other).sum(axis=1),
+        "losses": ((s == -1) & other).sum(axis=1),
+        "ties": np.stack([i, j]).astype(np.int32),
+    }
+
+
+def _random_level(rng, kind: str, n: int) -> Level:
+    """A level of ``kind`` over ``n`` subjects, keys drawn from a few
+    integers so that they repeat."""
+    keys = rng.integers(-3, 4, size=n).astype(np.float64)
+    if kind == "survival":  # a censored lo is +inf
+        keys[rng.random(n) < 0.2] = np.inf
+        return survival_level(keys, rng.random(n) < 0.5)
+    if kind == "complete":  # one NaN-free key array
+        keys[rng.random(n) < 0.1] = -np.inf
+        return Level(keys, keys)
+    if kind == "missing":  # one key array with NaN
+        keys[rng.random(n) < 0.3] = np.nan
+        return Level(keys, keys)
+    # two key arrays: NaN and infinite keys on both sides, hi > lo somewhere
+    lo = rng.integers(-3, 4, size=n).astype(np.float64)
+    keys[rng.random(n) < 0.2] = np.nan
+    lo[rng.random(n) < 0.2] = np.nan
+    keys[rng.random(n) < 0.1] = -np.inf
+    lo[rng.random(n) < 0.1] = np.inf
+    return Level(keys, lo)
+
+
+def _mergeable(level: Level) -> bool:
+    return level.hi is level.lo and not np.isnan(level.hi).any()
+
+
+def assert_compact_is_exact(levels) -> None:
+    """The compacted keys give the verdict matrix of ``levels`` itself,
+    from float32 keys, with each run of NaN-free value levels merged."""
+    keys = pairwise._compact(levels)
+    runs = sum(
+        1 for k, lv in enumerate(levels) if not (k and _mergeable(lv) and _mergeable(levels[k - 1]))
+    )
+    assert len(keys) == runs
+    assert all(k.hi.dtype == k.lo.dtype == np.float32 for k in keys)
+    np.testing.assert_array_equal(oracles.stack_tiles(keys), oracles.stack_tiles(levels))
+
+
+KINDS = ("survival", "complete", "missing", "crossed")
+
+
+class TestCompactKeys:
+    """Rank keys and merged levels must not change a single verdict, and
+    the int8 column sums must count every pair, on either key path."""
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(1, 40),
+        st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_levels_keep_every_verdict(self, n, kinds, seed):
+        rng = np.random.default_rng(seed)
+        assert_compact_is_exact([_random_level(rng, kind, n) for kind in kinds])
+
+    def test_a_missing_value_level_breaks_a_run(self):
+        rng = np.random.default_rng(5)
+        kinds = ["complete", "complete", "missing", "complete", "complete", "complete"]
+        levels = [_random_level(rng, kind, 30) for kind in kinds]
+        levels[2].hi[0] = np.nan
+        assert len(pairwise._compact(levels)) == 3
+        assert_compact_is_exact(levels)
+
+    def test_a_level_with_hi_above_lo(self):
+        level = Level(np.array([5.0, 5.0, 3.0, 1.0, np.nan]), np.array([0.0, 0.0, 3.0, 1.0, 2.0]))
+        assert_compact_is_exact([level])
+        assert_compact_is_exact([level, _values(1, 2, 2, 1, 1), _values(0, 0, 1, 1, 0)])
+
+    @pytest.mark.parametrize("tiles", ["one", "many"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sweep_counts_on_either_key_path(self, monkeypatch, tiles, seed):
+        """A matrix of one tile is swept from its own keys and any other
+        from compacted keys; both give the whole matrix's counts and tie
+        list."""
+        rng = np.random.default_rng(400 + seed)
+        n = int(rng.integers(2, 30))
+        levels = [_random_level(rng, kind, n) for kind in rng.choice(KINDS, size=4)]
+        treat = rng.random(n) < 0.5
+        want = _matrix_counts(oracles.stack_tiles(levels), treat)
+        monkeypatch.setattr(pairwise, "_TILE_ENTRIES", (n if tiles == "one" else 3) * n)
+        monkeypatch.setattr(pairwise, "_TIE_CAP_DIVISOR", 1)  # keep every tie pair
+        compacted = []
+        compact = pairwise._compact
+        monkeypatch.setattr(pairwise, "_compact", lambda lv: compacted.append(1) or compact(lv))
+        got = sweep_counts(levels, treat, collect_ties=True)
+        assert bool(compacted) == (tiles == "many" and n > 3)
+        for field in (*COUNT_FIELDS, "ties"):
+            np.testing.assert_array_equal(getattr(got, field), want[field], err_msg=field)
+
+    def test_a_column_beaten_by_every_row_of_the_tallest_tile(self):
+        """127 rows, the most whose int8 column sum cannot overflow, all
+        beat one column and all lose to another."""
+        n = 300
+        assert pairwise._tile_height(n) == np.iinfo(np.int8).max == 127
+        treat = np.arange(n) < 150  # the first tile is 127 treatment rows
+        values = np.zeros(n)
+        values[150], values[151] = -1.0, 1.0
+        levels = [_values(*[None] * n), Level(values, values)]  # the first ties every pair
+        got = sweep_counts(levels, treat)
+        s = oracles.stack_tiles(levels)
+        assert s[:127, 150].sum() == 127 and s[:127, 151].sum() == -127
+        want = _matrix_counts(s, treat)
+        for field in COUNT_FIELDS:
+            np.testing.assert_array_equal(getattr(got, field), want[field], err_msg=field)
+        assert got.losses[150] == got.wins[151] == 150
 
 
 def assert_sorted_counts_match_tiles(monkeypatch, level, treat, sorted_path=True):
