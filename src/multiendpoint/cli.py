@@ -186,8 +186,10 @@ def _load_yaml(path: str | None) -> dict[str, Any]:
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(str(p))
-    with open(p) as fh:
-        data = yaml.safe_load(fh)
+    try:  # from bytes, so YAML's reader decodes and bad UTF-8 is bad YAML in any locale
+        data = yaml.safe_load(p.read_bytes())
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: not valid YAML: {' '.join(str(exc).split())}") from exc
     if data is None:
         return {}
     if not isinstance(data, dict):
@@ -224,6 +226,16 @@ def resolve(args: argparse.Namespace) -> dict[str, Any]:
         for path, key in KEYS.items()
         if args.command in key.commands
     }
+
+
+def _out_dir(path: str) -> Path:
+    """The ``out`` directory, made if absent; a ConfigError if it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot make directory {path!r}: {exc.strerror}") from exc
+    return out
 
 
 @contextmanager
@@ -272,8 +284,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(baseline_text)
     print(results_text, end="")
     if cfg["out"]:
-        out = Path(cfg["out"])
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(cfg["out"])
         (out / "baseline.txt").write_text(baseline_text)
         (out / "baseline.csv").write_text(summary.to_csv())
         (out / "results.txt").write_text(results_text)
@@ -287,8 +298,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     text = summary.to_text()
     print(text, end="")
     if cfg["out"]:
-        out = Path(cfg["out"])
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(cfg["out"])
         (out / "baseline.txt").write_text(text)
         (out / "baseline.csv").write_text(summary.to_csv())
     return EXIT_OK
@@ -313,8 +323,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         plan = PermutationPlan.monte_carlo(sim["replicates"], seed=cfg.seed)
     alpha, n_trials = sim["alpha"], sim["n_trials"]
 
-    out = Path(sim["out"] or "simulation_out")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(sim["out"] or "simulation_out")
 
     band_low, band_high = binomial_band(alpha, n_trials)
     lines = [

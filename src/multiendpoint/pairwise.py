@@ -27,11 +27,10 @@ no test holds S itself. It counts one of two ways:
   against that group, which numpy sums several times faster than rows;
   127 rows, the most whose sum fits int8, is the tallest tile.
 
-The one N x N array left in ``src`` is ``determinacy_matrix``, the win
-ratio's permutation path for cohorts with more tie pairs than the sweep
-keeps. The scalar reference rule, one pair at a time, is ``compare`` in
-``tests/oracles.py``, and ``tests/oracles.py`` also stacks the tiles into S
-for the property tests.
+No N x N array is held in ``src``: the win ratio's permutation null reads
+the tie list. The scalar reference rule, one pair at a time, is ``compare``
+in ``tests/oracles.py``, and ``tests/oracles.py`` also stacks the tiles
+into S for the property tests.
 
 Survival-level determinacy is Gehan-style: subject a beats subject b only
 when b's event was observed and a's follow-up time strictly exceeds b's
@@ -177,12 +176,6 @@ def _tiles(
         yield rows, tile
 
 
-# A tie list longer than N^2 / _TIE_CAP_DIVISOR pairs is dropped: past that
-# many pairs the win ratio's dense product is the faster permutation path,
-# and the list stays a fraction of the N x N matrix it replaces.
-_TIE_CAP_DIVISOR = 64
-
-
 @dataclass(frozen=True)
 class PairCounts:
     """Per-subject tallies of the verdict matrix S, from ``sweep_counts``.
@@ -195,7 +188,7 @@ class PairCounts:
     wins: np.ndarray  # subjects of the other group this subject beats
     losses: np.ndarray  # subjects of the other group that beat this subject
     # (2, P) int32 pairs (i, j), i < j, tied at every level, sorted by i
-    # then j; None unless asked for and at most N^2 / _TIE_CAP_DIVISOR pairs.
+    # then j; None unless asked for.
     ties: np.ndarray | None = None
 
 
@@ -268,10 +261,8 @@ def sweep_counts(
     rows.
 
     With ``collect_ties`` the same tiles also give the tie pairs. A tile's
-    off-diagonal zeros are counted first, and every tie pair is an
-    off-diagonal zero twice over the sweep; so a tile without ties costs
-    one count, and collecting stops for good once the zeros seen so far
-    prove the list will pass its cap."""
+    off-diagonal zeros are counted first, so a tile without ties costs one
+    count."""
     treat = np.asarray(treatment_mask, dtype=bool)
     if len(levels) == 1 and not collect_ties and not np.any(levels[0].hi > levels[0].lo):
         return _sorted_counts(levels[0], treat)
@@ -284,8 +275,7 @@ def sweep_counts(
     # most N entries in {-1, 0, 1} fits int32, which adds up faster.
     net = np.zeros((2, n), dtype=np.int32)
     det = np.zeros((2, n), dtype=np.int32)
-    tie_parts: list[np.ndarray] | None = [] if collect_ties else None
-    tie_entries = 0
+    tie_parts: list[np.ndarray] = []
     for rows, tile in _tiles(_sweep_keys(levels), order):
         cut = min(max(n1 - rows.start, 0), tile.shape[0])  # treatment rows come first
         parts = [(k, part) for k, part in enumerate((tile[:cut], tile[cut:])) if part.size]
@@ -294,13 +284,8 @@ def sweep_counts(
         np.abs(tile, out=tile)
         for k, part in parts:
             det[k] += part.sum(axis=0, dtype=np.int8)
-        if tie_parts is None:
-            continue
-        zeros = tile.size - tile.shape[0] - np.count_nonzero(tile)  # off the diagonal
-        tie_entries += zeros
-        if tie_entries > 2 * (n * n // _TIE_CAP_DIVISOR):
-            tie_parts = None
-        elif zeros:
+        # Each row's self pair is a zero; any other zero is a tie.
+        if collect_ties and np.count_nonzero(tile) < tile.size - tile.shape[0]:
             # The tile holds |S| now: mark its zeros in place. flatnonzero:
             # 2-D nonzero is ~10x slower on a sparse tile.
             tied = np.equal(tile, 0, out=tile.view(bool))
@@ -309,7 +294,7 @@ def sweep_counts(
             upper = i < j
             tie_parts.append(np.stack([i[upper], j[upper]]).astype(np.int32))
     ties = None
-    if tie_parts is not None:
+    if collect_ties:
         ties = np.concatenate([np.zeros((2, 0), dtype=np.int32), *tie_parts], axis=1)
         # Each row's pairs come in ascending j, and each row is one tile's.
         ties = ties[:, np.argsort(ties[0], kind="stable")]
@@ -327,18 +312,6 @@ def sweep_counts(
 
 def _hierarchy_levels(ds: TrialDataset) -> list[Level]:
     return [endpoint_level(ds, spec) for spec in ds.endpoint_specs]
-
-
-def determinacy_matrix(ds: TrialDataset) -> np.ndarray:
-    """N x N float32 |S|: 1 where the hierarchy decides the pair, else 0.
-
-    The win ratio's permutation path for cohorts with too many tie pairs
-    for ``sweep_counts`` to list.
-    """
-    out = np.empty((ds.n, ds.n), dtype=np.float32)
-    for rows, tile in _tiles(_sweep_keys(_hierarchy_levels(ds))):
-        np.not_equal(tile, 0, out=out[rows])
-    return out
 
 
 def pair_counts(ds: TrialDataset, collect_ties: bool = False) -> PairCounts:

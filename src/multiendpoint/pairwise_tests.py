@@ -10,10 +10,9 @@ replicate of fs needs only the net scores: a float64 product with each
 label block. The win ratio's wins + losses under relabeling is g'|S|(1 - g) for
 labels g; with |S| = J - I - T, T the pairs tied at every level, that is
 g'd - n1(n1 - 1) + 2 * (tie pairs inside the relabeled treatment group),
-from the tie list the same sweep gives. A cohort with more tie pairs than
-the sweep keeps falls back to the dense |S| and one float32 product per
-block. Every product is exact: each partial sum is an integer, far below
-2**24 in float32 and 2**53 in float64.
+from the tie list the same sweep gives, at any number of tie pairs; its
+cost grows linearly in them. Every product is exact: each partial sum is
+an integer, far below 2**53 in float64.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pairwise import PairCounts, determinacy_matrix, pair_counts
+from .pairwise import PairCounts, pair_counts
 from .resampling import PermutationPlan, conclude, label_product
 from .results import TestResult, two_sided_p, z_score
 from .trial_data import TrialDataset
@@ -130,12 +129,11 @@ def win_ratio_test(ds: TrialDataset, plan: PermutationPlan | None = None) -> Tes
         win_ratio=n_wins / n_losses if n_losses else (math.inf if n_wins else math.nan),
         ci_95=ci,
     )
-    dense = None if plan is None or counts.ties is not None else determinacy_matrix(ds)
     # With no determinate pair every relabeling's log WR is NaN too: p = 1
     # in both modes.
     return conclude(
         "win_ratio", statistic, se**2, z, metadata, plan,
-        _log_wr_reducer(counts, dense), ds,
+        _log_wr_reducer(counts), ds,
         lambda: 1.0 if degenerate else two_sided_p(z),
     )
 
@@ -175,27 +173,20 @@ def _tie_products(block: np.ndarray, subjects: np.ndarray, pairs: np.ndarray) ->
     return out
 
 
-def _log_wr_reducer(
-    counts: PairCounts, dense: np.ndarray | None
-) -> Callable[[np.ndarray], np.ndarray]:
+def _log_wr_reducer(counts: PairCounts) -> Callable[[np.ndarray], np.ndarray]:
     """Block reducer for the null draws of log WR. For labels g, wins -
     losses = g'u and wins + losses = g'd - g'|S|g, with u and d the net and
-    determinate counts. g'|S|g is n1(n1 - 1) minus twice the tie pairs
-    inside the treatment group, or, given the ``dense`` |S|, one float32
-    product."""
+    determinate counts, and g'|S|g is n1(n1 - 1) minus twice the tie pairs
+    inside the treatment group. Only an asymptotic run, which never
+    reduces, builds it without ``counts.ties``."""
     weights = np.column_stack([counts.net, counts.determinate, np.ones(counts.net.size)])
     if counts.ties is not None:
         subjects, pairs = np.unique(counts.ties.ravel(), return_inverse=True)
-        pairs = pairs.reshape(2, -1)
+        pairs = pairs.reshape(2, -1).astype(np.int32)  # positions below N
 
     def reduce(block: np.ndarray) -> np.ndarray:
         diff, g_det, n1 = label_product(block, weights).T
-        if dense is None:
-            quad = n1 * (n1 - 1) - 2.0 * _tie_products(block, subjects, pairs)
-        else:
-            gf = block.astype(np.float32)
-            quad = np.einsum("bi,bi->b", gf @ dense, gf, dtype=np.float64)
-        det = g_det - quad
+        det = g_det - (n1 * (n1 - 1) - 2.0 * _tie_products(block, subjects, pairs))
         wins = (det + diff) / 2.0
         losses = (det - diff) / 2.0
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -405,6 +405,30 @@ class TestMistypedConfig:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize(
+        "text", [b"methods: [fs\n", b"methods: [fs]\n# caf\xe9\n"],
+        ids=["unclosed_flow_list", "not_utf8"],
+    )
+    def test_unreadable_config_is_config_error(self, replica, tmp_path, capsys, text):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(text)
+        code = run_cli("analyze", "--config", str(path), "--input", replica, "--mode", "asymptotic")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {path}: not valid YAML: ")
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
+    @pytest.mark.parametrize("command", ["analyze", "summarize", "simulate"])
+    def test_unusable_out_is_config_error(self, replica, tmp_path, capsys, command, under):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"input": replica, "sim": TINY_STUDY}))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "out" if under else taken
+        args = ["--mode", "asymptotic", "--methods", "fs"] if command == "analyze" else []
+        code = run_cli(command, "--config", str(path), "--out", str(out), *args)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: out: cannot make directory ")
+
     def test_marker_overflow_is_config_error(self, tmp_path, capsys):
         # mean + SD x z past float range: a setting the key checks cannot
         # rule out, reported as a config error without numpy's warning.

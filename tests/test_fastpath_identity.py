@@ -4,9 +4,9 @@ on every relabeled dataset through the same driver: the same p and the same
 six permutation metadata fields to the last bit, and the inference mode of
 the plan. The pairwise references reduce the stacked N x N matrices, while
 the tests themselves use the row-tiled counts (and the win ratio its tie
-pairs, or the dense |S| when they are too many). A test that replays the
-label stream another test on the same dataset drew is bit-identical to the
-same test drawing it alone."""
+pairs, however many there are). A test that replays the label stream
+another test on the same dataset drew is bit-identical to the same test
+drawing it alone."""
 
 from __future__ import annotations
 
@@ -45,16 +45,23 @@ def ds():
 def tied(ds):
     """``ds`` with three subjects copied onto three others: tie pairs inside
     the treatment group, across the groups and inside the control group,
-    with rows 0, 4 and 12 in three different 3-row tiles. Three pairs is the
-    N^2 / 64 cap at N = 14, so the win ratio takes its tie-pair path."""
+    with rows 0, 4 and 12 in three different 3-row tiles."""
     subs = subjects_of(ds)
     for a, b in [(0, 1), (4, 9), (12, 13)]:
         subs[b] = replace(subs[b], outcomes=subs[a].outcomes)
     return dataset(subs, ds.endpoint_specs)
 
 
+@pytest.fixture(scope="module")
+def heavy():
+    """A cohort of 14 whose endpoints take few values, so that its tie list
+    is longer than N^2 / 64 pairs, past which the list costs more per
+    permutation than an N x N product would."""
+    return dataset(*random_integer_cohort(np.random.default_rng(1), 14))
+
+
 def tie_pairs(d):
-    """The win ratio's tie list for ``d``: None means the dense path."""
+    """The win ratio's tie list for ``d``."""
     return pairwise.pair_counts(d, collect_ties=True).ties
 
 
@@ -156,27 +163,21 @@ class TestFastPathsMatchGenericEngine:
             win_ratio_test(tied, plan=plan), permutation_pvalue(wr_stat, tied, plan)
         )
 
-    def test_win_ratio_tie_heavy_dense(self, plan):
-        subs, specs = random_integer_cohort(np.random.default_rng(1), 14)
-        heavy = dataset(subs, specs)
-        assert tie_pairs(heavy) is None
+    def test_win_ratio_tie_heavy_dense(self, heavy, plan):
+        assert tie_pairs(heavy).shape[1] > heavy.n**2 // 64
         assert_same_null(
             win_ratio_test(heavy, plan=plan), permutation_pvalue(wr_stat, heavy, plan)
         )
 
-    @pytest.mark.parametrize("path", ["tie_pairs", "dense"])
-    def test_win_ratio_missing_marker(self, tied, plan, path, monkeypatch):
+    def test_win_ratio_missing_marker(self, tied, plan):
         # Two subjects miss the marker, which ties every pair they take part
-        # in at that level; the tie pairs are forced onto each path.
+        # in at that level.
         subs = subjects_of(tied)
         for i in (2, 7):
             subs[i] = replace(subs[i], outcomes={**subs[i].outcomes, "marker": cont()})
         sparse = dataset(subs, tied.endpoint_specs)
-        cap_divisor = 1 if path == "tie_pairs" else sparse.n ** 2 + 1  # cap N^2 or 0
-        monkeypatch.setattr(pairwise, "_TIE_CAP_DIVISOR", cap_divisor)
         fast = win_ratio_test(sparse, plan=plan)
         assert fast.metadata["n_excluded"] == 0
-        assert (tie_pairs(sparse) is None) == (path == "dense")
         assert_same_null(fast, permutation_pvalue(wr_stat, sparse, plan))
 
     def test_obrien(self, ds, plan):
@@ -217,14 +218,14 @@ class TestFastPathsMatchGenericEngine:
     def test_global_u(self, ds, plan):
         assert_same_null(global_u_test(ds, plan=plan), permutation_pvalue(gu_stat(ds), ds, plan))
 
-    def test_pairwise_tests_across_row_tiles(self, ds, tied, plan, monkeypatch):
+    def test_pairwise_tests_across_row_tiles(self, ds, tied, heavy, plan, monkeypatch):
         # Tiles of 3 rows (the last one of 2) instead of one tile for N=14,
         # and label products over slices of 5 block rows (the rank tests'
         # Gehan scores and group sums too): every statistic,
-        # variance and p is unchanged to the last bit, the tie list of
-        # ``tied`` is gathered over several tiles, and the reducers still
-        # match the references.
-        cohorts = (ds, tied)
+        # variance and p is unchanged to the last bit, the tie lists of
+        # ``tied`` and ``heavy`` are gathered over several tiles, and the
+        # reducers still match the references.
+        cohorts = (ds, tied, heavy)
 
         def run():
             tests = (fs_test, win_ratio_test, global_u_test, obrien_test, multirank_test)

@@ -298,14 +298,7 @@ class TestRowTiles:
         wins, losses, _ = oracles.win_counts(subs, TILE_HIERARCHY)
         assert (counts.wins[treat].sum(), counts.losses[treat].sum()) == (wins, losses)
 
-    def test_determinacy_matrix_is_the_nonzero_verdicts(self, ds):
-        want = np.abs(verdict_matrix(ds)) != 0
-        got = pairwise.determinacy_matrix(ds)
-        assert got.dtype == np.float32
-        assert got.tolist() == want.astype(np.float32).tolist()
-
-    def test_tie_pairs_match_compare_pair(self, ds, monkeypatch):
-        monkeypatch.setattr(pairwise, "_TIE_CAP_DIVISOR", 1)  # a cap of N^2 keeps them all
+    def test_tie_pairs_match_compare_pair(self, ds):
         subs = subjects_of(ds)
         want = [
             [i, j]
@@ -319,16 +312,6 @@ class TestRowTiles:
         # i, then ascending j.
         np.testing.assert_array_equal(ties, np.array(want, dtype=np.int32).reshape(-1, 2).T)
         assert pair_counts(ds).ties is None  # only when asked for
-
-    def test_tie_list_is_dropped_past_its_cap(self, ds, monkeypatch):
-        n = ds.n
-        monkeypatch.setattr(pairwise, "_TIE_CAP_DIVISOR", 1)
-        n_ties = pair_counts(ds, collect_ties=True).ties.shape[1]
-        assert n_ties > 0
-        for divisor in range(1, n * n + 2):
-            monkeypatch.setattr(pairwise, "_TIE_CAP_DIVISOR", divisor)
-            ties = pair_counts(ds, collect_ties=True).ties
-            assert (ties is None) == (n_ties > n * n // divisor)
 
     def test_single_level_sweeps_match_oracles(self, ds):
         got = gehan_scores(ds.times("surv"), ds.events_observed("surv"))
@@ -455,7 +438,6 @@ class TestCompactKeys:
         treat = rng.random(n) < 0.5
         want = _matrix_counts(oracles.stack_tiles(levels), treat)
         monkeypatch.setattr(pairwise, "_TILE_ENTRIES", (n if tiles == "one" else 3) * n)
-        monkeypatch.setattr(pairwise, "_TIE_CAP_DIVISOR", 1)  # keep every tie pair
         compacted = []
         compact = pairwise._compact
         monkeypatch.setattr(pairwise, "_compact", lambda lv: compacted.append(1) or compact(lv))
