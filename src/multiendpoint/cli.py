@@ -277,14 +277,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     with _config_errors("global_u.weights"):
         endpoint_weights(ds, weights)
     variance = cfg["rank_sum.variance"]
+    out = _out_dir(cfg["out"]) if cfg["out"] else None  # an unusable out fails before any test
     results = [run_method(m, ds, plan, variance=variance, weights=weights) for m in cfg["methods"]]
 
     baseline_text = summary.to_text()
     results_text = results_text_table(results)
     print(baseline_text)
     print(results_text, end="")
-    if cfg["out"]:
-        out = _out_dir(cfg["out"])
+    if out is not None:
         (out / "baseline.txt").write_text(baseline_text)
         (out / "baseline.csv").write_text(summary.to_csv())
         (out / "results.txt").write_text(results_text)

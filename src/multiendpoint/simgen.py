@@ -250,7 +250,12 @@ def error_rate_study(
 
     Trial t draws its data from a seed derived from ``cfg.seed`` and its
     permutation stream from one derived from ``plan.master_seed``; the two
-    streams are tagged so they never coincide.
+    streams are tagged so they never coincide. Each trial's plan has
+    ``decide_at=alpha``: its label stream stops once the full stream's p
+    is known to exceed ``alpha`` (see ``resampling``), so a trial that
+    does not reject usually draws a prefix of its B replicates, and a
+    result with ``replicates_used`` below B was curtailed. The decision is
+    exact: every count is the one the full streams give.
 
     The trials are split into contiguous shares, one per usable core and
     at most ``n_trials`` of them, run by ``forking.run_shares``; the
@@ -294,7 +299,7 @@ def _count_rejections(
     n_rejected = 0
     for t in range(start, stop):
         ds = simulate_trial(replace(cfg, seed=derive_replicate_seed(sim_stream, t)))
-        plan_t = plan.with_seed(derive_replicate_seed(plan_stream, t))
+        plan_t = replace(plan, master_seed=derive_replicate_seed(plan_stream, t), decide_at=alpha)
         result = run_method(method, ds, plan_t)
         if result.p_two_sided <= alpha:
             n_rejected += 1

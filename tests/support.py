@@ -133,6 +133,21 @@ def results_equal(a, b) -> bool:
     )
 
 
+def result_bits(result):
+    """Every field of a result, floats (also nested) by ``float.hex``."""
+
+    def bits(v):
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, dict):
+            return {k: bits(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [bits(x) for x in v]
+        return v
+
+    return bits(vars(result))
+
+
 def win_tallies(result) -> tuple[int, int, int]:
     """(wins, losses, ties) from a win-ratio result's metadata."""
     return tuple(result.metadata[k] for k in ("n_wins", "n_losses", "n_ties"))

@@ -429,6 +429,17 @@ class TestMistypedConfig:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: out: cannot make directory ")
 
+    def test_unusable_out_fails_before_any_test(self, replica, tmp_path, capsys, monkeypatch):
+        def no_test(*args, **kwargs):
+            raise AssertionError("a test ran")
+
+        monkeypatch.setattr(cli, "run_method", no_test)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = run_cli("analyze", "--input", replica, "--out", str(taken))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: out: cannot make directory ")
+
     def test_marker_overflow_is_config_error(self, tmp_path, capsys):
         # mean + SD x z past float range: a setting the key checks cannot
         # rule out, reported as a config error without numpy's warning.

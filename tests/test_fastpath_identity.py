@@ -33,7 +33,14 @@ from multiendpoint.methods import METHOD_NAMES, run_method
 from multiendpoint.rank_tests import _quadform_stats, rank_matrix
 import oracles
 from oracles import kernel_matrix, permutation_pvalue, verdict_matrix
-from support import cont, count_label_streams, dataset, random_integer_cohort, subjects_of
+from support import (
+    cont,
+    count_label_streams,
+    dataset,
+    random_integer_cohort,
+    result_bits,
+    subjects_of,
+)
 
 
 @pytest.fixture(scope="module")
@@ -118,21 +125,6 @@ def gu_stat(ds):
         return float(_combine(sums, w, n_pairs))
 
     return stat
-
-
-def result_bits(result):
-    """Every field of a test result, floats (also nested) by ``float.hex``."""
-
-    def bits(v):
-        if isinstance(v, float):
-            return v.hex()
-        if isinstance(v, dict):
-            return {k: bits(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [bits(x) for x in v]
-        return v
-
-    return bits(vars(result))
 
 
 def assert_same_null(fast, generic):

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from multiendpoint import (
     load_trial_csv,
     simulate_trial,
     SimConfig,
+    win_ratio_test,
 )
 import multiendpoint
 from multiendpoint import forking, resampling
@@ -36,7 +38,7 @@ from multiendpoint.resampling import (
 )
 import oracles
 from oracles import permutation_pvalue
-from support import count_label_streams, survival_cohort
+from support import count_label_streams, result_bits, survival_cohort
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -425,6 +427,138 @@ class TestFannedStream:
             permutation_test(0.0, lambda block: np.zeros(len(block)), ds, self.MC)
         assert len(resampling._kept) == 0
         assert multiprocessing.active_children() == []
+
+
+class TestDecisionLevel:
+    """A plan with ``decide_at`` stops its stream after the first block at
+    which the full stream's p is known to exceed that level: the decision
+    ``p <= decide_at`` is the full stream's, from a prefix of its draws."""
+
+    B = 199
+    MC = PermutationPlan.monte_carlo(B, seed=5)
+    BLOCK = resampling._DECISION_BLOCK
+
+    @staticmethod
+    def weights(ds) -> np.ndarray:
+        return pair_counts(ds).net.astype(np.float64)
+
+    @staticmethod
+    def both(observed, reduce, ds, plan, level):
+        """The full and the curtailed result, each with the draws it saw."""
+        draws = ([], [])
+
+        def into(seen):
+            def recorded(block):
+                seen.append(reduce(block))
+                return seen[-1]
+            return recorded
+
+        full = permutation_test(observed, into(draws[0]), ds, plan)
+        cut = permutation_test(observed, into(draws[1]), ds, replace(plan, decide_at=level))
+        return full, cut, *(np.concatenate(d) for d in draws)
+
+    @staticmethod
+    def check(full, cut, level, stream_p):
+        """Same decision; a full run is the full result, a cut one is below
+        its rows and bounds its p from below."""
+        assert (cut.p <= level) == (full.p <= level)
+        if cut.replicates_used == full.replicates_used:
+            assert result_bits(cut) == result_bits(full)
+            return False
+        assert cut.replicates_used < full.replicates_used
+        assert cut.p == stream_p(cut.n_extreme)
+        assert level < cut.p <= full.p
+        return True
+
+    def test_draws_are_a_prefix_of_the_stream(self):
+        cut_short = set()
+        for seed in range(12):
+            ds = simulate_trial(SimConfig.null(20, seed=seed))
+            w = self.weights(ds)
+            observed = float(ds.group_codes @ w)
+            for level in (0.01, 0.05, 0.5):
+                full, cut, all_draws, drawn = self.both(
+                    observed, lambda b: b @ w, ds, self.MC.with_seed(seed), level
+                )
+                cut_short.add(self.check(full, cut, level, lambda n: (1 + n) / (self.B + 1)))
+                assert np.array_equal(drawn, all_draws[: len(drawn)])
+                assert len(drawn) == cut.replicates_used
+                if cut.replicates_used < self.B:
+                    assert cut.replicates_used % self.BLOCK == 0
+                    assert cut.null_mean == float(drawn.mean())
+                    assert cut.n_extreme == int((np.abs(drawn) >= abs(observed)).sum())
+        assert cut_short == {True, False}
+
+    def test_nan_observed_stops_after_one_block(self):
+        ds = simulate_trial(SimConfig.null(20, seed=3))
+        w = self.weights(ds)
+        full, cut, _, _ = self.both(math.nan, lambda b: b @ w, ds, self.MC, 0.05)
+        assert (full.p, full.replicates_used) == (1.0, self.B)
+        assert (cut.replicates_used, cut.n_extreme) == (self.BLOCK, self.BLOCK)
+        assert cut.p == (1 + self.BLOCK) / (self.B + 1)
+
+    def test_win_ratio_infinite_draws(self):
+        # Four subjects a group: relabelings with no loss or no win give a
+        # log WR of +inf or -inf, extreme against any finite observed one.
+        rng = np.random.default_rng(17)
+        nonfinite = cut_short = 0
+        for t in range(30):
+            ds = survival_cohort(rng.permutation(8) + 1.0, rng.integers(0, 2, 8), [1, 0] * 4)
+            plan = self.MC.with_seed(t)
+            for level in (0.05, 0.3):
+                full = win_ratio_test(ds, plan=plan)
+                cut = win_ratio_test(ds, plan=replace(plan, decide_at=level))
+                assert (cut.p_two_sided <= level) == (full.p_two_sided <= level)
+                if cut.metadata["replicates_used"] == self.B:
+                    assert result_bits(cut) == result_bits(full)
+                else:
+                    cut_short += 1
+                    assert level < cut.p_two_sided <= full.p_two_sided
+            nonfinite += full.metadata["n_nonfinite"] > 0
+        assert nonfinite > 0 and cut_short > 0
+
+    def test_exact_plan(self):
+        # C(10, 5) = 252 assignments; p = n_extreme / 252.
+        ds = survival_cohort(range(1, 11), [1, 1, 0, 1, 1, 1, 0, 1, 1, 1], [1, 0] * 5)
+        w = self.weights(ds)
+        observed = float(ds.group_codes @ w)
+        cut_short = set()
+        for level in (0.01, 0.05, 0.2, 0.5, 0.9):
+            full, cut, _, _ = self.both(observed, lambda b: b @ w, ds, PermutationPlan.exact(), level)
+            assert full.replicates_used == 252
+            cut_short.add(self.check(full, cut, level, lambda n: n / 252))
+        assert cut_short == {True, False}
+
+    def test_level_below_the_monte_carlo_floor(self):
+        # p >= 1/(B+1) > decide_at: no trial can reject, whatever it draws.
+        ds = simulate_trial(SimConfig.null(20, seed=3))
+        level = 0.5 / (self.B + 1)
+        full, cut, _, _ = self.both(1e9, lambda b: np.zeros(len(b)), ds, self.MC, level)
+        assert cut.replicates_used == self.BLOCK
+        assert cut.p == full.p == 1 / (self.B + 1)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.05, 1.5, math.nan])
+    def test_level_outside_the_unit_interval_rejected(self, level):
+        with pytest.raises(ValueError, match=r"decision level must lie in \(0, 1\)"):
+            PermutationPlan(decide_at=level)
+
+    def test_leaves_the_kept_stream_alone(self, monkeypatch):
+        ds = simulate_trial(SimConfig.null(20, seed=3))
+        permutation_test(0.0, lambda b: np.zeros(len(b)), ds, self.MC)
+        kept = list(resampling._kept.items())
+
+        def no_packed_stream(*args):
+            raise AssertionError("a decision stream was packed")
+
+        monkeypatch.setattr(resampling, "_packed_stream", no_packed_stream)
+        monkeypatch.setattr(resampling, "_SHARE_ENTRIES", 1)  # would fan any kept stream out
+        other = simulate_trial(SimConfig.null(20, seed=4))
+        for data in (ds, other):
+            res = permutation_test(0.0, lambda b: np.zeros(len(b)), data,
+                                   replace(self.MC, decide_at=0.05))
+            assert res.replicates_used == self.BLOCK
+        assert list(resampling._kept.items()) == kept
+        permutation_test(0.0, lambda b: np.zeros(len(b)), ds, self.MC)  # still a replay
 
 
 class TestSuperUniformity:

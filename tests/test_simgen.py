@@ -28,10 +28,11 @@ from multiendpoint import (
     error_rate_study,
     simulate_trial,
 )
-from multiendpoint import forking, simgen
+from multiendpoint import forking, resampling, simgen
 from multiendpoint.forking import usable_cores, worker_count
+from multiendpoint.methods import METHOD_NAMES, run_method
 from multiendpoint.simgen import binomial_band, binomial_ci
-from support import subjects_of
+from support import result_bits, subjects_of
 
 
 def alt_config(shift: float, n: int = 15, seed: int = 0) -> SimConfig:
@@ -193,6 +194,70 @@ class TestErrorRateStudy:
         assert rates[1] >= rates[0] - slack
         assert rates[2] >= rates[1] - slack
         assert rates[2] > rates[0]
+
+
+class TestCurtailedDecision:
+    """A study runs each trial with ``decide_at=alpha``: the trial's stream
+    stops once it cannot reject, and its decision is the full stream's."""
+
+    B = 199
+    ALPHA = 0.05
+
+    @pytest.mark.parametrize("n_per_group, n_seeds", [(20, 40), (100, 16)])
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_decisions_equal_those_of_the_full_stream(self, method, n_per_group, n_seeds):
+        ended = set()
+        for s in range(n_seeds):
+            # Null and shifted cohorts in turn, so that some trials reject.
+            ds = simulate_trial(alt_config(0.6 * (s % 2), n=n_per_group, seed=s))
+            plan = PermutationPlan.monte_carlo(self.B, seed=1_000 + s)
+            full = run_method(method, ds, plan)
+            cut = run_method(method, ds, replace(plan, decide_at=self.ALPHA))
+            assert (cut.p_two_sided <= self.ALPHA) == (full.p_two_sided <= self.ALPHA)
+            used = cut.metadata["replicates_used"]
+            if used == self.B:
+                assert result_bits(cut) == result_bits(full)
+            else:
+                assert used < self.B
+                assert cut.p_two_sided == (1 + cut.metadata["n_extreme"]) / (self.B + 1)
+                assert self.ALPHA < cut.p_two_sided <= full.p_two_sided
+            ended.add(used == self.B)
+        assert ended == {True, False}
+
+    def test_rows_drawn_by_a_small_study_are_pinned(self, monkeypatch):
+        # A change that loses the curtailment draws 40 x 199 = 7,960 rows
+        # a method.
+        monkeypatch.setattr(forking, "usable_cores", lambda: 1)  # the rows are counted here
+        rows = []
+        blocks = resampling.iter_label_blocks
+
+        def counted(*args, **kwargs):
+            for block in blocks(*args, **kwargs):
+                rows.append(len(block))
+                yield block
+
+        monkeypatch.setattr(resampling, "iter_label_blocks", counted)
+        cfg = SimConfig.null(20, seed=3)
+        plan = PermutationPlan.monte_carlo(self.B, seed=4)
+
+        def study() -> dict:
+            drawn = {}
+            for m in METHOD_NAMES:
+                rows.clear()
+                drawn[m] = (error_rate_study(cfg, m, self.ALPHA, 40, plan).n_rejected, sum(rows))
+            return drawn
+
+        curtailed = study()
+        assert curtailed == {
+            "rank_sum": (3, 2_197),
+            "fs": (3, 2_261),
+            "win_ratio": (3, 2_261),
+            "multirank": (5, 2_659),
+            "global_u": (3, 2_293),
+        }
+        # One block a stream: nothing is cut short, and every count is the same.
+        monkeypatch.setattr(resampling, "_DECISION_BLOCK", self.B)
+        assert study() == {m: (n, 40 * self.B) for m, (n, _) in curtailed.items()}
 
 
 class TestStudyWorkers:
