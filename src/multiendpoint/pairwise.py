@@ -91,6 +91,15 @@ _TILE_ENTRIES = 1 << 18
 _MAX_TILE_ROWS = np.iinfo(np.int8).max
 
 
+# numpy broadcasts a (rows, 1) key column against a row of N keys on a
+# buffered path, about 5x slower per entry, when N is below about a third of
+# its ufunc buffer (8,192 elements by default): on a 2-core host 0.45 ns an
+# entry against 0.08-0.25 ns from N=400 to N=2,700. The tile comparisons run
+# with a buffer of this many elements, which keeps N from about 350 up off
+# that path and moves no count; smaller buffers slow small N down.
+_TILE_BUFSIZE = 1024
+
+
 def _tile_height(n: int) -> int:
     return max(1, min(n, _TILE_ENTRIES // max(n, 1), _MAX_TILE_ROWS))
 
@@ -153,7 +162,11 @@ def _tiles(
 
     The buffers are allocated once per call and every step writes into
     them, so a yielded tile is a view that the next step overwrites: a
-    consumer reduces or copies it before advancing, and may overwrite it."""
+    consumer reduces or copies it before advancing, and may overwrite it.
+
+    Each tile is built under numpy's buffer size ``_TILE_BUFSIZE``, and
+    the caller's is back in place before the tile is yielded or an error
+    raised, so a consumer that stops early or raises keeps its own."""
     n = len(levels[0].hi)
     row_keys = [lv if order is None else Level(lv.hi[order], lv.lo[order]) for lv in levels]
     step = _tile_height(n)
@@ -163,16 +176,22 @@ def _tiles(
         rows = slice(start, min(start + step, n))
         height = rows.stop - start
         tile, beats, beaten = tile_buf[:height], beats_buf[:height], beaten_buf[:height]
-        for depth, (lv, row) in enumerate(zip(levels, row_keys)):
-            level = tile if depth == 0 else level_buf[:height]
-            np.greater(row.hi[rows, None], lv.lo, out=beats)
-            np.less(row.lo[rows, None], lv.hi, out=beaten)
-            np.subtract(beats.view(np.int8), beaten.view(np.int8), out=level)
-            if depth:
-                # branch-free; a masked copy is ~15x slower
-                undecided = np.equal(tile, 0, out=beats)
-                level *= undecided.view(np.int8)
-                tile += level
+        # numpy 1.24 keeps the buffer size per thread, not per errstate or
+        # context, so it is put back by hand, before the tile is handed on.
+        caller_bufsize = np.setbufsize(_TILE_BUFSIZE)
+        try:
+            for depth, (lv, row) in enumerate(zip(levels, row_keys)):
+                level = tile if depth == 0 else level_buf[:height]
+                np.greater(row.hi[rows, None], lv.lo, out=beats)
+                np.less(row.lo[rows, None], lv.hi, out=beaten)
+                np.subtract(beats.view(np.int8), beaten.view(np.int8), out=level)
+                if depth:
+                    # branch-free; a masked copy is ~15x slower
+                    undecided = np.equal(tile, 0, out=beats)
+                    level *= undecided.view(np.int8)
+                    tile += level
+        finally:
+            np.setbufsize(caller_bufsize)
         yield rows, tile
 
 
@@ -202,26 +221,32 @@ def _group_counts(
     exceeds ``lo[i]``. Needs ``hi <= lo`` on every subject, so that no pair
     is won both ways and the self pair counts nothing."""
     hi, lo = level
-    nan_hi = np.isnan(hi)
     # searchsorted is about 4x faster on ascending keys, so each key array
     # is searched in its sorted order and the counts are put back; a level
-    # whose two keys are one array is sorted once.
+    # whose two keys are one array is sorted once. A group's keys are
+    # picked out of the sorted keys in order, so they need no sort of
+    # their own.
     by_hi = np.argsort(hi)
+    hi_up = hi[by_hi]
     by_lo = by_hi if hi is lo else np.argsort(lo)
-    hi_up, lo_up = hi[by_hi], lo[by_lo]
+    lo_up = hi_up if hi is lo else lo[by_lo]
+    # NaN sorts past every key, so no hi beats a NaN lo and no hi is found
+    # above a NaN lo[i]; a NaN hi beats nothing, so it is masked and kept
+    # out of every group's hi keys, which are the first ``m`` sorted ones.
+    m = hi.size - np.count_nonzero(np.isnan(hi_up))
     beats = np.empty((len(groups), hi.size), dtype=np.int64)
     beaten = np.empty_like(beats)
     for k, members in enumerate(groups):
-        # NaN sorts past every key, so no hi beats a NaN lo and no hi is
-        # found above a NaN lo[i]; a NaN hi beats nothing, so it is masked
-        # and kept out of g_hi.
         if members is None:
-            g_lo, g_hi = lo_up, hi_up[: hi.size - np.count_nonzero(nan_hi)]
+            g_lo, g_hi = lo_up, hi_up[:m]
         else:
-            g_lo, g_hi = np.sort(lo[members]), np.sort(hi[members & ~nan_hi])
-        beats[k, by_hi] = np.searchsorted(g_lo, hi_up, side="left")
-        beaten[k, by_lo] = g_hi.size - np.searchsorted(g_hi, lo_up, side="right")
-    beats[:, nan_hi] = 0
+            g_lo, g_hi = lo_up[members[by_lo]], hi_up[:m][members[by_hi[:m]]]
+        # The method and a row view each cost about half as much as
+        # np.searchsorted and a 2-D scatter, which matters at N=40.
+        beats[k][by_hi] = g_lo.searchsorted(hi_up, "left")
+        beaten[k][by_lo] = g_hi.size - g_hi.searchsorted(lo_up, "right")
+    if m < hi.size:
+        beats[:, by_hi[m:]] = 0
     return beats, beaten
 
 
@@ -234,13 +259,15 @@ def net_counts(level: Level) -> np.ndarray:
 
 
 def _sorted_counts(level: Level, treat: np.ndarray) -> PairCounts:
-    """One level's counts against each group, by ``_group_counts``."""
-    beats, beaten = _group_counts(level, [treat, ~treat])  # vs treatment, vs control
+    """One level's counts against each group, by ``_group_counts``: against
+    the control group they are those against everyone less those against
+    the treatment group."""
+    (beats, beats_t), (beaten, beaten_t) = _group_counts(level, [None, treat])
     return PairCounts(
-        net=(beats - beaten).sum(axis=0),
-        determinate=(beats + beaten).sum(axis=0),
-        wins=np.where(treat, beats[1], beats[0]),
-        losses=np.where(treat, beaten[1], beaten[0]),
+        net=beats - beaten,
+        determinate=beats + beaten,
+        wins=np.where(treat, beats - beats_t, beats_t),
+        losses=np.where(treat, beaten - beaten_t, beaten_t),
     )
 
 

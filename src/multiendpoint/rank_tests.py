@@ -73,18 +73,20 @@ def rank_matrix(ds: TrialDataset) -> RankMatrix:
             f"complete-case filtering removed all {ds.n} subjects"
         )
 
+    everyone = kept.size == ds.n
     cols = []
     for lv in levels:
-        hi = lv.hi[kept]
-        score = net_counts(Level(hi, hi if lv.lo is lv.hi else lv.lo[kept]))
-        score = score.astype(np.float64)
+        if not everyone:
+            hi = lv.hi[kept]
+            lv = Level(hi, hi if lv.lo is lv.hi else lv.lo[kept])
+        score = net_counts(lv).astype(np.float64)
         cols.append((kept.size + 1 + net_counts(Level(score, score))) / 2)
 
     return RankMatrix(
         ranks=np.column_stack(cols),
         endpoint_names=tuple(s.name for s in ds.endpoint_specs),
         kept_indices=kept,
-        treatment_mask=ds.treatment_mask[kept],
+        treatment_mask=ds.treatment_mask if everyone else ds.treatment_mask[kept],
         n_excluded=ds.n - kept.size,
     )
 
@@ -174,13 +176,22 @@ def obrien_test(
     return conclude("rank_sum", statistic, var_stat, z, metadata, plan, reduce, ds, asymptotic_p)
 
 
+def _moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.float64]:
+    """What ``_quadform_stats`` needs of the rank matrix X besides the
+    group sums: X'X, the column sums, and the spectral norm of X'X, which
+    sets the rank tolerance."""
+    xtx = X.T @ X
+    return xtx, X.sum(axis=0), np.linalg.norm(xtx, 2)
+
+
 def _quadform_stats(
-    X: np.ndarray, s1: np.ndarray, n1: np.ndarray
+    X: np.ndarray, s1: np.ndarray, n1: np.ndarray, moments: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank-Hotelling statistic d' Sigma^-1 d for each labeling, given its
     treatment-group column sums ``s1`` (b, k) of the (n, k) rank matrix
     ``X`` and its treatment count ``n1`` (b,); the observed labeling is the
-    one-row case.
+    one-row case. ``moments`` is ``_moments(X)``, which a caller that
+    reduces many blocks of one X computes once (None: computed here).
 
     The within-group scatter is computed from sufficient statistics
     (X'X minus the group-mean outer products), so the value is a
@@ -194,13 +205,12 @@ def _quadform_stats(
     (rank < k).
     """
     n, k = X.shape
+    xtx, colsum, xtx_norm = _moments(X) if moments is None else moments
     ok = (n1 > 0) & (n1 < n) & (n >= 3)
     stats = np.full(n1.shape, math.nan)
     ranks = np.zeros(n1.shape, dtype=np.int64)
     if not ok.any():
         return stats, ranks
-    xtx = X.T @ X
-    colsum = X.sum(axis=0)
     n1 = n1[ok][:, None]
     n0 = n - n1
     s1 = s1[ok]
@@ -219,17 +229,21 @@ def _quadform_stats(
     # count. The rank and the pseudo-inverse both cut singular values at
     # the tolerance of X'X, scaled as sigma is.
     scale = (1.0 / n1[:, 0] + 1.0 / n0[:, 0]) / (n - 2)
-    tol = np.linalg.norm(xtx, 2) * k * np.finfo(np.float64).eps * scale
+    tol = xtx_norm * k * np.finfo(np.float64).eps * scale
     sv = np.linalg.svd(sigma, compute_uv=False)
     rank = np.count_nonzero(sv > tol[:, None], axis=-1)
     t = np.zeros(rank.shape)
+    # Most blocks have no singular row, and some no regular one: each
+    # linear-algebra call is skipped when no row needs it.
     full = rank == k
-    x = np.linalg.solve(sigma[full], d[full][:, :, None])
-    t[full] = (d[full][:, None, :] @ x)[:, 0, 0]
+    if full.any():
+        x = np.linalg.solve(sigma[full], d[full][:, :, None])
+        t[full] = (d[full][:, None, :] @ x)[:, 0, 0]
     deficient = (rank > 0) & ~full
-    dd = d[deficient][:, None, :]
-    pinv = np.linalg.pinv(sigma[deficient], rcond=tol[deficient] / sv[deficient, 0])
-    t[deficient] = (dd @ pinv @ dd.transpose(0, 2, 1))[:, 0, 0]
+    if deficient.any():
+        dd = d[deficient][:, None, :]
+        pinv = np.linalg.pinv(sigma[deficient], rcond=tol[deficient] / sv[deficient, 0])
+        t[deficient] = (dd @ pinv @ dd.transpose(0, 2, 1))[:, 0, 0]
     stats[ok] = t
     ranks[ok] = rank
     return stats, ranks
@@ -246,10 +260,11 @@ def multirank_test(ds: TrialDataset, plan: PermutationPlan | None = None) -> Tes
     rm = rank_matrix(ds)
     _require_groups(rm)
     weights = _kept_weights(rm, ds.n, rm.ranks)
+    moments = _moments(rm.ranks)
 
     def reduce(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sums = label_product(block, weights)
-        return _quadform_stats(rm.ranks, sums[:, :-1], sums[:, -1])
+        return _quadform_stats(rm.ranks, sums[:, :-1], sums[:, -1], moments)
 
     stats, ranks = reduce(ds.group_codes[None, :])
     statistic, rank = float(stats[0]), int(ranks[0])

@@ -11,9 +11,10 @@ Label-stream contract: Monte Carlo replicate b is the Fisher-Yates shuffle of
 the group codes drawn by numpy's
 ``Generator(PCG64(SeedSequence(derive_replicate_seed(master_seed, b))))``,
 i.e. exactly ``np.random.default_rng(seed).permutation(codes)``. The stream
-is seeded in batches: the PCG64 states of ``DEFAULT_BLOCK_SIZE`` replicates
-are computed at once in numpy (splitmix64, then numpy's documented
-``SeedSequence`` mix with pool size 4), and each is loaded in turn into one
+is seeded in batches: the seeds of ``DEFAULT_BLOCK_SIZE`` replicates are
+hashed at once in numpy (splitmix64, then numpy's documented
+``SeedSequence`` mix with pool size 4); each PCG64 state is finished from
+its hash only when the stream reaches its row, and is loaded into one
 reused generator.
 
 Stream lifetime: the tests that run on one dataset under one plan share one
@@ -109,56 +110,77 @@ def _replicate_seeds(master_seed: int, start: int, count: int) -> np.ndarray:
     return _splitmix64(mixed + np.arange(start, start + count, dtype=np.uint64))
 
 
-def _hash_constants(init: int, mult: int, calls: int) -> list[tuple[np.uint32, np.uint32]]:
-    """The (xor, multiply) constants of ``calls`` successive SeedSequence
-    hashmix calls; the hash constant advances independently of the data."""
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and the multiply constants of ``calls`` successive
+    SeedSequence hashmix calls, as two uint32 arrays; the hash constant
+    advances independently of the data. Kept as uint32 arrays, the hash
+    has the same dtypes under value-based casting and under NEP 50."""
     out = []
     for _ in range(calls):
         nxt = (init * mult) & 0xFFFFFFFF
-        out.append((np.uint32(init), np.uint32(nxt)))
+        out.append((init, nxt))
         init = nxt
-    return out
+    xor, mul = np.array(out, dtype=np.uint32).T
+    return xor, mul
 
 
-_POOL_CONSTANTS = _hash_constants(_SS_INIT_A, _SS_MULT_A, 4 + 12)  # fill + cross-mix
-_OUTPUT_CONSTANTS = _hash_constants(_SS_INIT_B, _SS_MULT_B, 8)  # 4 uint64 words
+_POOL_XOR, _POOL_MUL = _hash_constants(_SS_INIT_A, _SS_MULT_A, 4 + 12)  # fill, cross-mix
+_FILL_XOR, _FILL_MUL = _POOL_XOR[:4, None], _POOL_MUL[:4, None]
+# The cross-mix's constants as (source word, pool word, 1): for each source
+# word, one per other word in order, and an unused 0 on its own row.
+_MIX_XOR, _MIX_MUL = (
+    np.array([np.insert(c[3 * src : 3 * src + 3], src, 0) for src in range(4)])[:, :, None]
+    for c in (_POOL_XOR[4:], _POOL_MUL[4:])
+)
+# Two hashmix calls per uint64 output word, on pool words 0, 1, 2, 3, 0, ...
+_OUT_XOR, _OUT_MUL = (c.reshape(2, 4, 1) for c in _hash_constants(_SS_INIT_B, _SS_MULT_B, 8))
+_SHIFT16 = np.uint32(16)
 
 
-def _hashmix(value: np.ndarray, constants: tuple[np.uint32, np.uint32]) -> np.ndarray:
-    xor, mul = constants
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
     value = (value ^ xor) * mul
-    return value ^ (value >> np.uint32(16))
+    value ^= value >> _SHIFT16
+    return value
 
 
-def _pcg64_seed_states(seeds: np.ndarray) -> list[tuple[int, int]]:
-    """``(state, inc)`` of ``np.random.PCG64(s)`` for each uint64 seed s.
+def _pcg64_state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> tuple[int, int]:
+    """PCG64's ``set_seed`` step (pcg_setseq_128_srandom_r: one LCG step
+    from 0, add the seed, step) on the 64-bit words SeedSequence gave."""
+    inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+    return ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
 
-    Vectorised ``SeedSequence(s).generate_state(4, np.uint64)`` followed by
-    PCG64's ``set_seed`` step. A 64-bit seed is one or two uint32 entropy
-    words; the pool of 4 is filled by hashing them and then zero words, so
-    ``[lo, hi, 0, 0]`` gives the same pool in both cases.
+
+def _pcg64_seed_states(seeds: np.ndarray) -> Iterator[tuple[int, int]]:
+    """``(state, inc)`` of ``np.random.PCG64(s)`` for each uint64 seed s,
+    in order.
+
+    ``SeedSequence(s).generate_state(4, np.uint64)`` is hashed at once for
+    every seed, on the pool's four words stacked as one (4, k) uint32 array,
+    so the hash costs about 60 small numpy calls whatever k is. PCG64's
+    ``set_seed`` step, in Python ints, runs lazily as the states are read,
+    so a reader that stops early builds only the states it read. A 64-bit
+    seed is one or two uint32 entropy words; the pool of 4 is filled by
+    hashing them and then zero words, so ``[lo, hi, 0, 0]`` gives the same
+    pool in both cases.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    zero = np.zeros(seeds.shape, dtype=np.uint32)
-    words = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
-    constants = iter(_POOL_CONSTANTS)
-    pool = [_hashmix(w, next(constants)) for w in words]
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0] = seeds.astype(np.uint32)
+    pool[1] = (seeds >> np.uint64(32)).astype(np.uint32)
+    pool = _hashmix(pool, _FILL_XOR, _FILL_MUL)
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = pool[dst] * _SS_MIX_L - _hashmix(pool[src], next(constants)) * _SS_MIX_R
-                pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    out = [_hashmix(pool[i % 4], c).astype(np.uint64) for i, c in enumerate(_OUTPUT_CONSTANTS)]
-    seed_hi, seed_lo, inc_hi, inc_lo = (
-        (out[2 * j] | (out[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)
-    )
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-        # pcg_setseq_128_srandom_r: one LCG step from 0, add the seed, step.
-        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
+        # Every other word takes its mix with the source word; the source
+        # word's own row is mixed too and then put back.
+        mixed = pool * _SS_MIX_L
+        mixed -= _hashmix(pool[src], _MIX_XOR[src], _MIX_MUL[src]) * _SS_MIX_R
+        mixed ^= mixed >> _SHIFT16
+        mixed[src] = pool[src]
+        pool = mixed
+    out = _hashmix(pool, _OUT_XOR, _OUT_MUL).reshape(8, -1).astype(np.uint64)
+    # Output words 2j and 2j + 1 are the low and high halves of uint64 j:
+    # the seed's high and low words, then the increment's.
+    words = out[0::2] | (out[1::2] << np.uint64(32))
+    return map(_pcg64_state, *words.tolist())
 
 
 @dataclass(frozen=True)
@@ -220,10 +242,12 @@ def n_assignments(plan: PermutationPlan, n: int, n1: int) -> int:
 
 def _stream_states(master_seed: int, start: int, stop: int) -> Iterator[tuple[int, int]]:
     """The PCG64 ``(state, inc)`` of replicates ``start`` to ``stop - 1``,
-    computed ``DEFAULT_BLOCK_SIZE`` replicates at a time whatever the block
-    size of the stream that reads them: a call has a fixed cost (0.18 ms
-    for 32 replicates, 0.27 ms for 199, 0.94 ms for 1,024 on a 2-core
-    host)."""
+    hashed ``DEFAULT_BLOCK_SIZE`` replicates at a time whatever the block
+    size of the stream that reads them, as the hash has a fixed cost (on a
+    2-core host, 0.06 ms for 32 replicates, 0.09 ms for 199, 0.23 ms for
+    1,024), and built one at a time as they are read (about 0.6 us each):
+    a stream that stops early builds only the states of the rows it
+    drew."""
     for first in range(start, stop, DEFAULT_BLOCK_SIZE):
         count = min(DEFAULT_BLOCK_SIZE, stop - first)
         yield from _pcg64_seed_states(_replicate_seeds(master_seed, first, count))
@@ -262,17 +286,16 @@ def iter_label_blocks(
         codes = base.astype(np.intp)
         work = np.empty_like(codes)
         states = _stream_states(plan.master_seed, start, stop)
+        # The setter reads the values it is given, so one state dict is
+        # refilled for every row (about 0.3 us a row less than a new one).
+        words = {"state": 0, "inc": 0}
+        full = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
         done = start
         while done < stop:
             b = min(block_size, stop - done)
             block = np.empty((b, n), dtype=np.int8)
-            for k, (state, inc) in enumerate(islice(states, b)):
-                bitgen.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
+            for k, (words["state"], words["inc"]) in enumerate(islice(states, b)):
+                bitgen.state = full
                 work[:] = codes
                 shuffle(work)
                 block[k] = work
@@ -394,7 +417,11 @@ _kept: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # is known, but calls the reducer more often. On the null_n20 study (5
 # methods x 200 trials at N=40, B=199, alpha 0.05, serial, 2-core host),
 # blocks of 16, 32 and 64 rows drew 46, 56 and 80 rows a trial in a median
-# 2.51, 2.45 and 2.69 s of CPU, against 4.01 s for the whole stream.
+# 2.51, 2.45 and 2.69 s of CPU, against 4.01 s for the whole stream. Once
+# a trial built only the seed states of the rows it drew, and multirank
+# its test-level constants once, blocks of 16, 32 and 48 rows drew 49, 58
+# and 69 rows a trial in a median 1.53, 1.36 and 1.62 s of CPU (10
+# interleaved rounds).
 _DECISION_BLOCK = 32
 
 

@@ -10,6 +10,7 @@ drawing it alone."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -18,6 +19,8 @@ import pytest
 
 from multiendpoint import (
     BinaryModel,
+    EndpointKind,
+    EndpointSpec,
     PermutationPlan,
     SimConfig,
     fs_test,
@@ -30,7 +33,7 @@ from multiendpoint import (
 from multiendpoint import pairwise, resampling
 from multiendpoint.global_u import _combine, endpoint_weights
 from multiendpoint.methods import METHOD_NAMES, run_method
-from multiendpoint.rank_tests import _quadform_stats, rank_matrix
+from multiendpoint.rank_tests import _moments, _quadform_stats, rank_matrix
 import oracles
 from oracles import kernel_matrix, permutation_pvalue, verdict_matrix
 from support import (
@@ -39,6 +42,7 @@ from support import (
     dataset,
     random_integer_cohort,
     result_bits,
+    subject,
     subjects_of,
 )
 
@@ -254,3 +258,43 @@ def test_method_after_the_others_equals_it_alone(method, plan, monkeypatch):
     last = run_method(method, shared, plan)
     assert len(streams) == 2
     assert result_bits(last) == result_bits(alone)
+
+
+def test_quadform_constants_once_per_test_equal_the_per_call_form(ds):
+    """``_quadform_stats`` given the test's constants (X'X, column sums,
+    norm), over a whole block, equals the form that computes them on every
+    call, one row at a time: statistic and rank by ``float.hex``. The
+    blocks are random 0/1 rows, with an empty treatment group and an empty
+    control group among them. Every relabeling of ``ds`` is full rank, and
+    every one of a cohort whose binary endpoint is constant is deficient,
+    so each skips one of ``solve`` and ``pinv``; the 7-subject cohort has
+    an exactly singular rank covariance (rank 1 of 2) at its own labeling,
+    beside full-rank relabelings."""
+    constant = simulate_trial(replace(SimConfig.null(7, seed=3), binary=BinaryModel(1.0, 1.0)))
+    c1, c2 = [0, 0, 0, 1, 0, 0, 0], [1, 1, 1, 0, 2, 2, 1]
+    specs = [EndpointSpec(f"c{k}", EndpointKind.CONTINUOUS, priority=k) for k in (1, 2)]
+    singular = dataset(
+        [
+            subject(f"s{i}", g, c1=cont(a), c2=cont(b))
+            for i, (a, b, g) in enumerate(zip(c1, c2, [0, 0, 0, 0, 1, 1, 0]))
+        ],
+        specs,
+    )
+    rng = np.random.default_rng(22)
+    deficits = []
+    for d in (ds, constant, singular):
+        rm = rank_matrix(d)
+        X, n = rm.ranks, rm.n
+        block = rng.integers(0, 2, (64, n)).astype(np.float64)
+        block[:3] = [rm.treatment_mask, np.zeros(n), np.ones(n)]
+        s1, n1 = block @ X, block.sum(axis=1)
+        once = _quadform_stats(X, s1, n1, _moments(X))
+        per_row = [_quadform_stats(X, s1[r : r + 1], n1[r : r + 1]) for r in range(len(block))]
+        for field, got in enumerate(once):
+            want = np.concatenate([row[field] for row in per_row])
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+        stats, ranks = once
+        assert math.isnan(stats[1]) and math.isnan(stats[2])
+        deficits.append(set((rm.k - ranks[np.isfinite(stats)]).tolist()))
+    assert deficits[:2] == [{0}, {1}] and {0, 1} <= deficits[2]
+    assert once[1][0] == 1

@@ -130,11 +130,12 @@ class TestLabelStream:
 
     def test_seeding_matches_pcg64_at_edge_seeds(self):
         seeds = np.array(EDGE_SEEDS, dtype=np.uint64)
-        assert _pcg64_seed_states(seeds) == self.numpy_states(EDGE_SEEDS)
+        assert list(_pcg64_seed_states(seeds)) == self.numpy_states(EDGE_SEEDS)
 
     def test_seeding_matches_pcg64_on_derived_seeds(self):
         seeds = [derive_replicate_seed(2024, b) for b in range(2_000)]
-        assert _pcg64_seed_states(np.array(seeds, dtype=np.uint64)) == self.numpy_states(seeds)
+        states = _pcg64_seed_states(np.array(seeds, dtype=np.uint64))
+        assert list(states) == self.numpy_states(seeds)
 
     @pytest.mark.parametrize("n", [40, 2467])
     @pytest.mark.parametrize("block_size", [1, 37, 1024])
@@ -536,6 +537,30 @@ class TestDecisionLevel:
         full, cut, _, _ = self.both(1e9, lambda b: np.zeros(len(b)), ds, self.MC, level)
         assert cut.replicates_used == self.BLOCK
         assert cut.p == full.p == 1 / (self.B + 1)
+
+    def test_builds_only_the_states_of_the_rows_drawn(self, monkeypatch):
+        # The seeds of the whole range are hashed at once, but a state is
+        # finished only when its row is drawn: a stream cut after r rows
+        # builds r states, and a full one builds all B.
+        built = []
+
+        def counted(*words):
+            built.append(words)
+            return pcg64_state(*words)
+
+        pcg64_state = resampling._pcg64_state
+        monkeypatch.setattr(resampling, "_pcg64_state", counted)
+        rows = set()
+        for seed in range(8):
+            ds = simulate_trial(SimConfig.null(20, seed=seed))
+            w = self.weights(ds)
+            observed = float(ds.group_codes @ w)
+            for plan in (self.MC.with_seed(seed), replace(self.MC.with_seed(seed), decide_at=0.05)):
+                built.clear()
+                res = permutation_test(observed, lambda b: b @ w, ds, plan)
+                assert len(built) == res.replicates_used
+                rows.add(res.replicates_used)
+        assert self.B in rows and min(rows) == self.BLOCK
 
     @pytest.mark.parametrize("level", [0.0, 1.0, -0.05, 1.5, math.nan])
     def test_level_outside_the_unit_interval_rejected(self, level):
