@@ -91,15 +91,6 @@ _TILE_ENTRIES = 1 << 18
 _MAX_TILE_ROWS = np.iinfo(np.int8).max
 
 
-# numpy broadcasts a (rows, 1) key column against a row of N keys on a
-# buffered path, about 5x slower per entry, when N is below about a third of
-# its ufunc buffer (8,192 elements by default): on a 2-core host 0.45 ns an
-# entry against 0.08-0.25 ns from N=400 to N=2,700. The tile comparisons run
-# with a buffer of this many elements, which keeps N from about 350 up off
-# that path and moves no count; smaller buffers slow small N down.
-_TILE_BUFSIZE = 1024
-
-
 def _tile_height(n: int) -> int:
     return max(1, min(n, _TILE_ENTRIES // max(n, 1), _MAX_TILE_ROWS))
 
@@ -162,11 +153,7 @@ def _tiles(
 
     The buffers are allocated once per call and every step writes into
     them, so a yielded tile is a view that the next step overwrites: a
-    consumer reduces or copies it before advancing, and may overwrite it.
-
-    Each tile is built under numpy's buffer size ``_TILE_BUFSIZE``, and
-    the caller's is back in place before the tile is yielded or an error
-    raised, so a consumer that stops early or raises keeps its own."""
+    consumer reduces or copies it before advancing, and may overwrite it."""
     n = len(levels[0].hi)
     row_keys = [lv if order is None else Level(lv.hi[order], lv.lo[order]) for lv in levels]
     step = _tile_height(n)
@@ -176,22 +163,16 @@ def _tiles(
         rows = slice(start, min(start + step, n))
         height = rows.stop - start
         tile, beats, beaten = tile_buf[:height], beats_buf[:height], beaten_buf[:height]
-        # numpy 1.24 keeps the buffer size per thread, not per errstate or
-        # context, so it is put back by hand, before the tile is handed on.
-        caller_bufsize = np.setbufsize(_TILE_BUFSIZE)
-        try:
-            for depth, (lv, row) in enumerate(zip(levels, row_keys)):
-                level = tile if depth == 0 else level_buf[:height]
-                np.greater(row.hi[rows, None], lv.lo, out=beats)
-                np.less(row.lo[rows, None], lv.hi, out=beaten)
-                np.subtract(beats.view(np.int8), beaten.view(np.int8), out=level)
-                if depth:
-                    # branch-free; a masked copy is ~15x slower
-                    undecided = np.equal(tile, 0, out=beats)
-                    level *= undecided.view(np.int8)
-                    tile += level
-        finally:
-            np.setbufsize(caller_bufsize)
+        for depth, (lv, row) in enumerate(zip(levels, row_keys)):
+            level = tile if depth == 0 else level_buf[:height]
+            np.greater(row.hi[rows, None], lv.lo, out=beats)
+            np.less(row.lo[rows, None], lv.hi, out=beaten)
+            np.subtract(beats.view(np.int8), beaten.view(np.int8), out=level)
+            if depth:
+                # branch-free; a masked copy is ~15x slower
+                undecided = np.equal(tile, 0, out=beats)
+                level *= undecided.view(np.int8)
+                tile += level
         yield rows, tile
 
 

@@ -185,13 +185,13 @@ def _moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.float64]:
 
 
 def _quadform_stats(
-    X: np.ndarray, s1: np.ndarray, n1: np.ndarray, moments: tuple | None = None
+    X: np.ndarray, s1: np.ndarray, n1: np.ndarray, moments: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank-Hotelling statistic d' Sigma^-1 d for each labeling, given its
     treatment-group column sums ``s1`` (b, k) of the (n, k) rank matrix
     ``X`` and its treatment count ``n1`` (b,); the observed labeling is the
     one-row case. ``moments`` is ``_moments(X)``, which a caller that
-    reduces many blocks of one X computes once (None: computed here).
+    reduces many blocks of one X computes once.
 
     The within-group scatter is computed from sufficient statistics
     (X'X minus the group-mean outer products), so the value is a
@@ -205,7 +205,7 @@ def _quadform_stats(
     (rank < k).
     """
     n, k = X.shape
-    xtx, colsum, xtx_norm = _moments(X) if moments is None else moments
+    xtx, colsum, xtx_norm = moments
     ok = (n1 > 0) & (n1 < n) & (n >= 3)
     stats = np.full(n1.shape, math.nan)
     ranks = np.zeros(n1.shape, dtype=np.int64)

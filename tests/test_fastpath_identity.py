@@ -112,7 +112,7 @@ def obrien_stat(d):
 def multirank_stat(d):
     rm = rank_matrix(d)
     mask = rm.treatment_mask[None, :].astype(np.float64)
-    stats, _ = _quadform_stats(rm.ranks, mask @ rm.ranks, mask.sum(axis=1))
+    stats, _ = _quadform_stats(rm.ranks, mask @ rm.ranks, mask.sum(axis=1), _moments(rm.ranks))
     return float(stats[0])
 
 
@@ -261,9 +261,10 @@ def test_method_after_the_others_equals_it_alone(method, plan, monkeypatch):
 
 
 def test_quadform_constants_once_per_test_equal_the_per_call_form(ds):
-    """``_quadform_stats`` given the test's constants (X'X, column sums,
-    norm), over a whole block, equals the form that computes them on every
-    call, one row at a time: statistic and rank by ``float.hex``. The
+    """``_quadform_stats`` over a whole block, given the test's constants
+    (X'X, column sums, norm) computed once, equals it called one row at a
+    time with the constants computed afresh for each call: statistic and
+    rank by ``float.hex``. The
     blocks are random 0/1 rows, with an empty treatment group and an empty
     control group among them. Every relabeling of ``ds`` is full rank, and
     every one of a cohort whose binary endpoint is constant is deficient,
@@ -289,7 +290,9 @@ def test_quadform_constants_once_per_test_equal_the_per_call_form(ds):
         block[:3] = [rm.treatment_mask, np.zeros(n), np.ones(n)]
         s1, n1 = block @ X, block.sum(axis=1)
         once = _quadform_stats(X, s1, n1, _moments(X))
-        per_row = [_quadform_stats(X, s1[r : r + 1], n1[r : r + 1]) for r in range(len(block))]
+        per_row = [
+            _quadform_stats(X, s1[r : r + 1], n1[r : r + 1], _moments(X)) for r in range(len(block))
+        ]
         for field, got in enumerate(once):
             want = np.concatenate([row[field] for row in per_row])
             assert [float(v).hex() for v in got] == [float(v).hex() for v in want]

@@ -399,62 +399,6 @@ def assert_compact_is_exact(levels) -> None:
 KINDS = ("survival", "complete", "missing", "crossed")
 
 
-class TestTileBufferSize:
-    """A sweep builds its tiles under numpy's buffer size
-    ``_TILE_BUFSIZE`` and hands the caller's back at every tile and
-    whenever it ends."""
-
-    CALLER = 4096  # neither numpy's default nor the tiles' size
-
-    @pytest.fixture
-    def cohort(self):
-        ds = simulate_trial(SimConfig.null(150, seed=4))
-        levels = [endpoint_level(ds, spec) for spec in ds.endpoint_specs]
-        assert len(list(pairwise._tiles(levels))) == 3
-        old = np.setbufsize(self.CALLER)
-        yield ds, levels
-        np.setbufsize(old)
-
-    def test_each_tile_and_the_end_see_the_callers_size(self, cohort):
-        _, levels = cohort
-        for _ in pairwise._tiles(levels):
-            assert np.getbufsize() == self.CALLER
-        assert np.getbufsize() == self.CALLER
-        # A size the consumer sets between tiles is the one it gets back.
-        for k, _ in enumerate(pairwise._tiles(levels)):
-            assert np.getbufsize() == (self.CALLER if k == 0 else 16 * k)
-            np.setbufsize(16 * (k + 1))
-        np.setbufsize(self.CALLER)
-
-    def test_consumer_stops_early_or_raises(self, cohort):
-        _, levels = cohort
-        tiles = pairwise._tiles(levels)
-        next(tiles)
-        assert np.getbufsize() == self.CALLER
-        tiles.close()
-        assert np.getbufsize() == self.CALLER
-        with pytest.raises(RuntimeError, match="consumer"):
-            for _ in pairwise._tiles(levels):
-                raise RuntimeError("consumer")
-        assert np.getbufsize() == self.CALLER
-
-    def test_sweep_raises_inside_a_tile(self, cohort):
-        _, levels = cohort
-        short = Level(np.zeros(5), np.zeros(5))  # cannot broadcast against N keys
-        with pytest.raises(ValueError):
-            list(pairwise._tiles([levels[0], short]))
-        assert np.getbufsize() == self.CALLER
-
-    def test_counts_do_not_depend_on_the_buffer_size(self, cohort, monkeypatch):
-        ds, _ = cohort
-        small = pair_counts(ds, collect_ties=True)
-        assert np.getbufsize() == self.CALLER
-        monkeypatch.setattr(pairwise, "_TILE_BUFSIZE", 8192)
-        default = pair_counts(ds, collect_ties=True)
-        for field in (*COUNT_FIELDS, "ties"):
-            assert getattr(small, field).tolist() == getattr(default, field).tolist(), field
-
-
 class TestCompactKeys:
     """Rank keys and merged levels must not change a single verdict, and
     the int8 column sums must count every pair, on either key path."""
