@@ -5,32 +5,40 @@ The hierarchy is the dataset's endpoints in priority order
 keys (``Level``). ``sweep_counts`` reduces the N x N verdict matrix S to
 per-subject counts (net score, determinate pairs, wins and losses against
 the other group) and, on request, the list of pairs tied at every level, so
-no test holds S itself. It counts one of two ways:
+no test holds S itself. It takes one path:
 
-- one level (global U's kernels, and through ``net_counts`` the rank
-  tests' scores and midranks) by sorting: a subject's wins and losses
-  against a group are ``searchsorted`` counts in that group's sorted keys,
-  in O(N log N) time and O(N) memory;
-- a hierarchy (fs, the win ratio) or a tie list by row tiles of S of about
-  256K entries, built in one place, ``_tiles``, which applies the level
-  rule and the hierarchy; a lexicographic hierarchy with censoring is not
-  one sort order. A sweep allocates its few tile-sized buffers once, sized
-  to stay in a core's L2 cache, and writes every step into them. Three
-  exact steps make it cheap. Each level's keys become their float32 ranks
-  among the level's keys, which compare faster than float64 ones
-  (``_rank_keys``). A run of NaN-free value levels, which compares as a
-  lexicographic order, becomes one level of that order's ranks
-  (``_compact``): the simulator's marker and response are one level. A
-  matrix of one tile keeps its own keys, as compacting them costs more
-  than one tile saves (``_sweep_keys``). And as S is antisymmetric, the
-  int8 column sums of one group's rows give every subject's counts
-  against that group, which numpy sums several times faster than rows;
-  127 rows, the most whose sum fits int8, is the tallest tile.
+- The first level is counted for every pair by sorting (``_level_order``):
+  a subject's wins and losses against a group are counts of that group's
+  keys below and above its own, in O(N log N) time and O(N) memory. A
+  sweep of one level (global U's kernels, and through ``net_counts`` the
+  rank tests' scores and midranks) is this alone.
+- Deeper levels are compared only on the pairs the first level ties, each
+  pair once (``_tie_counts``); fs and the win ratio walk a hierarchy,
+  which with censoring is not one sort order. The first level has
+  ``hi <= lo``, so in the order of its ``hi`` the subjects tied with a
+  subject that come after it are one run, up to the first whose ``hi``
+  exceeds its ``lo``. Columns take the treatment group in that order, then
+  the control group in reverse, so a run to the end (a censored
+  subject's, on a survival level) is one column span, and any other run
+  at most two. Tiles of about 256K entries, allocated once so that they
+  stay in a core's L2 cache, take the runs of up to 127 rows of one
+  group; S is antisymmetric, so int16 row sums count each pair for its
+  row subject and int8 column sums for its column subject, and 127 rows
+  is the most whose column sum fits int8. Deeper keys become their
+  float32 ranks, which compare faster than float64 ones (``_rank_keys``),
+  and a run of NaN-free value levels, which compares as a lexicographic
+  order, becomes one level of that order's ranks (``_compact``): the
+  simulator's marker and response are one level. A matrix of one tile,
+  like a null study's N=40 cohort, is swept whole from its own keys
+  (``_one_tile_counts``).
+
+On the simulator's N=10,000 cohort the first level ties 18,466,058 of the
+49,995,000 pairs, and only those reach the deeper levels.
 
 No N x N array is held in ``src``: the win ratio's permutation null reads
 the tie list. The scalar reference rule, one pair at a time, is ``compare``
-in ``tests/oracles.py``, and ``tests/oracles.py`` also stacks the tiles
-into S for the property tests.
+in ``tests/oracles.py``, and ``tests/oracles.py`` also builds S whole from
+the level rule for the property tests.
 
 Survival-level determinacy is Gehan-style: subject a beats subject b only
 when b's event was observed and a's follow-up time strictly exceeds b's
@@ -56,8 +64,8 @@ class Level(NamedTuple):
 
     Both constructors, ``survival_level`` and ``endpoint_level``, give
     ``hi <= lo`` on every subject, so no pair is won both ways and a
-    subject never beats itself; ``sweep_counts`` counts such a level by
-    sorting, and any other level by row tiles."""
+    subject never beats itself. ``sweep_counts`` needs this of the first
+    level, which it counts by sorting; deeper levels may take any keys."""
 
     hi: np.ndarray
     lo: np.ndarray
@@ -82,17 +90,16 @@ def endpoint_level(ds: TrialDataset, spec: EndpointSpec) -> Level:
     return Level(v, v)
 
 
-# Entries per row tile. A sweep holds four tile-sized buffers (the int8
-# tile, an int8 level and two bool comparisons), so 2^18 entries keep them
-# near 1 MB, inside a core's L2 cache, at any cohort size.
+# Entries per tile. A sweep holds four tile-sized buffers (the int8 tile,
+# an int8 level and two bool comparisons), so 2^18 entries keep them near
+# 1 MB, inside a core's L2 cache, at any cohort size.
 _TILE_ENTRIES = 1 << 18
 # Rows per tile at most: a column sum of this many entries in {-1, 0, 1}
-# is the largest that fits int8, the type ``sweep_counts`` sums in.
+# is the largest that fits int8, the type ``sweep_counts`` sums columns in.
 _MAX_TILE_ROWS = np.iinfo(np.int8).max
-
-
-def _tile_height(n: int) -> int:
-    return max(1, min(n, _TILE_ENTRIES // max(n, 1), _MAX_TILE_ROWS))
+# Columns per tile at most: a row sum of this many entries fits int16, the
+# type ``sweep_counts`` sums rows in.
+_MAX_TILE_COLS = np.iinfo(np.int16).max
 
 
 def _rank_keys(level: Level) -> Level:
@@ -112,11 +119,11 @@ def _rank_keys(level: Level) -> Level:
 
 
 def _compact(levels: Sequence[Level]) -> list[Level]:
-    """Keys for a row-tile sweep that give the same verdict matrix as
-    ``levels`` from fewer levels, each keyed by float32 ranks as in
-    ``_rank_keys``. A run of consecutive levels that each have one key
-    array and no NaN compares as a lexicographic order, so it becomes one
-    level keyed by that order's rank."""
+    """Keys that give the same verdicts as ``levels`` from fewer levels,
+    each keyed by float32 ranks as in ``_rank_keys``. A run of consecutive
+    levels that each have one key array and no NaN compares as a
+    lexicographic order, so it becomes one level keyed by that order's
+    rank."""
     out: list[Level] = []
     run = None  # the lexicographic ranks of the run the last level ends
     for lv in levels:
@@ -134,54 +141,15 @@ def _compact(levels: Sequence[Level]) -> list[Level]:
     return out
 
 
-def _sweep_keys(levels: Sequence[Level]) -> Sequence[Level]:
-    """The keys a sweep builds its tiles from: ``_compact(levels)``, or
-    ``levels`` themselves when the whole matrix is one tile, which is built
-    once, so that compacting costs more than it saves (at N=40 it nearly
-    doubled the sweep)."""
-    n = len(levels[0].hi)
-    return levels if _tile_height(n) >= n else _compact(levels)
-
-
-def _tiles(
-    levels: Sequence[Level], order: np.ndarray | None = None
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """Row tiles of the int8 verdict matrix, top to bottom: with rows taken
-    in ``order`` (index order when None) and all columns in index order,
-    positions ``rows`` of that order. The first level that is not tied
-    decides each pair. A tile has at most ``_MAX_TILE_ROWS`` rows.
-
-    The buffers are allocated once per call and every step writes into
-    them, so a yielded tile is a view that the next step overwrites: a
-    consumer reduces or copies it before advancing, and may overwrite it."""
-    n = len(levels[0].hi)
-    row_keys = [lv if order is None else Level(lv.hi[order], lv.lo[order]) for lv in levels]
-    step = _tile_height(n)
-    tile_buf, level_buf = np.empty((2, step, n), dtype=np.int8)
-    beats_buf, beaten_buf = np.empty((2, step, n), dtype=bool)
-    for start in range(0, n, step):
-        rows = slice(start, min(start + step, n))
-        height = rows.stop - start
-        tile, beats, beaten = tile_buf[:height], beats_buf[:height], beaten_buf[:height]
-        for depth, (lv, row) in enumerate(zip(levels, row_keys)):
-            level = tile if depth == 0 else level_buf[:height]
-            np.greater(row.hi[rows, None], lv.lo, out=beats)
-            np.less(row.lo[rows, None], lv.hi, out=beaten)
-            np.subtract(beats.view(np.int8), beaten.view(np.int8), out=level)
-            if depth:
-                # branch-free; a masked copy is ~15x slower
-                undecided = np.equal(tile, 0, out=beats)
-                level *= undecided.view(np.int8)
-                tile += level
-        yield rows, tile
-
-
 @dataclass(frozen=True)
 class PairCounts:
-    """Per-subject tallies of the verdict matrix S, from ``sweep_counts``.
+    """Per-subject int64 tallies of the verdict matrix S, from
+    ``sweep_counts``: the first level's, counted by sorting, plus the
+    deeper levels' on the pairs the first level ties.
 
-    ``ties`` lists its pairs in ascending ``i``, and each ``i``'s pairs in
-    ascending ``j``, whatever order the sweep visits the rows in."""
+    ``ties`` holds those of the first level's ties that every deeper level
+    ties too, in ascending ``i``, and each ``i``'s pairs in ascending
+    ``j``, whatever order the sweep visits them in."""
 
     net: np.ndarray  # row sum of S: wins minus losses against everyone
     determinate: np.ndarray  # row sum of |S|: pairs decided at some level
@@ -192,130 +160,284 @@ class PairCounts:
     ties: np.ndarray | None = None
 
 
-def _group_counts(
-    level: Level, groups: Sequence[np.ndarray | None]
-) -> tuple[np.ndarray, np.ndarray]:
-    """How many members of each group (every subject for None) each subject
-    beats, and how many beat it, as (groups, N) arrays, from each group's
-    sorted keys in O(N log N) time and O(N) memory: subject i beats
-    ``searchsorted(lo, hi[i])`` members and is beaten by those whose ``hi``
-    exceeds ``lo[i]``. Needs ``hi <= lo`` on every subject, so that no pair
-    is won both ways and the self pair counts nothing."""
+def _level_order(level: Level) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One level sorted, in O(N log N) time and O(N) memory. Needs
+    ``hi <= lo`` on every subject, so that no pair is won both ways and the
+    self pair counts nothing.
+
+    Returns ``order``, the subjects in ascending ``hi`` with a NaN ``hi``
+    first (it beats nothing, as -inf would), and at each position p of it:
+    ``ends[p]``, the number of subjects whose ``hi`` is at most the ``lo``
+    of ``order[p]``, which are ``order[:ends[p]]``, so the other
+    ``N - ends[p]`` beat it; and ``beats[p]``, the number of subjects whose
+    ``lo`` is below its ``hi``, which it beats: ``by_lo[:beats[p]]``, with
+    ``by_lo`` the subjects in ascending ``lo``."""
     hi, lo = level
+    n = hi.size
     # searchsorted is about 4x faster on ascending keys, so each key array
-    # is searched in its sorted order and the counts are put back; a level
-    # whose two keys are one array is sorted once. A group's keys are
-    # picked out of the sorted keys in order, so they need no sort of
-    # their own.
-    by_hi = np.argsort(hi)
+    # is searched in its sorted order; a level whose two keys are one array
+    # is sorted once. NaN sorts past every key, so no hi is found above a
+    # NaN lo, and no NaN lo below a hi.
+    by_hi = hi.argsort()
     hi_up = hi[by_hi]
-    by_lo = by_hi if hi is lo else np.argsort(lo)
+    by_lo = by_hi if hi is lo else lo.argsort()
     lo_up = hi_up if hi is lo else lo[by_lo]
-    # NaN sorts past every key, so no hi beats a NaN lo and no hi is found
-    # above a NaN lo[i]; a NaN hi beats nothing, so it is masked and kept
-    # out of every group's hi keys, which are the first ``m`` sorted ones.
-    m = hi.size - np.count_nonzero(np.isnan(hi_up))
-    beats = np.empty((len(groups), hi.size), dtype=np.int64)
-    beaten = np.empty_like(beats)
-    for k, members in enumerate(groups):
-        if members is None:
-            g_lo, g_hi = lo_up, hi_up[:m]
-        else:
-            g_lo, g_hi = lo_up[members[by_lo]], hi_up[:m][members[by_hi[:m]]]
-        # The method and a row view each cost about half as much as
-        # np.searchsorted and a 2-D scatter, which matters at N=40.
-        beats[k][by_hi] = g_lo.searchsorted(hi_up, "left")
-        beaten[k][by_lo] = g_hi.size - g_hi.searchsorted(lo_up, "right")
-    if m < hi.size:
-        beats[:, by_hi[m:]] = 0
-    return beats, beaten
+    # The last key is NaN when any is.
+    nan_hi = 0 if n == 0 or hi_up[-1] == hi_up[-1] else np.count_nonzero(np.isnan(hi_up))
+    order = np.concatenate([by_hi[n - nan_hi :], by_hi[: n - nan_hi]]) if nan_hi else by_hi
+    ends = hi_up[: n - nan_hi].searchsorted(lo[order], "right")
+    if nan_hi:
+        ends += nan_hi
+        hi_up = hi[order]
+    beats = lo_up.searchsorted(hi_up, "left")
+    beats[:nan_hi] = 0
+    return order, ends, beats, by_lo
 
 
 def net_counts(level: Level) -> np.ndarray:
     """Each subject's net count on one level, wins minus losses against
-    every subject: the ``net`` of ``sweep_counts([level], ...)``, counted
-    in one group."""
-    beats, beaten = _group_counts(level, [None])
-    return beats[0] - beaten[0]
-
-
-def _sorted_counts(level: Level, treat: np.ndarray) -> PairCounts:
-    """One level's counts against each group, by ``_group_counts``: against
-    the control group they are those against everyone less those against
-    the treatment group."""
-    (beats, beats_t), (beaten, beaten_t) = _group_counts(level, [None, treat])
-    return PairCounts(
-        net=beats - beaten,
-        determinate=beats + beaten,
-        wins=np.where(treat, beats - beats_t, beats_t),
-        losses=np.where(treat, beaten - beaten_t, beaten_t),
-    )
+    every subject: the ``net`` of ``sweep_counts([level], ...)``."""
+    order, ends, beats, _ = _level_order(level)
+    net = np.empty_like(beats)
+    net[order] = beats + ends - ends.size
+    return net
 
 
 def sweep_counts(
     levels: Sequence[Level], treatment_mask: np.ndarray, collect_ties: bool = False
 ) -> PairCounts:
-    """Per-subject counts of the verdict matrix S, counted one of two ways.
+    """Per-subject counts of the verdict matrix S of ``levels``, and with
+    ``collect_ties`` the pairs tied at every level.
 
-    One level without tie pairs is counted by sorting (``_sorted_counts``),
-    in O(N log N) time and O(N) memory. A hierarchy, a tie list, or a level
-    with ``hi > lo`` on some subject is counted from row tiles of the
-    ``_sweep_keys``: each tile is reduced as soon as it is built, so memory
-    is O(tile * N) rather than N x N. Rows are swept treatment-first and
-    columns in index order. S is antisymmetric, so the int8 column sums of
-    a tile's treatment rows (then of its control rows) give each subject's
-    net and determinate counts against that group, with the net's sign
-    flipped; numpy sums a tile's columns several times faster than its
-    rows.
-
-    With ``collect_ties`` the same tiles also give the tie pairs. A tile's
-    off-diagonal zeros are counted first, so a tile without ties costs one
-    count."""
+    The first level is counted for every pair by sorting
+    (``_level_order``), in O(N log N) time and O(N) memory; it needs
+    ``hi <= lo`` on every subject and raises ``ValueError`` otherwise.
+    Deeper levels, which take any keys, are compared only on the pairs the
+    first level ties, each pair once (``_tie_counts``), or in a matrix of
+    one tile both ways round (``_one_tile_counts``). One level without a
+    tie list is the sort alone."""
     treat = np.asarray(treatment_mask, dtype=bool)
-    if len(levels) == 1 and not collect_ties and not np.any(levels[0].hi > levels[0].lo):
-        return _sorted_counts(levels[0], treat)
+    first = levels[0]
+    if np.count_nonzero(first.hi > first.lo):
+        raise ValueError("the first level needs hi <= lo on every subject")
+    order, ends, beats, by_lo = _level_order(first)
     n = treat.size
-    n1 = int(treat.sum())
-    order = np.argsort(~treat, kind="stable")
-    # Each subject's counts against the treatment group and against the
-    # control group. S is antisymmetric, so a column sum over one group's
-    # rows is minus each subject's row sum against that group. A sum of at
-    # most N entries in {-1, 0, 1} fits int32, which adds up faster.
-    net = np.zeros((2, n), dtype=np.int32)
-    det = np.zeros((2, n), dtype=np.int32)
+    ts = treat[order]
+    # Treatment subjects among the first k in ``order``, and in ``by_lo``.
+    tc, tl = running = np.zeros((2, n + 1), dtype=np.int64)
+    np.array([ts, treat[by_lo]]).cumsum(axis=1, out=running[:, 1:])
+    deeper, ties = None, None
+    if len(levels) > 1 or collect_ties:
+        if n <= _MAX_TILE_ROWS and n * n <= _TILE_ENTRIES:
+            deeper, ties = _one_tile_counts(first, levels[1:], treat, collect_ties)
+        else:
+            deeper, ties = _tie_counts(levels[1:], order, ends, ts, tc, collect_ties)
+    # At each position of ``order``: its wins against the treatment group
+    # and against the control group, then its losses against each.
+    wins_t, wins_c, losses_t, losses_c = counts = np.empty((4, n), dtype=np.int64)
+    tl.take(beats, out=wins_t)
+    np.subtract(beats, wins_t, out=wins_c)
+    np.subtract(tc[-1], tc[ends], out=losses_t)
+    np.subtract(n - ends, losses_t, out=losses_c)
+    by_subject = np.empty_like(counts)
+    by_subject[:, order] = counts
+    if deeper is not None:
+        by_subject += deeper
+    wins, losses = by_subject[::2] + by_subject[1::2]
+    out = counts  # no longer needed by position
+    np.subtract(wins, losses, out=out[0])
+    np.add(wins, losses, out=out[1])
+    out[2:] = np.where(treat, by_subject[1::2], by_subject[::2])  # against the other group
+    return PairCounts(*out, ties=ties)
+
+
+def _tile_verdicts(
+    row_keys: Sequence[Level], col_keys: Sequence[Level], tile: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Write into ``tile`` the int8 verdicts of the levels, the first that
+    is not tied deciding each pair, of the rows keyed ``row_keys`` against
+    the columns keyed ``col_keys``; ``scratch`` holds three more
+    tile-sized int8 buffers. No levels tie every pair. When the rows are
+    the columns (``col_keys is row_keys``), a level's beaten matrix is the
+    transpose of its beats matrix, which saves a compare."""
+    level, beats, beaten = scratch
+    beats_b, beaten_b = beats.view(bool), beaten.view(bool)
+    same = col_keys is row_keys
+    if not row_keys:
+        tile[...] = 0
+    for depth, (row, col) in enumerate(zip(row_keys, col_keys)):
+        np.greater(row.hi[:, None], col.lo, out=beats_b)
+        if not same:
+            np.less(row.lo[:, None], col.hi, out=beaten_b)
+        np.subtract(beats, beats.T if same else beaten, out=level if depth else tile)
+        if depth:
+            # branch-free; a masked copy is ~15x slower
+            level *= np.equal(tile, 0, out=beats_b).view(np.int8)
+            tile += level
+    return tile
+
+
+def _tie_counts(
+    levels: Sequence[Level],
+    order: np.ndarray,
+    ends: np.ndarray,
+    ts: np.ndarray,
+    tc: np.ndarray,
+    collect_ties: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The verdicts of ``levels`` over the pairs that the first level ties,
+    each pair once: every subject's wins against the treatment group and
+    against the control group, then its losses against each, as (4, N)
+    int32 counts, and with ``collect_ties`` the (2, P) int32 pairs tied at
+    every level, sorted by i and then j (else None).
+
+    ``order`` lists the subjects by the first level, so the subjects tied
+    with ``order[p]`` that come after it are ``order[p + 1:ends[p]]``;
+    ``ts`` marks the treatment positions and ``tc`` counts them. Each pair
+    is an entry of the tile row of the one that comes first, in a column
+    of the other; ``_tie_blocks`` gives each row's column span. Entries
+    outside their row's span are zeroed, which only the columns outside
+    the span that all a tile's rows share can hold."""
+    n = ts.size
+    n1 = int(tc[-1])
+    pos = np.arange(n)
+    cols = order[np.concatenate([pos[ts], pos[~ts][::-1]])]
+    keys = _compact(levels)
+    col_keys = [Level(lv.hi[cols], lv.lo[cols]) for lv in keys]
+    # Net and decided counts against each group: row sums by subject,
+    # column sums by column.
+    row_net, row_det, col_net, col_det = np.zeros((4, 2, n), dtype=np.int32)
     tie_parts: list[np.ndarray] = []
-    for rows, tile in _tiles(_sweep_keys(levels), order):
-        cut = min(max(n1 - rows.start, 0), tile.shape[0])  # treatment rows come first
-        parts = [(k, part) for k, part in enumerate((tile[:cut], tile[cut:])) if part.size]
-        for k, part in parts:
-            net[k] -= part.sum(axis=0, dtype=np.int8)
-        np.abs(tile, out=tile)
-        for k, part in parts:
-            det[k] += part.sum(axis=0, dtype=np.int8)
-        # Each row's self pair is a zero; any other zero is a tie.
-        if collect_ties and np.count_nonzero(tile) < tile.size - tile.shape[0]:
-            # The tile holds |S| now: mark its zeros in place. flatnonzero:
-            # 2-D nonzero is ~10x slower on a sparse tile.
-            tied = np.equal(tile, 0, out=tile.view(bool))
-            r, j = np.divmod(np.flatnonzero(tied), n)
-            i = order[r + rows.start]
-            upper = i < j
-            tie_parts.append(np.stack([i[upper], j[upper]]).astype(np.int32))
+    tile_buf, *scratch = np.empty((4, _TILE_ENTRIES), dtype=np.int8)
+    rows = pos[ends > pos + 1]  # the positions whose run is not empty
+    for block, cut, a, b in _tie_blocks(rows, ts, tc, ends):
+        ids = order[block]
+        row_keys = [Level(lv.hi[ids], lv.lo[ids]) for lv in keys]
+        h = block.size
+        # Every row's span covers [core_start, core_stop), if not empty.
+        core_start, core_stop = int(a.max()), int(b.min())
+        start, stop = int(a.min()), int(b.max())
+        a, b = a[:, None], b[:, None]
+        step = min(_MAX_TILE_COLS, max(1, _TILE_ENTRIES // h))
+        for c0 in range(start, stop, step):
+            c1 = min(c0 + step, stop)
+            size = h * (c1 - c0)
+            tile = _tile_verdicts(
+                row_keys,
+                [Level(lv.hi[c0:c1], lv.lo[c0:c1]) for lv in col_keys],
+                tile_buf[:size].reshape(h, -1),
+                [buf[:size].reshape(h, -1) for buf in scratch],
+            )
+            # Zero the entries outside their row's span; inside the shared
+            # span there are none, and on either side of it one bound
+            # decides.
+            k0, k1 = max(core_start, c0), min(core_stop, c1)
+            if k0 < k1:
+                masks = [(c0, pos[c0:k0] >= a), (k1, pos[k1:c1] < b)]
+            else:
+                masks = [(c0, (pos[c0:c1] >= a) & (pos[c0:c1] < b))]
+            for f0, mask in masks:
+                if mask.size:
+                    tile[:, f0 - c0 : f0 - c0 + mask.shape[1]] *= mask.view(np.int8)
+            split = min(max(n1 - c0, 0), c1 - c0)  # treatment columns come first
+            parts = [(k, p) for k, p in enumerate((tile[:cut], tile[cut:])) if p.size]
+            halves = [(k, p) for k, p in enumerate((tile[:, :split], tile[:, split:])) if p.size]
+            for k, part in parts:
+                col_net[k, c0:c1] -= part.sum(axis=0, dtype=np.int8)
+            for k, half in halves:
+                row_net[k, ids] += half.sum(axis=1, dtype=np.int16)
+            np.abs(tile, out=tile)
+            for k, part in parts:
+                col_det[k, c0:c1] += part.sum(axis=0, dtype=np.int8)
+            for k, half in halves:
+                row_det[k, ids] += half.sum(axis=1, dtype=np.int16)
+            if collect_ties:
+                spans = max(k1 - k0, 0) * h + sum(np.count_nonzero(m) for _, m in masks)
+                if np.count_nonzero(tile) < spans:
+                    tied = (tile == 0) & (pos[c0:c1] >= a) & (pos[c0:c1] < b)
+                    r, c = np.divmod(np.flatnonzero(tied), c1 - c0)
+                    i, j = ids[r], cols[c + c0]
+                    tie_parts.append(np.minimum(i, j) * n + np.maximum(i, j))  # sort keys
+    row_net[:, cols] += col_net
+    row_det[:, cols] += col_det
+    counts = np.empty((4, n), dtype=np.int32)
+    np.add(row_det, row_net, out=counts[:2])
+    np.subtract(row_det, row_net, out=counts[2:])
+    counts //= 2
     ties = None
     if collect_ties:
-        ties = np.concatenate([np.zeros((2, 0), dtype=np.int32), *tie_parts], axis=1)
-        # Each row's pairs come in ascending j, and each row is one tile's.
-        ties = ties[:, np.argsort(ties[0], kind="stable")]
-    net, det = net.astype(np.int64), det.astype(np.int64)
-    net_other = np.where(treat, net[1], net[0])
-    det_other = np.where(treat, det[1], det[0])
-    return PairCounts(
-        net=net.sum(axis=0),
-        determinate=det.sum(axis=0),
-        wins=(det_other + net_other) // 2,
-        losses=(det_other - net_other) // 2,
-        ties=ties,
-    )
+        key = np.sort(np.concatenate([np.zeros(0, dtype=np.int64), *tie_parts]))
+        ties = np.array(np.divmod(key, n), dtype=np.int32)
+    return counts, ties
+
+
+def _one_tile_counts(
+    first: Level, levels: Sequence[Level], treat: np.ndarray, collect_ties: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``_tie_counts`` when the whole matrix is one tile, which is built
+    once: ranking keys would cost more than they save, and so would
+    visiting each pair once, at N=40 where every numpy call counts. Rows
+    and columns both take index order, and the tile holds S on every pair
+    that ``first`` ties, both ways round (each such pair is compared
+    twice): the column sums of each group's rows give every count."""
+    n = treat.size
+    buf = np.empty((4, n, n), dtype=np.int8)
+    tile = _tile_verdicts(levels, levels, buf[0], buf[1:])
+    # The pairs that ``first`` ties: neither beats the other.
+    unbeaten = buf[2].view(bool)  # i does not beat j at the first level
+    np.greater(first.hi[:, None], first.lo, out=unbeaten)
+    np.logical_not(unbeaten, out=unbeaten)
+    tied = np.logical_and(unbeaten, unbeaten.T, out=buf[3].view(bool))
+    tile *= tied.view(np.int8)
+    ties = None
+    if collect_ties:
+        # Each self pair is a tied zero; any other is a tie pair, which
+        # index order lists as (i, j) and (j, i), i < j first in the order
+        # wanted.
+        ties = np.zeros((2, 0), dtype=np.int32)
+        if np.count_nonzero(tied) - np.count_nonzero(tile) > n:
+            k = np.flatnonzero(tied & (tile == 0))
+            i = k // n
+            j = k - i * n
+            upper = i < j
+            ties = np.array([i[upper], j[upper]], dtype=np.int32)
+    # S[i, j] = -1 is a win of j against i's group, and 1 a loss.
+    np.less(tile, 0, out=buf[2].view(bool))
+    np.greater(tile, 0, out=buf[3].view(bool))
+    counts = np.array([treat, ~treat]).view(np.int8) @ buf[2:]
+    return counts.reshape(4, n), ties
+
+
+def _tie_blocks(
+    rows: np.ndarray, ts: np.ndarray, tc: np.ndarray, ends: np.ndarray
+) -> Iterator[tuple[np.ndarray, int, np.ndarray, np.ndarray]]:
+    """Tiles of the runs of ``rows`` (positions of the first level's order)
+    as (rows, how many of them are treatment rows, and each row's column
+    span, start and end). A tile's rows are of one group and of one kind
+    of span: a run to the end is one span, from the treatment columns into
+    the control columns; any other run is a treatment span and a control
+    span, each its own kind. A tile takes up to ``_MAX_TILE_ROWS`` rows
+    while its spans' bounding box stays within ``_TILE_ENTRIES``."""
+    n = ts.size
+    u = ends[rows]
+    to_end = u == n
+    t0, t1 = tc[rows + 1], tc[u]
+    c0, c1 = n - (u - t1), n - (rows + 1 - t0)
+    kinds = [(to_end, t0, c1), (~to_end & (t1 > t0), t0, t1), (~to_end & (c1 > c0), c0, c1)]
+    group = ts[rows]
+    for treated in (True, False):
+        for pick, a, b in kinds:
+            pick = pick & (group == treated)
+            kind_rows, a, b = rows[pick], a[pick], b[pick]
+            i = 0
+            while i < kind_rows.size:
+                top = min(kind_rows.size, i + _MAX_TILE_ROWS)
+                width = np.maximum.accumulate(b[i:top]) - np.minimum.accumulate(a[i:top])
+                area = width * np.arange(1, top - i + 1)
+                h = max(1, int(area.searchsorted(_TILE_ENTRIES, "right")))
+                tile = slice(i, i + h)
+                yield kind_rows[tile], h if treated else 0, a[tile], b[tile]
+                i += h
 
 
 def _hierarchy_levels(ds: TrialDataset) -> list[Level]:

@@ -2,10 +2,10 @@
 test (generalized Gehan-Wilcoxon) and the win ratio.
 
 Both tests read per-subject counts from one sweep of every subject pair
-(``pairwise.pair_counts``), so they hold no N x N matrix. The sweep builds
-S in row tiles from float32 rank keys, with a run of complete value
-endpoints merged into one level, and reduces each tile by int8 column sums,
-which S's antisymmetry turns into each subject's counts. A permutation
+(``pairwise.pair_counts``), so they hold no N x N matrix. The sweep counts
+the first endpoint by sorting and compares the deeper ones only on the
+pairs the first ties, each pair once, in tiles reduced by row and column
+sums, which S's antisymmetry turns into each subject's counts. A permutation
 replicate of fs needs only the net scores: a float64 product with each
 label block. The win ratio's wins + losses under relabeling is g'|S|(1 - g) for
 labels g; with |S| = J - I - T, T the pairs tied at every level, that is

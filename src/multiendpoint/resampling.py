@@ -14,8 +14,8 @@ i.e. exactly ``np.random.default_rng(seed).permutation(codes)``. The stream
 is seeded in batches: the seeds of ``DEFAULT_BLOCK_SIZE`` replicates are
 hashed at once in numpy (splitmix64, then numpy's documented
 ``SeedSequence`` mix with pool size 4); each PCG64 state is finished from
-its hash only when the stream reaches its row, and is loaded into one
-reused generator.
+its hash only when the stream reaches its row, and is loaded into the one
+generator its thread reuses for every stream.
 
 Stream lifetime: the tests that run on one dataset under one plan share one
 label stream. The first draws it whole into a bit-packed copy, one bit per
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import threading
 import weakref
 from dataclasses import dataclass, replace
 from decimal import Decimal
@@ -253,6 +254,25 @@ def _stream_states(master_seed: int, start: int, stop: int) -> Iterator[tuple[in
         yield from _pcg64_seed_states(_replicate_seeds(master_seed, first, count))
 
 
+_THREAD = threading.local()
+
+
+def _thread_shuffler() -> tuple[np.random.PCG64, Callable[[np.ndarray], None]]:
+    """This thread's PCG64 and the ``shuffle`` of a Generator on it, built
+    on the thread's first stream. Seeding a PCG64 runs numpy's
+    SeedSequence, about 10 us, which a null study would pay for each of
+    its thousand short streams; the seed is never drawn from, as every row
+    loads its own state first, so streams that share the generator, one
+    after another or interleaved in one thread, draw the rows they draw
+    alone."""
+    try:
+        return _THREAD.shuffler
+    except AttributeError:
+        bitgen = np.random.PCG64(0)
+        _THREAD.shuffler = bitgen, np.random.Generator(bitgen).shuffle
+        return _THREAD.shuffler
+
+
 def iter_label_blocks(
     plan: PermutationPlan,
     group_codes: np.ndarray,
@@ -279,8 +299,7 @@ def iter_label_blocks(
         raise ValueError(f"replicate range [{start}, {stop}) is not within [0, {total})")
 
     if plan.mode is InferenceMode.PERMUTATION:
-        bitgen = np.random.PCG64(0)
-        shuffle = np.random.Generator(bitgen).shuffle
+        bitgen, shuffle = _thread_shuffler()
         # shuffle draws the same intervals for any dtype; intp takes its
         # fast path.
         codes = base.astype(np.intp)

@@ -5,9 +5,9 @@ loops, re-deriving each statistic from its definition rather than calling
 the production code paths. Fixtures feed integer-valued outcomes so every
 intermediate sum is exact in float64; where a statistic ends in a
 transcendental (the log win ratio), the oracle applies the same ``np.log``
-ufunc so that tie comparisons against the engine are well defined. The one
-exception is the N x N matrices, which are stacked from the production row
-tiles; property tests pin them to ``compare``.
+ufunc so that tie comparisons against the engine are well defined. The N x N
+matrices are built whole from the ``Level`` rule, with no code of the sweep;
+property tests pin them to ``compare``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from scipy import stats as sps
 
 from multiendpoint import Direction, EndpointKind, PermutationPlan, PermutationResult, TrialDataset
-from multiendpoint.pairwise import Level, _hierarchy_levels, _tiles, endpoint_level
+from multiendpoint.pairwise import Level, _hierarchy_levels, endpoint_level
 from multiendpoint.resampling import permutation_test
 from support import Subject, Tte, Value
 
@@ -66,29 +66,32 @@ def score_vector(subjects: Sequence[Subject], hierarchy) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# N x N matrices stacked from the production row tiles
+# N x N matrices built whole from the level rule
 # ---------------------------------------------------------------------------
 
 
-def stack_tiles(levels: Sequence[Level]) -> np.ndarray:
-    """The whole N x N int8 verdict matrix of ``levels``, tile by tile."""
+def level_matrix(levels: Sequence[Level]) -> np.ndarray:
+    """The whole N x N int8 verdict matrix of ``levels``: each level's
+    verdict is ``[hi_i > lo_j] - [hi_j > lo_i]``, and the first level
+    whose verdict is not 0 decides the pair."""
     n = len(levels[0].hi)
-    out = np.empty((n, n), dtype=np.int8)
-    for rows, tile in _tiles(levels):
-        out[rows] = tile
+    out = np.zeros((n, n), dtype=np.int8)
+    for lv in levels:
+        beats = (lv.hi[:, None] > lv.lo[None, :]).astype(np.int8)
+        out = np.where(out == 0, beats - beats.T, out)
     return out
 
 
 def verdict_matrix(ds: TrialDataset) -> np.ndarray:
     """N x N int8 matrix of the verdicts of the dataset's hierarchy; entry
     (i, j) = +1 when i beats j. Antisymmetric with zero diagonal."""
-    return stack_tiles(_hierarchy_levels(ds))
+    return level_matrix(_hierarchy_levels(ds))
 
 
 def kernel_matrix(ds: TrialDataset, spec) -> np.ndarray:
     """Antisymmetric N x N int8 matrix of the global-U kernel values
     phi(i, j) of one endpoint."""
-    return stack_tiles([endpoint_level(ds, spec)])
+    return level_matrix([endpoint_level(ds, spec)])
 
 
 # ---------------------------------------------------------------------------

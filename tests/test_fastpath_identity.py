@@ -2,8 +2,8 @@
 reference reducer of ``permutation_pvalue``, which reruns the full statistic
 on every relabeled dataset through the same driver: the same p and the same
 six permutation metadata fields to the last bit, and the inference mode of
-the plan. The pairwise references reduce the stacked N x N matrices, while
-the tests themselves use the row-tiled counts (and the win ratio its tie
+the plan. The pairwise references reduce whole N x N matrices, while
+the tests themselves use the swept counts (and the win ratio its tie
 pairs, however many there are). A test that replays the label stream
 another test on the same dataset drew is bit-identical to the same test
 drawing it alone."""
@@ -56,7 +56,7 @@ def ds():
 def tied(ds):
     """``ds`` with three subjects copied onto three others: tie pairs inside
     the treatment group, across the groups and inside the control group,
-    with rows 0, 4 and 12 in three different 3-row tiles."""
+    with subjects 0, 4 and 12 far apart in index order."""
     subs = subjects_of(ds)
     for a, b in [(0, 1), (4, 9), (12, 13)]:
         subs[b] = replace(subs[b], outcomes=subs[a].outcomes)
@@ -215,12 +215,12 @@ class TestFastPathsMatchGenericEngine:
         assert_same_null(global_u_test(ds, plan=plan), permutation_pvalue(gu_stat(ds), ds, plan))
 
     def test_pairwise_tests_across_row_tiles(self, ds, tied, heavy, plan, monkeypatch):
-        # Tiles of 3 rows (the last one of 2) instead of one tile for N=14,
-        # and label products over slices of 5 block rows (the rank tests'
-        # Gehan scores and group sums too): every statistic,
-        # variance and p is unchanged to the last bit, the tie lists of
-        # ``tied`` and ``heavy`` are gathered over several tiles, and the
-        # reducers still match the references.
+        # Tiles of at most 3N entries over the first level's tie runs
+        # instead of one tile for N=14, and label products over slices of
+        # 5 block rows (the rank tests' Gehan scores and group sums too):
+        # every statistic, variance and p is unchanged to the last bit,
+        # the tie lists of ``tied`` and ``heavy`` are gathered over
+        # several tiles, and the reducers still match the references.
         cohorts = (ds, tied, heavy)
 
         def run():

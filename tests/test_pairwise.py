@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 import tracemalloc
 from dataclasses import replace
 
@@ -263,10 +262,23 @@ def _interleaved_dataset(seed: int, n: int) -> TrialDataset:
     return dataset(subs, TILE_HIERARCHY)
 
 
+def record_tiles(monkeypatch) -> list[tuple[int, int]]:
+    """The shapes of the tiles that later sweeps build, in order."""
+    shapes: list[tuple[int, int]] = []
+    verdicts = pairwise._tile_verdicts
+
+    def tile_verdicts(row_keys, col_keys, tile, scratch):
+        shapes.append(tile.shape)
+        return verdicts(row_keys, col_keys, tile, scratch)
+
+    monkeypatch.setattr(pairwise, "_tile_verdicts", tile_verdicts)
+    return shapes
+
+
 @pytest.mark.parametrize("height", ["1", "2", "n-1", "n", "n+1"])
 @pytest.mark.parametrize("seed", range(4))
 class TestRowTiles:
-    """The sweep must not depend on where the row tiles break."""
+    """The sweep must not depend on where the tiles break."""
 
     @pytest.fixture
     def ds(self, monkeypatch, seed, height):
@@ -274,8 +286,15 @@ class TestRowTiles:
         n = ds.n
         rows = {"1": 1, "2": 2, "n-1": n - 1, "n": n, "n+1": n + 1}[height]
         monkeypatch.setattr(pairwise, "_TILE_ENTRIES", rows * n)
-        levels = [pairwise.endpoint_level(ds, spec) for spec in TILE_HIERARCHY]
-        assert len(list(pairwise._tiles(levels))) == math.ceil(n / rows)
+        with monkeypatch.context() as m:
+            tiles = record_tiles(m)
+            pair_counts(ds)
+        # A budget of the whole matrix makes it one tile; a smaller one
+        # makes tiles of at most ``rows`` rows' worth of entries.
+        if rows >= n:
+            assert tiles == [(n, n)]
+        else:
+            assert tiles and all(h * w <= rows * n and h < n for h, w in tiles)
         return ds
 
     def test_counts_and_stacked_matrix_match_compare_pair(self, ds):
@@ -393,10 +412,12 @@ def assert_compact_is_exact(levels) -> None:
     )
     assert len(keys) == runs
     assert all(k.hi.dtype == k.lo.dtype == np.float32 for k in keys)
-    np.testing.assert_array_equal(oracles.stack_tiles(keys), oracles.stack_tiles(levels))
+    np.testing.assert_array_equal(oracles.level_matrix(keys), oracles.level_matrix(levels))
 
 
 KINDS = ("survival", "complete", "missing", "crossed")
+# A first level needs hi <= lo on every subject: any kind but "crossed".
+FIRST_KINDS = KINDS[:3]
 
 
 class TestCompactKeys:
@@ -430,13 +451,15 @@ class TestCompactKeys:
     @pytest.mark.parametrize("seed", range(6))
     def test_sweep_counts_on_either_key_path(self, monkeypatch, tiles, seed):
         """A matrix of one tile is swept from its own keys and any other
-        from compacted keys; both give the whole matrix's counts and tie
-        list."""
+        from compacted deeper keys; both give the whole matrix's counts
+        and tie list. A crossed level (hi > lo) may come at any depth but
+        the first."""
         rng = np.random.default_rng(400 + seed)
         n = int(rng.integers(2, 30))
-        levels = [_random_level(rng, kind, n) for kind in rng.choice(KINDS, size=4)]
+        kinds = [rng.choice(FIRST_KINDS), *rng.choice(KINDS, size=3)]
+        levels = [_random_level(rng, kind, n) for kind in kinds]
         treat = rng.random(n) < 0.5
-        want = _matrix_counts(oracles.stack_tiles(levels), treat)
+        want = _matrix_counts(oracles.level_matrix(levels), treat)
         monkeypatch.setattr(pairwise, "_TILE_ENTRIES", (n if tiles == "one" else 3) * n)
         compacted = []
         compact = pairwise._compact
@@ -446,17 +469,23 @@ class TestCompactKeys:
         for field in (*COUNT_FIELDS, "ties"):
             np.testing.assert_array_equal(getattr(got, field), want[field], err_msg=field)
 
-    def test_a_column_beaten_by_every_row_of_the_tallest_tile(self):
+    def test_a_column_beaten_by_every_row_of_the_tallest_tile(self, monkeypatch):
         """127 rows, the most whose int8 column sum cannot overflow, all
         beat one column and all lose to another."""
         n = 300
-        assert pairwise._tile_height(n) == np.iinfo(np.int8).max == 127
-        treat = np.arange(n) < 150  # the first tile is 127 treatment rows
+        assert pairwise._MAX_TILE_ROWS == np.iinfo(np.int8).max == 127
+        treat = np.arange(n) < 150
         values = np.zeros(n)
         values[150], values[151] = -1.0, 1.0
-        levels = [_values(*[None] * n), Level(values, values)]  # the first ties every pair
+        # The first level ties every pair (all censored) and orders the
+        # subjects by index.
+        levels = [survival_level(np.arange(n, dtype=float), np.zeros(n, bool)), Level(values, values)]
+        tiles = record_tiles(monkeypatch)
         got = sweep_counts(levels, treat)
-        s = oracles.stack_tiles(levels)
+        # The first tile is the first 127 treatment rows, and every one of
+        # them has subjects 150 and 151 in its run.
+        assert tiles[0][0] == 127
+        s = oracles.level_matrix(levels)
         assert s[:127, 150].sum() == 127 and s[:127, 151].sum() == -127
         want = _matrix_counts(s, treat)
         for field in COUNT_FIELDS:
@@ -464,26 +493,26 @@ class TestCompactKeys:
         assert got.losses[150] == got.wins[151] == 150
 
 
-def assert_sorted_counts_match_tiles(monkeypatch, level, treat, sorted_path=True):
-    """One level's counts without a tie list equal the row-tile sweep's (a
-    tie list always takes the tiles), value and dtype, and are counted by
-    sorting exactly when ``sorted_path``; so is its one-group net count,
-    whether its keys are one array or two."""
+def assert_sorted_counts_match_tiles(monkeypatch, level, treat):
+    """One level's counts without a tie list are the whole matrix's, value
+    and dtype, and are counted by sorting, with no tile; so is its
+    one-group net count, whether its keys are one array or two. With a
+    tie list, the tiles give the whole matrix's tie pairs."""
     treat = np.asarray(treat, dtype=bool)
-    tiled = sweep_counts([level], treat, collect_ties=True)
+    want = _matrix_counts(oracles.level_matrix([level]), treat)
+    np.testing.assert_array_equal(sweep_counts([level], treat, collect_ties=True).ties, want["ties"])
     with monkeypatch.context() as m:
-        if sorted_path:
-            m.setattr(pairwise, "_tiles", None)  # any tile sweep would raise
-            for keys in (level, Level(level.hi, level.lo.copy())):
-                net = net_counts(keys)
-                assert net.dtype == np.int64
-                assert net.tolist() == tiled.net.tolist()
+        m.setattr(pairwise, "_tile_verdicts", None)  # any tile would raise
+        for keys in (level, Level(level.hi, level.lo.copy())):
+            net = net_counts(keys)
+            assert net.dtype == np.int64
+            assert net.tolist() == want["net"].tolist()
         got = sweep_counts([level], treat)
     assert got.ties is None
     for field in COUNT_FIELDS:
-        a, b = getattr(got, field), getattr(tiled, field)
-        assert a.dtype == b.dtype == np.int64, field
-        assert a.tolist() == b.tolist(), field
+        a = getattr(got, field)
+        assert a.dtype == np.int64, field
+        assert a.tolist() == want[field].tolist(), field
 
 
 def _values(*vs) -> Level:
@@ -492,7 +521,8 @@ def _values(*vs) -> Level:
 
 
 class TestSortedCounts:
-    """One level is counted by sorting; it must give the sweep's counts."""
+    """One level is counted by sorting; it must give the whole matrix's
+    counts."""
 
     def test_tied_keys_straddle_the_group_boundary(self, monkeypatch):
         treat = [1, 0, 1, 0, 0, 1, 1, 0]
@@ -532,15 +562,20 @@ class TestSortedCounts:
     def test_level_with_hi_above_lo_is_counted_by_tiles(self, monkeypatch):
         # Subjects 0 and 1 win each of their pairs one way and lose it the
         # other, so every one of their pairs is tied, the self pair too;
-        # sorting would count those pairs as decided.
+        # sorting would count those pairs as decided. So such a level is
+        # refused as the first, and counted by tiles behind a first level
+        # that ties every pair, in one tile or in tiles of one entry.
         level = Level(np.array([5.0, 5.0, 3.0, 1.0]), np.array([0.0, 0.0, 3.0, 1.0]))
         treat = np.array([1, 0, 1, 0], dtype=bool)
-        assert_sorted_counts_match_tiles(monkeypatch, level, treat, sorted_path=False)
+        with pytest.raises(ValueError, match="hi <= lo"):
+            sweep_counts([level], treat)
         s = (level.hi[:, None] > level.lo).astype(int) - (level.hi > level.lo[:, None])
-        counts = sweep_counts([level], treat)
-        assert counts.net.tolist() == s.sum(axis=1).tolist()
-        assert counts.determinate.tolist() == np.abs(s).sum(axis=1).tolist()
-        assert counts.determinate.tolist() == [0, 0, 1, 1]
+        for budget in (pairwise._TILE_ENTRIES, 1):
+            monkeypatch.setattr(pairwise, "_TILE_ENTRIES", budget)
+            counts = sweep_counts([_values(None, None, None, None), level], treat)
+            assert counts.net.tolist() == s.sum(axis=1).tolist()
+            assert counts.determinate.tolist() == np.abs(s).sum(axis=1).tolist()
+            assert counts.determinate.tolist() == [0, 0, 1, 1]
 
     @settings(max_examples=300)
     @given(
@@ -563,6 +598,131 @@ class TestSortedCounts:
         with pytest.MonkeyPatch.context() as monkeypatch:
             for level in (survival, value):
                 assert_sorted_counts_match_tiles(monkeypatch, level, treat)
+
+
+def assert_sweep_matches_oracle(levels, treat) -> None:
+    """Every count and the tie list of ``sweep_counts`` equal the whole
+    matrix's, value and dtype."""
+    treat = np.asarray(treat, dtype=bool)
+    want = _matrix_counts(oracles.level_matrix(levels), treat)
+    got = sweep_counts(levels, treat, collect_ties=True)
+    for field in (*COUNT_FIELDS, "ties"):
+        a = getattr(got, field)
+        assert a.dtype == (np.int32 if field == "ties" else np.int64), field
+        np.testing.assert_array_equal(a, want[field], err_msg=field)
+    for field in COUNT_FIELDS:  # without a tie list, the same counts
+        np.testing.assert_array_equal(getattr(sweep_counts(levels, treat), field), want[field])
+
+
+class TestTieRuns:
+    """The first level is counted by sorting and the deeper levels only on
+    the runs of pairs it ties, each pair once, in tiles of any size."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 60),
+        st.sampled_from(FIRST_KINDS),
+        st.lists(st.sampled_from(KINDS), max_size=3),
+        st.integers(1, 4000),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_counts_and_ties_match_the_oracle(self, n, first, deeper, budget, seed):
+        rng = np.random.default_rng(seed)
+        levels = [_random_level(rng, kind, n) for kind in (first, *deeper)]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(pairwise, "_TILE_ENTRIES", budget)
+            assert_sweep_matches_oracle(levels, rng.random(n) < 0.5)
+
+    @pytest.mark.parametrize("first", FIRST_KINDS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_runs_hold_each_first_level_tie_once(self, first, seed):
+        """The tiles' spans, read back through the column order, are the
+        pairs the first level ties, each once, and no other."""
+        rng = np.random.default_rng(600 + seed)
+        n = 50
+        level = _random_level(rng, first, n)
+        treat = rng.random(n) < 0.5
+        order, ends, _, _ = pairwise._level_order(level)
+        ts = treat[order]
+        pos = np.arange(n)
+        cols = order[np.concatenate([pos[ts], pos[~ts][::-1]])]
+        rows = pos[ends > pos + 1]
+        pairs = [
+            tuple(sorted((order[p], cols[c])))
+            for block, cut, a, b in pairwise._tie_blocks(rows, ts, np.r_[0, ts.cumsum()], ends)
+            for p, lo, hi in zip(block, a, b)
+            for c in range(lo, hi)
+        ]
+        assert len(pairs) == len(set(pairs))
+        want = _matrix_counts(oracles.level_matrix([level]), treat)["ties"]
+        assert sorted(pairs) == list(zip(*want.tolist()))
+
+    def test_rows_with_empty_runs(self, monkeypatch):
+        # Distinct event times decide every pair at the first level, so
+        # no run holds a pair and no tile is built; then one tie.
+        times = np.arange(12, dtype=float)
+        treat = np.arange(12) % 3 == 0
+        deeper = _values(*range(12))
+        tiles = record_tiles(monkeypatch)
+        monkeypatch.setattr(pairwise, "_TILE_ENTRIES", 20)
+        assert_sweep_matches_oracle([survival_level(times, np.ones(12, bool)), deeper], treat)
+        assert tiles == []
+        times[5] = times[4]
+        assert_sweep_matches_oracle([survival_level(times, np.ones(12, bool)), deeper], treat)
+        assert tiles
+
+    @pytest.mark.parametrize("budget", [1, 30, 200])
+    def test_equal_first_keys_across_tile_and_group_boundaries(self, monkeypatch, budget):
+        # Long runs of one first-level key, each held by both groups and
+        # broken across several tiles of a small budget.
+        n = 40
+        first = _values(*(np.arange(n) // 13))
+        treat = np.arange(n) % 2 == 0
+        rng = np.random.default_rng(7)
+        deeper = [_random_level(rng, kind, n) for kind in ("survival", "missing")]
+        tiles = record_tiles(monkeypatch)
+        monkeypatch.setattr(pairwise, "_TILE_ENTRIES", budget)
+        assert_sweep_matches_oracle([first, *deeper], treat)
+        assert len(tiles) > 2
+
+    @pytest.mark.parametrize("budget", [1, 50, 1 << 18])
+    def test_nan_first_levels(self, monkeypatch, budget):
+        # A missing first-level value beats nothing and is beaten by
+        # nothing, so it is tied with every subject, before it in the
+        # first level's order as after it.
+        monkeypatch.setattr(pairwise, "_TILE_ENTRIES", budget)
+        rng = np.random.default_rng(11)
+        for nan_share in (0.3, 1.0):
+            keys = rng.integers(0, 4, size=25).astype(float)
+            keys[rng.random(25) < nan_share] = np.nan
+            hi, lo = keys.copy(), keys.copy()
+            lo[::4] = np.nan  # and a NaN lo alone
+            hi[1::4] = np.nan  # and a NaN hi alone
+            deeper = _random_level(rng, "complete", 25)
+            treat = rng.random(25) < 0.5
+            for first in (Level(keys, keys), Level(hi, lo)):
+                assert_sweep_matches_oracle([first, deeper], treat)
+
+    @pytest.mark.parametrize("cap", [4, 5])
+    def test_row_spans_at_the_row_sum_width_cap(self, monkeypatch, cap):
+        """A row sum adds at most ``_MAX_TILE_COLS`` entries (what int16
+        holds); wider spans are cut into tiles of that width, and a span
+        of exactly that width is one."""
+        monkeypatch.setattr(pairwise, "_MAX_TILE_COLS", cap)
+        monkeypatch.setattr(pairwise, "_TILE_ENTRIES", 4 * cap)
+        n = 12
+        treat = np.arange(n) < 6
+        levels = [_values(*[None] * n), _values(*(np.arange(n) % 3)), _values(*(np.arange(n) % 2))]
+        tiles = record_tiles(monkeypatch)
+        assert_sweep_matches_oracle(levels, treat)
+        widths = [w for _, w in tiles]
+        assert max(widths) == cap and widths.count(cap) > 1
+
+    def test_a_crossed_first_level_is_refused(self):
+        level = Level(np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.5, 3.0]))
+        with pytest.raises(ValueError, match="hi <= lo"):
+            sweep_counts([level, _values(1, 2, 3)], np.array([1, 0, 1], dtype=bool))
+        assert_sweep_matches_oracle([_values(1, 1, 1), level], np.array([1, 0, 1], dtype=bool))
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -148,6 +149,54 @@ class TestLabelStream:
         assert [b.shape[0] for b in blocks[:-1]] == [block_size] * (len(blocks) - 1)
         want = oracles.label_rows(plan.master_seed, codes, 150)
         assert np.array_equal(np.concatenate(blocks), want)
+
+
+class TestSharedGenerator:
+    """Every stream of a thread draws through one reused generator, loading
+    each row's state first: sharing it changes no row."""
+
+    @staticmethod
+    def streams(count):
+        codes = np.zeros(30, dtype=np.int8)
+        codes[::3] = 1
+        return [(PermutationPlan.monte_carlo(90, seed=2**40 * k + 1), codes) for k in range(count)]
+
+    def test_interleaved_streams_in_one_thread(self):
+        streams = self.streams(2)
+        alone = [np.concatenate(list(iter_label_blocks(p, c, 7))) for p, c in streams]
+        rows = [[], []]
+        for a, b in zip(*(iter_label_blocks(p, c, 7) for p, c in streams)):
+            rows[0].append(a)  # one block of each in turn
+            rows[1].append(b)
+        for got, want in zip(rows, alone):
+            assert np.array_equal(np.concatenate(got), want)
+
+    def test_streams_in_more_threads_than_cores(self):
+        streams = self.streams(4)
+        alone = [np.concatenate(list(iter_label_blocks(p, c, 5))) for p, c in streams]
+        got: list = [None] * len(streams)
+        step = threading.Barrier(len(streams), timeout=60)
+
+        def draw(k, plan, codes):
+            out = []
+            for block in iter_label_blocks(plan, codes, 5):
+                step.wait()  # the threads take turns block by block
+                out.append(block)
+            got[k] = np.concatenate(out)
+
+        threads = [threading.Thread(target=draw, args=(k, *sc)) for k, sc in enumerate(streams)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(g is not None and np.array_equal(g, w) for g, w in zip(got, alone))
+        assert resampling._thread_shuffler() is resampling._thread_shuffler()
 
 
 class TestPermutationPvalue:
