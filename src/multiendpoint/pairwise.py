@@ -5,7 +5,18 @@ The hierarchy is the dataset's endpoints in priority order
 keys (``Level``). ``sweep_counts`` reduces the N x N verdict matrix S to
 per-subject counts (net score, determinate pairs, wins and losses against
 the other group) and, on request, the list of pairs tied at every level, so
-no test holds S itself. It takes one path:
+no test holds S itself. A caller names the counts it reads (``fields``),
+and the sweep counts only those:
+
+- ``ALL``: every count, and the tie list when asked for; the win ratio
+  under a permutation plan.
+- ``NET``: the net scores alone, each deeper-level tile reduced by one row
+  sum and one column sum of S, its rows of either group; fs.
+- ``BETWEEN``: the wins and losses against the other group alone, for
+  which deeper levels are compared only on the tied pairs of a treatment
+  and a control subject; the win ratio without a plan.
+
+It takes one path:
 
 - The first level is counted for every pair by sorting (``_level_order``):
   a subject's wins and losses against a group are counts of that group's
@@ -20,20 +31,23 @@ no test holds S itself. It takes one path:
   exceeds its ``lo``. Columns take the treatment group in that order, then
   the control group in reverse, so a run to the end (a censored
   subject's, on a survival level) is one column span, and any other run
-  at most two. Tiles of about 256K entries, allocated once so that they
-  stay in a core's L2 cache, take the runs of up to 127 rows of one
-  group; S is antisymmetric, so int16 row sums count each pair for its
-  row subject and int8 column sums for its column subject, and 127 rows
-  is the most whose column sum fits int8. Deeper keys become their
-  float32 ranks, which compare faster than float64 ones (``_rank_keys``),
-  and a run of NaN-free value levels, which compares as a lexicographic
-  order, becomes one level of that order's ranks (``_compact``): the
-  simulator's marker and response are one level. A matrix of one tile,
-  like a null study's N=40 cohort, is swept whole from its own keys
-  (``_one_tile_counts``).
+  at most two; a ``BETWEEN`` sweep cuts every run to the other group's
+  columns, one span. Tiles of about 256K entries, allocated once so that
+  they stay in a core's L2 cache, take the runs of up to 127 rows of one
+  group (of either, for ``NET``); S is antisymmetric, so int16 row sums
+  count each pair for its row subject and int8 column sums for its column
+  subject, and 127 rows is the most whose column sum fits int8. Deeper
+  keys become their float32 ranks, which compare faster than float64 ones
+  (``_rank_keys``), and a run of NaN-free value levels, which compares as
+  a lexicographic order, becomes one level of that order's ranks
+  (``_compact``): the simulator's marker and response are one level. A
+  matrix of one tile, like a null study's N=40 cohort, is swept whole from
+  its own keys (``_one_tile_counts``), whatever the fields.
 
 On the simulator's N=10,000 cohort the first level ties 18,466,058 of the
-49,995,000 pairs, and only those reach the deeper levels.
+49,995,000 pairs, and only those reach the deeper levels: 9,234,430 of them
+join a treatment and a control subject, and only those reach them in a
+``BETWEEN`` sweep.
 
 No N x N array is held in ``src``: the win ratio's permutation null reads
 the tie list. The scalar reference rule, one pair at a time, is ``compare``
@@ -141,20 +155,32 @@ def _compact(levels: Sequence[Level]) -> list[Level]:
     return out
 
 
+# What ``sweep_counts`` counts: every field; the net counts alone (fs);
+# the wins and losses against the other group alone (the win ratio
+# without a plan).
+ALL = "all"
+NET = "net"
+BETWEEN = "between"
+
+
 @dataclass(frozen=True)
 class PairCounts:
     """Per-subject int64 tallies of the verdict matrix S, from
     ``sweep_counts``: the first level's, counted by sorting, plus the
     deeper levels' on the pairs the first level ties.
 
+    A sweep fills the fields it was asked for and leaves the others None:
+    ``ALL`` fills the four counts, and ``ties`` too with ``collect_ties``;
+    ``NET`` fills ``net``; ``BETWEEN`` fills ``wins`` and ``losses``.
+
     ``ties`` holds those of the first level's ties that every deeper level
     ties too, in ascending ``i``, and each ``i``'s pairs in ascending
     ``j``, whatever order the sweep visits them in."""
 
-    net: np.ndarray  # row sum of S: wins minus losses against everyone
-    determinate: np.ndarray  # row sum of |S|: pairs decided at some level
-    wins: np.ndarray  # subjects of the other group this subject beats
-    losses: np.ndarray  # subjects of the other group that beat this subject
+    net: np.ndarray | None = None  # row sum of S: wins minus losses against everyone
+    determinate: np.ndarray | None = None  # row sum of |S|: pairs decided at some level
+    wins: np.ndarray | None = None  # subjects of the other group this subject beats
+    losses: np.ndarray | None = None  # subjects of the other group that beat this subject
     # (2, P) int32 pairs (i, j), i < j, tied at every level, sorted by i
     # then j; None unless asked for.
     ties: np.ndarray | None = None
@@ -204,10 +230,19 @@ def net_counts(level: Level) -> np.ndarray:
 
 
 def sweep_counts(
-    levels: Sequence[Level], treatment_mask: np.ndarray, collect_ties: bool = False
+    levels: Sequence[Level],
+    treatment_mask: np.ndarray,
+    collect_ties: bool = False,
+    fields: str = ALL,
 ) -> PairCounts:
     """Per-subject counts of the verdict matrix S of ``levels``, and with
     ``collect_ties`` the pairs tied at every level.
+
+    ``fields`` names what is counted, and the other fields stay None:
+    ``ALL``, every count; ``NET``, the net counts alone; ``BETWEEN``, the
+    wins and losses against the other group alone, for which deeper levels
+    are compared only on the pairs of a treatment and a control subject.
+    A tie list needs ``ALL``.
 
     The first level is counted for every pair by sorting
     (``_level_order``), in O(N log N) time and O(N) memory; it needs
@@ -216,6 +251,8 @@ def sweep_counts(
     first level ties, each pair once (``_tie_counts``), or in a matrix of
     one tile both ways round (``_one_tile_counts``). One level without a
     tie list is the sort alone."""
+    if fields not in (ALL, NET, BETWEEN) or (collect_ties and fields != ALL):
+        raise ValueError(f"cannot count {fields!r} fields with collect_ties={collect_ties}")
     treat = np.asarray(treatment_mask, dtype=bool)
     first = levels[0]
     if np.count_nonzero(first.hi > first.lo):
@@ -230,8 +267,16 @@ def sweep_counts(
     if len(levels) > 1 or collect_ties:
         if n <= _MAX_TILE_ROWS and n * n <= _TILE_ENTRIES:
             deeper, ties = _one_tile_counts(first, levels[1:], treat, collect_ties)
+            if fields == NET:
+                deeper = deeper[:2].sum(axis=0) - deeper[2:].sum(axis=0)
         else:
-            deeper, ties = _tie_counts(levels[1:], order, ends, ts, tc, collect_ties)
+            deeper, ties = _tie_counts(levels[1:], order, ends, ts, tc, collect_ties, fields)
+    if fields == NET:
+        net = np.empty(n, dtype=np.int64)
+        net[order] = beats + ends - n
+        if deeper is not None:
+            net += deeper
+        return PairCounts(net=net)
     # At each position of ``order``: its wins against the treatment group
     # and against the control group, then its losses against each.
     wins_t, wins_c, losses_t, losses_c = counts = np.empty((4, n), dtype=np.int64)
@@ -243,12 +288,11 @@ def sweep_counts(
     by_subject[:, order] = counts
     if deeper is not None:
         by_subject += deeper
-    wins, losses = by_subject[::2] + by_subject[1::2]
-    out = counts  # no longer needed by position
-    np.subtract(wins, losses, out=out[0])
-    np.add(wins, losses, out=out[1])
-    out[2:] = np.where(treat, by_subject[1::2], by_subject[::2])  # against the other group
-    return PairCounts(*out, ties=ties)
+    wins, losses = np.where(treat, by_subject[1::2], by_subject[::2])  # against the other group
+    if fields == BETWEEN:
+        return PairCounts(wins=wins, losses=losses)
+    all_wins, all_losses = by_subject[::2] + by_subject[1::2]
+    return PairCounts(all_wins - all_losses, all_wins + all_losses, wins, losses, ties)
 
 
 def _tile_verdicts(
@@ -284,12 +328,16 @@ def _tie_counts(
     ts: np.ndarray,
     tc: np.ndarray,
     collect_ties: bool,
+    fields: str,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The verdicts of ``levels`` over the pairs that the first level ties,
     each pair once: every subject's wins against the treatment group and
     against the control group, then its losses against each, as (4, N)
     int32 counts, and with ``collect_ties`` the (2, P) int32 pairs tied at
-    every level, sorted by i and then j (else None).
+    every level, sorted by i and then j (else None). With ``fields``
+    ``BETWEEN`` only the pairs of a treatment and a control subject are
+    compared, so the counts against a subject's own group stay 0; with
+    ``NET`` the counts are each subject's net count alone, (N,) int32.
 
     ``order`` lists the subjects by the first level, so the subjects tied
     with ``order[p]`` that come after it are ``order[p + 1:ends[p]]``;
@@ -310,7 +358,7 @@ def _tie_counts(
     tie_parts: list[np.ndarray] = []
     tile_buf, *scratch = np.empty((4, _TILE_ENTRIES), dtype=np.int8)
     rows = pos[ends > pos + 1]  # the positions whose run is not empty
-    for block, cut, a, b in _tie_blocks(rows, ts, tc, ends):
+    for block, group, a, b in _tie_blocks(rows, ts, tc, ends, fields):
         ids = order[block]
         row_keys = [Level(lv.hi[ids], lv.lo[ids]) for lv in keys]
         h = block.size
@@ -339,16 +387,17 @@ def _tie_counts(
             for f0, mask in masks:
                 if mask.size:
                     tile[:, f0 - c0 : f0 - c0 + mask.shape[1]] *= mask.view(np.int8)
+            if fields == NET:  # one group holds everyone's net count
+                col_net[0, c0:c1] -= tile.sum(axis=0, dtype=np.int8)
+                row_net[0, ids] += tile.sum(axis=1, dtype=np.int16)
+                continue
             split = min(max(n1 - c0, 0), c1 - c0)  # treatment columns come first
-            parts = [(k, p) for k, p in enumerate((tile[:cut], tile[cut:])) if p.size]
             halves = [(k, p) for k, p in enumerate((tile[:, :split], tile[:, split:])) if p.size]
-            for k, part in parts:
-                col_net[k, c0:c1] -= part.sum(axis=0, dtype=np.int8)
+            col_net[group, c0:c1] -= tile.sum(axis=0, dtype=np.int8)
             for k, half in halves:
                 row_net[k, ids] += half.sum(axis=1, dtype=np.int16)
             np.abs(tile, out=tile)
-            for k, part in parts:
-                col_det[k, c0:c1] += part.sum(axis=0, dtype=np.int8)
+            col_det[group, c0:c1] += tile.sum(axis=0, dtype=np.int8)
             for k, half in halves:
                 row_det[k, ids] += half.sum(axis=1, dtype=np.int16)
             if collect_ties:
@@ -359,6 +408,8 @@ def _tie_counts(
                     i, j = ids[r], cols[c + c0]
                     tie_parts.append(np.minimum(i, j) * n + np.maximum(i, j))  # sort keys
     row_net[:, cols] += col_net
+    if fields == NET:
+        return row_net[0], None
     row_det[:, cols] += col_det
     counts = np.empty((4, n), dtype=np.int32)
     np.add(row_det, row_net, out=counts[:2])
@@ -409,43 +460,50 @@ def _one_tile_counts(
 
 
 def _tie_blocks(
-    rows: np.ndarray, ts: np.ndarray, tc: np.ndarray, ends: np.ndarray
-) -> Iterator[tuple[np.ndarray, int, np.ndarray, np.ndarray]]:
+    rows: np.ndarray, ts: np.ndarray, tc: np.ndarray, ends: np.ndarray, fields: str
+) -> Iterator[tuple[np.ndarray, int | None, np.ndarray, np.ndarray]]:
     """Tiles of the runs of ``rows`` (positions of the first level's order)
-    as (rows, how many of them are treatment rows, and each row's column
-    span, start and end). A tile's rows are of one group and of one kind
-    of span: a run to the end is one span, from the treatment columns into
-    the control columns; any other run is a treatment span and a control
-    span, each its own kind. A tile takes up to ``_MAX_TILE_ROWS`` rows
-    while its spans' bounding box stays within ``_TILE_ENTRIES``."""
+    as (rows, their group, 0 for treatment and 1 for control, and each
+    row's column span, start and end). A tile's rows are of one group and
+    of one kind of span: a run to the end is one span, from the treatment
+    columns into the control columns; any other run is a treatment span
+    and a control span, each its own kind. With ``fields`` ``NET`` a
+    tile's rows may be of both groups (group None); with ``BETWEEN`` each
+    row's span is cut to the other group's columns, one span for any run.
+    A tile takes up to ``_MAX_TILE_ROWS`` rows while its spans' bounding
+    box stays within ``_TILE_ENTRIES``."""
     n = ts.size
     u = ends[rows]
     to_end = u == n
     t0, t1 = tc[rows + 1], tc[u]
     c0, c1 = n - (u - t1), n - (rows + 1 - t0)
-    kinds = [(to_end, t0, c1), (~to_end & (t1 > t0), t0, t1), (~to_end & (c1 > c0), c0, c1)]
-    group = ts[rows]
-    for treated in (True, False):
-        for pick, a, b in kinds:
-            pick = pick & (group == treated)
-            kind_rows, a, b = rows[pick], a[pick], b[pick]
-            i = 0
-            while i < kind_rows.size:
-                top = min(kind_rows.size, i + _MAX_TILE_ROWS)
-                width = np.maximum.accumulate(b[i:top]) - np.minimum.accumulate(a[i:top])
-                area = width * np.arange(1, top - i + 1)
-                h = max(1, int(area.searchsorted(_TILE_ENTRIES, "right")))
-                tile = slice(i, i + h)
-                yield kind_rows[tile], h if treated else 0, a[tile], b[tile]
-                i += h
+    treated = ts[rows]
+    if fields == BETWEEN:
+        kinds = [(treated & (c1 > c0), 0, c0, c1), (~treated & (t1 > t0), 1, t0, t1)]
+    else:
+        spans = [(to_end, t0, c1), (~to_end & (t1 > t0), t0, t1), (~to_end & (c1 > c0), c0, c1)]
+        groups = [(None, True)] if fields == NET else [(0, treated), (1, ~treated)]
+        kinds = [(pick & of_group, k, a, b) for k, of_group in groups for pick, a, b in spans]
+    for pick, group, a, b in kinds:
+        kind_rows, a, b = rows[pick], a[pick], b[pick]
+        i = 0
+        while i < kind_rows.size:
+            top = min(kind_rows.size, i + _MAX_TILE_ROWS)
+            width = np.maximum.accumulate(b[i:top]) - np.minimum.accumulate(a[i:top])
+            area = width * np.arange(1, top - i + 1)
+            h = max(1, int(area.searchsorted(_TILE_ENTRIES, "right")))
+            tile = slice(i, i + h)
+            yield kind_rows[tile], group, a[tile], b[tile]
+            i += h
 
 
 def _hierarchy_levels(ds: TrialDataset) -> list[Level]:
     return [endpoint_level(ds, spec) for spec in ds.endpoint_specs]
 
 
-def pair_counts(ds: TrialDataset, collect_ties: bool = False) -> PairCounts:
+def pair_counts(ds: TrialDataset, collect_ties: bool = False, fields: str = ALL) -> PairCounts:
     """Per-subject counts of the verdicts of the dataset's hierarchy, its
-    endpoints in priority order, without the N x N matrix."""
-    return sweep_counts(_hierarchy_levels(ds), ds.treatment_mask, collect_ties)
+    endpoints in priority order, without the N x N matrix: the ``fields``
+    of ``sweep_counts``."""
+    return sweep_counts(_hierarchy_levels(ds), ds.treatment_mask, collect_ties, fields)
 

@@ -5,14 +5,17 @@ Both tests read per-subject counts from one sweep of every subject pair
 (``pairwise.pair_counts``), so they hold no N x N matrix. The sweep counts
 the first endpoint by sorting and compares the deeper ones only on the
 pairs the first ties, each pair once, in tiles reduced by row and column
-sums, which S's antisymmetry turns into each subject's counts. A permutation
-replicate of fs needs only the net scores: a float64 product with each
-label block. The win ratio's wins + losses under relabeling is g'|S|(1 - g) for
-labels g; with |S| = J - I - T, T the pairs tied at every level, that is
-g'd - n1(n1 - 1) + 2 * (tie pairs inside the relabeled treatment group),
-from the tie list the same sweep gives, at any number of tie pairs; its
-cost grows linearly in them. Every product is exact: each partial sum is
-an integer, far below 2**53 in float64.
+sums, which S's antisymmetry turns into each subject's counts. Each test
+asks for the counts it reads: fs the net scores alone, and the win ratio
+without a plan the wins and losses against the other group, for which only
+the tied pairs of a treatment and a control subject are compared. A
+permutation replicate of fs needs only the net scores: a float64 product
+with each label block. The win ratio's wins + losses under relabeling is
+g'|S|(1 - g) for labels g; with |S| = J - I - T, T the pairs tied at every
+level, that is g'd - n1(n1 - 1) + 2 * (tie pairs inside the relabeled
+treatment group), from the tie list of a sweep of every field, at any
+number of tie pairs; its cost grows linearly in them. Every product is
+exact: each partial sum is an integer, far below 2**53 in float64.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pairwise import PairCounts, pair_counts
+from .pairwise import BETWEEN, NET, PairCounts, pair_counts
 from .resampling import PermutationPlan, conclude, label_product
 from .results import TestResult, two_sided_p, z_score
 from .trial_data import TrialDataset
@@ -37,7 +40,7 @@ def fs_test(ds: TrialDataset, plan: PermutationPlan | None = None) -> TestResult
     comes from the resampling engine instead (the closed form is still
     reported).
     """
-    u = pair_counts(ds).net
+    u = pair_counts(ds, fields=NET).net
     weights = u.astype(np.float64)
     statistic = float(u[ds.treatment_mask].sum())
     n1, n0, n = ds.n_treatment, ds.n_control, ds.n
@@ -86,7 +89,8 @@ def win_ratio_test(ds: TrialDataset, plan: PermutationPlan | None = None) -> Tes
     suppresses the asymptotic summary but still permutes (non-finite
     replicate values count as extreme).
     """
-    counts = pair_counts(ds, collect_ties=plan is not None)
+    # Only the permutation null reads the net and decided counts and the ties.
+    counts = pair_counts(ds, collect_ties=True) if plan else pair_counts(ds, fields=BETWEEN)
     treat = ds.treatment_mask
     n1, n0 = ds.n_treatment, ds.n_control
     n_wins = int(counts.wins[treat].sum())
@@ -133,7 +137,7 @@ def win_ratio_test(ds: TrialDataset, plan: PermutationPlan | None = None) -> Tes
     # in both modes.
     return conclude(
         "win_ratio", statistic, se**2, z, metadata, plan,
-        _log_wr_reducer(counts), ds,
+        None if plan is None else _log_wr_reducer(counts), ds,
         lambda: 1.0 if degenerate else two_sided_p(z),
     )
 
@@ -177,12 +181,11 @@ def _log_wr_reducer(counts: PairCounts) -> Callable[[np.ndarray], np.ndarray]:
     """Block reducer for the null draws of log WR. For labels g, wins -
     losses = g'u and wins + losses = g'd - g'|S|g, with u and d the net and
     determinate counts, and g'|S|g is n1(n1 - 1) minus twice the tie pairs
-    inside the treatment group. Only an asymptotic run, which never
-    reduces, builds it without ``counts.ties``."""
+    inside the treatment group. ``counts`` holds every field and the tie
+    list."""
     weights = np.column_stack([counts.net, counts.determinate, np.ones(counts.net.size)])
-    if counts.ties is not None:
-        subjects, pairs = np.unique(counts.ties.ravel(), return_inverse=True)
-        pairs = pairs.reshape(2, -1).astype(np.int32)  # positions below N
+    subjects, pairs = np.unique(counts.ties.ravel(), return_inverse=True)
+    pairs = pairs.reshape(2, -1).astype(np.int32)  # positions below N
 
     def reduce(block: np.ndarray) -> np.ndarray:
         diff, g_det, n1 = label_product(block, weights).T

@@ -62,7 +62,9 @@ def rank_matrix(ds: TrialDataset) -> RankMatrix:
     is present. A column ranks the kept subjects' one-level net scores: on
     the level ``hi = lo = s`` of the scores, subject i's net count is
     #{s_j < s_i} - #{s_j > s_i} = 2 midrank_i - (n + 1), an exact integer,
-    so ``(n + 1 + net) / 2`` is the midrank to the last bit."""
+    so ``(n + 1 + net) / 2`` is the midrank to the last bit. A value level
+    is such a level already, and its net scores rank as its values do, so
+    only a survival level's Gehan scores are counted a second time."""
     levels = [endpoint_level(ds, spec) for spec in ds.endpoint_specs]
     keep = np.ones(ds.n, dtype=bool)
     for lv in levels:
@@ -79,8 +81,11 @@ def rank_matrix(ds: TrialDataset) -> RankMatrix:
         if not everyone:
             hi = lv.hi[kept]
             lv = Level(hi, hi if lv.lo is lv.hi else lv.lo[kept])
-        score = net_counts(lv).astype(np.float64)
-        cols.append((kept.size + 1 + net_counts(Level(score, score))) / 2)
+        net = net_counts(lv)
+        if lv.hi is not lv.lo:
+            score = net.astype(np.float64)
+            net = net_counts(Level(score, score))
+        cols.append((kept.size + 1 + net) / 2)
 
     return RankMatrix(
         ranks=np.column_stack(cols),

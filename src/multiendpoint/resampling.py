@@ -406,11 +406,16 @@ _PRODUCT_ENTRIES = 1 << 17
 
 
 def label_product(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``block @ weights`` for a 0/1 label block and integer-valued float64
-    weights, as float64 BLAS products over row slices (numpy runs integer
-    matmuls without BLAS, several times slower). The result equals integer
-    arithmetic bit for bit: each partial sum is an integer far below 2**53,
-    exact in any order.
+    """``block @ weights`` for a 0/1 label block and float64 weights that
+    are integers or half-integers, as float64 BLAS products over row slices
+    (numpy runs integer matmuls without BLAS, several times slower). The
+    result equals exact arithmetic bit for bit, in any order of summation:
+    each partial sum is a multiple of 1/2 whose double is an integer below
+    2**53. Integer weights are net and decided counts, at most N each, so a
+    sum is at most N**2. Half-integer weights are the midranks of
+    ``obrien_test`` and ``multirank_test``, or their sums over K endpoints,
+    at most K N each, so a sum is at most K N**2; exactness needs
+    K N**2 < 2**52, which N = 10**6 meets for K up to 4,500.
     """
     step = max(1, _PRODUCT_ENTRIES // max(block.shape[1], 1))
     return np.concatenate(
@@ -538,16 +543,17 @@ def conclude(
     z: float,
     metadata: dict,
     plan: PermutationPlan | None,
-    reduce: Callable[[np.ndarray], np.ndarray],
+    reduce: Callable[[np.ndarray], np.ndarray] | None,
     ds: TrialDataset,
     asymptotic_p: Callable[[], float],
 ) -> TestResult:
     """The one way a test ends. Without a plan the p-value is
-    ``asymptotic_p()``, called only then. With one it comes from
-    :func:`permutation_test` of ``reduce`` over the labels of ``ds`` against
-    ``statistic``, and the six driver fields join ``metadata``; the label
-    stream of a plan without ``decide_at`` is kept for the next test on
-    ``ds`` under the same plan for as long as ``ds`` lives."""
+    ``asymptotic_p()``, called only then, and ``reduce`` may be None. With
+    one it comes from :func:`permutation_test` of ``reduce`` over the labels
+    of ``ds`` against ``statistic``, and the six driver fields join
+    ``metadata``; the label stream of a plan without ``decide_at`` is kept
+    for the next test on ``ds`` under the same plan for as long as ``ds``
+    lives."""
     if plan is None:
         return TestResult(
             method, statistic, variance, z, asymptotic_p(), InferenceMode.ASYMPTOTIC, metadata

@@ -600,9 +600,19 @@ class TestSortedCounts:
                 assert_sorted_counts_match_tiles(monkeypatch, level, treat)
 
 
+# Each sweep's fields, and the fields it reads.
+SWEEP_FIELDS = [
+    (pairwise.ALL, COUNT_FIELDS),
+    (pairwise.NET, ("net",)),
+    (pairwise.BETWEEN, ("wins", "losses")),
+]
+
+
 def assert_sweep_matches_oracle(levels, treat) -> None:
     """Every count and the tie list of ``sweep_counts`` equal the whole
-    matrix's, value and dtype."""
+    matrix's, value and dtype; so do the counts of a sweep without a tie
+    list, of the net-only sweep and of the between-group sweep, each of
+    which leaves the fields it does not count None."""
     treat = np.asarray(treat, dtype=bool)
     want = _matrix_counts(oracles.level_matrix(levels), treat)
     got = sweep_counts(levels, treat, collect_ties=True)
@@ -610,8 +620,15 @@ def assert_sweep_matches_oracle(levels, treat) -> None:
         a = getattr(got, field)
         assert a.dtype == (np.int32 if field == "ties" else np.int64), field
         np.testing.assert_array_equal(a, want[field], err_msg=field)
-    for field in COUNT_FIELDS:  # without a tie list, the same counts
-        np.testing.assert_array_equal(getattr(sweep_counts(levels, treat), field), want[field])
+    for fields, read in SWEEP_FIELDS:
+        got = sweep_counts(levels, treat, fields=fields)
+        for field in (*COUNT_FIELDS, "ties"):
+            a = getattr(got, field)
+            if field not in read:
+                assert a is None, (fields, field)
+                continue
+            assert a.dtype == np.int64, (fields, field)
+            np.testing.assert_array_equal(a, want[field], err_msg=f"{fields}: {field}")
 
 
 class TestTieRuns:
@@ -624,20 +641,27 @@ class TestTieRuns:
         st.sampled_from(FIRST_KINDS),
         st.lists(st.sampled_from(KINDS), max_size=3),
         st.integers(1, 4000),
+        st.sampled_from([0.0, 0.1, 0.5, 1.0]),
         st.integers(0, 2**32 - 1),
     )
-    def test_counts_and_ties_match_the_oracle(self, n, first, deeper, budget, seed):
+    def test_counts_and_ties_match_the_oracle(self, n, first, deeper, budget, share, seed):
+        # Every sweep, the net-only and between-group ones too. A treatment
+        # share of 0 or 1 makes every tile's rows and columns one group,
+        # and leaves the between-group sweep no pair to compare.
         rng = np.random.default_rng(seed)
         levels = [_random_level(rng, kind, n) for kind in (first, *deeper)]
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(pairwise, "_TILE_ENTRIES", budget)
-            assert_sweep_matches_oracle(levels, rng.random(n) < 0.5)
+            assert_sweep_matches_oracle(levels, rng.random(n) < share)
 
     @pytest.mark.parametrize("first", FIRST_KINDS)
     @pytest.mark.parametrize("seed", range(3))
     def test_runs_hold_each_first_level_tie_once(self, first, seed):
         """The tiles' spans, read back through the column order, are the
-        pairs the first level ties, each once, and no other."""
+        pairs the first level ties, each once, and no other; for the
+        between-group sweep, those of a treatment and a control subject.
+        A tile's rows are of the group it names, or of both for the
+        net-only sweep."""
         rng = np.random.default_rng(600 + seed)
         n = 50
         level = _random_level(rng, first, n)
@@ -647,15 +671,32 @@ class TestTieRuns:
         pos = np.arange(n)
         cols = order[np.concatenate([pos[ts], pos[~ts][::-1]])]
         rows = pos[ends > pos + 1]
-        pairs = [
-            tuple(sorted((order[p], cols[c])))
-            for block, cut, a, b in pairwise._tie_blocks(rows, ts, np.r_[0, ts.cumsum()], ends)
-            for p, lo, hi in zip(block, a, b)
-            for c in range(lo, hi)
-        ]
-        assert len(pairs) == len(set(pairs))
-        want = _matrix_counts(oracles.level_matrix([level]), treat)["ties"]
-        assert sorted(pairs) == list(zip(*want.tolist()))
+        i, j = _matrix_counts(oracles.level_matrix([level]), treat)["ties"]
+        for fields, _ in SWEEP_FIELDS:
+            blocks = list(pairwise._tie_blocks(rows, ts, np.r_[0, ts.cumsum()], ends, fields))
+            pairs = [
+                tuple(sorted((order[p], cols[c])))
+                for block, _, a, b in blocks
+                for p, lo, hi in zip(block, a, b)
+                for c in range(lo, hi)
+            ]
+            assert len(pairs) == len(set(pairs))
+            keep = treat[i] != treat[j] if fields == pairwise.BETWEEN else slice(None)
+            assert sorted(pairs) == list(zip(i[keep].tolist(), j[keep].tolist())), fields
+            for block, group, _, _ in blocks:
+                if fields == pairwise.NET:
+                    assert group is None
+                else:
+                    assert (ts[block] == (group == 0)).all()
+
+    def test_a_tie_list_needs_every_field(self):
+        levels = [_values(1, 1, 2), _values(1, 2, 3)]
+        treat = np.array([1, 0, 1], dtype=bool)
+        for fields in (pairwise.NET, pairwise.BETWEEN, "wins"):
+            with pytest.raises(ValueError, match="collect_ties"):
+                sweep_counts(levels, treat, collect_ties=True, fields=fields)
+        with pytest.raises(ValueError, match="collect_ties"):
+            sweep_counts(levels, treat, fields="wins")
 
     def test_rows_with_empty_runs(self, monkeypatch):
         # Distinct event times decide every pair at the first level, so

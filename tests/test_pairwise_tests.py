@@ -234,6 +234,36 @@ class TestWinRatio:
         assert abs(asym.p_two_sided - perm.p_two_sided) <= 0.01
 
 
+def test_each_test_sweeps_only_the_fields_it_reads(monkeypatch):
+    """fs asks the sweep for net counts alone, and the win ratio without a
+    plan for the counts against the other group alone, building no
+    permutation reducer; under a plan the win ratio takes every field and
+    the tie list."""
+    from multiendpoint import pairwise, pairwise_tests
+
+    asked = []
+    sweep = pairwise_tests.pair_counts
+
+    def pair_counts_spy(ds, collect_ties=False, fields=pairwise.ALL):
+        asked.append((collect_ties, fields))
+        return sweep(ds, collect_ties, fields)
+
+    def no_reducer(counts):
+        raise AssertionError("an asymptotic run built the permutation reducer")
+
+    ds = simulate_trial(SimConfig.null(80, seed=3))  # N=160: the tiled sweep
+    want = {m: run_method(m, ds) for m in ("fs", "win_ratio")}
+    monkeypatch.setattr(pairwise_tests, "pair_counts", pair_counts_spy)
+    monkeypatch.setattr(pairwise_tests, "_log_wr_reducer", no_reducer)
+    assert fs_test(ds) == want["fs"]
+    assert win_ratio_test(ds) == want["win_ratio"]
+    assert asked == [(False, pairwise.NET), (False, pairwise.BETWEEN)]
+    monkeypatch.undo()
+    monkeypatch.setattr(pairwise_tests, "pair_counts", pair_counts_spy)
+    win_ratio_test(ds, plan=PermutationPlan.monte_carlo(99, seed=1))
+    assert asked[-1] == (True, pairwise.ALL)
+
+
 DRIVER_FIELDS = ("replicates_used", "seed", "n_extreme", "n_nonfinite", "null_mean", "null_sd")
 
 

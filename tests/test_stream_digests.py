@@ -1,4 +1,5 @@
-"""SHA-256 digests of the permutation draws and of a null study's files.
+"""SHA-256 digests of the permutation draws, of a null study's files and of
+the replica's per-subject counts.
 
 The label-stream contract is "replicate b is exactly
 ``default_rng(derive_replicate_seed(seed, b)).permutation(codes)``". The
@@ -8,6 +9,13 @@ streams across releases. If a release moved them, every permutation p-value
 would move while those tests, and most likely the acceptance bands, stayed
 green. These digests were recorded from the tree before any change to the
 stream: a mismatch means the draws moved, not that the test is wrong.
+
+The replica's counts digest pins what the hierarchy sweep and the rank
+matrix give at N=2,467, where the sweep runs in tiles of its full size
+(the property tests stop at N=60). It was recorded before the sweep learnt
+to count only the fields a test reads. The counts come from the CSV's
+values by comparisons and sorts alone, so no numpy or scipy release can
+move them without a fault.
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ import pytest
 
 from multiendpoint import PermutationPlan, derive_endpoints, load_trial_csv
 from multiendpoint.cli import main
+from multiendpoint.pairwise import BETWEEN, NET, pair_counts
+from multiendpoint.rank_tests import rank_matrix
 from multiendpoint.resampling import iter_label_blocks
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,6 +74,23 @@ def test_replica_stream():
         "replica, B=10,000, seed 20240201", digest,
         "c243f59de34beb4e618a02c64644bd186ea2c323634d3959d947023f6be0982d",
     )
+
+
+def test_replica_counts():
+    ds = derive_endpoints(load_trial_csv(ROOT / "data" / "actg175_replica.csv"))
+    counts = pair_counts(ds, collect_ties=True)
+    h = hashlib.sha256()
+    for a in (counts.net, counts.determinate, counts.wins, counts.losses, counts.ties,
+              rank_matrix(ds).ranks):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == "f2be9626fa93df8bfb46722b50474bad14ab48e5224be5a94ad72bd0af0a0eee", (
+        f"the replica's pair counts, tie list or midranks moved (digest {h.hexdigest()})"
+    )
+    # The sweeps of one field set count the same.
+    np.testing.assert_array_equal(pair_counts(ds, fields=NET).net, counts.net)
+    between = pair_counts(ds, fields=BETWEEN)
+    np.testing.assert_array_equal(between.wins, counts.wins)
+    np.testing.assert_array_equal(between.losses, counts.losses)
 
 
 def test_exact_enumeration():
