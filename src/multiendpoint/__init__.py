@@ -24,7 +24,7 @@ from .global_u import endpoint_weights, global_u_test
 from .methods import METHOD_NAMES, run_method
 from .pairwise_tests import fs_test, win_ratio_test
 from .rank_tests import RankMatrix, multirank_test, obrien_test, rank_matrix
-from .resampling import PermutationPlan, PermutationResult, derive_replicate_seed
+from .resampling import PermutationPlan, derive_replicate_seed
 from .results import InferenceMode, TestResult
 from .simgen import (
     BinaryModel,

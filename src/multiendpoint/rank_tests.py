@@ -49,10 +49,6 @@ class RankMatrix:
     def k(self) -> int:
         return self.ranks.shape[1]
 
-    @property
-    def column_rank_sums(self) -> np.ndarray:
-        return self.ranks.sum(axis=0)
-
 
 def rank_matrix(ds: TrialDataset) -> RankMatrix:
     """Column-wise pooled midranks over the complete-case subset, one column

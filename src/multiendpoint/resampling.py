@@ -50,7 +50,7 @@ import math
 import mmap
 import threading
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from functools import partial
 from itertools import combinations, islice
@@ -222,9 +222,6 @@ class PermutationPlan:
     def exact(cls) -> "PermutationPlan":
         return cls(InferenceMode.EXACT)
 
-    def with_seed(self, seed: int) -> "PermutationPlan":
-        return replace(self, master_seed=seed)
-
 
 def n_assignments(plan: PermutationPlan, n: int, n1: int) -> int:
     """How many label assignments ``plan`` draws for N = ``n`` subjects,
@@ -332,30 +329,6 @@ def iter_label_blocks(
             yield block
 
 
-@dataclass(frozen=True)
-class PermutationResult:
-    p: float
-    observed: float
-    replicates_used: int
-    mode: InferenceMode
-    n_extreme: int
-    n_nonfinite: int
-    null_mean: float
-    null_sd: float
-    master_seed: int
-
-    def metadata(self) -> dict:
-        """The permutation fields every test records in its result metadata."""
-        return {
-            "replicates_used": self.replicates_used,
-            "seed": self.master_seed,
-            "n_extreme": self.n_extreme,
-            "n_nonfinite": self.n_nonfinite,
-            "null_mean": self.null_mean,
-            "null_sd": self.null_sd,
-        }
-
-
 def _n_extreme(observed: float, draws: np.ndarray) -> int:
     """How many null draws are at least as extreme as ``observed``: |draw|
     >= |observed|, with a NaN draw extreme and every draw extreme against a
@@ -374,29 +347,26 @@ def _stream_p(plan: PermutationPlan, n_extreme: int, total: int) -> float:
 
 
 def pvalue_from_draws(
-    observed: float, draws: np.ndarray, plan: PermutationPlan, total: int | None = None
-) -> PermutationResult:
-    """Apply the engine's counting conventions to a vector of null draws.
+    observed: float, draws: np.ndarray, plan: PermutationPlan, total: int
+) -> tuple[float, dict]:
+    """Apply the engine's counting conventions to the null draws that begin
+    a ``total``-assignment stream (all of it, unless it was curtailed):
+    the p and the six permutation fields of the result metadata.
 
     Non-finite draws are counted as extreme and flagged; a NaN observed
     statistic (fully degenerate data) makes every draw extreme, so p = 1.
-    ``total`` is the length of the stream the draws begin, when they are a
-    curtailed prefix of it (None: the draws are the whole stream).
     """
     draws = np.asarray(draws, dtype=np.float64)
     n_extreme = _n_extreme(observed, draws)
     finite = draws[np.isfinite(draws)]
-    return PermutationResult(
-        p=_stream_p(plan, n_extreme, draws.size if total is None else total),
-        observed=float(observed),
-        replicates_used=draws.size,
-        mode=plan.mode,
-        n_extreme=n_extreme,
-        n_nonfinite=draws.size - finite.size,
-        null_mean=float(finite.mean()) if finite.size else math.nan,
-        null_sd=float(finite.std(ddof=1)) if finite.size > 1 else math.nan,
-        master_seed=plan.master_seed,
-    )
+    return _stream_p(plan, n_extreme, total), {
+        "replicates_used": draws.size,
+        "seed": plan.master_seed,
+        "n_extreme": n_extreme,
+        "n_nonfinite": draws.size - finite.size,
+        "null_mean": float(finite.mean()) if finite.size else math.nan,
+        "null_sd": float(finite.std(ddof=1)) if finite.size > 1 else math.nan,
+    }
 
 
 # Label entries converted to float64 at a time by ``label_product``: a 1 MB
@@ -450,16 +420,11 @@ _DECISION_BLOCK = 32
 
 
 def _label_blocks(plan: PermutationPlan, ds: TrialDataset) -> Iterator[np.ndarray]:
-    """The blocks of ``iter_label_blocks(plan, ds.group_codes)``. A plan
-    with ``decide_at`` reads them lazily in ``_DECISION_BLOCK``-row blocks,
-    and leaves the kept stream alone. Otherwise they are replayed from the
-    kept stream when it was drawn for this dataset under an equal plan, or
-    a stream that packs into ``_STREAM_CACHE_BYTES`` is drawn whole by
-    :func:`_packed_stream`, replayed, and kept once fully consumed; a larger
-    one is streamed as it is drawn."""
-    if plan.decide_at is not None:
-        yield from iter_label_blocks(plan, ds.group_codes, _DECISION_BLOCK)
-        return
+    """The blocks of ``iter_label_blocks(plan, ds.group_codes)`` for a plan
+    drawn whole: replayed from the kept stream when it was drawn for this
+    dataset under an equal plan; else, for a stream that packs into
+    ``_STREAM_CACHE_BYTES``, drawn whole by :func:`_packed_stream`,
+    replayed, and kept once fully consumed; else streamed as drawn."""
     kept_plan, packed = _kept.get(ds, (None, None))
     if kept_plan != plan:
         _kept.clear()
@@ -514,22 +479,27 @@ def permutation_test(
     reduce: Callable[[np.ndarray], np.ndarray],
     ds: TrialDataset,
     plan: PermutationPlan,
-) -> PermutationResult:
-    """The one permutation driver every test runs through.
+) -> tuple[float, dict]:
+    """The one permutation driver every test runs through: the p of
+    ``observed`` and the six permutation fields of the result metadata
+    (see :func:`pvalue_from_draws`).
 
     ``reduce`` maps a (b, N) label block from :func:`iter_label_blocks`
-    over ``ds.group_codes`` to the b null statistics of its rows; the
-    driver streams the blocks, joins the draws and applies
-    :func:`pvalue_from_draws` against ``observed``. Tests on the same
-    dataset and plan share one stream, kept for as long as ``ds`` lives;
-    a plan with ``decide_at`` stops its stream once the full p is known to
-    exceed that level (see the module docstring).
+    over ``ds.group_codes`` to the b null statistics of its rows. The
+    driver picks the stream and decides where it ends. A plan without
+    ``decide_at`` reads it whole from :func:`_label_blocks`, shared by the
+    tests on ``ds`` under that plan for as long as ``ds`` lives. A plan with
+    ``decide_at`` draws it lazily in ``_DECISION_BLOCK``-row blocks, kept
+    by no one, and stops after the first block at which the full p is known
+    to exceed that level (see the module docstring).
     """
     total = n_assignments(plan, ds.n, ds.n_treatment)
-    draws, n_extreme = [], 0
-    for block in _label_blocks(plan, ds):
-        draws.append(reduce(block))
-        if plan.decide_at is not None:
+    if plan.decide_at is None:
+        draws = [reduce(block) for block in _label_blocks(plan, ds)]
+    else:
+        draws, n_extreme = [], 0
+        for block in iter_label_blocks(plan, ds.group_codes, _DECISION_BLOCK):
+            draws.append(reduce(block))
             n_extreme += _n_extreme(observed, draws[-1])
             if _stream_p(plan, n_extreme, total) > plan.decide_at:
                 break
@@ -558,6 +528,6 @@ def conclude(
         return TestResult(
             method, statistic, variance, z, asymptotic_p(), InferenceMode.ASYMPTOTIC, metadata
         )
-    res = permutation_test(statistic, reduce, ds, plan)
-    metadata.update(res.metadata())
-    return TestResult(method, statistic, variance, z, res.p, plan.mode, metadata)
+    p, fields = permutation_test(statistic, reduce, ds, plan)
+    metadata.update(fields)
+    return TestResult(method, statistic, variance, z, p, plan.mode, metadata)

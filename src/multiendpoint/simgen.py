@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from typing import Sequence
 
 import numpy as np
 
@@ -129,26 +128,14 @@ class SimConfig:
         _check_correlation(np.asarray(self.correlation))
 
     @classmethod
-    def null(
-        cls,
-        n_per_group: int,
-        seed: int = 0,
-        hazard: float = 0.002,
-        censor_horizon: float = 1000.0,
-        correlation: Sequence[Sequence[float]] | None = None,
-    ) -> "SimConfig":
+    def null(cls, n_per_group: int, seed: int = 0) -> "SimConfig":
         """Identical group parameters: the exchangeability null."""
-        corr = (
-            tuple(tuple(float(v) for v in row) for row in correlation)
-            if correlation is not None
-            else NULL_CORRELATION
-        )
         return cls(
             n_per_group=n_per_group,
-            survival=SurvivalModel(hazard, hazard, censor_horizon),
+            survival=SurvivalModel(0.002, 0.002, 1000.0),
             continuous=ContinuousModel(0.0, 0.0, 1.0, 1.0),
             binary=BinaryModel(0.5, 0.5),
-            correlation=corr,
+            correlation=NULL_CORRELATION,
             seed=seed,
         )
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats as sps
 
-from multiendpoint import Direction, EndpointKind, PermutationPlan, PermutationResult, TrialDataset
+from multiendpoint import Direction, EndpointKind, PermutationPlan, TrialDataset
 from multiendpoint.pairwise import Level, _hierarchy_levels, endpoint_level
 from multiendpoint.resampling import permutation_test
 from support import Subject, Tte, Value
@@ -299,11 +299,12 @@ def with_groups(ds: TrialDataset, group_codes) -> TrialDataset:
     return TrialDataset(ds.endpoint_specs, ds.ids, group_codes, columns, covariates)
 
 
-def permutation_pvalue(stat, ds: TrialDataset, plan: PermutationPlan) -> PermutationResult:
-    """Permutation p-value of an arbitrary deterministic dataset statistic:
-    the reference every test's block reducer is pinned against. Its reducer
-    reruns ``stat`` on the relabeled dataset row by row, through the same
-    driver and so over the same label sequence."""
+def permutation_pvalue(stat, ds: TrialDataset, plan: PermutationPlan) -> tuple[float, dict]:
+    """Permutation p-value of an arbitrary deterministic dataset statistic,
+    with the driver's six metadata fields: the reference every test's block
+    reducer is pinned against. Its reducer reruns ``stat`` on the relabeled
+    dataset row by row, through the same driver and so over the same label
+    sequence."""
 
     def reduce(block: np.ndarray) -> np.ndarray:
         return np.array([float(stat(with_groups(ds, labels))) for labels in block])

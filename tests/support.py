@@ -134,7 +134,8 @@ def results_equal(a, b) -> bool:
 
 
 def result_bits(result):
-    """Every field of a result, floats (also nested) by ``float.hex``."""
+    """Every field of a result, or both items of the permutation driver's
+    ``(p, fields)``, floats (also nested) by ``float.hex``."""
 
     def bits(v):
         if isinstance(v, float):
@@ -145,7 +146,7 @@ def result_bits(result):
             return [bits(x) for x in v]
         return v
 
-    return bits(vars(result))
+    return bits(result if isinstance(result, tuple) else vars(result))
 
 
 def win_tallies(result) -> tuple[int, int, int]:

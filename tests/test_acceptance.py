@@ -269,7 +269,7 @@ def test_criterion_6_property_bundle():
         # Midrank column sums.
         rm = rank_matrix(ds)
         n_kept = rm.n
-        assert np.allclose(rm.column_rank_sums, n_kept * (n_kept + 1) / 2.0)
+        assert np.allclose(rm.ranks.sum(axis=0), n_kept * (n_kept + 1) / 2.0)
 
         # Monotone transform of the continuous endpoint changes nothing.
         from support import cont, subject

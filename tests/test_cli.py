@@ -208,19 +208,36 @@ def edited_replica(
 
 class TestBadData:
     @pytest.mark.parametrize(
-        "column, token",
+        "column, token, names",
         [
-            ("days", "inf"), ("days", "NAN"), ("cd420", "-inf"), ("cd420", "1e400"),
-            ("cd40", "inf"), ("arms", "2.5"), ("arms", "inf"), ("pidnum", "11335"),
+            ("days", "inf", "subject '11043'"),
+            ("days", "NAN", "subject '11043'"),
+            ("cd420", "-inf", "subject '11043'"),
+            ("cd420", "1e400", "subject '11043'"),
+            ("cd40", "inf", "subject '11043'"),
+            ("arms", "2.5", "row 1, column 'arms'"),
+            ("arms", "inf", "row 1, column 'arms'"),
+            ("pidnum", "11335", "'11335'"),
+            ("cens", "2", "row 1, column 'cens': malformed value (event indicator must be 0/1)"),
+            ("days", "", "row 1, column 'days': malformed value (required field is missing)"),
+            ("cd420", "x", "row 1, column 'cd420': malformed value (not a number: 'x')"),
+            (None, None, "edited.csv: no header row"),  # an empty file
+        ],
+        ids=[
+            "days-inf", "days-NAN", "cd420--inf", "cd420-1e400", "cd40-inf", "arms-2.5",
+            "arms-inf", "pidnum-11335", "cens-2", "days-empty", "cd420-x", "empty_file",
         ],
     )
-    def test_rejected_value_is_data_error(self, replica, tmp_path, capsys, column, token):
-        path = edited_replica(replica, tmp_path / "edited.csv", column, token)
-        code = run_cli("analyze", "--input", path, "--mode", "asymptotic", "--methods", "fs")
+    def test_rejected_value_is_data_error(self, replica, tmp_path, capsys, column, token, names):
+        path = tmp_path / "edited.csv"
+        if column is None:
+            path.write_text("")
+        else:
+            edited_replica(replica, path, column, token)
+        code = run_cli("analyze", "--input", str(path), "--mode", "asymptotic", "--methods", "fs")
         assert code == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith("data error: ")
-        assert "11043" in err or "row 1, column 'arms'" in err or "'11335'" in err
+        assert err.startswith("data error: ") and names in err
 
     @pytest.mark.parametrize(
         "column, token, message",
@@ -387,6 +404,9 @@ class TestMistypedConfig:
             ("simulate", {"sim": {"hazard_control": 10**400}}),
             ("analyze", {"columns": {"covariates": {"cd4_baseline": "cd420"}}}),
             ("summarize", {"columns": {"covariates": {"arm": "arms"}}}),
+            ("analyze", ["fs"]),
+            ("simulate", {"sim": {"censor_horizon": 0, **TINY_STUDY}}),
+            ("simulate", {"sim": {**TINY_STUDY, "n_per_group": 0}}),
         ],
         ids=[
             "replicates_str", "seed_float", "include_week96_str", "n_trials_str", "alpha_str",
@@ -396,14 +416,35 @@ class TestMistypedConfig:
             "summarize_contrast_int", "input_int", "out_int", "simulate_out_int", "weight_bool",
             "subject_id_int", "sim_seed_negative", "seed_past_64_bits", "correlation_2x2",
             "correlation_not_psd", "hazard_past_float_range", "covariate_shadows_baseline", "covariate_shadows_arm",
+            "top_level_list", "censor_horizon_zero", "n_per_group_zero",
         ],
     )
     def test_wrong_yaml_type_is_config_error(self, replica, tmp_path, capsys, command, cfg):
         path = tmp_path / "cfg.yaml"
-        path.write_text(yaml.safe_dump({"input": replica, "methods": ["fs"], **cfg}))
+        if isinstance(cfg, dict):
+            cfg = {"input": replica, "methods": ["fs"], **cfg}
+        path.write_text(yaml.safe_dump(cfg))
         code = run_cli(command, "--config", str(path), "--out", str(tmp_path / "out"))
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            ("cd4_baseline", "dataset lacks the 'cd4_baseline' covariate"),
+            ("cd4_week96", "dataset lacks endpoint 'cd4_week96'"),
+        ],
+    )
+    def test_unmapped_derivation_column_is_data_error(
+        self, replica, tmp_path, capsys, column, message
+    ):
+        # The mapping may leave these columns out, but deriving the
+        # endpoints needs them: the data, not the config, fails.
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"input": replica, "columns": {column: None}}))
+        code = run_cli("analyze", "--config", str(path), "--mode", "asymptotic", "--methods", "fs")
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {message}\n"
 
     @pytest.mark.parametrize(
         "text", [b"methods: [fs\n", b"methods: [fs]\n# caf\xe9\n"],

@@ -131,38 +131,41 @@ def gu_stat(ds):
     return stat
 
 
-def assert_same_null(fast, generic):
-    """p and every permutation metadata field agree bit for bit, and the
-    result carries the plan's inference mode."""
+def assert_same_null(fast, generic, plan):
+    """p and every permutation metadata field agree bit for bit with the
+    driver's ``(p, fields)``, and the result carries the plan's inference
+    mode."""
 
     def bits(values):
         return [v.hex() if isinstance(v, float) else v for v in values]
 
-    want = generic.metadata()
-    assert bits([fast.p_two_sided, *(fast.metadata[k] for k in want)]) == bits(
-        [generic.p, *want.values()]
+    p, fields = generic
+    assert bits([fast.p_two_sided, *(fast.metadata[k] for k in fields)]) == bits(
+        [p, *fields.values()]
     )
-    assert fast.inference_mode is generic.mode
+    assert fast.inference_mode is plan.mode
 
 
 @pytest.mark.parametrize("plan", PLANS, ids=["monte_carlo", "exact"])
 class TestFastPathsMatchGenericEngine:
     def test_fs(self, ds, plan):
-        assert_same_null(fs_test(ds, plan=plan), permutation_pvalue(fs_stat, ds, plan))
+        assert_same_null(fs_test(ds, plan=plan), permutation_pvalue(fs_stat, ds, plan), plan)
 
     def test_win_ratio(self, ds, plan):
-        assert_same_null(win_ratio_test(ds, plan=plan), permutation_pvalue(wr_stat, ds, plan))
+        assert_same_null(
+            win_ratio_test(ds, plan=plan), permutation_pvalue(wr_stat, ds, plan), plan
+        )
 
     def test_win_ratio_tie_pairs(self, tied, plan):
         assert tie_pairs(tied).T.tolist() == [[0, 1], [4, 9], [12, 13]]
         assert_same_null(
-            win_ratio_test(tied, plan=plan), permutation_pvalue(wr_stat, tied, plan)
+            win_ratio_test(tied, plan=plan), permutation_pvalue(wr_stat, tied, plan), plan
         )
 
     def test_win_ratio_tie_heavy_dense(self, heavy, plan):
         assert tie_pairs(heavy).shape[1] > heavy.n**2 // 64
         assert_same_null(
-            win_ratio_test(heavy, plan=plan), permutation_pvalue(wr_stat, heavy, plan)
+            win_ratio_test(heavy, plan=plan), permutation_pvalue(wr_stat, heavy, plan), plan
         )
 
     def test_win_ratio_missing_marker(self, tied, plan):
@@ -174,14 +177,16 @@ class TestFastPathsMatchGenericEngine:
         sparse = dataset(subs, tied.endpoint_specs)
         fast = win_ratio_test(sparse, plan=plan)
         assert fast.metadata["n_excluded"] == 0
-        assert_same_null(fast, permutation_pvalue(wr_stat, sparse, plan))
+        assert_same_null(fast, permutation_pvalue(wr_stat, sparse, plan), plan)
 
     def test_obrien(self, ds, plan):
-        assert_same_null(obrien_test(ds, plan=plan), permutation_pvalue(obrien_stat, ds, plan))
+        assert_same_null(
+            obrien_test(ds, plan=plan), permutation_pvalue(obrien_stat, ds, plan), plan
+        )
 
     def test_multirank(self, ds, plan):
         assert_same_null(
-            multirank_test(ds, plan=plan), permutation_pvalue(multirank_stat, ds, plan)
+            multirank_test(ds, plan=plan), permutation_pvalue(multirank_stat, ds, plan), plan
         )
 
     def test_multirank_singular_covariance(self, plan):
@@ -196,7 +201,7 @@ class TestFastPathsMatchGenericEngine:
         assert fast.statistic == pytest.approx(
             oracles.multirank_statistic(subjects_of(singular), singular.endpoint_specs), rel=1e-12
         )
-        assert_same_null(fast, permutation_pvalue(multirank_stat, singular, plan))
+        assert_same_null(fast, permutation_pvalue(multirank_stat, singular, plan), plan)
 
     def test_multirank_empty_kept_group(self, plan):
         # Complete-case exclusion keeps a handful of the 9 subjects, so the
@@ -209,10 +214,12 @@ class TestFastPathsMatchGenericEngine:
             fast = test(sparse, plan=plan)
             assert fast.metadata["n_excluded"] > 0
             assert fast.metadata["n_nonfinite"] > 0
-            assert_same_null(fast, permutation_pvalue(stat, sparse, plan))
+            assert_same_null(fast, permutation_pvalue(stat, sparse, plan), plan)
 
     def test_global_u(self, ds, plan):
-        assert_same_null(global_u_test(ds, plan=plan), permutation_pvalue(gu_stat(ds), ds, plan))
+        assert_same_null(
+            global_u_test(ds, plan=plan), permutation_pvalue(gu_stat(ds), ds, plan), plan
+        )
 
     def test_pairwise_tests_across_row_tiles(self, ds, tied, heavy, plan, monkeypatch):
         # Tiles of at most 3N entries over the first level's tie runs
@@ -236,7 +243,7 @@ class TestFastPathsMatchGenericEngine:
         fast = iter(tiled[0][1::2])
         for d in cohorts:
             for stat in (fs_stat, wr_stat, gu_stat(d), obrien_stat, multirank_stat):
-                assert_same_null(next(fast), permutation_pvalue(stat, d, plan))
+                assert_same_null(next(fast), permutation_pvalue(stat, d, plan), plan)
 
 
 @pytest.mark.parametrize("plan", PLANS, ids=["monte_carlo", "exact"])
@@ -258,6 +265,11 @@ def test_method_after_the_others_equals_it_alone(method, plan, monkeypatch):
     last = run_method(method, shared, plan)
     assert len(streams) == 2
     assert result_bits(last) == result_bits(alone)
+
+
+def test_unknown_method_name_rejected(ds):
+    with pytest.raises(ValueError, match="unknown method 'bogus'; known: "):
+        run_method("bogus", ds)
 
 
 def test_quadform_constants_once_per_test_equal_the_per_call_form(ds):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from multiendpoint import (
     Direction,
     EmptyAfterExclusionError,
+    EmptyGroupError,
     EndpointKind,
     EndpointSpec,
     PermutationPlan,
@@ -80,7 +81,7 @@ class TestRankMatrix:
             ds = dataset(subs, specs)
             rm = rank_matrix(ds)
             n = rm.n
-            assert np.allclose(rm.column_rank_sums, n * (n + 1) / 2.0)
+            assert np.allclose(rm.ranks.sum(axis=0), n * (n + 1) / 2.0)
             assert rm.ranks.min() >= 1.0 and rm.ranks.max() <= n
 
     def test_complete_case_exclusion_counted(self):
@@ -157,7 +158,22 @@ class TestRankMatrix:
         assert rm.ranks[:, 0].tolist() == [2.0, 1.0]
 
 
+@pytest.mark.parametrize("plan", [None, PermutationPlan.monte_carlo(9)], ids=["asymptotic", "mc"])
+@pytest.mark.parametrize("test", [obrien_test, multirank_test])
+def test_an_empty_group_after_exclusion_is_rejected(test, plan):
+    # Every treated subject lacks ``score``: complete-case exclusion keeps
+    # only the four controls.
+    subs = [subject(f"t{i}", 1, surv=tte(i + 1), score=cont()) for i in range(4)]
+    subs += [subject(f"c{i}", 0, surv=tte(i + 5), score=cont(i)) for i in range(4)]
+    with pytest.raises(EmptyGroupError, match=r"a group is empty .*\(kept=4, treatment=0\)"):
+        test(dataset(subs, [SURV, SCORE]), plan=plan)
+
+
 class TestObrien:
+    def test_unknown_variance_rejected(self):
+        with pytest.raises(ValueError, match="unknown variance option 'x'"):
+            obrien_test(two_endpoint_fixture(), variance="x")
+
     def test_duplicated_groups_give_zero(self):
         subs = []
         for g in (1, 0):

@@ -80,11 +80,12 @@ class TestPlans:
         with pytest.raises(ValueError, match=r"master seed must be in \[0, 2\*\*64\)"):
             PermutationPlan.monte_carlo(9, seed=seed)
         with pytest.raises(ValueError, match="master seed"):
-            PermutationPlan.monte_carlo(9).with_seed(seed)
+            replace(PermutationPlan.monte_carlo(9), master_seed=seed)
 
     def test_largest_seed_accepted(self, ordered):
         plan = PermutationPlan.monte_carlo(9, seed=2**64 - 1)
-        assert permutation_pvalue(fs_stat, ordered, plan).master_seed == 2**64 - 1
+        _, fields = permutation_pvalue(fs_stat, ordered, plan)
+        assert fields["seed"] == 2**64 - 1
 
 
 class TestSeeds:
@@ -202,41 +203,41 @@ class TestSharedGenerator:
 class TestPermutationPvalue:
     def test_constant_statistic_p_one_both_modes(self, ordered):
         for plan in (PermutationPlan.monte_carlo(200, seed=1), PermutationPlan.exact()):
-            res = permutation_pvalue(lambda d: 0.0, ordered, plan)
-            assert res.p == 1.0
+            p, _ = permutation_pvalue(lambda d: 0.0, ordered, plan)
+            assert p == 1.0
 
     def test_exact_enumeration_on_ordered_fixture(self, ordered):
-        res = permutation_pvalue(fs_stat, ordered, PermutationPlan.exact())
-        assert res.replicates_used == 6
-        assert res.p == pytest.approx(2.0 / 6.0)
-        assert res.n_extreme == 2
+        p, fields = permutation_pvalue(fs_stat, ordered, PermutationPlan.exact())
+        assert fields["replicates_used"] == 6
+        assert p == pytest.approx(2.0 / 6.0)
+        assert fields["n_extreme"] == 2
 
     def test_monte_carlo_converges_to_exact(self, ordered):
-        exact = permutation_pvalue(fs_stat, ordered, PermutationPlan.exact())
-        mc = permutation_pvalue(fs_stat, ordered, PermutationPlan.monte_carlo(10_000, seed=3))
-        assert abs(mc.p - exact.p) <= 0.02
+        exact, _ = permutation_pvalue(fs_stat, ordered, PermutationPlan.exact())
+        mc, _ = permutation_pvalue(fs_stat, ordered, PermutationPlan.monte_carlo(10_000, seed=3))
+        assert abs(mc - exact) <= 0.02
 
     def test_monte_carlo_within_three_binomial_se(self):
         ds = survival_cohort(
             [3, 9, 14, 1, 7, 11, 2, 6, 12, 4], [1] * 10, [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
         )
-        exact = permutation_pvalue(fs_stat, ds, PermutationPlan.exact())
+        exact, _ = permutation_pvalue(fs_stat, ds, PermutationPlan.exact())
         b = 20_000
-        mc = permutation_pvalue(fs_stat, ds, PermutationPlan.monte_carlo(b, seed=5))
-        se = math.sqrt(exact.p * (1 - exact.p) / b)
-        assert abs(mc.p - exact.p) <= 3 * se + 1 / b
+        mc, _ = permutation_pvalue(fs_stat, ds, PermutationPlan.monte_carlo(b, seed=5))
+        se = math.sqrt(exact * (1 - exact) / b)
+        assert abs(mc - exact) <= 3 * se + 1 / b
 
     def test_reproducible_and_positive(self, ordered):
         plan = PermutationPlan.monte_carlo(97, seed=42)
-        p1 = permutation_pvalue(fs_stat, ordered, plan).p
-        p2 = permutation_pvalue(fs_stat, ordered, plan).p
+        p1, _ = permutation_pvalue(fs_stat, ordered, plan)
+        p2, _ = permutation_pvalue(fs_stat, ordered, plan)
         assert p1 == p2
         assert p1 >= 1.0 / 98.0
 
     def test_plus_one_convention_floor(self, ordered):
-        res = permutation_pvalue(lambda d: 1e9 if d is ordered else 0.0, ordered,
-                                 PermutationPlan.monte_carlo(49, seed=0))
-        assert res.p == pytest.approx(1.0 / 50.0)
+        p, _ = permutation_pvalue(lambda d: 1e9 if d is ordered else 0.0, ordered,
+                                  PermutationPlan.monte_carlo(49, seed=0))
+        assert p == pytest.approx(1.0 / 50.0)
 
     def test_chunking_invariance(self, ordered):
         plan = PermutationPlan.monte_carlo(300, seed=9)
@@ -257,15 +258,15 @@ class TestPermutationPvalue:
                 return 1.0  # observed
             return math.nan if calls["n"] % 2 == 0 else 0.0
 
-        res = permutation_pvalue(stat, ordered, PermutationPlan.monte_carlo(100, seed=2))
-        assert res.n_nonfinite == 50
-        assert res.n_extreme == 50
-        assert res.p == pytest.approx(51 / 101)
+        p, fields = permutation_pvalue(stat, ordered, PermutationPlan.monte_carlo(100, seed=2))
+        assert fields["n_nonfinite"] == 50
+        assert fields["n_extreme"] == 50
+        assert p == pytest.approx(51 / 101)
 
     def test_nan_observed_gives_p_one(self, ordered):
-        res = pvalue_from_draws(math.nan, np.array([0.0, 1.0, math.nan]),
-                                PermutationPlan.exact())
-        assert res.p == 1.0
+        p, _ = pvalue_from_draws(math.nan, np.array([0.0, 1.0, math.nan]),
+                                 PermutationPlan.exact(), 3)
+        assert p == 1.0
 
     def test_label_blocks_preserve_group_sizes(self, ordered):
         for plan in (PermutationPlan.monte_carlo(50, seed=7), PermutationPlan.exact()):
@@ -309,7 +310,7 @@ class TestSharedStream:
         equal_codes = oracles.with_groups(ds, ds.group_codes)
         for plan, data in [
             (self.MC, ds),
-            (self.MC.with_seed(6), ds),
+            (replace(self.MC, master_seed=6), ds),
             (PermutationPlan.monte_carlo(2_499, seed=5), ds),
             (self.MC, equal_codes),
         ]:
@@ -494,7 +495,8 @@ class TestDecisionLevel:
 
     @staticmethod
     def both(observed, reduce, ds, plan, level):
-        """The full and the curtailed result, each with the draws it saw."""
+        """The full and the curtailed ``(p, fields)``, each with the draws
+        it saw."""
         draws = ([], [])
 
         def into(seen):
@@ -511,13 +513,14 @@ class TestDecisionLevel:
     def check(full, cut, level, stream_p):
         """Same decision; a full run is the full result, a cut one is below
         its rows and bounds its p from below."""
-        assert (cut.p <= level) == (full.p <= level)
-        if cut.replicates_used == full.replicates_used:
+        (full_p, full_fields), (cut_p, cut_fields) = full, cut
+        assert (cut_p <= level) == (full_p <= level)
+        if cut_fields["replicates_used"] == full_fields["replicates_used"]:
             assert result_bits(cut) == result_bits(full)
             return False
-        assert cut.replicates_used < full.replicates_used
-        assert cut.p == stream_p(cut.n_extreme)
-        assert level < cut.p <= full.p
+        assert cut_fields["replicates_used"] < full_fields["replicates_used"]
+        assert cut_p == stream_p(cut_fields["n_extreme"])
+        assert level < cut_p <= full_p
         return True
 
     def test_draws_are_a_prefix_of_the_stream(self):
@@ -528,24 +531,27 @@ class TestDecisionLevel:
             observed = float(ds.group_codes @ w)
             for level in (0.01, 0.05, 0.5):
                 full, cut, all_draws, drawn = self.both(
-                    observed, lambda b: b @ w, ds, self.MC.with_seed(seed), level
+                    observed, lambda b: b @ w, ds, replace(self.MC, master_seed=seed), level
                 )
                 cut_short.add(self.check(full, cut, level, lambda n: (1 + n) / (self.B + 1)))
+                _, fields = cut
                 assert np.array_equal(drawn, all_draws[: len(drawn)])
-                assert len(drawn) == cut.replicates_used
-                if cut.replicates_used < self.B:
-                    assert cut.replicates_used % self.BLOCK == 0
-                    assert cut.null_mean == float(drawn.mean())
-                    assert cut.n_extreme == int((np.abs(drawn) >= abs(observed)).sum())
+                assert len(drawn) == fields["replicates_used"]
+                if fields["replicates_used"] < self.B:
+                    assert fields["replicates_used"] % self.BLOCK == 0
+                    assert fields["null_mean"] == float(drawn.mean())
+                    assert fields["n_extreme"] == int((np.abs(drawn) >= abs(observed)).sum())
         assert cut_short == {True, False}
 
     def test_nan_observed_stops_after_one_block(self):
         ds = simulate_trial(SimConfig.null(20, seed=3))
         w = self.weights(ds)
-        full, cut, _, _ = self.both(math.nan, lambda b: b @ w, ds, self.MC, 0.05)
-        assert (full.p, full.replicates_used) == (1.0, self.B)
-        assert (cut.replicates_used, cut.n_extreme) == (self.BLOCK, self.BLOCK)
-        assert cut.p == (1 + self.BLOCK) / (self.B + 1)
+        (full_p, full), (cut_p, cut), _, _ = self.both(
+            math.nan, lambda b: b @ w, ds, self.MC, 0.05
+        )
+        assert (full_p, full["replicates_used"]) == (1.0, self.B)
+        assert (cut["replicates_used"], cut["n_extreme"]) == (self.BLOCK, self.BLOCK)
+        assert cut_p == (1 + self.BLOCK) / (self.B + 1)
 
     def test_win_ratio_infinite_draws(self):
         # Four subjects a group: relabelings with no loss or no win give a
@@ -554,7 +560,7 @@ class TestDecisionLevel:
         nonfinite = cut_short = 0
         for t in range(30):
             ds = survival_cohort(rng.permutation(8) + 1.0, rng.integers(0, 2, 8), [1, 0] * 4)
-            plan = self.MC.with_seed(t)
+            plan = replace(self.MC, master_seed=t)
             for level in (0.05, 0.3):
                 full = win_ratio_test(ds, plan=plan)
                 cut = win_ratio_test(ds, plan=replace(plan, decide_at=level))
@@ -575,7 +581,7 @@ class TestDecisionLevel:
         cut_short = set()
         for level in (0.01, 0.05, 0.2, 0.5, 0.9):
             full, cut, _, _ = self.both(observed, lambda b: b @ w, ds, PermutationPlan.exact(), level)
-            assert full.replicates_used == 252
+            assert full[1]["replicates_used"] == 252
             cut_short.add(self.check(full, cut, level, lambda n: n / 252))
         assert cut_short == {True, False}
 
@@ -583,9 +589,11 @@ class TestDecisionLevel:
         # p >= 1/(B+1) > decide_at: no trial can reject, whatever it draws.
         ds = simulate_trial(SimConfig.null(20, seed=3))
         level = 0.5 / (self.B + 1)
-        full, cut, _, _ = self.both(1e9, lambda b: np.zeros(len(b)), ds, self.MC, level)
-        assert cut.replicates_used == self.BLOCK
-        assert cut.p == full.p == 1 / (self.B + 1)
+        (full_p, _), (cut_p, cut), _, _ = self.both(
+            1e9, lambda b: np.zeros(len(b)), ds, self.MC, level
+        )
+        assert cut["replicates_used"] == self.BLOCK
+        assert cut_p == full_p == 1 / (self.B + 1)
 
     def test_builds_only_the_states_of_the_rows_drawn(self, monkeypatch):
         # The seeds of the whole range are hashed at once, but a state is
@@ -604,11 +612,12 @@ class TestDecisionLevel:
             ds = simulate_trial(SimConfig.null(20, seed=seed))
             w = self.weights(ds)
             observed = float(ds.group_codes @ w)
-            for plan in (self.MC.with_seed(seed), replace(self.MC.with_seed(seed), decide_at=0.05)):
+            plan = replace(self.MC, master_seed=seed)
+            for plan in (plan, replace(plan, decide_at=0.05)):
                 built.clear()
-                res = permutation_test(observed, lambda b: b @ w, ds, plan)
-                assert len(built) == res.replicates_used
-                rows.add(res.replicates_used)
+                _, fields = permutation_test(observed, lambda b: b @ w, ds, plan)
+                assert len(built) == fields["replicates_used"]
+                rows.add(fields["replicates_used"])
         assert self.B in rows and min(rows) == self.BLOCK
 
     @pytest.mark.parametrize("level", [0.0, 1.0, -0.05, 1.5, math.nan])
@@ -628,9 +637,9 @@ class TestDecisionLevel:
         monkeypatch.setattr(resampling, "_SHARE_ENTRIES", 1)  # would fan any kept stream out
         other = simulate_trial(SimConfig.null(20, seed=4))
         for data in (ds, other):
-            res = permutation_test(0.0, lambda b: np.zeros(len(b)), data,
-                                   replace(self.MC, decide_at=0.05))
-            assert res.replicates_used == self.BLOCK
+            _, fields = permutation_test(0.0, lambda b: np.zeros(len(b)), data,
+                                         replace(self.MC, decide_at=0.05))
+            assert fields["replicates_used"] == self.BLOCK
         assert list(resampling._kept.items()) == kept
         permutation_test(0.0, lambda b: np.zeros(len(b)), ds, self.MC)  # still a replay
 
