@@ -18,16 +18,15 @@ its hash only when the stream reaches its row, and is loaded into the one
 generator its thread reuses for every stream.
 
 Stream lifetime: the tests that run on one dataset under one plan share one
-label stream. The first draws it whole into a bit-packed copy, one bit per
-label, keyed by the dataset, whose group codes cannot change; every test,
-the first too, replays the copy block for block. A long Monte Carlo stream
-is drawn in contiguous shares of its replicate range by forked workers,
-which write their rows in place into the copy, held in shared memory (see
-``_packed_stream`` and the ``forking`` module). The copy lives as long as
-its dataset, or until a stream is drawn for another dataset or plan: one
-copy is kept at a time, and none beyond ``_STREAM_CACHE_BYTES`` (the
-replica's 10,000 replicates at N=2467 take 3.1 MB). A stream over that cap
-is streamed in the caller as it is drawn.
+label stream. The first draws and reduces it in contiguous shares of its
+replicate range, in forked workers for a long Monte Carlo stream (see
+``_stream_workers`` and the ``forking`` module). Each share also writes its
+rows into a bit-packed copy in shared memory, one bit per label, kept once
+every share has returned and keyed by the dataset, whose group codes cannot
+change; later tests replay it in the caller. One copy is kept at a time, as
+long as its dataset lives or until a stream is drawn for another dataset or
+plan, and none beyond ``_STREAM_CACHE_BYTES`` (the replica's 10,000
+replicates at N=2467 take 3.1 MB): each test draws such a stream afresh.
 
 A plan with a decision level ``decide_at`` (set by null studies, which use
 a p-value only to ask whether ``p <= alpha``) is curtailed exactly (Besag &
@@ -286,7 +285,10 @@ def iter_label_blocks(
     of ``group_codes`` (see the module docstring); any ``block_size``
     yields the same rows.
     Exact: every treatment index set, in ``itertools.combinations`` order.
+    A ``block_size`` below 1 is a ValueError.
     """
+    if block_size < 1:
+        raise ValueError(f"block size must be >= 1, got {block_size}")
     base = np.asarray(group_codes, dtype=np.int8)
     n = base.size
     n1 = int(base.sum())
@@ -395,11 +397,13 @@ def label_product(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 _STREAM_CACHE_BYTES = 1 << 25  # most bytes one bit-packed label stream may keep
 
-# Fewest labels (replicates x N) in one share of a kept Monte Carlo stream
-# drawn over forked workers: a smaller share saves less shuffling than
-# forking and joining its worker costs (about 6 ms). On 2 cores, two
-# workers broke even at 0.2-0.6M labels in all (N = 40, 200 and 2467) and
-# took 0.59-0.70 of the serial time from 1M labels on.
+# Fewest labels (replicates x N) in one share of a fresh Monte Carlo stream
+# drawn and reduced over forked workers: a smaller share saves less work
+# than forking and joining its worker costs. On 2 cores (rank sum and win
+# ratio, medians of 10 interleaved rounds), two workers broke even on the
+# first test's pass below 0.5M labels at N = 40, near 1M at N = 200 and at
+# 2-4M at N = 2467, as they did while the caller reduced, and took
+# 0.60-0.89 of the serial time at 4M.
 _SHARE_ENTRIES = 1 << 19
 
 # The one kept label stream, {dataset: (plan, packed rows)}: one bit per
@@ -419,59 +423,35 @@ _kept: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _DECISION_BLOCK = 32
 
 
-def _label_blocks(plan: PermutationPlan, ds: TrialDataset) -> Iterator[np.ndarray]:
-    """The blocks of ``iter_label_blocks(plan, ds.group_codes)`` for a plan
-    drawn whole: replayed from the kept stream when it was drawn for this
-    dataset under an equal plan; else, for a stream that packs into
-    ``_STREAM_CACHE_BYTES``, drawn whole by :func:`_packed_stream`,
-    replayed, and kept once fully consumed; else streamed as drawn."""
-    kept_plan, packed = _kept.get(ds, (None, None))
-    if kept_plan != plan:
-        _kept.clear()
-        total = n_assignments(plan, ds.n, ds.n_treatment)
-        if total * ((ds.n + 7) // 8) > _STREAM_CACHE_BYTES:
-            yield from iter_label_blocks(plan, ds.group_codes)
-            return
-        packed = _packed_stream(plan, ds.group_codes, total)
-    for r in range(0, len(packed), DEFAULT_BLOCK_SIZE):
-        rows = packed[r : r + DEFAULT_BLOCK_SIZE]
-        yield np.unpackbits(rows, axis=1, count=ds.n).view(np.int8)
-    _kept[ds] = (plan, packed)
-
-
-def _packed_stream(plan: PermutationPlan, group_codes: np.ndarray, total: int) -> np.ndarray:
-    """The ``total`` rows of ``iter_label_blocks(plan, group_codes)``,
-    bit-packed, one bit per label.
-
-    The replicate range is split into ``_stream_workers`` contiguous
-    shares, run by ``forking.run_shares``. Each writes its rows in place
-    into shared anonymous memory, so nothing is pickled or concatenated.
-    """
-    shared = mmap.mmap(-1, total * ((len(group_codes) + 7) // 8))
-    packed = np.frombuffer(shared, dtype=np.uint8).reshape(total, -1)
-    n_workers = _stream_workers(plan, len(group_codes), total)
-    forking.run_shares(partial(_pack_rows, plan, group_codes, packed), total, n_workers)
-    return packed
-
-
 def _stream_workers(plan: PermutationPlan, n: int, total: int) -> int:
-    """How many processes draw a kept stream of ``total`` replicates at N =
-    ``n``: ``forking.host_worker_count`` of its ``_SHARE_ENTRIES``-label
-    shares, so 1 below two shares and for an exact plan."""
+    """How many processes draw and reduce a fresh stream of ``total``
+    replicates at N = ``n``: ``forking.host_worker_count`` of its
+    ``_SHARE_ENTRIES``-label shares, so 1 below two shares and for an exact
+    plan."""
     shares = total * n // _SHARE_ENTRIES
     if plan.mode is not InferenceMode.PERMUTATION or shares < 2:
         return 1
     return forking.host_worker_count(shares)
 
 
-def _pack_rows(
-    plan: PermutationPlan, group_codes: np.ndarray, packed: np.ndarray, start: int, stop: int
-) -> None:
-    """Write rows ``start`` to ``stop - 1`` of the stream into ``packed``."""
-    row = start
+def _reduce_share(
+    plan: PermutationPlan,
+    group_codes: np.ndarray,
+    reduce: Callable[[np.ndarray], np.ndarray],
+    packed: np.ndarray | None,
+    start: int,
+    stop: int,
+) -> np.ndarray:
+    """The null statistics of rows ``start`` to ``stop - 1`` of the stream,
+    as float64 (empty for an empty share). Each block is written bit-packed
+    into ``packed``, unless it is None, before ``reduce`` sees it."""
+    draws = [np.empty(0)]
     for block in iter_label_blocks(plan, group_codes, start=start, stop=stop):
-        packed[row : row + len(block)] = np.packbits(block, axis=1)
-        row += len(block)
+        if packed is not None:
+            packed[start : start + len(block)] = np.packbits(block, axis=1)
+            start += len(block)
+        draws.append(reduce(block))
+    return np.concatenate(draws)
 
 
 def permutation_test(
@@ -486,23 +466,35 @@ def permutation_test(
 
     ``reduce`` maps a (b, N) label block from :func:`iter_label_blocks`
     over ``ds.group_codes`` to the b null statistics of its rows. The
-    driver picks the stream and decides where it ends. A plan without
-    ``decide_at`` reads it whole from :func:`_label_blocks`, shared by the
-    tests on ``ds`` under that plan for as long as ``ds`` lives. A plan with
-    ``decide_at`` draws it lazily in ``_DECISION_BLOCK``-row blocks, kept
-    by no one, and stops after the first block at which the full p is known
-    to exceed that level (see the module docstring).
+    driver picks the stream and decides where it ends (see the module
+    docstring): a plan without ``decide_at`` replays the copy kept for
+    ``ds`` under an equal plan, or else draws and reduces the stream in
+    shares; a plan with ``decide_at`` draws it lazily in the caller in
+    ``_DECISION_BLOCK``-row blocks, kept by no one, and stops after the
+    first block at which the full p is known to exceed that level.
     """
     total = n_assignments(plan, ds.n, ds.n_treatment)
-    if plan.decide_at is None:
-        draws = [reduce(block) for block in _label_blocks(plan, ds)]
-    else:
+    kept_plan, packed = _kept.get(ds, (None, None))
+    if plan.decide_at is not None:
         draws, n_extreme = [], 0
         for block in iter_label_blocks(plan, ds.group_codes, _DECISION_BLOCK):
             draws.append(reduce(block))
             n_extreme += _n_extreme(observed, draws[-1])
             if _stream_p(plan, n_extreme, total) > plan.decide_at:
                 break
+    elif kept_plan == plan:
+        rows = (packed[r : r + DEFAULT_BLOCK_SIZE] for r in range(0, total, DEFAULT_BLOCK_SIZE))
+        draws = [reduce(np.unpackbits(b, axis=1, count=ds.n).view(np.int8)) for b in rows]
+    else:
+        _kept.clear()
+        size = total * ((ds.n + 7) // 8)
+        packed = None
+        if size <= _STREAM_CACHE_BYTES:
+            packed = np.frombuffer(mmap.mmap(-1, size), dtype=np.uint8).reshape(total, -1)
+        share = partial(_reduce_share, plan, ds.group_codes, reduce, packed)
+        draws = forking.run_shares(share, total, _stream_workers(plan, ds.n, total))
+        if packed is not None:
+            _kept[ds] = (plan, packed)
     return pvalue_from_draws(observed, np.concatenate(draws), plan, total)
 
 
@@ -521,9 +513,8 @@ def conclude(
     ``asymptotic_p()``, called only then, and ``reduce`` may be None. With
     one it comes from :func:`permutation_test` of ``reduce`` over the labels
     of ``ds`` against ``statistic``, and the six driver fields join
-    ``metadata``; the label stream of a plan without ``decide_at`` is kept
-    for the next test on ``ds`` under the same plan for as long as ``ds``
-    lives."""
+    ``metadata``. ``reduce`` may run in forked workers, so it must not
+    count on changing state in the caller."""
     if plan is None:
         return TestResult(
             method, statistic, variance, z, asymptotic_p(), InferenceMode.ASYMPTOTIC, metadata

@@ -15,7 +15,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from multiendpoint import EndpointKind, EndpointSpec, TrialDataset, multirank_test, resampling
+from multiendpoint import (
+    EndpointKind,
+    EndpointSpec,
+    TrialDataset,
+    forking,
+    multirank_test,
+    resampling,
+)
 
 SURV = EndpointSpec("surv", EndpointKind.TIME_TO_EVENT, priority=1)
 SCORE = EndpointSpec("score", EndpointKind.CONTINUOUS, priority=2)
@@ -198,23 +205,17 @@ def random_integer_cohort(rng: np.random.Generator, n: int, missing_prob: float 
 
 
 def count_label_streams(monkeypatch) -> list:
-    """The plans of the label streams drawn from now on, one entry each; a
-    test that replays a kept stream draws none. A stream to be kept counts
-    once, in the caller, when ``_packed_stream`` draws it, whether its
-    shares then run in the caller or in workers; a stream too large to
-    keep counts when it is drawn whole."""
+    """The plans of the fresh label streams drawn whole from now on, one
+    entry each, counted in the caller when their shares start, whether the
+    shares then run in the caller or in workers. A test that replays a kept
+    stream draws none, and a plan with ``decide_at`` is not counted."""
     plans = []
-    packed_stream, iter_label_blocks = resampling._packed_stream, resampling.iter_label_blocks
+    run_shares = forking.run_shares
 
-    def counted_packed(plan, codes, total):
-        plans.append(plan)
-        return packed_stream(plan, codes, total)
+    def counted(task, n_items, n_workers):
+        if getattr(task, "func", None) is resampling._reduce_share:
+            plans.append(task.args[0])
+        return run_shares(task, n_items, n_workers)
 
-    def counted_blocks(plan, codes, block_size=resampling.DEFAULT_BLOCK_SIZE, start=0, stop=None):
-        if stop is None:
-            plans.append(plan)
-        return iter_label_blocks(plan, codes, block_size, start, stop)
-
-    monkeypatch.setattr(resampling, "_packed_stream", counted_packed)
-    monkeypatch.setattr(resampling, "iter_label_blocks", counted_blocks)
+    monkeypatch.setattr(forking, "run_shares", counted)
     return plans

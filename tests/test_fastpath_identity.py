@@ -30,7 +30,7 @@ from multiendpoint import (
     simulate_trial,
     win_ratio_test,
 )
-from multiendpoint import pairwise, resampling
+from multiendpoint import forking, pairwise, resampling
 from multiendpoint.global_u import _combine, endpoint_weights
 from multiendpoint.methods import METHOD_NAMES, run_method
 from multiendpoint.rank_tests import _moments, _quadform_stats, rank_matrix
@@ -265,6 +265,33 @@ def test_method_after_the_others_equals_it_alone(method, plan, monkeypatch):
     last = run_method(method, shared, plan)
     assert len(streams) == 2
     assert result_bits(last) == result_bits(alone)
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_shares_give_the_serial_result(method, monkeypatch):
+    """A fresh stream drawn and reduced in 1, 2 or 3 shares gives the p and
+    the six fields of the serial run by ``float.hex``, as does its replay:
+    when the stream is kept; when it is over ``_STREAM_CACHE_BYTES``, so
+    nothing is kept and the replay draws it again; and when there are more
+    shares than replicates, so some shares hold no row."""
+    monkeypatch.setattr(resampling, "_SHARE_ENTRIES", 1)  # every stream fans out
+    kept_plan, one_row = PermutationPlan.monte_carlo(2_500, seed=5), PermutationPlan.monte_carlo(1)
+
+    def run(workers, plan, cap=resampling._STREAM_CACHE_BYTES):
+        monkeypatch.setattr(forking, "usable_cores", lambda: workers)
+        monkeypatch.setattr(resampling, "_STREAM_CACHE_BYTES", cap)
+        ds = simulate_trial(SimConfig.null(20, seed=3))  # N = 40
+        assert resampling._stream_workers(plan, ds.n, plan.replicates) == workers
+        first = result_bits(run_method(method, ds, plan))
+        kept = ds in resampling._kept
+        return first, result_bits(run_method(method, ds, plan)), kept
+
+    for plan in (kept_plan, one_row):
+        serial, replay, kept = run(1, plan)
+        assert replay == serial and kept
+        for workers in (2, 3):
+            assert run(workers, plan) == (serial, serial, True)
+            assert run(workers, plan, cap=0) == (serial, serial, False)
 
 
 def test_unknown_method_name_rejected(ds):

@@ -151,6 +151,19 @@ class TestLabelStream:
         want = oracles.label_rows(plan.master_seed, codes, 150)
         assert np.array_equal(np.concatenate(blocks), want)
 
+    @pytest.mark.parametrize("block_size", [0, -1])
+    @pytest.mark.parametrize(
+        "plan",
+        [PermutationPlan.monte_carlo(5), PermutationPlan.exact()],
+        ids=["monte_carlo", "exact"],
+    )
+    def test_block_size_below_one_rejected(self, plan, block_size):
+        # A size of 0 once yielded empty blocks forever (Monte Carlo) or no
+        # block at all (exact), and -1 failed inside numpy.
+        codes = np.array([1, 1, 0, 0, 0], dtype=np.int8)
+        with pytest.raises(ValueError, match=f"block size must be >= 1, got {block_size}"):
+            next(iter_label_blocks(plan, codes, block_size))
+
 
 class TestSharedGenerator:
     """Every stream of a thread draws through one reused generator, loading
@@ -277,6 +290,19 @@ class TestPermutationPvalue:
         assert n_assignments(PermutationPlan.exact(), 4, 2) == 6
 
 
+def recorded_stream(plan, ds) -> list[np.ndarray]:
+    """Copies of the blocks ``permutation_test`` hands its reducer, for a
+    stream reduced in the caller: one of a single share, or a replay."""
+    blocks = []
+
+    def record(block):
+        blocks.append(block.copy())
+        return np.zeros(len(block))
+
+    permutation_test(0.0, record, ds, plan)
+    return blocks
+
+
 class TestSharedStream:
     """Tests on one dataset under one plan share one label stream: the first
     draws it and keeps it bit-packed, keyed by the dataset, and the others
@@ -288,17 +314,13 @@ class TestSharedStream:
     def drawn(self, monkeypatch):
         return count_label_streams(monkeypatch)
 
-    @staticmethod
-    def stream(plan, ds) -> list[np.ndarray]:
-        return list(resampling._label_blocks(plan, ds))
-
     @pytest.mark.parametrize(
         "plan, per_group", [(MC, 20), (PermutationPlan.exact(), 7)], ids=["monte_carlo", "exact"]
     )
     def test_replay_equals_the_label_stream(self, drawn, plan, per_group):
         ds = simulate_trial(SimConfig.null(per_group, seed=3))
-        self.stream(plan, ds)
-        replay = self.stream(plan, ds)
+        recorded_stream(plan, ds)
+        replay = recorded_stream(plan, ds)
         assert len(drawn) == 1
         want = list(iter_label_blocks(plan, ds.group_codes))
         assert len(replay) == len(want) > 1
@@ -314,12 +336,12 @@ class TestSharedStream:
             (PermutationPlan.monte_carlo(2_499, seed=5), ds),
             (self.MC, equal_codes),
         ]:
-            self.stream(plan, data)
+            recorded_stream(plan, data)
         assert len(drawn) == 4
 
     def test_entry_dies_with_its_dataset(self):
         ds = simulate_trial(SimConfig.null(20, seed=3))
-        self.stream(self.MC, ds)
+        recorded_stream(self.MC, ds)
         assert list(resampling._kept) == [ds]
         del ds
         gc.collect()
@@ -333,14 +355,14 @@ class TestSharedStream:
             return np.zeros(len(block))
 
         permutation_test(0.0, scribble, ds, self.MC)
-        replay = self.stream(self.MC, ds)
+        replay = recorded_stream(self.MC, ds)
         assert len(drawn) == 1
         want = list(iter_label_blocks(self.MC, ds.group_codes))
         assert all(np.array_equal(a, b) for a, b in zip(replay, want))
 
     def test_a_reducer_that_raises_leaves_no_entry(self):
         earlier = simulate_trial(SimConfig.null(20, seed=4))
-        self.stream(self.MC, earlier)
+        recorded_stream(self.MC, earlier)
         ds = simulate_trial(SimConfig.null(20, seed=3))
         seen = []
 
@@ -358,9 +380,9 @@ class TestSharedStream:
     def test_a_stream_over_the_cap_is_not_kept(self, monkeypatch, drawn, spare, kept):
         ds = simulate_trial(SimConfig.null(20, seed=3))  # N = 40, 5 bytes a row
         monkeypatch.setattr(resampling, "_STREAM_CACHE_BYTES", 2_500 * 5 + spare)
-        self.stream(self.MC, ds)
+        recorded_stream(self.MC, ds)
         assert (ds in resampling._kept) is kept
-        self.stream(self.MC, ds)
+        recorded_stream(self.MC, ds)
         assert len(drawn) == (1 if kept else 2)
 
 
@@ -369,10 +391,11 @@ def rows_of(blocks, n: int) -> np.ndarray:
 
 
 class TestFannedStream:
-    """A kept Monte Carlo stream of at least two ``_SHARE_ENTRIES``-label
-    shares is drawn in contiguous shares of its replicate range by forked
-    workers writing into shared memory, while the caller draws none; its
-    packed rows are those of the serial stream."""
+    """A fresh Monte Carlo stream of at least two ``_SHARE_ENTRIES``-label
+    shares is drawn and reduced in contiguous shares of its replicate range
+    by forked workers, which write the kept copy into shared memory, while
+    the caller draws none; its packed rows are those of the serial
+    stream."""
 
     MC = PermutationPlan.monte_carlo(2_500, seed=5)  # shares not aligned to 1,024-row blocks
 
@@ -386,16 +409,25 @@ class TestFannedStream:
     def serial_packed(plan, codes) -> np.ndarray:
         return np.packbits(rows_of(iter_label_blocks(plan, codes), codes.size), axis=1)
 
+    @staticmethod
+    def kept_copy(plan, ds) -> np.ndarray:
+        """The copy a fresh stream of ``plan`` on ``ds`` keeps, drawn under
+        a reducer that reads nothing."""
+        permutation_test(0.0, lambda block: np.zeros(len(block)), ds, plan)
+        assert multiprocessing.active_children() == []
+        kept_plan, packed = resampling._kept[ds]
+        assert kept_plan == plan
+        return packed
+
     @pytest.mark.parametrize("cores", [1, 2, 3, "all"])  # 3: uneven shares, maybe more than cores
     def test_packed_copy_equals_the_serial_stream(self, monkeypatch, cores):
         cores = forking.usable_cores() if cores == "all" else cores
         monkeypatch.setattr(resampling, "_SHARE_ENTRIES", 1)
         monkeypatch.setattr(forking, "usable_cores", lambda: cores)
-        codes = simulate_trial(SimConfig.null(20, seed=3)).group_codes
-        assert resampling._stream_workers(self.MC, codes.size, 2_500) == cores
-        packed = resampling._packed_stream(self.MC, codes, 2_500)
-        assert multiprocessing.active_children() == []
-        assert np.array_equal(packed, self.serial_packed(self.MC, codes))
+        ds = simulate_trial(SimConfig.null(20, seed=3))
+        assert resampling._stream_workers(self.MC, ds.n, 2_500) == cores
+        packed = self.kept_copy(self.MC, ds)
+        assert np.array_equal(packed, self.serial_packed(self.MC, ds.group_codes))
 
     def test_worker_count_is_bounded_without_starting_one(self, monkeypatch):
         monkeypatch.setattr(forking, "usable_cores", lambda: 10**6)
@@ -426,8 +458,7 @@ class TestFannedStream:
         ds = derive_endpoints(load_trial_csv(ROOT / "data" / "actg175_replica.csv"))
         plan = PermutationPlan.monte_carlo(10_000, seed=20240201)
         assert resampling._stream_workers(plan, ds.n, 10_000) == 2
-        packed = resampling._packed_stream(plan, ds.group_codes, 10_000)
-        assert multiprocessing.active_children() == []
+        packed = self.kept_copy(plan, ds)
         assert hashlib.sha256(packed.tobytes()).hexdigest() == (
             "c243f59de34beb4e618a02c64644bd186ea2c323634d3959d947023f6be0982d"
         )
@@ -441,7 +472,7 @@ class TestFannedStream:
             return np.zeros(len(block))
 
         permutation_test(0.0, scribble, ds, self.MC)
-        replay = rows_of(resampling._label_blocks(self.MC, ds), ds.n)
+        replay = rows_of(recorded_stream(self.MC, ds), ds.n)
         assert len(drawn) == 1
         want = self.serial_packed(self.MC, ds.group_codes)
         assert np.array_equal(np.packbits(replay, axis=1), want)
@@ -463,16 +494,16 @@ class TestFannedStream:
         ids=["exits", "raises"],
     )
     def test_a_failed_worker_raises_in_the_caller(self, fanned, monkeypatch, failure, error, match):
-        real = resampling._pack_rows
+        real = resampling._reduce_share
 
-        def second_share_fails(plan, codes, packed, start, stop):
+        def second_share_fails(plan, codes, reduce, packed, start, stop):
             if start > 0:  # the second worker's share; the caller draws none
                 if failure == "exits":
                     os._exit(3)
                 raise ValueError("share failed")
-            real(plan, codes, packed, start, stop)
+            return real(plan, codes, reduce, packed, start, stop)
 
-        monkeypatch.setattr(resampling, "_pack_rows", second_share_fails)
+        monkeypatch.setattr(resampling, "_reduce_share", second_share_fails)
         ds = simulate_trial(SimConfig.null(20, seed=3))
         with pytest.raises(error, match=match):
             permutation_test(0.0, lambda block: np.zeros(len(block)), ds, self.MC)
@@ -630,18 +661,18 @@ class TestDecisionLevel:
         permutation_test(0.0, lambda b: np.zeros(len(b)), ds, self.MC)
         kept = list(resampling._kept.items())
 
-        def no_packed_stream(*args):
-            raise AssertionError("a decision stream was packed")
+        def no_share(*args):
+            raise AssertionError("a stream was drawn in shares")
 
-        monkeypatch.setattr(resampling, "_packed_stream", no_packed_stream)
-        monkeypatch.setattr(resampling, "_SHARE_ENTRIES", 1)  # would fan any kept stream out
+        monkeypatch.setattr(resampling, "_reduce_share", no_share)
+        monkeypatch.setattr(resampling, "_SHARE_ENTRIES", 1)  # would fan any fresh stream out
         other = simulate_trial(SimConfig.null(20, seed=4))
         for data in (ds, other):
             _, fields = permutation_test(0.0, lambda b: np.zeros(len(b)), data,
                                          replace(self.MC, decide_at=0.05))
             assert fields["replicates_used"] == self.BLOCK
         assert list(resampling._kept.items()) == kept
-        permutation_test(0.0, lambda b: np.zeros(len(b)), ds, self.MC)  # still a replay
+        permutation_test(0.0, lambda b: np.zeros(len(b)), ds, self.MC)  # still a replay, no share
 
 
 class TestSuperUniformity:
