@@ -5,49 +5,56 @@ The hierarchy is the dataset's endpoints in priority order
 keys (``Level``). ``sweep_counts`` reduces the N x N verdict matrix S to
 per-subject counts (net score, determinate pairs, wins and losses against
 the other group) and, on request, the list of pairs tied at every level, so
-no test holds S itself. A caller names the counts it reads (``fields``),
-and the sweep counts only those:
+no test holds S itself. A caller names the counts it reads (``fields``):
 
 - ``ALL``: every count, and the tie list when asked for; the win ratio
   under a permutation plan.
-- ``NET``: the net scores alone, each deeper-level tile reduced by one row
-  sum and one column sum of S, its rows of either group; fs.
-- ``BETWEEN``: the wins and losses against the other group alone, for
-  which deeper levels are compared only on the tied pairs of a treatment
-  and a control subject; the win ratio without a plan.
+- ``NET``: the net scores alone; fs.
+- ``BETWEEN``: the wins and losses against the other group alone; the win
+  ratio without a plan.
 
-It takes one path:
+The first level is counted for every pair by sorting (``_level_order``): a
+subject's wins and losses against a group are counts of that group's keys
+below and above its own, in O(N log N) time and O(N) memory. A sweep of
+one level (global U's kernels, and through ``net_counts`` the rank tests'
+scores and midranks) is this alone. Deeper levels are compared only on
+the pairs the first level ties, by one of three paths, one for each case:
 
-- The first level is counted for every pair by sorting (``_level_order``):
-  a subject's wins and losses against a group are counts of that group's
-  keys below and above its own, in O(N log N) time and O(N) memory. A
-  sweep of one level (global U's kernels, and through ``net_counts`` the
-  rank tests' scores and midranks) is this alone.
-- Deeper levels are compared only on the pairs the first level ties, each
-  pair once (``_tie_counts``); fs and the win ratio walk a hierarchy,
-  which with censoring is not one sort order. The first level has
-  ``hi <= lo``, so in the order of its ``hi`` the subjects tied with a
-  subject that come after it are one run, up to the first whose ``hi``
-  exceeds its ``lo``. Columns take the treatment group in that order, then
-  the control group in reverse, so a run to the end (a censored
-  subject's, on a survival level) is one column span, and any other run
-  at most two; a ``BETWEEN`` sweep cuts every run to the other group's
-  columns, one span. Tiles of about 256K entries, allocated once so that
-  they stay in a core's L2 cache, take the runs of up to 127 rows of one
-  group (of either, for ``NET``); S is antisymmetric, so int16 row sums
-  count each pair for its row subject and int8 column sums for its column
-  subject, and 127 rows is the most whose column sum fits int8. Deeper
-  keys become their float32 ranks, which compare faster than float64 ones
-  (``_rank_keys``), and a run of NaN-free value levels, which compares as
-  a lexicographic order, becomes one level of that order's ranks
-  (``_compact``): the simulator's marker and response are one level. A
-  matrix of one tile, like a null study's N=40 cohort, is swept whole from
-  its own keys (``_one_tile_counts``), whatever the fields.
+- A matrix of one tile (N <= 127 at the default tile size), like a null
+  study's N=40 cohort, is swept whole from its own keys
+  (``_one_tile_counts``), whatever the fields.
+- Any other sweep without a tie list whose deeper levels are value levels,
+  none but the last holding NaN, is counted by sorting too
+  (``_sorted_counts``): every hierarchy that the CLI and the simulator
+  build. In the first level's order, the subjects a subject ties are a
+  prefix of that order less a prefix of the order of ``lo``, so its
+  deeper wins and losses over them are counts of the deeper rank below
+  and above its own in two prefixes, offline dominance counts (Knight
+  1966, JASA 61:436) that one wavelet matrix answers for every subject at
+  once (``_range_counts``), in O(N log N) time and O(N) memory. The
+  NaN-free levels make one lexicographic order, and a NaN-bearing last
+  level adds the counts of the composite order (rank, value) among the
+  subjects that hold a value.
+- A tie list (the win ratio under a plan), and deeper survival or crossed
+  levels, which only the library builds, go to tiles of the tie runs,
+  each pair once (``_tie_counts``), which count every field. The first
+  level has ``hi <= lo``, so in the order of its ``hi`` the subjects tied
+  with a subject that come after it are one run, up to the first whose
+  ``hi`` exceeds its ``lo``. Columns take the treatment group in that
+  order, then the control group in reverse, so a run to the end (a
+  censored subject's, on a survival level) is one column span, and any
+  other run at most two. Tiles of about 256K entries, allocated once so
+  that they stay in a core's L2 cache, take the runs of up to 127 rows of
+  one group; S is antisymmetric, so int16 row sums count each pair for
+  its row subject and int8 column sums for its column subject, and 127
+  rows is the most whose column sum fits int8. Deeper keys become their
+  float32 ranks, which compare faster than float64 ones (``_rank_keys``),
+  and a run of NaN-free value levels, which compares as a lexicographic
+  order, becomes one level of that order's ranks (``_compact``).
 
 On the simulator's N=10,000 cohort the first level ties 18,466,058 of the
-49,995,000 pairs, and only those reach the deeper levels: 9,234,430 of them
-join a treatment and a control subject, and only those reach them in a
-``BETWEEN`` sweep.
+49,995,000 pairs; tiles would compare each of them, and the sort counts
+them without visiting one.
 
 No N x N array is held in ``src``: the win ratio's permutation null reads
 the tie list. The scalar reference rule, one pair at a time, is ``compare``
@@ -166,8 +173,8 @@ BETWEEN = "between"
 @dataclass(frozen=True)
 class PairCounts:
     """Per-subject int64 tallies of the verdict matrix S, from
-    ``sweep_counts``: the first level's, counted by sorting, plus the
-    deeper levels' on the pairs the first level ties.
+    ``sweep_counts``: the first level's plus the deeper levels' on the
+    pairs the first level ties.
 
     A sweep fills the fields it was asked for and leaves the others None:
     ``ALL`` fills the four counts, and ``ties`` too with ``collect_ties``;
@@ -240,25 +247,31 @@ def sweep_counts(
 
     ``fields`` names what is counted, and the other fields stay None:
     ``ALL``, every count; ``NET``, the net counts alone; ``BETWEEN``, the
-    wins and losses against the other group alone, for which deeper levels
-    are compared only on the pairs of a treatment and a control subject.
-    A tie list needs ``ALL``.
+    wins and losses against the other group alone. A tie list needs
+    ``ALL``. Raises ``ValueError`` for no levels, or for a key array whose
+    length is not the mask's.
 
     The first level is counted for every pair by sorting
     (``_level_order``), in O(N log N) time and O(N) memory; it needs
     ``hi <= lo`` on every subject and raises ``ValueError`` otherwise.
-    Deeper levels, which take any keys, are compared only on the pairs the
-    first level ties, each pair once (``_tie_counts``), or in a matrix of
-    one tile both ways round (``_one_tile_counts``). One level without a
-    tie list is the sort alone."""
+    Deeper levels are compared only on the pairs the first level ties: in
+    a matrix of one tile both ways round (``_one_tile_counts``); else,
+    without a tie list and for value levels of which only the last holds
+    NaN, by sorting (``_sorted_counts``); else each pair once in tiles
+    (``_tie_counts``), which count every field and serve a narrower
+    request from them. One level without a tie list is the sort alone."""
     if fields not in (ALL, NET, BETWEEN) or (collect_ties and fields != ALL):
         raise ValueError(f"cannot count {fields!r} fields with collect_ties={collect_ties}")
+    if not levels:
+        raise ValueError("a sweep needs at least one level")
     treat = np.asarray(treatment_mask, dtype=bool)
+    n = treat.size
+    if any(np.shape(key) != (n,) for lv in levels for key in lv):
+        raise ValueError(f"every level needs one key per subject of the {n}-subject mask")
     first = levels[0]
     if np.count_nonzero(first.hi > first.lo):
         raise ValueError("the first level needs hi <= lo on every subject")
     order, ends, beats, by_lo = _level_order(first)
-    n = treat.size
     ts = treat[order]
     # Treatment subjects among the first k in ``order``, and in ``by_lo``.
     tc, tl = running = np.zeros((2, n + 1), dtype=np.int64)
@@ -267,15 +280,15 @@ def sweep_counts(
     if len(levels) > 1 or collect_ties:
         if n <= _MAX_TILE_ROWS and n * n <= _TILE_ENTRIES:
             deeper, ties = _one_tile_counts(first, levels[1:], treat, collect_ties)
-            if fields == NET:
-                deeper = deeper[:2].sum(axis=0) - deeper[2:].sum(axis=0)
+        elif not collect_ties and _value_levels(levels[1:]):
+            deeper = _sorted_counts(levels[1:], order, ends, beats, by_lo, treat, fields)
         else:
-            deeper, ties = _tie_counts(levels[1:], order, ends, ts, tc, collect_ties, fields)
+            deeper, ties = _tie_counts(levels[1:], order, ends, ts, tc, collect_ties)
     if fields == NET:
         net = np.empty(n, dtype=np.int64)
         net[order] = beats + ends - n
         if deeper is not None:
-            net += deeper
+            net += deeper[:2].sum(axis=0) - deeper[2:].sum(axis=0)
         return PairCounts(net=net)
     # At each position of ``order``: its wins against the treatment group
     # and against the control group, then its losses against each.
@@ -293,6 +306,146 @@ def sweep_counts(
         return PairCounts(wins=wins, losses=losses)
     all_wins, all_losses = by_subject[::2] + by_subject[1::2]
     return PairCounts(all_wins - all_losses, all_wins + all_losses, wins, losses, ties)
+
+
+def _value_levels(levels: Sequence[Level]) -> bool:
+    """Whether ``_sorted_counts`` takes these deeper levels: value levels
+    (one key array each), none but the last holding NaN."""
+    return all(lv.hi is lv.lo for lv in levels) and not any(
+        np.isnan(lv.hi).any() for lv in levels[:-1]
+    )
+
+
+# Bits of a key that each pass of ``_range_counts`` reads, at most 8 (a
+# digit is sorted as uint8). A pass builds a prefix table of 2^bits + 1
+# int32 columns, and a key of b bits takes b/bits passes. On the
+# simulator's N=10,000 cohort a net-only sweep's call (20,000 values and
+# queries, keys below 2^14) took a median 6.1, 3.1, 2.7, 3.9 and 5.9 ms
+# at 1 to 5 bits, and at N=80,000 42, 38 and 67 ms at 2, 3 and 4 bits
+# (2-core host, numpy 2.4).
+_RADIX_BITS = 3
+
+
+def _range_counts(
+    values: np.ndarray, starts: np.ndarray, stops: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each query k, how many of ``values[starts[k]:stops[k]]`` lie
+    below ``keys[k]``, and how many equal it; values and keys are
+    nonnegative integers. This is a wavelet matrix (Inf. Syst. 47:15,
+    2015) built and queried at once, one pass per
+    ``_RADIX_BITS``-bit digit, the most significant first. A pass counts,
+    in each query's range, the values whose digit is below the key's (they
+    lie below the key), then stably partitions the values by digit; the
+    range's values of the key's digit stay one range there, so the last
+    range holds the values equal to the key. O((V + Q) log V) time and
+    O(V + Q) memory."""
+    radix = 1 << _RADIX_BITS
+    width = radix + 1
+    size = values.size
+    # Row j, column c: how many of the first j values have a digit below c.
+    below = np.zeros((size + 1, width), dtype=np.int32)
+    flat = below.ravel()
+    digit_below = np.less.outer(np.arange(radix), np.arange(width)).astype(np.int32)
+    # Positions in ``flat`` of each range's first row and end row.
+    starts, stops = starts * width, stops * width
+    less = np.zeros(keys.size, dtype=np.int32)
+    top = int(max(values.max(initial=0), keys.max(initial=0))).bit_length()
+    for shift in range((top - 1) // _RADIX_BITS * _RADIX_BITS, -1, -_RADIX_BITS):
+        digits = (values >> shift) & (radix - 1)
+        # "clip" writes straight into ``out``; the default buffers it.
+        digit_below.take(digits, axis=0, out=below[1:], mode="clip")
+        np.cumsum(below, axis=0, out=below)
+        d = (keys >> shift) & (radix - 1)  # the key's digit
+        start_below, stop_below = flat.take(starts + d), flat.take(stops + d)
+        less += stop_below - start_below
+        # After the partition the values of digit d come after all those
+        # of a smaller digit, in their order.
+        first = flat.take(size * width + d)
+        d += 1
+        starts = (first - start_below + flat.take(starts + d)) * width
+        stops = (first - stop_below + flat.take(stops + d)) * width
+        if shift:
+            values = values.take(digits.astype(np.uint8).argsort(kind="stable"))
+    return less, (stops - starts) // width
+
+
+def _sorted_counts(
+    levels: Sequence[Level],
+    order: np.ndarray,
+    ends: np.ndarray,
+    beats: np.ndarray,
+    by_lo: np.ndarray,
+    treat: np.ndarray,
+    fields: str,
+) -> np.ndarray:
+    """The counts of ``_tie_counts``, (4, N) by subject, for deeper value
+    levels of which only the last may hold NaN (``_value_levels``), by
+    sorting and without a tie list. ``fields`` ``NET`` leaves everyone's
+    wins and losses in the treatment rows, and ``BETWEEN`` the counts
+    against a subject's own group 0.
+
+    From ``_level_order``: at first-level position p, subject x beats
+    ``by_lo[:beats[p]]``, all of which lie in ``order[:ends[p]]``, and is
+    tied with the rest of ``order[:ends[p]]``, itself included. So for a
+    complete deeper order r and a group M, x's deeper wins over the tied
+    members of M are the members in ``order[:ends[p]]`` whose r is below
+    r_x less those in ``by_lo[:beats[p]]``, and its losses likewise those
+    above; x itself is neither. The NaN-free levels make one such order,
+    the rank of their lexicographic order. A last level with NaN decides
+    only a pair that order ties and that has both values present, so
+    among the present subjects P it adds the counts of the order of
+    (r, value) less those of r. All the prefix counts are answered by one
+    ``_range_counts``."""
+    n = treat.size
+    *run, last = _compact(levels)
+    if last.hi is last.lo:  # no NaN: the levels are one order
+        run, last = [last], None
+    rank = run[0].hi.astype(np.int32) if run else np.zeros(n, dtype=np.int32)
+    everyone = np.ones(n, dtype=bool)
+    treated = treat[order]
+    # (the count row of the wins, members by subject, the asking positions)
+    if fields == NET:
+        groups = [(0, everyone, np.arange(n))]
+    elif fields == BETWEEN:
+        groups = [(0, treat, np.flatnonzero(~treated)), (1, ~treat, np.flatnonzero(treated))]
+    else:
+        groups = [(0, treat, np.arange(n)), (1, ~treat, np.arange(n))]
+    terms = [(1, rank, *group) for group in groups]
+    if last is not None:
+        present = last.hi >= 0  # a NaN value ranks -1
+        _, lex = np.unique(
+            rank[present] * np.int64(n) + last.hi[present].astype(np.int64), return_inverse=True
+        )
+        composite = np.zeros(n, dtype=np.int32)
+        composite[present] = lex
+        for row, members, asking in groups:
+            members, asking = members & present, asking[present[order.take(asking)]]
+            terms += [(1, composite, row, members, asking), (-1, rank, row, members, asking)]
+    values, starts, stops, keys = [], [], [], []
+    offset = 0
+    for _, r, _, members, asking in terms:
+        key = r.take(order.take(asking))
+        for seq, cut in ((order, ends), (by_lo, beats)):
+            inside = members.take(seq)
+            count = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(inside, out=count[1:])
+            values.append(r.take(seq.take(np.flatnonzero(inside))))
+            starts.append(np.full(key.size, offset, dtype=np.int32))
+            stops.append(count.take(cut.take(asking)) + offset)
+            keys.append(key)
+            offset += int(count[-1])
+    values, starts, stops, keys = map(np.concatenate, (values, starts, stops, keys))
+    less, equal = _range_counts(values, starts, stops, keys)
+    above = stops - starts - less - equal
+    counts = np.zeros((4, n), dtype=np.int64)
+    k = 0
+    for sign, _, row, _, asking in terms:
+        a, b = slice(k, k + asking.size), slice(k + asking.size, k + 2 * asking.size)
+        subjects = order.take(asking)
+        counts[row][subjects] += sign * (less[a] - less[b])
+        counts[row + 2][subjects] += sign * (above[a] - above[b])
+        k += 2 * asking.size
+    return counts
 
 
 def _tile_verdicts(
@@ -328,16 +481,12 @@ def _tie_counts(
     ts: np.ndarray,
     tc: np.ndarray,
     collect_ties: bool,
-    fields: str,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The verdicts of ``levels`` over the pairs that the first level ties,
     each pair once: every subject's wins against the treatment group and
     against the control group, then its losses against each, as (4, N)
     int32 counts, and with ``collect_ties`` the (2, P) int32 pairs tied at
-    every level, sorted by i and then j (else None). With ``fields``
-    ``BETWEEN`` only the pairs of a treatment and a control subject are
-    compared, so the counts against a subject's own group stay 0; with
-    ``NET`` the counts are each subject's net count alone, (N,) int32.
+    every level, sorted by i and then j (else None).
 
     ``order`` lists the subjects by the first level, so the subjects tied
     with ``order[p]`` that come after it are ``order[p + 1:ends[p]]``;
@@ -358,7 +507,7 @@ def _tie_counts(
     tie_parts: list[np.ndarray] = []
     tile_buf, *scratch = np.empty((4, _TILE_ENTRIES), dtype=np.int8)
     rows = pos[ends > pos + 1]  # the positions whose run is not empty
-    for block, group, a, b in _tie_blocks(rows, ts, tc, ends, fields):
+    for block, group, a, b in _tie_blocks(rows, ts, tc, ends):
         ids = order[block]
         row_keys = [Level(lv.hi[ids], lv.lo[ids]) for lv in keys]
         h = block.size
@@ -387,10 +536,6 @@ def _tie_counts(
             for f0, mask in masks:
                 if mask.size:
                     tile[:, f0 - c0 : f0 - c0 + mask.shape[1]] *= mask.view(np.int8)
-            if fields == NET:  # one group holds everyone's net count
-                col_net[0, c0:c1] -= tile.sum(axis=0, dtype=np.int8)
-                row_net[0, ids] += tile.sum(axis=1, dtype=np.int16)
-                continue
             split = min(max(n1 - c0, 0), c1 - c0)  # treatment columns come first
             halves = [(k, p) for k, p in enumerate((tile[:, :split], tile[:, split:])) if p.size]
             col_net[group, c0:c1] -= tile.sum(axis=0, dtype=np.int8)
@@ -408,8 +553,6 @@ def _tie_counts(
                     i, j = ids[r], cols[c + c0]
                     tie_parts.append(np.minimum(i, j) * n + np.maximum(i, j))  # sort keys
     row_net[:, cols] += col_net
-    if fields == NET:
-        return row_net[0], None
     row_det[:, cols] += col_det
     counts = np.empty((4, n), dtype=np.int32)
     np.add(row_det, row_net, out=counts[:2])
@@ -460,41 +603,36 @@ def _one_tile_counts(
 
 
 def _tie_blocks(
-    rows: np.ndarray, ts: np.ndarray, tc: np.ndarray, ends: np.ndarray, fields: str
-) -> Iterator[tuple[np.ndarray, int | None, np.ndarray, np.ndarray]]:
+    rows: np.ndarray, ts: np.ndarray, tc: np.ndarray, ends: np.ndarray
+) -> Iterator[tuple[np.ndarray, int, np.ndarray, np.ndarray]]:
     """Tiles of the runs of ``rows`` (positions of the first level's order)
     as (rows, their group, 0 for treatment and 1 for control, and each
     row's column span, start and end). A tile's rows are of one group and
     of one kind of span: a run to the end is one span, from the treatment
     columns into the control columns; any other run is a treatment span
-    and a control span, each its own kind. With ``fields`` ``NET`` a
-    tile's rows may be of both groups (group None); with ``BETWEEN`` each
-    row's span is cut to the other group's columns, one span for any run.
-    A tile takes up to ``_MAX_TILE_ROWS`` rows while its spans' bounding
-    box stays within ``_TILE_ENTRIES``."""
+    and a control span, each its own kind. A tile takes up to
+    ``_MAX_TILE_ROWS`` rows while its spans' bounding box stays within
+    ``_TILE_ENTRIES``."""
     n = ts.size
     u = ends[rows]
     to_end = u == n
     t0, t1 = tc[rows + 1], tc[u]
     c0, c1 = n - (u - t1), n - (rows + 1 - t0)
     treated = ts[rows]
-    if fields == BETWEEN:
-        kinds = [(treated & (c1 > c0), 0, c0, c1), (~treated & (t1 > t0), 1, t0, t1)]
-    else:
-        spans = [(to_end, t0, c1), (~to_end & (t1 > t0), t0, t1), (~to_end & (c1 > c0), c0, c1)]
-        groups = [(None, True)] if fields == NET else [(0, treated), (1, ~treated)]
-        kinds = [(pick & of_group, k, a, b) for k, of_group in groups for pick, a, b in spans]
-    for pick, group, a, b in kinds:
-        kind_rows, a, b = rows[pick], a[pick], b[pick]
-        i = 0
-        while i < kind_rows.size:
-            top = min(kind_rows.size, i + _MAX_TILE_ROWS)
-            width = np.maximum.accumulate(b[i:top]) - np.minimum.accumulate(a[i:top])
-            area = width * np.arange(1, top - i + 1)
-            h = max(1, int(area.searchsorted(_TILE_ENTRIES, "right")))
-            tile = slice(i, i + h)
-            yield kind_rows[tile], group, a[tile], b[tile]
-            i += h
+    spans = [(to_end, t0, c1), (~to_end & (t1 > t0), t0, t1), (~to_end & (c1 > c0), c0, c1)]
+    for group, of_group in ((0, treated), (1, ~treated)):
+        for pick, a, b in spans:
+            pick = pick & of_group
+            kind_rows, a, b = rows[pick], a[pick], b[pick]
+            i = 0
+            while i < kind_rows.size:
+                top = min(kind_rows.size, i + _MAX_TILE_ROWS)
+                width = np.maximum.accumulate(b[i:top]) - np.minimum.accumulate(a[i:top])
+                area = width * np.arange(1, top - i + 1)
+                h = max(1, int(area.searchsorted(_TILE_ENTRIES, "right")))
+                tile = slice(i, i + h)
+                yield kind_rows[tile], group, a[tile], b[tile]
+                i += h
 
 
 def _hierarchy_levels(ds: TrialDataset) -> list[Level]:

@@ -2,20 +2,21 @@
 test (generalized Gehan-Wilcoxon) and the win ratio.
 
 Both tests read per-subject counts from one sweep of every subject pair
-(``pairwise.pair_counts``), so they hold no N x N matrix. The sweep counts
-the first endpoint by sorting and compares the deeper ones only on the
-pairs the first ties, each pair once, in tiles reduced by row and column
-sums, which S's antisymmetry turns into each subject's counts. Each test
-asks for the counts it reads: fs the net scores alone, and the win ratio
-without a plan the wins and losses against the other group, for which only
-the tied pairs of a treatment and a control subject are compared. A
-permutation replicate of fs needs only the net scores: a float64 product
-with each label block. The win ratio's wins + losses under relabeling is
-g'|S|(1 - g) for labels g; with |S| = J - I - T, T the pairs tied at every
-level, that is g'd - n1(n1 - 1) + 2 * (tie pairs inside the relabeled
-treatment group), from the tie list of a sweep of every field, at any
-number of tie pairs; its cost grows linearly in them. Every product is
-exact: each partial sum is an integer, far below 2**53 in float64.
+(``pairwise.pair_counts``), so they hold no N x N matrix. Each test asks
+for the counts it reads: fs the net scores alone, and the win ratio
+without a plan the wins and losses against the other group. Above 127
+subjects both are counted by sorting, the deeper endpoints too, in
+O(N log N) time on every hierarchy the CLI and the simulator build; a
+smaller cohort is one tile of pairs. The win ratio under a plan asks for
+every count and the tie list, which tiles of the pairs that the first
+endpoint ties give, each pair once. A permutation replicate of fs needs
+only the net scores: a float64 product with each label block. The win
+ratio's wins + losses under relabeling is g'|S|(1 - g) for labels g; with
+|S| = J - I - T, T the pairs tied at every level, that is g'd - n1(n1 - 1)
++ 2 * (tie pairs inside the relabeled treatment group), from the tie list
+of a sweep of every field, at any number of tie pairs; its cost grows
+linearly in them. Every product is exact: each partial sum is an
+integer, far below 2**53 in float64.
 """
 
 from __future__ import annotations

@@ -471,7 +471,8 @@ class TestCompactKeys:
 
     def test_a_column_beaten_by_every_row_of_the_tallest_tile(self, monkeypatch):
         """127 rows, the most whose int8 column sum cannot overflow, all
-        beat one column and all lose to another."""
+        beat one column and all lose to another; a tie list keeps the
+        sweep on tiles."""
         n = 300
         assert pairwise._MAX_TILE_ROWS == np.iinfo(np.int8).max == 127
         treat = np.arange(n) < 150
@@ -481,7 +482,7 @@ class TestCompactKeys:
         # subjects by index.
         levels = [survival_level(np.arange(n, dtype=float), np.zeros(n, bool)), Level(values, values)]
         tiles = record_tiles(monkeypatch)
-        got = sweep_counts(levels, treat)
+        got = sweep_counts(levels, treat, collect_ties=True)
         # The first tile is the first 127 treatment rows, and every one of
         # them has subjects 150 and 151 in its run.
         assert tiles[0][0] == 127
@@ -658,10 +659,8 @@ class TestTieRuns:
     @pytest.mark.parametrize("seed", range(3))
     def test_runs_hold_each_first_level_tie_once(self, first, seed):
         """The tiles' spans, read back through the column order, are the
-        pairs the first level ties, each once, and no other; for the
-        between-group sweep, those of a treatment and a control subject.
-        A tile's rows are of the group it names, or of both for the
-        net-only sweep."""
+        pairs the first level ties, each once, and no other. A tile's rows
+        are of the group it names."""
         rng = np.random.default_rng(600 + seed)
         n = 50
         level = _random_level(rng, first, n)
@@ -672,22 +671,17 @@ class TestTieRuns:
         cols = order[np.concatenate([pos[ts], pos[~ts][::-1]])]
         rows = pos[ends > pos + 1]
         i, j = _matrix_counts(oracles.level_matrix([level]), treat)["ties"]
-        for fields, _ in SWEEP_FIELDS:
-            blocks = list(pairwise._tie_blocks(rows, ts, np.r_[0, ts.cumsum()], ends, fields))
-            pairs = [
-                tuple(sorted((order[p], cols[c])))
-                for block, _, a, b in blocks
-                for p, lo, hi in zip(block, a, b)
-                for c in range(lo, hi)
-            ]
-            assert len(pairs) == len(set(pairs))
-            keep = treat[i] != treat[j] if fields == pairwise.BETWEEN else slice(None)
-            assert sorted(pairs) == list(zip(i[keep].tolist(), j[keep].tolist())), fields
-            for block, group, _, _ in blocks:
-                if fields == pairwise.NET:
-                    assert group is None
-                else:
-                    assert (ts[block] == (group == 0)).all()
+        blocks = list(pairwise._tie_blocks(rows, ts, np.r_[0, ts.cumsum()], ends))
+        pairs = [
+            tuple(sorted((order[p], cols[c])))
+            for block, _, a, b in blocks
+            for p, lo, hi in zip(block, a, b)
+            for c in range(lo, hi)
+        ]
+        assert len(pairs) == len(set(pairs))
+        assert sorted(pairs) == list(zip(i.tolist(), j.tolist()))
+        for block, group, _, _ in blocks:
+            assert (ts[block] == (group == 0)).all()
 
     def test_a_tie_list_needs_every_field(self):
         levels = [_values(1, 1, 2), _values(1, 2, 3)]
@@ -766,6 +760,126 @@ class TestTieRuns:
         assert_sweep_matches_oracle([_values(1, 1, 1), level], np.array([1, 0, 1], dtype=bool))
 
 
+def _value_hierarchy(rng, n: int, complete: int, nan_last: bool, spread: int) -> list[Level]:
+    """``complete`` NaN-free value levels, then a value level with NaN if
+    ``nan_last``, keys drawn from [-spread, spread]; a wide spread gives
+    each subject its own deeper rank, a narrow one repeats them."""
+    levels = []
+    for k in range(complete + nan_last):
+        keys = rng.integers(-spread, spread + 1, size=n).astype(np.float64)
+        if k == complete:
+            keys[rng.random(n) < 0.3] = np.nan
+        levels.append(Level(keys, keys))
+    return levels
+
+
+class TestSortedDeeperLevels:
+    """Deeper value levels, only the last with NaN, are counted by sorting
+    whenever the sweep lists no ties and is more than one tile; every
+    count equals the whole matrix's, and no tile is built."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 300),
+        st.sampled_from(FIRST_KINDS),
+        st.integers(0, 2),
+        st.booleans(),
+        st.sampled_from([2, 40, 2**20]),
+        st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_counts_match_the_oracle(self, n, first, complete, nan_last, spread, share, seed):
+        # Survival, value and NaN first levels with equal keys; ranks up
+        # to n - 1 run three digit passes; a treatment share of 0 or 1
+        # leaves the between-group sweep no pair.
+        rng = np.random.default_rng(seed)
+        deeper = _value_hierarchy(rng, n, max(complete, not nan_last), nan_last, spread)
+        levels = [_random_level(rng, first, n), *deeper]
+        treat = rng.random(n) < share
+        want = _matrix_counts(oracles.level_matrix(levels), treat)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(pairwise, "_TILE_ENTRIES", 1)  # never one tile
+            monkeypatch.setattr(pairwise, "_tile_verdicts", None)  # any tile would raise
+            for fields, read in SWEEP_FIELDS:
+                got = sweep_counts(levels, treat, fields=fields)
+                for field in read:
+                    a = getattr(got, field)
+                    assert a.dtype == np.int64, (fields, field)
+                    np.testing.assert_array_equal(a, want[field], err_msg=f"{fields}: {field}")
+
+    @pytest.mark.parametrize("nan_share", [0.0, 0.5, 1.0])
+    def test_a_nan_last_level_alone_and_under_a_run(self, monkeypatch, nan_share):
+        # The replica's shape (a complete level, then one with NaN) and a
+        # NaN level alone, with no value at all or with every value.
+        n = 200
+        rng = np.random.default_rng(21)
+        first = _random_level(rng, "survival", n)
+        keys = rng.integers(0, 5, size=n).astype(np.float64)
+        keys[rng.random(n) < nan_share] = np.nan
+        last = Level(keys, keys)
+        monkeypatch.setattr(pairwise, "_tile_verdicts", None)
+        for levels in ([first, last], [first, _random_level(rng, "complete", n), last]):
+            want = _matrix_counts(oracles.level_matrix(levels), np.arange(n) % 3 == 0)
+            got = sweep_counts(levels, np.arange(n) % 3 == 0)
+            for field in COUNT_FIELDS:
+                np.testing.assert_array_equal(getattr(got, field), want[field], err_msg=field)
+
+    def test_other_deeper_levels_stay_on_tiles(self, monkeypatch):
+        # A NaN level above another, a survival level and a crossed level
+        # are compared on tiles.
+        n = 150
+        rng = np.random.default_rng(3)
+        first = _random_level(rng, "survival", n)
+        monkeypatch.setattr(pairwise, "_sorted_counts", None)  # the sort would raise
+        for kinds in (["missing", "complete"], ["survival"], ["crossed"], ["complete", "survival"]):
+            levels = [first, *(_random_level(rng, kind, n) for kind in kinds)]
+            assert not pairwise._value_levels(levels[1:])
+            assert_sweep_matches_oracle(levels, rng.random(n) < 0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2**20), max_size=80),
+        st.lists(st.tuples(*[st.integers(0, 80)] * 2, st.integers(0, 2**20)), max_size=40),
+    )
+    def test_range_counts_match_brute_force(self, values, queries):
+        """Values and keys of up to 21 bits, seven digit passes; empty
+        ranges and values."""
+        values = np.array(values, dtype=np.int32)
+        queries = [(min(a, b, values.size), min(max(a, b), values.size), k) for a, b, k in queries]
+        starts, stops, keys = np.array(queries, dtype=np.int32).reshape(-1, 3).T
+        less, equal = pairwise._range_counts(values, starts, stops, keys)
+        for k, (a, b, key) in enumerate(queries):
+            assert less[k] == np.count_nonzero(values[a:b] < key)
+            assert equal[k] == np.count_nonzero(values[a:b] == key)
+
+
+class TestSweepInput:
+    """A sweep refuses input it cannot count before it sorts anything."""
+
+    def test_no_levels(self, monkeypatch):
+        monkeypatch.setattr(pairwise, "_level_order", None)
+        with pytest.raises(ValueError, match="at least one level"):
+            sweep_counts([], np.array([True, False]))
+
+    @pytest.mark.parametrize("case", ["short mask", "long mask", "deeper level", "lo key"])
+    def test_unequal_lengths(self, monkeypatch, case):
+        keys = np.arange(4, dtype=float)
+        levels = [survival_level(keys, keys > 1), Level(keys, keys)]
+        treat = np.array([True, False, True, False])
+        if case == "short mask":
+            treat = treat[:3]
+        elif case == "long mask":
+            treat = np.r_[treat, True]
+        elif case == "deeper level":
+            levels[1] = Level(keys[:3], keys[:3])
+        else:
+            levels[0] = Level(keys, keys[:3])
+        monkeypatch.setattr(pairwise, "_level_order", None)
+        for fields in (pairwise.ALL, pairwise.NET, pairwise.BETWEEN):
+            with pytest.raises(ValueError, match="one key per subject"):
+                sweep_counts(levels, treat, fields=fields)
+
+
 @pytest.fixture(scope="module")
 def cohort_6k():
     return simulate_trial(SimConfig.null(3000, seed=0))
@@ -805,16 +919,55 @@ def test_one_level_counts_take_linear_memory(cohort_6k, kernel):
 
 
 def test_hierarchy_sweep_reuses_its_tile_buffers(cohort_6k):
-    """A hierarchical sweep allocates its cache-sized tile buffers once and
-    writes every step into them: its peak traced allocation stays under
-    4 MB (fresh temporaries for every tile peaked near 12.6 MB)."""
+    """A hierarchical sweep on tiles (a tie list keeps it there) allocates
+    its cache-sized tile buffers once and writes every step into them: its
+    peak traced allocation stays under 4 MB (fresh temporaries for every
+    tile peaked near 12.6 MB)."""
     tracemalloc.start()
     try:
-        pair_counts(cohort_6k)
+        pair_counts(cohort_6k, collect_ties=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def record_paths(monkeypatch) -> list[str]:
+    """The deeper-level paths that later sweeps take, in order."""
+    taken: list[str] = []
+    for name in ("_one_tile_counts", "_sorted_counts", "_tie_counts"):
+        path = getattr(pairwise, name)
+        monkeypatch.setattr(
+            pairwise, name, lambda *a, _name=name, _path=path: taken.append(_name) or _path(*a)
+        )
+    return taken
+
+
+@pytest.mark.parametrize("cohort", ["simulated", "replica"])
+def test_each_cohort_size_takes_one_path(monkeypatch, request, cohort):
+    """Above one tile, fs and the asymptotic win ratio count the CLI's and
+    the simulator's hierarchies by sorting and build no tile; the
+    permutation win ratio's tie list still takes tiles, and a cohort of
+    one tile (N <= 127) is swept whole."""
+    ds = request.getfixturevalue("cohort_6k" if cohort == "simulated" else "actg_derived")
+    assert ds.n > pairwise._MAX_TILE_ROWS
+    taken = record_paths(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(pairwise, "_tile_verdicts", None)  # any tile would raise
+        run_method("fs", ds)
+        run_method("win_ratio", ds)
+    assert taken == ["_sorted_counts"] * 2
+    tiles = record_tiles(monkeypatch)
+    run_method("win_ratio", ds, PermutationPlan.monte_carlo(9, seed=1))
+    assert taken[2:] == ["_tie_counts"] and tiles
+
+    treat = ds.treatment_mask
+    small = ds.subset(np.r_[np.flatnonzero(treat)[:20], np.flatnonzero(~treat)[:20]])
+    del taken[:]
+    for plan in (None, PermutationPlan.monte_carlo(9, seed=1)):
+        run_method("fs", small, plan)
+        run_method("win_ratio", small, plan)
+    assert taken == ["_one_tile_counts"] * 4
 
 
 def test_permutation_win_ratio_memory_stays_below_n_squared():
