@@ -6,10 +6,12 @@ Both tests read per-subject counts from one sweep of every subject pair
 for the counts it reads: fs the net scores alone, and the win ratio
 without a plan the wins and losses against the other group. Above 127
 subjects both are counted by sorting, the deeper endpoints too, in
-O(N log N) time on every hierarchy the CLI and the simulator build; a
-smaller cohort is one tile of pairs. The win ratio under a plan asks for
-every count and the tie list, which tiles of the pairs that the first
-endpoint ties give, each pair once. A permutation replicate of fs needs
+O(N log N) time, when the deeper endpoints are value endpoints and none
+but the last has missing values: every hierarchy the simulator builds,
+and the CLI's unless a baseline or week-20 CD4 count is blank. Any other
+hierarchy, and a cohort of at most 127, is compared pair by pair in
+blocks. The win ratio under a plan asks for every count and the tie
+list, which the same path gives. A permutation replicate of fs needs
 only the net scores: a float64 product with each label block. The win
 ratio's wins + losses under relabeling is g'|S|(1 - g) for labels g; with
 |S| = J - I - T, T the pairs tied at every level, that is g'd - n1(n1 - 1)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import tracemalloc
 from dataclasses import replace
 
@@ -14,7 +15,9 @@ from multiendpoint import (
     PermutationPlan,
     SimConfig,
     TrialDataset,
+    derive_endpoints,
     global_u_test,
+    load_trial_csv,
     run_method,
     simulate_trial,
 )
@@ -37,6 +40,7 @@ from support import (
     binary,
     cont,
     dataset,
+    result_bits,
     subject,
     subjects_of,
     survival_cohort,
@@ -327,8 +331,8 @@ class TestRowTiles:
         ]
         ties = pair_counts(ds, collect_ties=True).ties
         assert ties.dtype == np.int32
-        # The rows are swept treatment-first, yet the list is in ascending
-        # i, then ascending j.
+        # The list is in ascending i, then ascending j, however the blocks
+        # break.
         np.testing.assert_array_equal(ties, np.array(want, dtype=np.int32).reshape(-1, 2).T)
         assert pair_counts(ds).ties is None  # only when asked for
 
@@ -399,19 +403,21 @@ def _random_level(rng, kind: str, n: int) -> Level:
     return Level(keys, lo)
 
 
-def _mergeable(level: Level) -> bool:
-    return level.hi is level.lo and not np.isnan(level.hi).any()
-
-
 def assert_compact_is_exact(levels) -> None:
-    """The compacted keys give the verdict matrix of ``levels`` itself,
-    from float32 keys, with each run of NaN-free value levels merged."""
-    keys = pairwise._compact(levels)
-    runs = sum(
-        1 for k, lv in enumerate(levels) if not (k and _mergeable(lv) and _mergeable(levels[k - 1]))
-    )
-    assert len(keys) == runs
-    assert all(k.hi.dtype == k.lo.dtype == np.float32 for k in keys)
+    """The integer ranks of deeper value levels, none but the last with
+    NaN, give the verdict matrix of ``levels`` itself: the NaN-free levels
+    merge into one rank, and a last level with NaN keeps its own, -1
+    where it is NaN."""
+    n = levels[0].hi.size
+    rank, last = pairwise._compact(levels, n)
+    assert rank.dtype == np.int32
+    keys = [Level(rank, rank)]
+    if last is None:
+        assert not np.isnan(levels[-1].hi).any()
+    else:
+        assert np.isnan(levels[-1].hi).any() and last.min() == -1
+        last = np.where(last < 0, np.nan, last)
+        keys.append(Level(last, last))
     np.testing.assert_array_equal(oracles.level_matrix(keys), oracles.level_matrix(levels))
 
 
@@ -421,71 +427,96 @@ FIRST_KINDS = KINDS[:3]
 
 
 class TestCompactKeys:
-    """Rank keys and merged levels must not change a single verdict, and
-    the int8 column sums must count every pair, on either key path."""
+    """The sort's integer ranks must not change a single verdict, and the
+    int8 column sums of the blocked sweep must count every pair."""
 
     @settings(max_examples=300)
     @given(
         st.integers(1, 40),
-        st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+        st.integers(0, 5),
+        st.booleans(),
         st.integers(0, 2**32 - 1),
     )
-    def test_random_levels_keep_every_verdict(self, n, kinds, seed):
+    def test_random_levels_keep_every_verdict(self, n, complete, nan_last, seed):
         rng = np.random.default_rng(seed)
-        assert_compact_is_exact([_random_level(rng, kind, n) for kind in kinds])
-
-    def test_a_missing_value_level_breaks_a_run(self):
-        rng = np.random.default_rng(5)
-        kinds = ["complete", "complete", "missing", "complete", "complete", "complete"]
-        levels = [_random_level(rng, kind, 30) for kind in kinds]
-        levels[2].hi[0] = np.nan
-        assert len(pairwise._compact(levels)) == 3
+        kinds = ["complete"] * max(complete, not nan_last) + ["missing"] * nan_last
+        levels = [_random_level(rng, kind, n) for kind in kinds]
+        if nan_last:
+            levels[-1].hi[0] = np.nan
         assert_compact_is_exact(levels)
 
+    def test_a_missing_value_level_breaks_a_run(self):
+        # A last level with NaN is not merged into the run above it, and a
+        # missing value level above another level is not the sort's input.
+        rng = np.random.default_rng(5)
+        levels = [_random_level(rng, kind, 30) for kind in ["complete"] * 3 + ["missing"]]
+        levels[3].hi[0] = np.nan
+        assert pairwise._value_levels(levels)
+        assert_compact_is_exact(levels)
+        assert not pairwise._value_levels([levels[3], levels[0]])
+
     def test_a_level_with_hi_above_lo(self):
+        # A crossed level is no value level: it is never ranked, and the
+        # blocked sweep compares its keys as they are, in one tile or in
+        # blocks of one row.
         level = Level(np.array([5.0, 5.0, 3.0, 1.0, np.nan]), np.array([0.0, 0.0, 3.0, 1.0, 2.0]))
-        assert_compact_is_exact([level])
-        assert_compact_is_exact([level, _values(1, 2, 2, 1, 1), _values(0, 0, 1, 1, 0)])
+        treat = np.array([1, 0, 1, 0, 1], dtype=bool)
+        for deeper in ([level], [level, _values(1, 2, 2, 1, 1), _values(0, 0, 1, 1, 0)]):
+            assert not pairwise._value_levels(deeper)
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(pairwise, "_compact", None)  # any ranking would raise
+                for budget in (pairwise._TILE_ENTRIES, 1):
+                    monkeypatch.setattr(pairwise, "_TILE_ENTRIES", budget)
+                    assert_sweep_matches_oracle([_values(*[None] * 5), *deeper], treat)
 
     @pytest.mark.parametrize("tiles", ["one", "many"])
     @pytest.mark.parametrize("seed", range(6))
     def test_sweep_counts_on_either_key_path(self, monkeypatch, tiles, seed):
-        """A matrix of one tile is swept from its own keys and any other
-        from compacted deeper keys; both give the whole matrix's counts
-        and tie list. A crossed level (hi > lo) may come at any depth but
-        the first."""
+        """A matrix of one tile is swept from its own keys; any other is
+        ranked and sorted when its deeper levels are value levels, none but
+        the last with NaN, and else swept in blocks from its own keys. Each
+        gives the whole matrix's counts and tie list. A crossed level
+        (hi > lo) may come at any depth but the first."""
         rng = np.random.default_rng(400 + seed)
         n = int(rng.integers(2, 30))
         kinds = [rng.choice(FIRST_KINDS), *rng.choice(KINDS, size=3)]
+        if seed % 2:
+            kinds[1:] = ["complete", "complete", "missing"]
         levels = [_random_level(rng, kind, n) for kind in kinds]
         treat = rng.random(n) < 0.5
         want = _matrix_counts(oracles.level_matrix(levels), treat)
         monkeypatch.setattr(pairwise, "_TILE_ENTRIES", (n if tiles == "one" else 3) * n)
         compacted = []
         compact = pairwise._compact
-        monkeypatch.setattr(pairwise, "_compact", lambda lv: compacted.append(1) or compact(lv))
+        monkeypatch.setattr(
+            pairwise, "_compact", lambda lv, n: compacted.append(1) or compact(lv, n)
+        )
         got = sweep_counts(levels, treat, collect_ties=True)
-        assert bool(compacted) == (tiles == "many" and n > 3)
+        sorted_path = tiles == "many" and n > 3 and pairwise._value_levels(levels[1:])
+        assert bool(compacted) == sorted_path
         for field in (*COUNT_FIELDS, "ties"):
             np.testing.assert_array_equal(getattr(got, field), want[field], err_msg=field)
 
     def test_a_column_beaten_by_every_row_of_the_tallest_tile(self, monkeypatch):
         """127 rows, the most whose int8 column sum cannot overflow, all
-        beat one column and all lose to another; a tie list keeps the
-        sweep on tiles."""
+        beat one column and all lose to another; a deeper survival level
+        keeps the sweep on blocks."""
         n = 300
         assert pairwise._MAX_TILE_ROWS == np.iinfo(np.int8).max == 127
         treat = np.arange(n) < 150
-        values = np.zeros(n)
-        values[150], values[151] = -1.0, 1.0
-        # The first level ties every pair (all censored) and orders the
-        # subjects by index.
-        levels = [survival_level(np.arange(n, dtype=float), np.zeros(n, bool)), Level(values, values)]
+        times = np.ones(n)
+        times[150], times[151] = 0.0, 2.0
+        # The first level ties every pair (all censored); the deeper one
+        # lets every other subject beat subject 150 and lose to 151.
+        levels = [
+            survival_level(np.arange(n, dtype=float), np.zeros(n, bool)),
+            survival_level(times, np.ones(n, bool)),
+        ]
         tiles = record_tiles(monkeypatch)
         got = sweep_counts(levels, treat, collect_ties=True)
-        # The first tile is the first 127 treatment rows, and every one of
-        # them has subjects 150 and 151 in its run.
-        assert tiles[0][0] == 127
+        # The first block is the first 127 rows, all of the treatment
+        # group, against every column.
+        assert tiles[0] == (127, n)
         s = oracles.level_matrix(levels)
         assert s[:127, 150].sum() == 127 and s[:127, 151].sum() == -127
         want = _matrix_counts(s, treat)
@@ -498,7 +529,7 @@ def assert_sorted_counts_match_tiles(monkeypatch, level, treat):
     """One level's counts without a tie list are the whole matrix's, value
     and dtype, and are counted by sorting, with no tile; so is its
     one-group net count, whether its keys are one array or two. With a
-    tie list, the tiles give the whole matrix's tie pairs."""
+    tie list, the sweep gives the whole matrix's tie pairs."""
     treat = np.asarray(treat, dtype=bool)
     want = _matrix_counts(oracles.level_matrix([level]), treat)
     np.testing.assert_array_equal(sweep_counts([level], treat, collect_ties=True).ties, want["ties"])
@@ -564,8 +595,9 @@ class TestSortedCounts:
         # Subjects 0 and 1 win each of their pairs one way and lose it the
         # other, so every one of their pairs is tied, the self pair too;
         # sorting would count those pairs as decided. So such a level is
-        # refused as the first, and counted by tiles behind a first level
-        # that ties every pair, in one tile or in tiles of one entry.
+        # refused as the first, and counted by the blocked sweep behind a
+        # first level that ties every pair, in one tile or in blocks of one
+        # row.
         level = Level(np.array([5.0, 5.0, 3.0, 1.0]), np.array([0.0, 0.0, 3.0, 1.0]))
         treat = np.array([1, 0, 1, 0], dtype=bool)
         with pytest.raises(ValueError, match="hi <= lo"):
@@ -633,8 +665,8 @@ def assert_sweep_matches_oracle(levels, treat) -> None:
 
 
 class TestTieRuns:
-    """The first level is counted by sorting and the deeper levels only on
-    the runs of pairs it ties, each pair once, in tiles of any size."""
+    """The first level is counted by sorting, and the deeper levels decide
+    only the runs of pairs it ties, by sorting or in blocks of any size."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -646,42 +678,15 @@ class TestTieRuns:
         st.integers(0, 2**32 - 1),
     )
     def test_counts_and_ties_match_the_oracle(self, n, first, deeper, budget, share, seed):
-        # Every sweep, the net-only and between-group ones too. A treatment
-        # share of 0 or 1 makes every tile's rows and columns one group,
-        # and leaves the between-group sweep no pair to compare.
+        # Every sweep, the net-only and between-group ones too; a budget
+        # below N * N sends value levels to the sort and any others to
+        # blocks of at most budget / N rows. A treatment share of 0 or 1
+        # leaves the between-group sweep no pair to compare.
         rng = np.random.default_rng(seed)
         levels = [_random_level(rng, kind, n) for kind in (first, *deeper)]
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(pairwise, "_TILE_ENTRIES", budget)
             assert_sweep_matches_oracle(levels, rng.random(n) < share)
-
-    @pytest.mark.parametrize("first", FIRST_KINDS)
-    @pytest.mark.parametrize("seed", range(3))
-    def test_runs_hold_each_first_level_tie_once(self, first, seed):
-        """The tiles' spans, read back through the column order, are the
-        pairs the first level ties, each once, and no other. A tile's rows
-        are of the group it names."""
-        rng = np.random.default_rng(600 + seed)
-        n = 50
-        level = _random_level(rng, first, n)
-        treat = rng.random(n) < 0.5
-        order, ends, _, _ = pairwise._level_order(level)
-        ts = treat[order]
-        pos = np.arange(n)
-        cols = order[np.concatenate([pos[ts], pos[~ts][::-1]])]
-        rows = pos[ends > pos + 1]
-        i, j = _matrix_counts(oracles.level_matrix([level]), treat)["ties"]
-        blocks = list(pairwise._tie_blocks(rows, ts, np.r_[0, ts.cumsum()], ends))
-        pairs = [
-            tuple(sorted((order[p], cols[c])))
-            for block, _, a, b in blocks
-            for p, lo, hi in zip(block, a, b)
-            for c in range(lo, hi)
-        ]
-        assert len(pairs) == len(set(pairs))
-        assert sorted(pairs) == list(zip(i.tolist(), j.tolist()))
-        for block, group, _, _ in blocks:
-            assert (ts[block] == (group == 0)).all()
 
     def test_a_tie_list_needs_every_field(self):
         levels = [_values(1, 1, 2), _values(1, 2, 3)]
@@ -694,17 +699,24 @@ class TestTieRuns:
 
     def test_rows_with_empty_runs(self, monkeypatch):
         # Distinct event times decide every pair at the first level, so
-        # no run holds a pair and no tile is built; then one tie.
+        # no run holds a pair and the sort lists no tie; then one tie,
+        # which the deeper level decides, then one it leaves tied.
         times = np.arange(12, dtype=float)
         treat = np.arange(12) % 3 == 0
-        deeper = _values(*range(12))
+        values = np.arange(12, dtype=float)
+        deeper = Level(values, values)
         tiles = record_tiles(monkeypatch)
         monkeypatch.setattr(pairwise, "_TILE_ENTRIES", 20)
-        assert_sweep_matches_oracle([survival_level(times, np.ones(12, bool)), deeper], treat)
-        assert tiles == []
+        levels = [survival_level(times, np.ones(12, bool)), deeper]
+        assert_sweep_matches_oracle(levels, treat)
+        assert sweep_counts(levels, treat, collect_ties=True).ties.shape == (2, 0)
         times[5] = times[4]
         assert_sweep_matches_oracle([survival_level(times, np.ones(12, bool)), deeper], treat)
-        assert tiles
+        values[5] = values[4]
+        levels = [survival_level(times, np.ones(12, bool)), deeper]
+        assert_sweep_matches_oracle(levels, treat)
+        assert sweep_counts(levels, treat, collect_ties=True).ties.tolist() == [[4], [5]]
+        assert tiles == []
 
     @pytest.mark.parametrize("budget", [1, 30, 200])
     def test_equal_first_keys_across_tile_and_group_boundaries(self, monkeypatch, budget):
@@ -738,21 +750,6 @@ class TestTieRuns:
             for first in (Level(keys, keys), Level(hi, lo)):
                 assert_sweep_matches_oracle([first, deeper], treat)
 
-    @pytest.mark.parametrize("cap", [4, 5])
-    def test_row_spans_at_the_row_sum_width_cap(self, monkeypatch, cap):
-        """A row sum adds at most ``_MAX_TILE_COLS`` entries (what int16
-        holds); wider spans are cut into tiles of that width, and a span
-        of exactly that width is one."""
-        monkeypatch.setattr(pairwise, "_MAX_TILE_COLS", cap)
-        monkeypatch.setattr(pairwise, "_TILE_ENTRIES", 4 * cap)
-        n = 12
-        treat = np.arange(n) < 6
-        levels = [_values(*[None] * n), _values(*(np.arange(n) % 3)), _values(*(np.arange(n) % 2))]
-        tiles = record_tiles(monkeypatch)
-        assert_sweep_matches_oracle(levels, treat)
-        widths = [w for _, w in tiles]
-        assert max(widths) == cap and widths.count(cap) > 1
-
     def test_a_crossed_first_level_is_refused(self):
         level = Level(np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.5, 3.0]))
         with pytest.raises(ValueError, match="hi <= lo"):
@@ -775,8 +772,8 @@ def _value_hierarchy(rng, n: int, complete: int, nan_last: bool, spread: int) ->
 
 class TestSortedDeeperLevels:
     """Deeper value levels, only the last with NaN, are counted by sorting
-    whenever the sweep lists no ties and is more than one tile; every
-    count equals the whole matrix's, and no tile is built."""
+    whenever the sweep is more than one tile; every count and the tie list
+    equal the whole matrix's, and no tile is built."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -790,8 +787,9 @@ class TestSortedDeeperLevels:
     )
     def test_counts_match_the_oracle(self, n, first, complete, nan_last, spread, share, seed):
         # Survival, value and NaN first levels with equal keys; ranks up
-        # to n - 1 run three digit passes; a treatment share of 0 or 1
-        # leaves the between-group sweep no pair.
+        # to n - 1 run three digit passes; a narrow spread lists many tie
+        # pairs in each of the four passes of a NaN last level; a
+        # treatment share of 0 or 1 leaves the between-group sweep no pair.
         rng = np.random.default_rng(seed)
         deeper = _value_hierarchy(rng, n, max(complete, not nan_last), nan_last, spread)
         levels = [_random_level(rng, first, n), *deeper]
@@ -806,6 +804,9 @@ class TestSortedDeeperLevels:
                     a = getattr(got, field)
                     assert a.dtype == np.int64, (fields, field)
                     np.testing.assert_array_equal(a, want[field], err_msg=f"{fields}: {field}")
+            ties = sweep_counts(levels, treat, collect_ties=True).ties
+            assert ties.dtype == np.int32
+            np.testing.assert_array_equal(ties, want["ties"])
 
     @pytest.mark.parametrize("nan_share", [0.0, 0.5, 1.0])
     def test_a_nan_last_level_alone_and_under_a_run(self, monkeypatch, nan_share):
@@ -820,13 +821,13 @@ class TestSortedDeeperLevels:
         monkeypatch.setattr(pairwise, "_tile_verdicts", None)
         for levels in ([first, last], [first, _random_level(rng, "complete", n), last]):
             want = _matrix_counts(oracles.level_matrix(levels), np.arange(n) % 3 == 0)
-            got = sweep_counts(levels, np.arange(n) % 3 == 0)
-            for field in COUNT_FIELDS:
+            got = sweep_counts(levels, np.arange(n) % 3 == 0, collect_ties=True)
+            for field in (*COUNT_FIELDS, "ties"):
                 np.testing.assert_array_equal(getattr(got, field), want[field], err_msg=field)
 
     def test_other_deeper_levels_stay_on_tiles(self, monkeypatch):
         # A NaN level above another, a survival level and a crossed level
-        # are compared on tiles.
+        # are compared in blocks: at N=150, one of 127 rows and one of 23.
         n = 150
         rng = np.random.default_rng(3)
         first = _random_level(rng, "survival", n)
@@ -919,23 +920,32 @@ def test_one_level_counts_take_linear_memory(cohort_6k, kernel):
 
 
 def test_hierarchy_sweep_reuses_its_tile_buffers(cohort_6k):
-    """A hierarchical sweep on tiles (a tie list keeps it there) allocates
-    its cache-sized tile buffers once and writes every step into them: its
-    peak traced allocation stays under 4 MB (fresh temporaries for every
-    tile peaked near 12.6 MB)."""
-    tracemalloc.start()
-    try:
-        pair_counts(cohort_6k, collect_ties=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    """The blocked sweep, which a deeper survival level sends the cohort
+    to, allocates its cache-sized block buffers once and writes every step
+    into them, and the sort lists the cohort's tie pairs in linear memory:
+    the peak traced allocation of each, tie list included, stays under
+    4 MB (fresh temporaries for every tile peaked near 12.6 MB)."""
+    levels = pairwise._hierarchy_levels(cohort_6k)
+    blocked = [*levels, levels[0]]
+    assert not pairwise._value_levels(blocked[1:]) and pairwise._value_levels(levels[1:])
+    for hierarchy in (blocked, levels):
+        tracemalloc.start()
+        try:
+            counts = sweep_counts(hierarchy, cohort_6k.treatment_mask, collect_ties=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.ties is not None
+        assert peak < 4 * 2**20
+
+
+PATHS = ("_blocked_counts", "_sorted_counts")
 
 
 def record_paths(monkeypatch) -> list[str]:
     """The deeper-level paths that later sweeps take, in order."""
     taken: list[str] = []
-    for name in ("_one_tile_counts", "_sorted_counts", "_tie_counts"):
+    for name in PATHS:
         path = getattr(pairwise, name)
         monkeypatch.setattr(
             pairwise, name, lambda *a, _name=name, _path=path: taken.append(_name) or _path(*a)
@@ -945,29 +955,92 @@ def record_paths(monkeypatch) -> list[str]:
 
 @pytest.mark.parametrize("cohort", ["simulated", "replica"])
 def test_each_cohort_size_takes_one_path(monkeypatch, request, cohort):
-    """Above one tile, fs and the asymptotic win ratio count the CLI's and
-    the simulator's hierarchies by sorting and build no tile; the
-    permutation win ratio's tie list still takes tiles, and a cohort of
-    one tile (N <= 127) is swept whole."""
+    """Above one tile, fs and the win ratio, asymptotic and permutation,
+    count the replica's and the simulator's hierarchies by sorting, the
+    tie list too, and build no tile; a cohort of one tile (N <= 127) is
+    swept whole as one block."""
     ds = request.getfixturevalue("cohort_6k" if cohort == "simulated" else "actg_derived")
     assert ds.n > pairwise._MAX_TILE_ROWS
     taken = record_paths(monkeypatch)
-    with monkeypatch.context() as m:
-        m.setattr(pairwise, "_tile_verdicts", None)  # any tile would raise
-        run_method("fs", ds)
-        run_method("win_ratio", ds)
-    assert taken == ["_sorted_counts"] * 2
     tiles = record_tiles(monkeypatch)
-    run_method("win_ratio", ds, PermutationPlan.monte_carlo(9, seed=1))
-    assert taken[2:] == ["_tie_counts"] and tiles
+    plan = PermutationPlan.monte_carlo(9, seed=1)
+    run_method("fs", ds)
+    run_method("win_ratio", ds)
+    run_method("win_ratio", ds, plan)
+    assert taken == ["_sorted_counts"] * 3 and tiles == []
 
     treat = ds.treatment_mask
     small = ds.subset(np.r_[np.flatnonzero(treat)[:20], np.flatnonzero(~treat)[:20]])
     del taken[:]
-    for plan in (None, PermutationPlan.monte_carlo(9, seed=1)):
+    for plan in (None, plan):
         run_method("fs", small, plan)
         run_method("win_ratio", small, plan)
-    assert taken == ["_one_tile_counts"] * 4
+    assert taken == ["_blocked_counts"] * 4
+    assert tiles == [(40, 40)] * 4
+
+
+@pytest.fixture(scope="module")
+def blanked_replica(actg_csv_path, tmp_path_factory):
+    """The replica with about 10% of its week-20 CD4 counts blank: the CD4
+    change is missing there, NaN in a deeper level other than the last."""
+    rng = np.random.default_rng(29)
+    with open(actg_csv_path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        if rng.random() < 0.1:
+            row["cd420"] = ""
+    path = tmp_path_factory.mktemp("blanked") / "actg175.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    return derive_endpoints(load_trial_csv(path))
+
+
+def test_a_blank_week20_cd4_takes_the_blocked_sweep(monkeypatch, blanked_replica):
+    """fs and the win ratio, asymptotic and permutation, on a CLI hierarchy
+    that the sort does not take: every count, the tie list, each
+    statistic and each permutation p match the whole verdict matrix."""
+    ds = blanked_replica
+    levels = pairwise._hierarchy_levels(ds)
+    assert ds.n > pairwise._MAX_TILE_ROWS and np.isnan(levels[1].hi).mean() > 0.05
+    s = verdict_matrix(ds)
+    treat = ds.treatment_mask
+    want = _matrix_counts(s, treat)
+    u = want["net"]
+
+    def fs_stat(d):
+        return float(u[d.treatment_mask].sum())
+
+    def wr_stat(d):
+        t = d.treatment_mask
+        cross = s[t][:, ~t]
+        w, l = np.float64((cross == 1).sum()), np.float64((cross == -1).sum())
+        return float(np.log(w) - np.log(l))
+
+    taken = record_paths(monkeypatch)
+    plan = PermutationPlan.monte_carlo(19, seed=5)
+    counts = pair_counts(ds, collect_ties=True)
+    results = {
+        (method, p is None): run_method(method, ds, p)
+        for method in ("fs", "win_ratio")
+        for p in (None, plan)
+    }
+    assert taken == ["_blocked_counts"] * 5
+    for field in (*COUNT_FIELDS, "ties"):
+        np.testing.assert_array_equal(getattr(counts, field), want[field], err_msg=field)
+    assert want["ties"].shape[1] > 0
+    for method, stat in (("fs", fs_stat), ("win_ratio", wr_stat)):
+        assert results[method, True].statistic == stat(ds)
+        p, fields = oracles.permutation_pvalue(stat, ds, plan)
+        fast = results[method, False]
+        assert fast.statistic == stat(ds)
+        assert result_bits((fast.p_two_sided, [fast.metadata[k] for k in fields])) == result_bits(
+            (p, list(fields.values()))
+        )
+    cross = s[treat][:, ~treat]
+    tallies = results["win_ratio", True].metadata
+    assert (tallies["n_wins"], tallies["n_losses"]) == ((cross == 1).sum(), (cross == -1).sum())
 
 
 def test_permutation_win_ratio_memory_stays_below_n_squared():
