@@ -13,11 +13,14 @@ no test holds S itself. A caller names the counts it reads (``fields``):
 - ``BETWEEN``: the wins and losses against the other group alone; the win
   ratio without a plan.
 
-The first level is counted for every pair by sorting (``_level_order``): a
-subject's wins and losses against a group are counts of that group's keys
-below and above its own, in O(N log N) time and O(N) memory. A sweep of
-one level (global U's kernels, and through ``net_counts`` the rank tests'
-scores and midranks) is this alone. Deeper levels decide only the pairs
+The first level is counted for every pair from one sort of its ``hi``
+keys (``_level_order``): a subject's wins and losses against a group are
+counts of that group's keys below and above its own. They are read off
+the runs of equal keys in that order, with no search on a value level; a
+survival level searches only the censored subjects' +inf ``lo`` keys.
+This takes O(N log N) time and O(N) memory. A sweep of one level (global
+U's kernels, and through ``net_counts`` the rank tests' scores and
+midranks) is this alone. Deeper levels decide only the pairs
 the first level ties, and are counted by one of two paths:
 
 - Above one tile (N > 127 at the default tile size), deeper value levels,
@@ -176,26 +179,59 @@ def _level_order(level: Level) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     of ``order[p]``, which are ``order[:ends[p]]``, so the other
     ``N - ends[p]`` beat it; and ``beats[p]``, the number of subjects whose
     ``lo`` is below its ``hi``, which it beats: ``by_lo[:beats[p]]``, with
-    ``by_lo`` the subjects in ascending ``lo``."""
+    ``by_lo`` the subjects in ascending ``lo``.
+
+    Both counts are read off the runs of equal ``hi`` in the one sort. A
+    subject whose ``lo`` is its own ``hi`` (every subject of a value level,
+    an observed event of a survival level) ends where its run ends; any
+    other ``lo``, such as a censored subject's +inf, is searched among the
+    sorted ``hi``. A subject beats the subjects before its run's start, on
+    a two-key level only those whose ``lo`` is their own ``hi``, and the
+    other finite ``lo`` keys below its ``hi``, which are searched; a
+    survival level has none."""
     hi, lo = level
     n = hi.size
-    # searchsorted is about 4x faster on ascending keys, so each key array
-    # is searched in its sorted order; a level whose two keys are one array
-    # is sorted once. NaN sorts past every key, so no hi is found above a
-    # NaN lo, and no NaN lo below a hi.
     by_hi = hi.argsort()
     hi_up = hi[by_hi]
-    by_lo = by_hi if hi is lo else lo.argsort()
-    lo_up = hi_up if hi is lo else lo[by_lo]
-    # The last key is NaN when any is.
-    nan_hi = 0 if n == 0 or hi_up[-1] == hi_up[-1] else np.count_nonzero(np.isnan(hi_up))
-    order = np.concatenate([by_hi[n - nan_hi :], by_hi[: n - nan_hi]]) if nan_hi else by_hi
-    ends = hi_up[: n - nan_hi].searchsorted(lo[order], "right")
-    if nan_hi:
-        ends += nan_hi
-        hi_up = hi[order]
-    beats = lo_up.searchsorted(hi_up, "left")
-    beats[:nan_hi] = 0
+    # The last key is NaN when any is; the first m are not.
+    m = n if n == 0 or hi_up[-1] == hi_up[-1] else n - np.count_nonzero(np.isnan(hi_up))
+    # ``edge`` marks the first position of each run of equal keys, and n;
+    # a NaN equals nothing, so each is a run of its own.
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[n] = True
+    np.not_equal(hi_up[1:], hi_up[:-1], out=edge[1:n])
+    bounds = edge.nonzero()[0]
+    starts = bounds[:-1]
+    size = bounds[1:] - starts
+    ends = bounds[1:].repeat(size)  # its run's end: the keys at most its own
+    if hi is lo:
+        by_lo = by_hi
+        beats = starts.repeat(size)  # its run's start: the keys below its own
+        ends[m:] = m  # a NaN lo lies above every key
+    else:
+        by_lo = lo.argsort()
+        lo_up = lo[by_hi]
+        # ``same[p + 1]``: the lo at position p is its own hi (an observed
+        # event), so it lies below the keys of every later run. Any other
+        # lo, every lo of a NaN hi among them, is searched.
+        same = np.empty(n + 1, dtype=bool)
+        same[0] = False
+        np.equal(lo_up, hi_up, out=same[1:])
+        beats = same.cumsum()[starts].repeat(size)
+        other = (~same[1:]).nonzero()[0]
+        other_lo = lo_up[other]
+        ends[other] = hi_up[:m].searchsorted(other_lo, "right")
+        crossed = other_lo[other_lo < np.inf]
+        if crossed.size:
+            crossed.sort()
+            beats[:m] += crossed.searchsorted(hi_up[:m], "left")
+    if m < n:
+        # A NaN hi is at most every lo, beats nothing and goes first.
+        ends += n - m
+        beats[m:] = 0
+        order, ends, beats = (np.concatenate([a[m:], a[:m]]) for a in (by_hi, ends, beats))
+    else:
+        order = by_hi
     return order, ends, beats, by_lo
 
 

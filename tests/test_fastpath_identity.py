@@ -222,12 +222,14 @@ class TestFastPathsMatchGenericEngine:
         )
 
     def test_pairwise_tests_across_row_tiles(self, ds, tied, heavy, plan, monkeypatch):
-        # Tiles of at most 3N entries over the first level's tie runs
-        # instead of one tile for N=14, and label products over slices of
-        # 5 block rows (the rank tests' Gehan scores and group sums too):
-        # every statistic, variance and p is unchanged to the last bit,
-        # the tie lists of ``tied`` and ``heavy`` are gathered over
-        # several tiles, and the reducers still match the references.
+        # A budget of 3N entries instead of one tile for N=14, and label
+        # products over slices of 5 block rows (the rank tests' Gehan
+        # scores and group sums too): ``ds`` and ``tied`` count their
+        # deeper levels and list their ties by sorting, and ``heavy``,
+        # with NaN in a deeper level other than the last, in blocks of 3
+        # rows. Every statistic, variance and p is unchanged to the last
+        # bit, so are the tie lists, and the reducers still match the
+        # references.
         cohorts = (ds, tied, heavy)
 
         def run():
