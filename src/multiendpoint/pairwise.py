@@ -23,28 +23,24 @@ U's kernels, and through ``net_counts`` the rank tests' scores and
 midranks) is this alone. Deeper levels decide only the pairs
 the first level ties, and are counted by one of two paths:
 
-- Above one tile (N > 127 at the default tile size), deeper value levels,
-  none but the last holding NaN, are counted by sorting too
-  (``_sorted_counts``), and so is their tie list. In the first level's
-  order, the subjects a subject ties are a prefix of that order less a
-  prefix of the order of ``lo``, so its deeper wins and losses over them
-  are counts of the deeper rank below and above its own in two prefixes,
-  offline dominance counts (Knight 1966, JASA 61:436) that one wavelet
-  matrix answers for every subject at once (``_range_counts``), in
-  O(N log N) time and O(N) memory. The NaN-free levels make one
-  lexicographic order, and a NaN-bearing last level adds the counts of
-  the composite order (rank, value) among the subjects that hold a value.
-  The tied subjects that come after a subject in the first level's order
-  are the next positions up to its ``ends``, so with the positions sorted
-  by deeper class, those tied at every level are one range of its class
+- Above one tile (N > 127 at the default tile size), deeper value levels
+  are counted by sorting too (``_sorted_counts``), and so is their tie
+  list. In the first level's order, the subjects a subject ties are a
+  prefix of that order less a prefix of the order of ``lo``, so its deeper
+  wins and losses over them are counts of a deeper rank below and above
+  its own in two prefixes, offline dominance counts (Knight 1966,
+  JASA 61:436) that one wavelet matrix answers for every subject at once
+  (``_range_counts``), in O(N log N) time and O(N) memory. A pair is
+  decided by the deeper levels that both subjects hold, so NaN in h of
+  them makes up to 3^h signed terms of such counts, 1 with none. The
+  tied subjects that come after a subject in the first level's order are
+  the next positions up to its ``ends``, so with the positions sorted by
+  deeper class, those tied at every level are one range of its class
   (``_sorted_ties``).
 - Any other sweep compares every pair both ways round, in blocks of rows
   against every column (``_blocked_counts``): a matrix of one tile, like
-  a null study's N=40 cohort, which is one block; deeper survival or
-  crossed levels, which only the library builds; and NaN in a deeper
-  level other than the last. ``derive_endpoints`` leaves the week-20 CD4
-  change missing wherever ``cd420`` or ``cd40`` is blank, so a CLI
-  hierarchy with such a blank takes this path.
+  a null study's N=40 cohort, which is one block, and deeper survival or
+  crossed levels, which only the library builds.
 
 On the simulator's N=10,000 cohort the first level ties 18,466,058 of the
 49,995,000 pairs; the blocked sweep would compare every pair twice, and
@@ -116,25 +112,14 @@ _TILE_ENTRIES = 1 << 18
 _MAX_TILE_ROWS = np.iinfo(np.int8).max
 
 
-def _compact(levels: Sequence[Level], n: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Deeper value levels of which only the last may hold NaN
-    (``_value_levels``) as integer ranks over ``n`` subjects: the int32
-    rank of the NaN-free levels' lexicographic order (0 for all when there
-    are none), and the rank of a last level that holds NaN, -1 where it is
-    NaN (else None). A pair's deeper verdict is that of the first rank, and
-    where the first ties and both hold a value, that of the second."""
-    last = None
-    if levels and np.isnan(levels[-1].hi).any():
-        *levels, nan_level = levels
-        _, last = np.unique(nan_level.hi, return_inverse=True)
-        last[np.isnan(nan_level.hi)] = -1
-    rank = None
-    for lv in levels:
-        _, r = np.unique(lv.hi, return_inverse=True)
-        if rank is not None:
-            _, r = np.unique(rank * (r.max() + 1) + r, return_inverse=True)
-        rank = r
-    return (np.zeros(n, dtype=np.int32) if rank is None else rank.astype(np.int32)), last
+def _compact(levels: Sequence[Level], n: int) -> np.ndarray:
+    """Deeper value levels (``_value_levels``) as a (K, ``n``) int32 array:
+    each level's rank of its values, -1 where it is NaN."""
+    ranks = np.empty((len(levels), n), dtype=np.int32)
+    for r, lv in zip(ranks, levels):
+        _, r[:] = np.unique(lv.hi, return_inverse=True)
+        r[np.isnan(lv.hi)] = -1
+    return ranks
 
 
 # What ``sweep_counts`` counts: every field; the net counts alone (fs);
@@ -178,8 +163,8 @@ def _level_order(level: Level) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     ``ends[p]``, the number of subjects whose ``hi`` is at most the ``lo``
     of ``order[p]``, which are ``order[:ends[p]]``, so the other
     ``N - ends[p]`` beat it; and ``beats[p]``, the number of subjects whose
-    ``lo`` is below its ``hi``, which it beats: ``by_lo[:beats[p]]``, with
-    ``by_lo`` the subjects in ascending ``lo``.
+    ``lo`` is below its ``hi``, which it beats, the first ``beats[p]`` in
+    ascending ``lo``. Last ``by_hi``, ascending ``hi`` with NaN last.
 
     Both counts are read off the runs of equal ``hi`` in the one sort. A
     subject whose ``lo`` is its own ``hi`` (every subject of a value level,
@@ -205,11 +190,9 @@ def _level_order(level: Level) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     size = bounds[1:] - starts
     ends = bounds[1:].repeat(size)  # its run's end: the keys at most its own
     if hi is lo:
-        by_lo = by_hi
         beats = starts.repeat(size)  # its run's start: the keys below its own
         ends[m:] = m  # a NaN lo lies above every key
     else:
-        by_lo = lo.argsort()
         lo_up = lo[by_hi]
         # ``same[p + 1]``: the lo at position p is its own hi (an observed
         # event), so it lies below the keys of every later run. Any other
@@ -232,7 +215,7 @@ def _level_order(level: Level) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
         order, ends, beats = (np.concatenate([a[m:], a[:m]]) for a in (by_hi, ends, beats))
     else:
         order = by_hi
-    return order, ends, beats, by_lo
+    return order, ends, beats, by_hi
 
 
 def net_counts(level: Level) -> np.ndarray:
@@ -263,9 +246,9 @@ def sweep_counts(
     (``_level_order``), in O(N log N) time and O(N) memory; it needs
     ``hi <= lo`` on every subject and raises ``ValueError`` otherwise.
     Deeper levels decide only the pairs the first level ties. Above one
-    tile, value levels of which only the last holds NaN are counted by
-    sorting (``_sorted_counts``), the tie list too; any other deeper levels
-    are compared in blocks of rows against every column
+    tile, value levels, NaN or not, are counted by sorting
+    (``_sorted_counts``), the tie list too; deeper survival or crossed
+    levels are compared in blocks of rows against every column
     (``_blocked_counts``), which count every field and serve a narrower
     request from them. One level without a tie list is the sort alone."""
     if fields not in (ALL, NET, BETWEEN) or (collect_ties and fields != ALL):
@@ -279,7 +262,8 @@ def sweep_counts(
     first = levels[0]
     if np.count_nonzero(first.hi > first.lo):
         raise ValueError("the first level needs hi <= lo on every subject")
-    order, ends, beats, by_lo = _level_order(first)
+    order, ends, beats, by_hi = _level_order(first)
+    by_lo = by_hi if first.hi is first.lo else first.lo.argsort()
     # Treatment subjects among the first k in ``order``, and in ``by_lo``.
     tc, tl = running = np.zeros((2, n + 1), dtype=np.int64)
     np.array([treat[order], treat[by_lo]]).cumsum(axis=1, out=running[:, 1:])
@@ -317,11 +301,9 @@ def sweep_counts(
 
 
 def _value_levels(levels: Sequence[Level]) -> bool:
-    """Whether ``_sorted_counts`` takes these deeper levels: value levels
-    (one key array each), none but the last holding NaN."""
-    return all(lv.hi is lv.lo for lv in levels) and not any(
-        np.isnan(lv.hi).any() for lv in levels[:-1]
-    )
+    """Whether ``_sorted_counts`` takes these deeper levels: value levels,
+    one key array each."""
+    return all(lv.hi is lv.lo for lv in levels)
 
 
 # Bits of a key that each pass of ``_range_counts`` reads, at most 8 (a
@@ -388,44 +370,67 @@ def _sorted_counts(
     collect_ties: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The counts of ``_blocked_counts``, (4, N) by subject, and with
-    ``collect_ties`` its tie list (else None), for deeper value levels of
-    which only the last may hold NaN (``_value_levels``), by sorting.
-    ``fields`` ``NET`` leaves everyone's wins and losses in the treatment
-    rows, and ``BETWEEN`` the counts against a subject's own group 0.
+    ``collect_ties`` its tie list (else None), for deeper value levels
+    (``_value_levels``), by sorting. ``fields`` ``NET`` leaves everyone's
+    wins and losses in the treatment rows, and ``BETWEEN`` the counts
+    against a subject's own group 0.
 
     From ``_level_order``: at first-level position p, subject x beats
     ``by_lo[:beats[p]]``, all of which lie in ``order[:ends[p]]``, and is
     tied with the rest of ``order[:ends[p]]``, itself included. So for a
-    complete deeper order r and a group M, x's deeper wins over the tied
-    members of M are the members in ``order[:ends[p]]`` whose r is below
-    r_x less those in ``by_lo[:beats[p]]``, and its losses likewise those
-    above; x itself is neither. The NaN-free levels make one such order,
-    the rank of their lexicographic order. A last level with NaN decides
-    only a pair that order ties and that has both values present, so
-    among the present subjects P it adds the counts of the order of
-    (r, value) less those of r. All the prefix counts are answered by one
-    ``_range_counts``."""
+    deeper order r and a group M, x's deeper wins over the tied members of
+    M are the members in ``order[:ends[p]]`` whose r is below r_x less
+    those in ``by_lo[:beats[p]]``, and its losses likewise those above; x
+    itself is neither. One ``_range_counts`` answers every such count.
+
+    A tied pair is decided lexicographically by the deeper levels that
+    both subjects hold, its presence set A. As [A = S] is the sum over
+    T >= S of (-1)^|T - S| [A >= T] (Moebius inversion), the counts over
+    the pairs whose A is S are a signed sum of terms, each those counts of
+    the rank over S among the members that hold all of T. Terms cancel
+    where T - S holds a NaN-free level, so S holds all of those: NaN in h
+    levels leaves 3^h terms, less the 2^h of an empty S when no level is
+    NaN-free, so 1 for a complete hierarchy. The tie list takes one
+    ``_sorted_ties`` pass per ordered pair of presence patterns over the
+    NaN-bearing levels, classed by the rank over the levels both hold."""
     n = treat.size
-    rank, last = _compact(levels, n)
-    everyone = np.ones(n, dtype=bool)
+    ranks = _compact(levels, n)
+    held = ranks >= 0
+    complete = held.all(axis=1)
+    bearing = np.flatnonzero(~complete)
+    # For each set of NaN-bearing levels, bit b of its index naming
+    # ``bearing[b]``: the subjects that hold it, and their rank over it and
+    # the NaN-free levels.
+    holders, lex = [], []
+    for subset in range(1 << bearing.size):
+        over = complete.copy()
+        over[bearing[subset >> np.arange(bearing.size) & 1 == 1]] = True
+        holders.append(hold := held[over].all(axis=0))
+        rank = np.zeros(n, dtype=np.int32)
+        for depth, r in enumerate(ranks[over].compress(hold, axis=1)):  # lexicographic
+            if depth:
+                _, r = np.unique(rank[hold] * np.int64(n) + r, return_inverse=True)
+            rank[hold] = r
+        lex.append(rank)
     treated = treat[order]
     # (the count row of the wins, members by subject, the asking positions)
     if fields == NET:
-        groups = [(0, everyone, np.arange(n))]
+        groups = [(0, np.ones(n, dtype=bool), np.arange(n))]
     elif fields == BETWEEN:
         groups = [(0, treat, np.flatnonzero(~treated)), (1, ~treat, np.flatnonzero(treated))]
     else:
         groups = [(0, treat, np.arange(n)), (1, ~treat, np.arange(n))]
-    terms = [(1, rank, *group) for group in groups]
-    if last is not None:
-        present = last >= 0  # a NaN value ranks -1
-        _, lex = np.unique(rank[present] * np.int64(n) + last[present], return_inverse=True)
-        composite = np.zeros(n, dtype=np.int32)
-        composite[present] = lex
-        for row, members, asking in groups:
-            members, asking = members & present, asking[present[order.take(asking)]]
-            terms += [(1, composite, row, members, asking), (-1, rank, row, members, asking)]
-    values, starts, stops, keys = [], [], [], []
+    # The terms of sets S within T, their NaN-bearing levels indexed s and
+    # t; an empty S decides nothing.
+    terms = [
+        ((-1) ** (t ^ s).bit_count(), lex[s], row, members & hold, asking[hold[order[asking]]])
+        for t, hold in enumerate(holders)
+        for s in range(t + 1)
+        if s & t == s and (s or complete.any())
+        for row, members, asking in groups
+    ]
+    # Each list starts empty, since a sweep of one level has no deeper terms.
+    values, starts, stops, keys = ([np.zeros(0, dtype=np.int32)] for _ in range(4))
     offset = 0
     for _, r, _, members, asking in terms:
         key = r.take(order.take(asking))
@@ -451,16 +456,10 @@ def _sorted_counts(
         k += 2 * asking.size
     if not collect_ties:
         return counts, None
-    # Each pass lists the ties of its asking positions with its listed
-    # ones in the class that decides whether they tie: a NaN-bearing last
-    # level ties a pair with a NaN, and else needs its values equal.
-    at = rank.take(order)
-    if last is None:
-        passes = [(everyone, everyone, at)]
-    else:
-        has = present.take(order)
-        lex = composite.take(order)
-        passes = [(has, has, lex), (~has, ~has, at), (has, ~has, at), (~has, has, at)]
+    # The NaN-bearing levels that each position holds, bit b for ``bearing[b]``.
+    pattern = ((1 << np.arange(bearing.size)) @ held[bearing]).take(order)
+    kinds = np.unique(pattern)
+    passes = [(pattern == a, pattern == b, lex[a & b].take(order)) for a in kinds for b in kinds]
     return counts, _sorted_ties(order, ends, passes)
 
 
@@ -536,7 +535,8 @@ def _blocked_counts(
     column sums of each group's rows give every count. The keys are
     compared as they are: ranking them would cost more than it saves at
     N=40, where every numpy call counts. A matrix of one tile is one block,
-    built from its own keys."""
+    built from its own keys; above one tile only deeper survival or crossed
+    levels come here."""
     n = treat.size
     rows = max(1, min(_MAX_TILE_ROWS, _TILE_ENTRIES // max(n, 1)))
     buf = np.empty((4, min(rows, n), n), dtype=np.int8)

@@ -6,11 +6,10 @@ Both tests read per-subject counts from one sweep of every subject pair
 for the counts it reads: fs the net scores alone, and the win ratio
 without a plan the wins and losses against the other group. Above 127
 subjects both are counted by sorting, the deeper endpoints too, in
-O(N log N) time, when the deeper endpoints are value endpoints and none
-but the last has missing values: every hierarchy the simulator builds,
-and the CLI's unless a baseline or week-20 CD4 count is blank. Any other
-hierarchy, and a cohort of at most 127, is compared pair by pair in
-blocks. The win ratio under a plan asks for every count and the tie
+O(N log N) time, when the deeper endpoints are value endpoints, with
+missing values or not: every hierarchy the simulator or the CLI builds.
+A deeper time-to-event endpoint, and a cohort of at most 127, is
+compared pair by pair in blocks. The win ratio under a plan asks for every count and the tie
 list, which the same path gives. A permutation replicate of fs needs
 only the net scores: a float64 product with each label block. The win
 ratio's wins + losses under relabeling is g'|S|(1 - g) for labels g; with

@@ -279,24 +279,32 @@ def record_tiles(monkeypatch) -> list[tuple[int, int]]:
     return shapes
 
 
-@pytest.mark.parametrize("height", ["1", "2", "n-1", "n", "n+1"])
+@pytest.mark.parametrize("height", ["1", "2", "n-1", "n", "n+1", "sorted"])
 @pytest.mark.parametrize("seed", range(4))
 class TestRowTiles:
-    """The sweep must not depend on where the tiles break."""
+    """The sweep must not depend on where the tiles break, nor on whether
+    it takes tiles at all."""
 
     @pytest.fixture
     def ds(self, monkeypatch, seed, height):
         ds = _interleaved_dataset(900 + seed, 9 + seed)
         n = ds.n
-        rows = {"1": 1, "2": 2, "n-1": n - 1, "n": n, "n+1": n + 1}[height]
+        rows = {"1": 1, "2": 2, "n-1": n - 1, "n": n, "n+1": n + 1, "sorted": 1}[height]
         monkeypatch.setattr(pairwise, "_TILE_ENTRIES", rows * n)
+        if height != "sorted":
+            # The sort would take these value endpoints; the blocked sweep
+            # serves any levels.
+            monkeypatch.setattr(pairwise, "_value_levels", lambda levels: False)
         with monkeypatch.context() as m:
             tiles = record_tiles(m)
             pair_counts(ds)
         # A budget of the whole matrix makes it one tile; a smaller one
-        # makes tiles of at most ``rows`` rows' worth of entries.
+        # makes tiles of at most ``rows`` rows' worth of entries, or none
+        # when the sort takes the deeper levels.
         if rows >= n:
             assert tiles == [(n, n)]
+        elif height == "sorted":
+            assert tiles == []
         else:
             assert tiles and all(h * w <= rows * n and h < n for h, w in tiles)
         return ds
@@ -404,21 +412,16 @@ def _random_level(rng, kind: str, n: int) -> Level:
 
 
 def assert_compact_is_exact(levels) -> None:
-    """The integer ranks of deeper value levels, none but the last with
-    NaN, give the verdict matrix of ``levels`` itself: the NaN-free levels
-    merge into one rank, and a last level with NaN keeps its own, -1
-    where it is NaN."""
+    """The integer ranks of deeper value levels, -1 where a level is NaN,
+    give the verdict matrix of ``levels`` itself, level by level."""
     n = levels[0].hi.size
-    rank, last = pairwise._compact(levels, n)
-    assert rank.dtype == np.int32
-    keys = [Level(rank, rank)]
-    if last is None:
-        assert not np.isnan(levels[-1].hi).any()
-    else:
-        assert np.isnan(levels[-1].hi).any() and last.min() == -1
-        last = np.where(last < 0, np.nan, last)
-        keys.append(Level(last, last))
-    np.testing.assert_array_equal(oracles.level_matrix(keys), oracles.level_matrix(levels))
+    ranks = pairwise._compact(levels, n)
+    assert ranks.dtype == np.int32 and ranks.shape == (len(levels), n)
+    np.testing.assert_array_equal(ranks < 0, np.isnan([lv.hi for lv in levels]))
+    for r, level in zip(np.where(ranks < 0, np.nan, ranks), levels):
+        np.testing.assert_array_equal(
+            oracles.level_matrix([Level(r, r)]), oracles.level_matrix([level])
+        )
 
 
 KINDS = ("survival", "complete", "missing", "crossed")
@@ -433,27 +436,24 @@ class TestCompactKeys:
     @settings(max_examples=300)
     @given(
         st.integers(1, 40),
-        st.integers(0, 5),
-        st.booleans(),
+        st.lists(st.sampled_from(["complete", "missing"]), min_size=1, max_size=5),
         st.integers(0, 2**32 - 1),
     )
-    def test_random_levels_keep_every_verdict(self, n, complete, nan_last, seed):
+    def test_random_levels_keep_every_verdict(self, n, kinds, seed):
+        # NaN in any subset of the levels.
         rng = np.random.default_rng(seed)
-        kinds = ["complete"] * max(complete, not nan_last) + ["missing"] * nan_last
         levels = [_random_level(rng, kind, n) for kind in kinds]
-        if nan_last:
-            levels[-1].hi[0] = np.nan
         assert_compact_is_exact(levels)
 
     def test_a_missing_value_level_breaks_a_run(self):
-        # A last level with NaN is not merged into the run above it, and a
-        # missing value level above another level is not the sort's input.
+        # A missing value level above or below complete ones is the sort's
+        # input too; the subjects that lack it, and only they, rank -1.
         rng = np.random.default_rng(5)
-        levels = [_random_level(rng, kind, 30) for kind in ["complete"] * 3 + ["missing"]]
-        levels[3].hi[0] = np.nan
-        assert pairwise._value_levels(levels)
-        assert_compact_is_exact(levels)
-        assert not pairwise._value_levels([levels[3], levels[0]])
+        levels = [_random_level(rng, kind, 30) for kind in ["complete", "missing", "complete"]]
+        levels[1].hi[0] = np.nan
+        for deeper in (levels, levels[1:], levels[::-1]):
+            assert pairwise._value_levels(deeper)
+            assert_compact_is_exact(deeper)
 
     def test_a_level_with_hi_above_lo(self):
         # A crossed level is no value level: it is never ranked, and the
@@ -473,15 +473,15 @@ class TestCompactKeys:
     @pytest.mark.parametrize("seed", range(6))
     def test_sweep_counts_on_either_key_path(self, monkeypatch, tiles, seed):
         """A matrix of one tile is swept from its own keys; any other is
-        ranked and sorted when its deeper levels are value levels, none but
-        the last with NaN, and else swept in blocks from its own keys. Each
-        gives the whole matrix's counts and tie list. A crossed level
-        (hi > lo) may come at any depth but the first."""
+        ranked and sorted when its deeper levels are value levels, and else
+        swept in blocks from its own keys. Each gives the whole matrix's
+        counts and tie list. A crossed level (hi > lo) may come at any
+        depth but the first."""
         rng = np.random.default_rng(400 + seed)
         n = int(rng.integers(2, 30))
         kinds = [rng.choice(FIRST_KINDS), *rng.choice(KINDS, size=3)]
         if seed % 2:
-            kinds[1:] = ["complete", "complete", "missing"]
+            kinds[1:] = ["missing", "complete", "missing"]
         levels = [_random_level(rng, kind, n) for kind in kinds]
         treat = rng.random(n) < 0.5
         want = _matrix_counts(oracles.level_matrix(levels), treat)
@@ -757,21 +757,21 @@ class TestTieRuns:
         assert_sweep_matches_oracle([_values(1, 1, 1), level], np.array([1, 0, 1], dtype=bool))
 
 
-def _value_hierarchy(rng, n: int, complete: int, nan_last: bool, spread: int) -> list[Level]:
-    """``complete`` NaN-free value levels, then a value level with NaN if
-    ``nan_last``, keys drawn from [-spread, spread]; a wide spread gives
-    each subject its own deeper rank, a narrow one repeats them."""
+def _value_hierarchy(rng, n: int, depth: int, blanks: int, spread: int) -> list[Level]:
+    """``depth`` value levels, keys drawn from [-spread, spread], level k
+    with NaN where bit k of ``blanks`` is set; a wide spread gives each
+    subject its own deeper rank, a narrow one repeats them."""
     levels = []
-    for k in range(complete + nan_last):
+    for k in range(depth):
         keys = rng.integers(-spread, spread + 1, size=n).astype(np.float64)
-        if k == complete:
+        if blanks >> k & 1:
             keys[rng.random(n) < 0.3] = np.nan
         levels.append(Level(keys, keys))
     return levels
 
 
 class TestSortedDeeperLevels:
-    """Deeper value levels, only the last with NaN, are counted by sorting
+    """Deeper value levels, with NaN in any of them, are counted by sorting
     whenever the sweep is more than one tile; every count and the tie list
     equal the whole matrix's, and no tile is built."""
 
@@ -779,19 +779,20 @@ class TestSortedDeeperLevels:
     @given(
         st.integers(2, 300),
         st.sampled_from(FIRST_KINDS),
-        st.integers(0, 2),
-        st.booleans(),
+        st.integers(1, 3),
+        st.integers(0, 7),
         st.sampled_from([2, 40, 2**20]),
         st.sampled_from([0.0, 0.1, 0.5, 1.0]),
         st.integers(0, 2**32 - 1),
     )
-    def test_counts_match_the_oracle(self, n, first, complete, nan_last, spread, share, seed):
+    def test_counts_match_the_oracle(self, n, first, depth, blanks, spread, share, seed):
         # Survival, value and NaN first levels with equal keys; ranks up
-        # to n - 1 run three digit passes; a narrow spread lists many tie
-        # pairs in each of the four passes of a NaN last level; a
-        # treatment share of 0 or 1 leaves the between-group sweep no pair.
+        # to n - 1 run three digit passes; NaN in any subset of the deeper
+        # levels (``blanks``), up to 19 terms and 64 tie passes; a narrow
+        # spread lists many tie pairs in each pass; a treatment share of 0
+        # or 1 leaves the between-group sweep no pair.
         rng = np.random.default_rng(seed)
-        deeper = _value_hierarchy(rng, n, max(complete, not nan_last), nan_last, spread)
+        deeper = _value_hierarchy(rng, n, depth, blanks, spread)
         levels = [_random_level(rng, first, n), *deeper]
         treat = rng.random(n) < share
         want = _matrix_counts(oracles.level_matrix(levels), treat)
@@ -826,13 +827,14 @@ class TestSortedDeeperLevels:
                 np.testing.assert_array_equal(getattr(got, field), want[field], err_msg=field)
 
     def test_other_deeper_levels_stay_on_tiles(self, monkeypatch):
-        # A NaN level above another, a survival level and a crossed level
-        # are compared in blocks: at N=150, one of 127 rows and one of 23.
+        # A survival level and a crossed level, which only the library
+        # builds, are compared in blocks: at N=150, one of 127 rows and one
+        # of 23.
         n = 150
         rng = np.random.default_rng(3)
         first = _random_level(rng, "survival", n)
         monkeypatch.setattr(pairwise, "_sorted_counts", None)  # the sort would raise
-        for kinds in (["missing", "complete"], ["survival"], ["crossed"], ["complete", "survival"]):
+        for kinds in (["survival"], ["crossed"], ["complete", "survival"], ["missing", "crossed"]):
             levels = [first, *(_random_level(rng, kind, n) for kind in kinds)]
             assert not pairwise._value_levels(levels[1:])
             assert_sweep_matches_oracle(levels, rng.random(n) < 0.5)
@@ -897,18 +899,18 @@ def level_order_by_definition(level: Level) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assert_level_order_by_definition(level: Level) -> None:
-    """``order`` sorts hi ascending with NaN first and ``by_lo`` sorts lo,
-    and at each position of ``order`` its subject's ``ends`` and ``beats``
-    are the counts of ``level_order_by_definition``, as intp."""
+    """``order`` sorts hi ascending with NaN first and ``by_hi`` with NaN
+    last, and at each position of ``order`` its subject's ``ends`` and
+    ``beats`` are the counts of ``level_order_by_definition``, as intp."""
     hi, lo = level
-    order, ends, beats, by_lo = pairwise._level_order(level)
+    order, ends, beats, by_hi = pairwise._level_order(level)
     n = hi.size
-    for perm in (order, by_lo):
+    for perm in (order, by_hi):
         np.testing.assert_array_equal(np.sort(perm), np.arange(n))
     nan_hi = np.count_nonzero(np.isnan(hi))
     np.testing.assert_array_equal(hi[order][:nan_hi], np.full(nan_hi, np.nan))
     np.testing.assert_array_equal(hi[order][nan_hi:], np.sort(hi)[: n - nan_hi])
-    np.testing.assert_array_equal(lo[by_lo], np.sort(lo))
+    np.testing.assert_array_equal(hi[by_hi], np.sort(hi))
     want_ends, want_beats = level_order_by_definition(level)
     for got, want in ((ends, want_ends), (beats, want_beats)):
         assert got.dtype == np.intp
@@ -1010,13 +1012,44 @@ def record_paths(monkeypatch) -> list[str]:
     return taken
 
 
-@pytest.mark.parametrize("cohort", ["simulated", "replica"])
-def test_each_cohort_size_takes_one_path(monkeypatch, request, cohort):
+def _blank_replica(csv_path, directory, columns) -> TrialDataset:
+    """The replica, derived, with about 10% of each of ``columns`` blank."""
+    rng = np.random.default_rng(29)
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.DictReader(fh))
+    for column in columns:
+        for row in rows:
+            if rng.random() < 0.1:
+                row[column] = ""
+    path = directory / "actg175.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    return derive_endpoints(load_trial_csv(path))
+
+
+@pytest.fixture(scope="module")
+def blanked_replica(actg_csv_path, tmp_path_factory):
+    """The replica with about 10% of its week-20 CD4 counts blank: the CD4
+    change is missing there, NaN in a deeper level other than the last."""
+    return _blank_replica(actg_csv_path, tmp_path_factory.mktemp("blanked"), ["cd420"])
+
+
+@pytest.mark.parametrize(
+    "cohort", ["simulated", "replica", "blank cd40", "blank cd420", "blank cd496", "blank all"]
+)
+def test_each_cohort_size_takes_one_path(monkeypatch, request, tmp_path, cohort):
     """Above one tile, fs and the win ratio, asymptotic and permutation,
-    count the replica's and the simulator's hierarchies by sorting, the
-    tie list too, and build no tile; a cohort of one tile (N <= 127) is
-    swept whole as one block."""
-    ds = request.getfixturevalue("cohort_6k" if cohort == "simulated" else "actg_derived")
+    count the simulator's and the CLI's hierarchies by sorting, the tie
+    list too, and build no tile, with a baseline, week-20 or week-96 CD4
+    count blank or not; a cohort of one tile (N <= 127) is swept whole as
+    one block."""
+    if cohort.startswith("blank"):
+        columns = ["cd40", "cd420", "cd496"] if cohort == "blank all" else [cohort.split()[1]]
+        ds = _blank_replica(request.getfixturevalue("actg_csv_path"), tmp_path, columns)
+    else:
+        ds = request.getfixturevalue("cohort_6k" if cohort == "simulated" else "actg_derived")
     assert ds.n > pairwise._MAX_TILE_ROWS
     taken = record_paths(monkeypatch)
     tiles = record_tiles(monkeypatch)
@@ -1036,28 +1069,11 @@ def test_each_cohort_size_takes_one_path(monkeypatch, request, cohort):
     assert tiles == [(40, 40)] * 4
 
 
-@pytest.fixture(scope="module")
-def blanked_replica(actg_csv_path, tmp_path_factory):
-    """The replica with about 10% of its week-20 CD4 counts blank: the CD4
-    change is missing there, NaN in a deeper level other than the last."""
-    rng = np.random.default_rng(29)
-    with open(actg_csv_path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.DictReader(fh))
-    for row in rows:
-        if rng.random() < 0.1:
-            row["cd420"] = ""
-    path = tmp_path_factory.mktemp("blanked") / "actg175.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-    return derive_endpoints(load_trial_csv(path))
-
-
-def test_a_blank_week20_cd4_takes_the_blocked_sweep(monkeypatch, blanked_replica):
+def test_a_blank_week20_cd4_takes_the_sort(monkeypatch, blanked_replica):
     """fs and the win ratio, asymptotic and permutation, on a CLI hierarchy
-    that the sort does not take: every count, the tie list, each
-    statistic and each permutation p match the whole verdict matrix."""
+    whose middle level holds NaN are counted by sorting, with no tile:
+    every count, the tie list, each statistic and each permutation p match
+    the whole verdict matrix."""
     ds = blanked_replica
     levels = pairwise._hierarchy_levels(ds)
     assert ds.n > pairwise._MAX_TILE_ROWS and np.isnan(levels[1].hi).mean() > 0.05
@@ -1076,6 +1092,7 @@ def test_a_blank_week20_cd4_takes_the_blocked_sweep(monkeypatch, blanked_replica
         return float(np.log(w) - np.log(l))
 
     taken = record_paths(monkeypatch)
+    tiles = record_tiles(monkeypatch)
     plan = PermutationPlan.monte_carlo(19, seed=5)
     counts = pair_counts(ds, collect_ties=True)
     results = {
@@ -1083,7 +1100,7 @@ def test_a_blank_week20_cd4_takes_the_blocked_sweep(monkeypatch, blanked_replica
         for method in ("fs", "win_ratio")
         for p in (None, plan)
     }
-    assert taken == ["_blocked_counts"] * 5
+    assert taken == ["_sorted_counts"] * 5 and tiles == []
     for field in (*COUNT_FIELDS, "ties"):
         np.testing.assert_array_equal(getattr(counts, field), want[field], err_msg=field)
     assert want["ties"].shape[1] > 0
